@@ -23,6 +23,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import cohomology, jets
 from .cohomology import IllConditionedError, NotACocycleError
 from .presentation import ParseError, parse_presentation, serialize_presentation
@@ -35,14 +37,29 @@ from .repspace import (
     rep_from_json,
     rep_to_json,
 )
-from .unitary import matrix_from_json, matrix_to_json
+from .unitary import SKEW_TOL, is_skew_hermitian, matrix_from_json, matrix_to_json
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse exits 2 on usage errors; the contract is 1
-        self.print_usage(sys.stderr)
+    def error(self, message):
+        # argparse prints its usage and exits 2; the contract is one line and exit 1
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _ranged(convert, ok, rule: str):
+    """An argparse type that converts, then rejects values breaking the rule."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _int_from(low: int):
+    return _ranged(int, lambda v: v >= low, f"an integer >= {low}")
 
 
 class InputError(ValueError):
@@ -91,9 +108,17 @@ def _load_cochain(pres, path: str):
     if missing:
         raise InputError(f"{path}: missing generator parts: {missing}")
     try:
-        return [matrix_from_json(gens[g]) for g in pres.generators]
+        mats = [matrix_from_json(gens[g]) for g in pres.generators]
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
+    shape = (pres.rank, pres.rank)
+    for name, m in zip(pres.generators, mats):
+        if m.shape != shape:
+            raise InputError(f"{path}: generator part {name!r} has shape {m.shape}, "
+                             f"expected {shape}")
+        if not is_skew_hermitian(m, SKEW_TOL * float(np.linalg.norm(m))):
+            raise InputError(f"{path}: generator part {name!r} is not skew-Hermitian")
+    return mats
 
 
 def _cochain_json(pres, mats) -> dict:
@@ -140,10 +165,6 @@ def _config(args, keys) -> dict:
     cfg["rank_threshold"] = args.rank_tol
     cfg["format"] = args.format
     return cfg
-
-
-def _obstruction_json(obs) -> dict:
-    return obs.to_json()
 
 
 def _cmd_validate(args) -> tuple[int, dict]:
@@ -264,7 +285,7 @@ def _cmd_obstruct(args) -> tuple[int, dict]:
     report = {
         "verb": "obstruct",
         "config": cfg,
-        "obstruction": _obstruction_json(obs),
+        "obstruction": obs.to_json(),
     }
     return 0, report
 
@@ -306,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="constrained unitary representation varieties at desk scale")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, *, tol=None, seed=False, order=False, attempts=False,
+    def common(p, *, tol=None, seed=False, min_order=0, attempts=False,
                samples=False, budget=False, out=False, representation=False,
                cochain=False):
         p.add_argument("presentation", help="presentation file (.grp)")
@@ -318,17 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=tol)
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if order:
-            p.add_argument("--order", type=int, default=4)
+        if min_order:
+            p.add_argument("--order", type=_int_from(min_order), default=4)
         if attempts:
-            p.add_argument("--attempts", type=int, default=50)
+            p.add_argument("--attempts", type=_int_from(1), default=50)
         if samples:
-            p.add_argument("--samples", type=int, default=50)
+            p.add_argument("--samples", type=_int_from(1), default=50)
         if budget:
-            p.add_argument("--budget", type=int, default=3)
+            p.add_argument("--budget", type=_int_from(0), default=3)
         if out:
             p.add_argument("--out", default=None, help="also write the bare representation JSON here")
-        p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-8,
+        p.add_argument("--rank-tol", dest="rank_tol", default=1e-8,
+                       type=_ranged(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
                        help="relative singular-value threshold for rank decisions")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -345,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("obstruct", help="obstruction class of a cocycle"),
            representation=True, cochain=True)
     common(sub.add_parser("lift", help="order-by-order jet lifting of a cocycle"),
-           tol=1e-7, seed=True, order=True, budget=True, representation=True, cochain=True)
+           tol=1e-7, seed=True, min_order=1, budget=True, representation=True, cochain=True)
     common(sub.add_parser("probe", help="random cone probe of quadraticity"),
-           tol=1e-7, seed=True, order=True, samples=True, budget=True, representation=True)
+           tol=1e-7, seed=True, min_order=2, samples=True, budget=True, representation=True)
     return parser
 
 

@@ -18,6 +18,13 @@ the image of the parabolic differential and the conjugator-kernel shift
 directions, which absorb the ambiguity in the canonical minimal-norm
 conjugator choice).
 
+Q has a single implementation: :func:`order2_defect` gives the raw order-2
+defect of (u, xi), :func:`shift_directions` its conjugator-kernel shift
+directions, and :func:`obstruction_classes` reduces a list of defects in one
+common quotient.  :func:`obstruction`, :func:`common_obstruction`,
+:func:`pairing_tensor` and the failure path of :func:`repvar.jets.lift` all
+go through these three functions.
+
 All linear algebra is over the B-orthonormal real coordinates of
 :func:`repvar.unitary.skew_basis`, where B equals the Euclidean inner
 product.  Rank decisions use a relative singular-value threshold with an
@@ -240,16 +247,9 @@ class ConeComplex:
         self.d1_cone = d1_cone
 
         # parabolic differential on generator parts, peripheral rows projected
-        d1_par = np.zeros((rows, self.n_gen * q))
-        for j, block in enumerate(self.rel_rows):
-            d1_par[j * q:(j + 1) * q, :] = block
-        for gd in self.group_data:
-            stacked = np.vstack([self.per_rows[i] for i in gd.members])
-            projected = stacked - gd.col @ (gd.col.T @ stacked)
-            for pos, i in enumerate(gd.members):
-                r0 = (self.n_rel + i) * q
-                d1_par[r0:r0 + q, :] = projected[pos * q:(pos + 1) * q]
-        self.d1_par = d1_par
+        unprojected = np.vstack(self.rel_rows + self.per_rows) if rows \
+            else np.zeros((0, self.n_gen * q))
+        self.d1_par = self.project_peripheral(unprojected)
 
         self.par_target_dim = self.n_rel * q + sum(
             len(gd.members) * q - gd.rank for gd in self.group_data
@@ -322,8 +322,18 @@ class ConeComplex:
                 out[r0:r0 + self.q] = stacked[pos * self.q:(pos + 1) * self.q]
         return out
 
-    def parabolic_residual(self, uvec: np.ndarray) -> float:
-        return float(np.linalg.norm(self.d1_par @ uvec)) if self.d1_par.size else 0.0
+    def cocycle_parts(self, u, pre_tolerance: float) -> list[np.ndarray]:
+        """Generator parts of u (a Cochain1 or one matrix per generator),
+        checked to be a parabolic cocycle within pre_tolerance * max(1, |u|)."""
+        parts = list(u.generator_part) if isinstance(u, Cochain1) else list(u)
+        if len(parts) != self.n_gen:
+            raise ValueError(f"{len(parts)} generator parts for {self.n_gen} generators")
+        uvec = self.stack_gen(parts)
+        resid = float(np.linalg.norm(self.d1_par @ uvec))
+        bound = pre_tolerance * max(1.0, float(np.linalg.norm(uvec)))
+        if resid > bound:
+            raise NotACocycleError(resid, bound)
+        return parts
 
     def canonical_xi(self, umats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], float]:
         """Minimal-norm conjugator parts solving the peripheral rows jointly per group."""
@@ -344,7 +354,7 @@ def assemble_complex(rep: Representation, rank_rtol: float = 1e-8) -> ConeComple
     return ConeComplex(rep, rank_rtol)
 
 
-def _as_cone(rep_or_cone, rank_rtol: float = 1e-8) -> ConeComplex:
+def as_cone(rep_or_cone, rank_rtol: float = 1e-8) -> ConeComplex:
     if isinstance(rep_or_cone, ConeComplex):
         return rep_or_cone
     return ConeComplex(rep_or_cone, rank_rtol)
@@ -366,7 +376,7 @@ def coboundary(rep: Representation, x: np.ndarray) -> Cochain1:
 
 def h_dims(rep_or_cone, rank_rtol: float = 1e-8) -> Dims:
     """Dimension record of both complexes, via rank-revealing factorizations."""
-    cc = _as_cone(rep_or_cone, rank_rtol)
+    cc = as_cone(rep_or_cone, rank_rtol)
     q = cc.q
     c0 = q - cc._svd_d0_gen.rank if cc.n_gen else q
     b1 = cc._svd_d0_gen.rank
@@ -381,7 +391,7 @@ def h_dims(rep_or_cone, rank_rtol: float = 1e-8) -> Dims:
 
 def h1_basis(rep_or_cone, rank_rtol: float = 1e-8) -> CohomologyBasis:
     """B-orthonormal basis of the parabolic cocycles modulo coboundaries."""
-    cc = _as_cone(rep_or_cone, rank_rtol)
+    cc = as_cone(rep_or_cone, rank_rtol)
     dims = h_dims(cc)
     z = cc._svd_d1_par.nullspace      # (n_gen q, z1_par)
     cb = cc._svd_d0_gen.u_r           # image of the generator part of d0
@@ -399,15 +409,6 @@ def h1_basis(rep_or_cone, rank_rtol: float = 1e-8) -> CohomologyBasis:
 
 
 # -- the quadratic map Q -----------------------------------------------------
-
-
-def _gen_parts(cc: ConeComplex, u) -> list[np.ndarray]:
-    if isinstance(u, Cochain1):
-        return list(u.generator_part)
-    parts = list(u)
-    if len(parts) != cc.n_gen:
-        raise ValueError(f"{len(parts)} generator parts for {cc.n_gen} generators")
-    return parts
 
 
 def order_defect(cc: ConeComplex, gen_jets: Sequence[Sequence[np.ndarray]],
@@ -441,16 +442,19 @@ def order_defect(cc: ConeComplex, gen_jets: Sequence[Sequence[np.ndarray]],
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def _order2_defect(cc: ConeComplex, umats: Sequence[np.ndarray],
-                   xi: Sequence[np.ndarray]) -> np.ndarray:
+def order2_defect(cc: ConeComplex, umats: Sequence[np.ndarray],
+                  xi: Sequence[np.ndarray]) -> np.ndarray:
+    """Raw order-2 defect of X_1 = u with conjugator parts xi and vanishing
+    second-order corrections: the single evaluation behind Q."""
     return order_defect(cc, [[u] for u in umats], [[x] for x in xi], 2)
 
 
-def _shift_directions(cc: ConeComplex, umats: Sequence[np.ndarray],
-                      xi: Sequence[np.ndarray], base_raw: np.ndarray) -> list[np.ndarray]:
+def shift_directions(cc: ConeComplex, umats: Sequence[np.ndarray],
+                     xi: Sequence[np.ndarray], raw: np.ndarray) -> list[np.ndarray]:
     """Directions along which Q(u) changes when the canonical conjugator choice
-    moves inside the joint-centralizer kernel.  The order-2 defect is affine in
-    that kernel shift, so plain differences give the directions exactly."""
+    moves inside the joint-centralizer kernel; raw is order2_defect(cc, umats, xi).
+    The order-2 defect is affine in that kernel shift, so plain differences
+    give the directions exactly."""
     n = cc.rep.rank
     shifts = []
     unorm = float(np.linalg.norm(cc.stack_gen(umats))) if len(umats) else 0.0
@@ -458,51 +462,54 @@ def _shift_directions(cc: ConeComplex, umats: Sequence[np.ndarray],
     floor = 1e-12 * (1.0 + unorm + xinorm)
     for g, gd in enumerate(cc.group_data):
         for col in range(gd.kernel.shape[1]):
-            kappa = unvec_skew(gd.kernel[:, col], n)
             xi2 = [x.copy() for x in xi]
-            xi2[g] = xi2[g] + kappa
-            diff = order_defect(cc, [[u] for u in umats], [[x] for x in xi2], 2) - base_raw
-            diff = cc.project_peripheral(diff)
+            xi2[g] = xi2[g] + unvec_skew(gd.kernel[:, col], n)
+            diff = cc.project_peripheral(order2_defect(cc, umats, xi2) - raw)
             size = float(np.linalg.norm(diff))
             if size > floor:
                 shifts.append(diff / size)
     return shifts
 
 
-def _quotient_basis(cc: ConeComplex, shifts: Sequence[np.ndarray]) -> np.ndarray:
-    """Orthonormal basis (in parabolic-target coordinates) of the complement of
-    Im(d1_par) plus the shift directions: coordinates of the quotient O^2."""
+def obstruction_classes(cc: ConeComplex, defects: Sequence[np.ndarray],
+                        shifts: Sequence[np.ndarray]) -> list[ObstructionClass]:
+    """Classes of raw defects in one common quotient O^2, so their coordinates
+    are directly comparable.
+
+    O^2 is the parabolic degree-2 target modulo Im(d1_par) plus the shift
+    directions; its coordinates come from an orthonormal basis of that
+    complement in parabolic-target coordinates.
+    """
     cols = [cc.pt_basis.T @ cc.d1_par] if cc.d1_par.size else []
     if shifts:
         cols.append(cc.pt_basis.T @ np.column_stack(shifts))
-    if not cols:
-        return np.eye(cc.par_target_dim)
-    a = np.hstack(cols)
-    norms = np.linalg.norm(a, axis=0)
-    keep = norms > 1e-13 * max(1.0, float(norms.max(initial=0.0)))
-    a = a[:, keep] / norms[keep]
-    if a.shape[1] == 0:
-        return np.eye(cc.par_target_dim)
-    u, s, _ = np.linalg.svd(a, full_matrices=True)
-    r = _rank_cut(s, cc.rank_rtol, "obstruction quotient")
-    return u[:, r:]
+    quotient = np.eye(cc.par_target_dim)
+    if cols:
+        a = np.hstack(cols)
+        norms = np.linalg.norm(a, axis=0)
+        keep = norms > 1e-13 * max(1.0, float(norms.max(initial=0.0)))
+        if keep.any():
+            u, s, _ = np.linalg.svd(a[:, keep] / norms[keep], full_matrices=True)
+            quotient = u[:, _rank_cut(s, cc.rank_rtol, "obstruction quotient"):]
+    classes = []
+    for raw in defects:
+        projected = cc.project_peripheral(raw)
+        coords = quotient.T @ (cc.pt_basis.T @ projected)
+        classes.append(ObstructionClass(representative=cc.unstack_target(projected),
+                                        coordinates=coords, norm=float(np.linalg.norm(coords))))
+    return classes
 
 
-def _class_from_defect(cc: ConeComplex, projected: np.ndarray,
-                       quotient: np.ndarray) -> ObstructionClass:
-    coords = quotient.T @ (cc.pt_basis.T @ projected)
-    return ObstructionClass(
-        representative=cc.unstack_target(projected),
-        coordinates=coords,
-        norm=float(np.linalg.norm(coords)),
-    )
-
-
-def _check_cocycle(cc: ConeComplex, uvec: np.ndarray, pre_tolerance: float) -> None:
-    resid = cc.parabolic_residual(uvec)
-    bound = pre_tolerance * max(1.0, float(np.linalg.norm(uvec)))
-    if resid > bound:
-        raise NotACocycleError(resid, bound)
+def _order2_terms(cc: ConeComplex, cocycles: Sequence[Sequence[np.ndarray]]):
+    """Canonical conjugator parts and raw order-2 defects of several cocycles,
+    with the shift directions of all of them pooled."""
+    xis, raws, shifts = [], [], []
+    for umats in cocycles:
+        xi, _ = cc.canonical_xi(umats)
+        xis.append(xi)
+        raws.append(order2_defect(cc, umats, xi))
+        shifts.extend(shift_directions(cc, umats, xi, raws[-1]))
+    return xis, raws, shifts
 
 
 def obstruction(rep_or_cone, u, pre_tolerance: float = 1e-6,
@@ -515,32 +522,16 @@ def obstruction(rep_or_cone, u, pre_tolerance: float = 1e-6,
     projected defect in the operational obstruction quotient.  Q(l u) equals
     l^2 Q(u) and Q vanishes on coboundary directions.
     """
-    cc = _as_cone(rep_or_cone, rank_rtol)
-    umats = _gen_parts(cc, u)
-    _check_cocycle(cc, cc.stack_gen(umats), pre_tolerance)
-    xi, _ = cc.canonical_xi(umats)
-    raw = _order2_defect(cc, umats, xi)
-    projected = cc.project_peripheral(raw)
-    quotient = _quotient_basis(cc, _shift_directions(cc, umats, xi, raw))
-    return _class_from_defect(cc, projected, quotient)
+    return common_obstruction(rep_or_cone, [u], pre_tolerance, rank_rtol)[0]
 
 
 def common_obstruction(rep_or_cone, us: Sequence, pre_tolerance: float = 1e-6,
                        rank_rtol: float = 1e-8) -> list[ObstructionClass]:
     """Obstruction classes of several cocycles reduced in one common quotient,
     so their coordinate vectors are directly comparable."""
-    cc = _as_cone(rep_or_cone, rank_rtol)
-    prepared = []
-    all_shifts: list[np.ndarray] = []
-    for u in us:
-        umats = _gen_parts(cc, u)
-        _check_cocycle(cc, cc.stack_gen(umats), pre_tolerance)
-        xi, _ = cc.canonical_xi(umats)
-        raw = _order2_defect(cc, umats, xi)
-        all_shifts.extend(_shift_directions(cc, umats, xi, raw))
-        prepared.append(cc.project_peripheral(raw))
-    quotient = _quotient_basis(cc, all_shifts)
-    return [_class_from_defect(cc, proj, quotient) for proj in prepared]
+    cc = as_cone(rep_or_cone, rank_rtol)
+    _, raws, shifts = _order2_terms(cc, [cc.cocycle_parts(u, pre_tolerance) for u in us])
+    return obstruction_classes(cc, raws, shifts)
 
 
 def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
@@ -551,29 +542,19 @@ def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
     verdict is True iff every entry norm is at most the tolerance, which is
     the cup-product smoothness criterion.
     """
-    cc = _as_cone(rep_or_cone, rank_rtol)
+    cc = as_cone(rep_or_cone, rank_rtol)
     h = len(basis)
     if h == 0:
         return PairingTensor(entries={}, verdict=True, tolerance=tolerance)
     umats = [list(v) for v in basis.vectors]
-    xis = []
-    raws = []
-    all_shifts: list[np.ndarray] = []
-    for mats in umats:
-        xi, _ = cc.canonical_xi(mats)
-        raw = _order2_defect(cc, mats, xi)
-        all_shifts.extend(_shift_directions(cc, mats, xi, raw))
-        xis.append(xi)
-        raws.append(raw)
-    quotient = _quotient_basis(cc, all_shifts)
-    entries = {}
-    for i in range(h):
-        entries[(i, i)] = _class_from_defect(cc, cc.project_peripheral(raws[i]), quotient)
-        for j in range(i + 1, h):
-            mats = [a + b for a, b in zip(umats[i], umats[j])]
-            xi = [a + b for a, b in zip(xis[i], xis[j])]
-            raw = _order2_defect(cc, mats, xi)
-            polar = 0.5 * (raw - raws[i] - raws[j])
-            entries[(i, j)] = _class_from_defect(cc, cc.project_peripheral(polar), quotient)
+    xis, raws, shifts = _order2_terms(cc, umats)
+    pairs = [(i, j) for i in range(h) for j in range(i + 1, h)]
+    polar = [
+        0.5 * (order2_defect(cc, [a + b for a, b in zip(umats[i], umats[j])],
+                             [a + b for a, b in zip(xis[i], xis[j])]) - raws[i] - raws[j])
+        for i, j in pairs
+    ]
+    classes = obstruction_classes(cc, raws + polar, shifts)
+    entries = dict(sorted(zip([(i, i) for i in range(h)] + pairs, classes)))
     verdict = all(e.norm <= tolerance for e in entries.values())
     return PairingTensor(entries=entries, verdict=verdict, tolerance=tolerance)

@@ -19,18 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from . import cohomology
 from .cohomology import (
     ConeComplex,
     CohomologyBasis,
     ObstructionClass,
-    _as_cone,
-    _class_from_defect,
-    _check_cocycle,
-    _gen_parts,
-    _quotient_basis,
-    _shift_directions,
+    as_cone,
+    obstruction,
+    obstruction_classes,
+    order2_defect,
     order_defect,
+    shift_directions,
 )
 from .repspace import Representation
 from .truncring import MatrixJet, exp_series, log_series, unitary_generator_jet, word_jet
@@ -177,11 +175,10 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> Lift
     failure is reported with budget_exceeded set.
     """
     opts = options or LiftOptions()
-    cc = _as_cone(rep_or_cone)
-    umats = _gen_parts(cc, u)
+    cc = as_cone(rep_or_cone)
+    umats = cc.cocycle_parts(u, opts.pre_tolerance)
     uvec = cc.stack_gen(umats)
     unorm = float(np.linalg.norm(uvec))
-    _check_cocycle(cc, uvec, opts.pre_tolerance)
     tol_abs = opts.tolerance * unorm ** 2
 
     xi, xi_resid = cc.canonical_xi(umats)
@@ -227,9 +224,8 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> Lift
             if rescued:
                 m += 1
                 continue
-        base2 = defect if fail_order == 2 else cohomology._order2_defect(cc, umats, xi)
-        quotient = _quotient_basis(cc, _shift_directions(cc, umats, xi, base2))
-        obs = _class_from_defect(cc, cc.project_peripheral(defect), quotient)
+        raw2 = defect if fail_order == 2 else order2_defect(cc, umats, xi)
+        obs = obstruction_classes(cc, [defect], shift_directions(cc, umats, xi, raw2))[0]
         residuals.append(resid)
         return LiftReport(
             achieved_order=fail_order - 1,
@@ -255,7 +251,7 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     directions (Q at most tolerance * |u|^2) never fail at order 2 and
     non-cone directions never lift past order 2.
     """
-    cc = _as_cone(rep_or_cone)
+    cc = as_cone(rep_or_cone)
     if len(basis) == 0:
         return ConeProbeReport(samples=0, order=order, tolerance=tolerance,
                                budget=budget, seed=seed, rigid=True)
@@ -267,7 +263,7 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
         coeffs /= np.linalg.norm(coeffs)
         uvec = basis.matrix @ coeffs
         umats = cc.unstack_gen(uvec)
-        q = cohomology.obstruction(cc, umats)
+        q = obstruction(cc, umats)
         unorm = float(np.linalg.norm(uvec))
         is_cone = q.norm <= tolerance * unorm ** 2
         sample_seed = int(rng.integers(0, 2 ** 62))

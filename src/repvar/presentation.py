@@ -207,20 +207,6 @@ class Presentation:
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
 
-    def group_of_peripheral(self, peripheral_index: int) -> int:
-        for gi, members in enumerate(self.groups):
-            if peripheral_index in members:
-                return gi
-        raise IndexError(peripheral_index)
-
-    def word_from_string(self, text: str) -> Word:
-        """Parse a whitespace-separated letter string against this presentation."""
-        letters = []
-        for tok in text.split():
-            name, sign = (tok[:-1], -1) if tok.endswith("'") else (tok, 1)
-            letters.append((self.generator_index(name), sign))
-        return normalize_word(letters)
-
     def word_to_string(self, word: Iterable[Letter]) -> str:
         return " ".join(
             self.generators[g] + ("'" if s < 0 else "") for g, s in word

@@ -1,9 +1,10 @@
 """Exact arithmetic over the truncated polynomial rings R[t]/(t^(k+1)).
 
-Coefficients are complex scalars or matrices; multiplication is the Cauchy
-convolution with degrees above the truncation order discarded.  Exponential
-and logarithm series are finite sums here because their arguments have zero
-constant term (resp. constant term one).
+Coefficients are complex matrices, 1 x 1 ones giving the scalar ring
+C[t]/(t^(k+1)); multiplication is the Cauchy convolution with degrees above
+the truncation order discarded.  Exponential and logarithm series are
+finite sums here because their arguments have zero constant term (resp.
+constant term one).
 """
 
 from __future__ import annotations
@@ -11,38 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-
-class JetScalar:
-    """Element of C[t]/(t^(k+1)): coefficients c_0 .. c_k."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[complex]):
-        self.coeffs = np.asarray(coeffs, dtype=complex).copy()
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "JetScalar") -> "JetScalar":
-        return JetScalar(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "JetScalar") -> "JetScalar":
-        return JetScalar(self.coeffs - other.coeffs)
-
-    def __mul__(self, other: "JetScalar") -> "JetScalar":
-        k = self.order
-        out = np.zeros(k + 1, dtype=complex)
-        for m in range(k + 1):
-            out[m] = np.sum(self.coeffs[: m + 1] * other.coeffs[m::-1])
-        return JetScalar(out)
-
-    def conjugate(self) -> "JetScalar":
-        return JetScalar(np.conj(self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"JetScalar({list(self.coeffs)})"
 
 
 class MatrixJet:

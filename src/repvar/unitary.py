@@ -14,7 +14,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .presentation import ConjugacyClassSpec
 
@@ -94,6 +93,8 @@ def principal_log(g: np.ndarray, angle_tol: float = 1e-8) -> np.ndarray:
     Raises :class:`BranchCutError` when an eigenvalue of ``g`` lies within
     ``angle_tol`` (radians) of -1.
     """
+    import scipy.linalg  # deferred: the only use of scipy, and no CLI verb needs it
+
     t, z = scipy.linalg.schur(np.asarray(g, dtype=complex), output="complex")
     eigs = np.diagonal(t)
     theta = np.angle(eigs)
@@ -223,6 +224,9 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 def matrix_from_json(data) -> np.ndarray:
     try:
-        return np.array([[entry["re"] + 1j * entry["im"] for entry in row] for row in data])
+        m = np.array([[entry["re"] + 1j * entry["im"] for entry in row] for row in data])
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from None
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix JSON has non-finite entries")
+    return m

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from repvar import cohomology
+from repvar import cli, cohomology
 from repvar.repspace import rep_to_json
 from repvar.unitary import matrix_to_json
 
@@ -48,8 +48,12 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
             "conjugator_part": {},
         }
 
+    nan_rep = rep_to_json(genus2_irr)
+    nan_rep["generators"]["a"][0][0]["re"] = float("nan")
+
     return {
         "genus2_irr": dump("genus2_irr.json", rep_to_json(genus2_irr)),
+        "nan_rep": dump("nan_rep.json", nan_rep),
         "genus2_red": dump("genus2_red.json", rep_to_json(genus2_red)),
         "sphere4": dump("sphere4.json", rep_to_json(sphere4_rep)),
         "cocycle_irr": dump(
@@ -60,6 +64,11 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
             "bad_cochain.json",
             cochain([np.diag([1j, 2j]), np.diag([3j, 0]), np.zeros((2, 2)),
                      np.diag([0, 1j])], genus2_irr.presentation)),
+        "small_cochain": dump(
+            "small_cochain.json", cochain([np.zeros((1, 1))] * 4, genus2_irr.presentation)),
+        "hermitian_cochain": dump(
+            "hermitian_cochain.json",
+            cochain([1j * m for m in basis_irr.vectors[0]], genus2_irr.presentation)),
     }
 
 
@@ -88,6 +97,35 @@ def test_usage_error_exit_1():
     out = run_cli("find", SPHERE4, "--frobnicate")
     assert out.returncode == 1
     assert "frobnicate" in out.stderr
+
+
+BAD_INPUTS = {
+    "nan_entry_check": ("check", GENUS2, "nan_rep"),
+    "nan_entry_tangent": ("tangent", GENUS2, "nan_rep"),
+    "cochain_wrong_shape": ("obstruct", GENUS2, "genus2_irr", "small_cochain"),
+    "cochain_not_skew_obstruct": ("obstruct", GENUS2, "genus2_irr", "hermitian_cochain"),
+    "cochain_not_skew_lift": ("lift", GENUS2, "genus2_irr", "hermitian_cochain"),
+    "samples_negative": ("probe", GENUS2, "genus2_red", "--samples", "-3"),
+    "attempts_zero": ("find", SPHERE4, "--attempts", "0"),
+    "order_zero": ("lift", GENUS2, "genus2_irr", "cocycle_irr", "--order", "0"),
+    "probe_order_one": ("probe", GENUS2, "genus2_red", "--samples", "2", "--order", "1"),
+    "budget_negative": ("lift", GENUS2, "genus2_irr", "cocycle_irr", "--budget", "-1"),
+    "rank_tol_nan": ("tangent", GENUS2, "genus2_irr", "--rank-tol", "nan"),
+    "rank_tol_one": ("tangent", GENUS2, "genus2_irr", "--rank-tol", "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_1(case, cli_files, capsys):
+    argv = [cli_files.get(a, a) for a in BAD_INPUTS[case]]  # cli_files keys name files
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:  # argparse rejects flags through _Parser.error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_find_and_check(tmp_path):

@@ -1,7 +1,6 @@
 import numpy as np
 
 from repvar.truncring import (
-    JetScalar,
     MatrixJet,
     exp_series,
     log_series,
@@ -17,21 +16,21 @@ def random_jet(rng, n, order):
 
 
 def test_scalar_ring_laws():
+    # 1 x 1 matrix jets are the commutative ring C[t]/(t^(k+1))
     rng = np.random.default_rng(40)
     for _ in range(50):
         k = int(rng.integers(0, 7))
-        a, b, c = (JetScalar(rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1))
-                   for _ in range(3))
-        lhs = (a * b) * c
-        rhs = a * (b * c)
+        a, b, c = (random_jet(rng, 1, k) for _ in range(3))
+        lhs = (a @ b) @ c
+        rhs = a @ (b @ c)
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-13
-        assert np.max(np.abs((a * b).coeffs - (b * a).coeffs)) <= 1e-13
+        assert np.max(np.abs((a @ b).coeffs - (b @ a).coeffs)) <= 1e-13
 
 
 def test_scalar_truncation():
-    a = JetScalar([0.0, 1.0])     # t
-    b = a * a                     # t^2 truncated at order 1
-    assert np.array_equal(b.coeffs, [0.0, 0.0])
+    a = MatrixJet.from_series([np.ones((1, 1))], 1, 1)   # t
+    b = a @ a                                              # t^2 truncated at order 1
+    assert np.array_equal(b.coeffs.ravel(), [0.0, 0.0])
 
 
 def test_matrix_ring_associativity():
