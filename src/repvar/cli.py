@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -60,6 +61,9 @@ def _ranged(convert, ok, rule: str):
 
 def _int_from(low: int):
     return _ranged(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+_tolerance = _ranged(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
 class InputError(ValueError):
@@ -336,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         if cochain:
             p.add_argument("cochain", help="cochain JSON file (generator_part)")
         if tol is not None:
-            p.add_argument("--tol", type=float, default=tol)
+            p.add_argument("--tol", type=_tolerance, default=tol)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if min_order:
@@ -359,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
            tol=1e-10, seed=True, attempts=True, out=True)
     common(sub.add_parser("check", help="residuals and commutant dimension"),
            tol=None, representation=True)
-    sub.choices["check"].add_argument("--tol", type=float, default=None)
+    sub.choices["check"].add_argument("--tol", type=_tolerance, default=None)
     common(sub.add_parser("tangent", help="cohomology dimensions and basis"),
            representation=True)
     common(sub.add_parser("pairing", help="cup-product pairing tensor and verdict"),

@@ -33,6 +33,7 @@ explicit ill-conditioning diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -127,6 +128,13 @@ class PairingTensor:
 
     def max_norm(self) -> float:
         return max((e.norm for e in self.entries.values()), default=0.0)
+
+
+def check_tolerance(tolerance: float) -> None:
+    """Reject a tolerance that is not a finite number > 0: against NaN every
+    comparison is false, so no defect would ever count as too large."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
 
 
 def _rank_cut(s: np.ndarray, rtol: float, context: str, gaps: dict | None = None) -> int:
@@ -542,6 +550,7 @@ def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
     verdict is True iff every entry norm is at most the tolerance, which is
     the cup-product smoothness criterion.
     """
+    check_tolerance(tolerance)
     cc = as_cone(rep_or_cone, rank_rtol)
     h = len(basis)
     if h == 0:

@@ -24,6 +24,7 @@ from .cohomology import (
     CohomologyBasis,
     ObstructionClass,
     as_cone,
+    check_tolerance,
     obstruction,
     obstruction_classes,
     order2_defect,
@@ -175,6 +176,7 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> Lift
     failure is reported with budget_exceeded set.
     """
     opts = options or LiftOptions()
+    check_tolerance(opts.tolerance)
     cc = as_cone(rep_or_cone)
     umats = cc.cocycle_parts(u, opts.pre_tolerance)
     uvec = cc.stack_gen(umats)
@@ -249,8 +251,10 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
 
     The quadraticity prediction is an empty off-diagonal contingency: cone
     directions (Q at most tolerance * |u|^2) never fail at order 2 and
-    non-cone directions never lift past order 2.
+    non-cone directions never lift past order 2.  A direction that fails at
+    order 2 takes Q from the lift's own failure report.
     """
+    check_tolerance(tolerance)
     cc = as_cone(rep_or_cone)
     if len(basis) == 0:
         return ConeProbeReport(samples=0, order=order, tolerance=tolerance,
@@ -263,12 +267,12 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
         coeffs /= np.linalg.norm(coeffs)
         uvec = basis.matrix @ coeffs
         umats = cc.unstack_gen(uvec)
-        q = obstruction(cc, umats)
         unorm = float(np.linalg.norm(uvec))
-        is_cone = q.norm <= tolerance * unorm ** 2
         sample_seed = int(rng.integers(0, 2 ** 62))
         report = lift(cc, umats, order,
                       LiftOptions(tolerance=tolerance, budget=budget, seed=sample_seed))
+        q = report.obstruction if report.achieved_order == 1 else obstruction(cc, umats)
+        is_cone = q.norm <= tolerance * unorm ** 2
         if report.budget_exceeded:
             counts["budget_exceeded"] += 1
         if is_cone:

@@ -2,9 +2,12 @@
 
 Coefficients are complex matrices, 1 x 1 ones giving the scalar ring
 C[t]/(t^(k+1)); multiplication is the Cauchy convolution with degrees above
-the truncation order discarded.  Exponential and logarithm series are
-finite sums here because their arguments have zero constant term (resp.
-constant term one).
+the truncation order discarded.  Left multiplication by a jet is a block
+lower-triangular Toeplitz matrix acting on the stacked coefficients, so a
+product is one dense matrix product (gemm).  Exponential and logarithm
+series are finite sums here because their arguments have zero constant
+term (resp. constant term one); both run Horner's rule on the stacked
+coefficients against one Toeplitz matrix.
 """
 
 from __future__ import annotations
@@ -62,49 +65,53 @@ class MatrixJet:
         return MatrixJet(self.coeffs - other.coeffs)
 
     def __matmul__(self, other: "MatrixJet") -> "MatrixJet":
-        k = self.order
-        out = np.zeros_like(self.coeffs)
-        for m in range(k + 1):
-            for p in range(m + 1):
-                out[m] += self.coeffs[p] @ other.coeffs[m - p]
-        return MatrixJet(out)
+        stacked = other.coeffs.reshape(-1, other.n)
+        return MatrixJet((_toeplitz(self) @ stacked).reshape(other.coeffs.shape))
 
     def dagger(self) -> "MatrixJet":
         """Coefficient-wise conjugate transpose; the ring inverse of a unitary jet."""
         return MatrixJet(np.conj(np.swapaxes(self.coeffs, 1, 2)))
 
-    def scale(self, c: complex) -> "MatrixJet":
-        return MatrixJet(c * self.coeffs)
-
     def __repr__(self) -> str:
         return f"MatrixJet(order={self.order}, n={self.n})"
 
 
+def _toeplitz(a: MatrixJet) -> np.ndarray:
+    """The ((k+1)n, (k+1)n) matrix of left multiplication by a on coefficients
+    stacked by degree: block (p, q) is a_(p-q), and zero for negative lags."""
+    k1, n = a.coeffs.shape[:2]
+    padded = np.concatenate([np.zeros((k1 - 1, n, n), dtype=complex), a.coeffs])
+    lag = np.subtract.outer(np.arange(k1), np.arange(k1)) + (k1 - 1)
+    return padded[lag].transpose(0, 2, 1, 3).reshape(k1 * n, k1 * n)
+
+
 def exp_series(s: MatrixJet) -> MatrixJet:
-    """exp of a jet with zero constant term: finite sum of s^j / j!."""
+    """exp of a jet with zero constant term: finite sum of s^j / j!, by Horner's
+    rule out = 1 + s out / j for j = k..1."""
     if np.any(s.coeffs[0] != 0):
         raise ValueError("exp_series needs a jet with zero constant term")
-    out = MatrixJet.identity(s.n, s.order)
-    term = MatrixJet.identity(s.n, s.order)
-    for j in range(1, s.order + 1):
-        term = (term @ s).scale(1.0 / j)
-        out = out + term
-    return out
+    t = _toeplitz(s)
+    unit = MatrixJet.identity(s.n, s.order).coeffs.reshape(-1, s.n)
+    out = unit
+    for j in range(s.order, 0, -1):
+        out = unit + (t @ out) / j
+    return MatrixJet(out.reshape(s.coeffs.shape))
 
 
 def log_series(j: MatrixJet) -> MatrixJet:
-    """log of a jet with constant term the identity: finite alternating sum."""
-    n = j.n
+    """log of a jet with constant term the identity: finite alternating sum of
+    (-1)^(d+1) m^d / d in m = j - 1, by Horner's rule from d = k down."""
+    n, k = j.n, j.order
     if np.linalg.norm(j.coeffs[0] - np.eye(n)) > 1e-8:
         raise ValueError("log_series needs a jet with identity constant term")
-    m = j - MatrixJet.identity(n, j.order)
+    m = j - MatrixJet.identity(n, k)
     m.coeffs[0] = 0.0
-    out = MatrixJet(np.zeros_like(j.coeffs))
-    power = MatrixJet.identity(n, j.order)
-    for d in range(1, j.order + 1):
-        power = power @ m
-        out = out + power.scale((-1.0) ** (d + 1) / d)
-    return out
+    t = _toeplitz(m)
+    unit = MatrixJet.identity(n, k).coeffs.reshape(-1, n)
+    out = np.zeros_like(unit)
+    for d in range(k, 0, -1):
+        out = t @ (((-1.0) ** (d + 1) / d) * unit + out)
+    return MatrixJet(out.reshape(j.coeffs.shape))
 
 
 def unitary_generator_jet(base: np.ndarray, jets: Sequence[np.ndarray], order: int) -> MatrixJet:
@@ -112,7 +119,9 @@ def unitary_generator_jet(base: np.ndarray, jets: Sequence[np.ndarray], order: i
     X_m are skew-Hermitian and the base is unitary."""
     n = base.shape[0]
     s = MatrixJet.from_series(list(jets), order, n, start=1)
-    return exp_series(s) @ MatrixJet.constant(base, order)
+    # the constant jet has only a degree-0 coefficient, so the product is a
+    # coefficient-wise right multiplication
+    return MatrixJet(exp_series(s).coeffs @ base)
 
 
 def word_jet(generator_jets: Sequence[MatrixJet], word, order: int, n: int) -> MatrixJet:

@@ -2,14 +2,17 @@
 
 These deliberately avoid the transport/complex machinery under test: the
 dimension oracle differentiates the nonlinear constraint map by finite
-differences, and the irreducibility oracle spans the image algebra with
-random words.
+differences, the irreducibility oracle spans the image algebra with random
+words, and the ring oracle multiplies truncated jets by the naive Cauchy
+double loop over degrees.
 """
+
+from math import factorial
 
 import numpy as np
 
 from repvar.repspace import Representation, _residual_vector, evaluate_word
-from repvar.unitary import exponential, skew_basis
+from repvar.unitary import exponential, project_skew, skew_basis, vec_skew
 
 
 def random_word(rng, n_gens, max_length=20):
@@ -73,3 +76,72 @@ def image_algebra_rank(rep, rng, n_words=80, max_length=12, rtol=1e-8):
         rows.append(evaluate_word(rep, w).ravel())
     s = np.linalg.svd(np.array(rows), compute_uv=False)
     return int(np.sum(s > rtol * s[0]))
+
+
+# -- the truncated ring R[t]/(t^(k+1)) on coefficient stacks (k+1, n, n) -----
+
+
+def cauchy_product(a, b):
+    """Truncated product: coefficient m is the sum over p <= m of a_p b_(m-p)."""
+    out = np.zeros(a.shape, dtype=complex)
+    for m in range(a.shape[0]):
+        for p in range(m + 1):
+            out[m] += a[p] @ b[m - p]
+    return out
+
+
+def power_series(s, weights):
+    """sum_d weights[d] s^d, d = 0..k, with powers taken by cauchy_product."""
+    k1, n = s.shape[:2]
+    power = np.zeros(s.shape, dtype=complex)
+    power[0] = np.eye(n)
+    out = weights[0] * power
+    for d in range(1, k1):
+        power = cauchy_product(power, s)
+        out = out + weights[d] * power
+    return out
+
+
+def exp_weights(order):
+    return [1.0 / factorial(d) for d in range(order + 1)]
+
+
+def log_weights(order):
+    """log(1 + m) = sum_(d >= 1) (-1)^(d+1) m^d / d."""
+    return [0.0] + [(-1.0) ** (d + 1) / d for d in range(1, order + 1)]
+
+
+def oracle_defect_profile(cc, gen_jets, conj_jets, order):
+    """Norms of the order-m relator and conjugated-peripheral defects for
+    m = 1..order, read off one evaluation at the full order: coefficient m of
+    a truncated product depends on coefficients up to m only."""
+    rep = cc.rep
+    n = rep.rank
+
+    def exp_of(parts, base):
+        s = np.zeros((order + 1, n, n), dtype=complex)
+        for d, x in enumerate(parts[:order], start=1):
+            s[d] = x
+        return power_series(s, exp_weights(order)) @ base
+
+    def dagger(a):
+        return np.conj(np.swapaxes(a, 1, 2))
+
+    def word(w):
+        out = exp_of([], np.eye(n))
+        for gen, sign in w:
+            out = cauchy_product(out, gens[gen] if sign > 0 else dagger(gens[gen]))
+        return out
+
+    gens = [exp_of(list(jets), mat) for jets, mat in zip(gen_jets, rep.matrices)]
+    conj = [exp_of(list(jets), np.eye(n)) for jets in conj_jets]
+    values = [(word(r), evaluate_word(rep, r)) for r in rep.presentation.relators]
+    for i, p in enumerate(rep.presentation.peripherals):
+        e = conj[cc.group_of[i]]
+        values.append((cauchy_product(cauchy_product(dagger(e), word(p.word)), e),
+                       cc.periph_values[i]))
+    return [
+        float(np.linalg.norm(np.concatenate([
+            vec_skew(project_skew(jet[m] @ base.conj().T)) for jet, base in values])))
+        for m in range(1, order + 1)
+    ]

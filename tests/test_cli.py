@@ -112,6 +112,11 @@ BAD_INPUTS = {
     "budget_negative": ("lift", GENUS2, "genus2_irr", "cocycle_irr", "--budget", "-1"),
     "rank_tol_nan": ("tangent", GENUS2, "genus2_irr", "--rank-tol", "nan"),
     "rank_tol_one": ("tangent", GENUS2, "genus2_irr", "--rank-tol", "1"),
+    "tol_nan_lift": ("lift", GENUS2, "genus2_red", "cocycle_red", "--order", "3", "--tol", "nan"),
+    "tol_zero_probe": ("probe", GENUS2, "genus2_red", "--samples", "2", "--tol", "0"),
+    "tol_negative_pairing": ("pairing", GENUS2, "genus2_irr", "--tol=-1e-8"),
+    "tol_inf_find": ("find", SPHERE4, "--tol", "inf"),
+    "tol_nan_check": ("check", GENUS2, "genus2_irr", "--tol", "nan"),
 }
 
 
@@ -126,6 +131,12 @@ def test_bad_input_exit_1(case, cli_files, capsys):
     assert code == 1
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_find_unreachable_tol_exit_2(capsys):
+    # a tiny tolerance is valid input: the search runs and finds nothing
+    assert cli.run(["find", SPHERE4, "--tol", "1e-30", "--attempts", "2"]) == 2
+    assert json.loads(capsys.readouterr().out)["found"] is False
 
 
 def test_find_and_check(tmp_path):

@@ -16,6 +16,7 @@ from repvar.repspace import evaluate_word, transport_apply
 from repvar.unitary import random_skew, vec_skew
 
 from conftest import random_cocycle
+from oracles import oracle_defect_profile
 
 
 def _jet_rep(rep, gen_jets, conj_jets, order):
@@ -96,6 +97,31 @@ def test_lift_failure_matches_obstruction(genus2_red_cc):
     assert failures > 0
 
 
+def test_lift_failure_obstruction_is_bitwise_q(genus2_red_cc):
+    # probe_cone reads Q of an order-2 failure from the lift report, so it must
+    # be exactly the class that obstruction() computes
+    basis = h1_basis(genus2_red_cc)
+    rng = np.random.default_rng(75)
+    for _ in range(30):
+        u = random_cocycle(genus2_red_cc, basis, rng)
+        report = lift(genus2_red_cc, u, 3)
+        assert report.achieved_order == 1
+        obs = obstruction(genus2_red_cc, u)
+        assert report.obstruction.norm == obs.norm
+        assert np.array_equal(report.obstruction.coordinates, obs.coordinates)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-7, float("inf")])
+def test_bad_tolerance_rejected(genus2_red_cc, tol):
+    basis = h1_basis(genus2_red_cc)
+    with pytest.raises(ValueError, match="tolerance"):
+        lift(genus2_red_cc, basis.vectors[0], 3, LiftOptions(tolerance=tol))
+    with pytest.raises(ValueError, match="tolerance"):
+        probe_cone(genus2_red_cc, basis, samples=2, order=3, tolerance=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        cohomology.pairing_tensor(genus2_red_cc, basis, tolerance=tol)
+
+
 def test_order2_equivalence_sampled(corpus_points):
     # lift succeeds at order 2 iff the obstruction norm is below the threshold
     rng = np.random.default_rng(73)
@@ -128,6 +154,29 @@ def test_lift_profile_matches_reported_residuals(genus2_irr_cc):
     profile = jet_residual_profile(report.corrections, genus2_irr_cc)
     for m in range(2, 6):
         assert profile[m - 1] == pytest.approx(report.residuals[m - 1], abs=1e-10)
+
+
+def test_lift_order30_profile_matches_oracle_ring(sphere4_cc):
+    # one order-30 evaluation in the naive ring reproduces every per-order
+    # defect of the 30 truncated evaluations behind jet_residual_profile
+    basis = h1_basis(sphere4_cc)
+    u = random_cocycle(sphere4_cc, basis, np.random.default_rng(76))
+    report = lift(sphere4_cc, u, 30)
+    assert report.achieved_order == 30
+    jrep = report.corrections
+    profile = jet_residual_profile(jrep, sphere4_cc)
+    oracle = oracle_defect_profile(sphere4_cc, jrep.generator_jets, jrep.conjugator_jets, 30)
+    assert max(oracle) <= 1e-11
+    assert np.allclose(profile, oracle, rtol=0, atol=1e-12)
+    # off the solution every order has a defect of size about 1e-3
+    rng = np.random.default_rng(77)
+    n = sphere4_cc.rep.rank
+    gen = [[x + random_skew(rng, n, 1e-3) for x in jets] for jets in jrep.generator_jets]
+    conj = [[x + random_skew(rng, n, 1e-3) for x in jets] for jets in jrep.conjugator_jets]
+    moved = jet_residual_profile(_jet_rep(jrep.base, gen, conj, 30), sphere4_cc)
+    oracle = oracle_defect_profile(sphere4_cc, gen, conj, 30)
+    assert min(oracle) >= 1e-5
+    assert np.allclose(moved, oracle, rtol=1e-10, atol=0)
 
 
 def test_lift_shares_one_factorization(genus2_irr_cc, monkeypatch):

@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repvar.truncring import (
     MatrixJet,
@@ -9,10 +10,85 @@ from repvar.truncring import (
 )
 from repvar.unitary import haar_from_rng, random_skew
 
+from oracles import cauchy_product, exp_weights, log_weights, power_series
 
-def random_jet(rng, n, order):
-    return MatrixJet(rng.standard_normal((order + 1, n, n))
-                     + 1j * rng.standard_normal((order + 1, n, n)))
+# Kernel properties against the naive ring oracle.  Each entry must agree
+# within KERNEL_RTOL of the same computation on absolute values, which
+# bounds the rounding of any summation order.
+KERNEL_RTOL = 1e-12
+kernel_cases = settings(max_examples=40, deadline=None, derandomize=True)
+orders = st.integers(0, 30)
+ranks = st.integers(1, 5)
+seeds = st.integers(0, 2 ** 32 - 1)
+scales = st.sampled_from([1e-3, 1.0, 3.0])
+
+
+def random_jet(rng, n, order, scale=1.0):
+    return MatrixJet(scale * (rng.standard_normal((order + 1, n, n))
+                              + 1j * rng.standard_normal((order + 1, n, n))))
+
+
+def nilpotent_jet(seed, n, order, scale):
+    """Random jet with zero constant term."""
+    s = random_jet(np.random.default_rng(seed), n, order, scale)
+    s.coeffs[0] = 0.0
+    return s
+
+
+def assert_within(got, want, bound):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= KERNEL_RTOL * np.abs(bound))
+
+
+@kernel_cases
+@given(orders, ranks, seeds, scales)
+def test_product_matches_cauchy_oracle(order, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    a, b = (random_jet(rng, n, order, scale) for _ in range(2))
+    assert_within((a @ b).coeffs, cauchy_product(a.coeffs, b.coeffs),
+                  cauchy_product(np.abs(a.coeffs), np.abs(b.coeffs)))
+
+
+@kernel_cases
+@given(orders, ranks, seeds, scales)
+def test_exp_matches_power_series_oracle(order, n, seed, scale):
+    s = nilpotent_jet(seed, n, order, scale)
+    weights = exp_weights(order)
+    assert_within(exp_series(s).coeffs, power_series(s.coeffs, weights),
+                  power_series(np.abs(s.coeffs), weights))
+
+
+@kernel_cases
+@given(orders, ranks, seeds, scales)
+def test_log_matches_power_series_oracle(order, n, seed, scale):
+    m = nilpotent_jet(seed, n, order, scale)
+    weights = log_weights(order)
+    j = m + MatrixJet.identity(n, order)
+    assert_within(log_series(j).coeffs, power_series(m.coeffs, weights),
+                  power_series(np.abs(m.coeffs), np.abs(weights)))
+
+
+@kernel_cases
+@given(st.integers(0, 15), ranks, seeds)
+def test_product_truncates_the_full_product(order, n, seed):
+    # degrees above the order are dropped, never folded back into lower ones
+    rng = np.random.default_rng(seed)
+    a, b = (random_jet(rng, n, order) for _ in range(2))
+    pad = np.zeros((order, n, n))
+    full = MatrixJet(np.concatenate([a.coeffs, pad])) @ MatrixJet(np.concatenate([b.coeffs, pad]))
+    assert_within((a @ b).coeffs, full.coeffs[:order + 1],
+                  cauchy_product(np.abs(a.coeffs), np.abs(b.coeffs)))
+
+
+def test_order_zero_ring_is_the_matrix_ring():
+    rng = np.random.default_rng(45)
+    for n in range(1, 6):
+        a, b = (random_jet(rng, n, 0) for _ in range(2))
+        assert np.array_equal((a @ b).coeffs, (a.coeff(0) @ b.coeff(0))[None])
+        assert np.array_equal(exp_series(MatrixJet(np.zeros((1, n, n)))).coeffs,
+                              np.eye(n)[None])
+        assert np.array_equal(log_series(MatrixJet.identity(n, 0)).coeffs,
+                              np.zeros((1, n, n)))
 
 
 def test_scalar_ring_laws():
