@@ -11,10 +11,17 @@ Verbs map one-to-one onto library operations:
     lift      + cochain file, --order -> lift report
     probe     --samples, --order -> cone probe report
 
+``_VERBS`` is the one table of verbs: help text, flags, the configuration
+keys a report embeds, the command function and the inputs it takes.
+:func:`run` is the one runner: it loads each input file once, assembles the
+cone complex once, wraps the command's report body in
+``{"verb", "config", ...}`` and maps errors to exit codes.
+
 Reports are JSON by default (deterministic: sorted keys, no timestamps) and
 embed the full effective configuration.  Exit codes: 0 success, 1 input or
 usage errors, 2 constraint or verdict failures (NotFound, NoConvergence,
-failed lift, violated probe prediction, invalid representation).
+failed lift, violated probe prediction, invalid representation, and an
+ill-conditioned rank decision, reported with its two candidate ranks).
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +46,8 @@ from .repspace import (
     rep_from_json,
     rep_to_json,
 )
-from .unitary import SKEW_TOL, is_skew_hermitian, matrix_from_json, matrix_to_json
+from .unitary import (SKEW_TOL, UNITARITY_TOL, is_skew_hermitian, is_unitary,
+                      matrix_from_json, matrix_to_json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,9 +107,14 @@ def _load_representation(pres, path: str):
     if isinstance(data, dict) and "representation" in data:
         data = data["representation"]  # accept a `find` report envelope
     try:
-        return rep_from_json(pres, data)
+        rep = rep_from_json(pres, data)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
+    with np.errstate(all="ignore"):  # a huge entry overflows g^H g, which then fails the test
+        bad = [name for name, m in zip(pres.generators, rep.matrices) if not is_unitary(m)]
+    if bad:
+        raise InputError(f"{path}: generators {bad} are not unitary within {UNITARITY_TOL:g}")
+    return rep
 
 
 def _load_cochain(pres, path: str):
@@ -126,34 +140,21 @@ def _load_cochain(pres, path: str):
 
 
 def _cochain_json(pres, mats) -> dict:
-    return {
-        "generator_part": {
-            name: matrix_to_json(m) for name, m in zip(pres.generators, mats)
-        },
-        "conjugator_part": {},
-    }
+    return {"generator_part": {name: matrix_to_json(m) for name, m in zip(pres.generators, mats)},
+            "conjugator_part": {}}
 
 
 def _render_text(value, indent: int = 0) -> list[str]:
     pad = "  " * indent
+    items = [(f"{key}:", sub) for key, sub in value.items()] if isinstance(value, dict) \
+        else [("-", sub) for sub in value]
     lines = []
-    if isinstance(value, dict):
-        for key in value:
-            sub = value[key]
-            if isinstance(sub, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(sub, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {json.dumps(sub)}")
-    elif isinstance(value, list):
-        for sub in value:
-            if isinstance(sub, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(sub, indent + 1))
-            else:
-                lines.append(f"{pad}- {json.dumps(sub)}")
-    else:
-        lines.append(f"{pad}{json.dumps(value)}")
+    for label, sub in items:
+        if isinstance(sub, (dict, list)):
+            lines.append(f"{pad}{label}")
+            lines.extend(_render_text(sub, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {json.dumps(sub)}")
     return lines
 
 
@@ -164,243 +165,175 @@ def _emit(report: dict, fmt: str) -> None:
         sys.stdout.write("\n".join(_render_text(report)) + "\n")
 
 
-def _config(args, keys) -> dict:
-    cfg = {key: getattr(args, key) for key in keys}
-    cfg["rank_threshold"] = args.rank_tol
-    cfg["format"] = args.format
-    return cfg
+def _cmd_validate(args, pres) -> tuple[int, dict]:
+    return 0, {"presentation": pres.name, "normalized": serialize_presentation(pres),
+               "warnings": list(pres.warnings)}
 
 
-def _cmd_validate(args) -> tuple[int, dict]:
-    pres = _load_presentation(args.presentation)
-    report = {
-        "verb": "validate",
-        "config": _config(args, ()),
-        "presentation": pres.name,
-        "normalized": serialize_presentation(pres),
-        "warnings": list(pres.warnings),
-    }
-    return 0, report
-
-
-def _cmd_find(args) -> tuple[int, dict]:
-    pres = _load_presentation(args.presentation)
-    cfg = _config(args, ("seed", "attempts", "tol"))
+def _cmd_find(args, pres) -> tuple[int, dict]:
     try:
         rep = find_representation(pres, seed=args.seed, attempts=args.attempts,
                                   target_tolerance=args.tol)
     except NotFoundError as exc:
-        return 2, {"verb": "find", "config": cfg, "found": False, "error": str(exc)}
+        return 2, {"found": False, "error": str(exc)}
     payload = rep_to_json(rep)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    res = constraint_residual(rep)
-    report = {
-        "verb": "find",
-        "config": cfg,
-        "found": True,
-        "max_residual": res.max,
-        "representation": payload,
-    }
-    return 0, report
+    return 0, {"found": True, "max_residual": constraint_residual(rep).max,
+               "representation": payload}
 
 
-def _cmd_check(args) -> tuple[int, dict]:
-    pres = _load_presentation(args.presentation)
-    rep = _load_representation(pres, args.representation)
+def _cmd_check(args, pres, rep) -> tuple[int, dict]:
     res = constraint_residual(rep)
     dim = commutant_dimension(rep, rank_rtol=args.rank_tol)
     tol = rep.tolerance if args.tol is None else args.tol
     valid = res.max <= tol
-    report = {
-        "verb": "check",
-        "config": _config(args, ("tol",)),
+    return (0 if valid else 2), {
         "relator_residuals": list(res.relator_residuals),
         "peripheral_residuals": list(res.peripheral_residuals),
-        "max_residual": res.max,
-        "tolerance": tol,
-        "valid": valid,
-        "commutant_dimension": dim,
-        "irreducible": dim == 1,
+        "max_residual": res.max, "tolerance": tol, "valid": valid,
+        "commutant_dimension": dim, "irreducible": dim == 1,
     }
-    return (0 if valid else 2), report
 
 
-def _cmd_tangent(args) -> tuple[int, dict]:
-    pres = _load_presentation(args.presentation)
-    rep = _load_representation(pres, args.representation)
-    cfg = _config(args, ())
-    try:
-        cc = cohomology.assemble_complex(rep, rank_rtol=args.rank_tol)
-        basis = cohomology.h1_basis(cc)
-    except IllConditionedError as exc:
-        return 2, {"verb": "tangent", "config": cfg, "error": str(exc),
-                   "candidates": list(exc.candidates)}
-    report = {
-        "verb": "tangent",
-        "config": cfg,
-        "dims": basis.dims.to_json(),
-        "h1_par": basis.dims.h1_par,
-        "basis": [_cochain_json(pres, vec) for vec in basis.vectors],
-    }
-    return 0, report
+def _cmd_tangent(args, pres, cc) -> tuple[int, dict]:
+    basis = cohomology.h1_basis(cc)
+    return 0, {"dims": basis.dims.to_json(), "h1_par": basis.dims.h1_par,
+               "basis": [_cochain_json(pres, vec) for vec in basis.vectors]}
 
 
-def _cmd_pairing(args) -> tuple[int, dict]:
-    pres = _load_presentation(args.presentation)
-    rep = _load_representation(pres, args.representation)
-    cfg = _config(args, ("tol",))
-    try:
-        cc = cohomology.assemble_complex(rep, rank_rtol=args.rank_tol)
-        basis = cohomology.h1_basis(cc)
-        tensor = cohomology.pairing_tensor(cc, basis, tolerance=args.tol)
-    except IllConditionedError as exc:
-        return 2, {"verb": "pairing", "config": cfg, "error": str(exc)}
+def _cmd_pairing(args, pres, cc) -> tuple[int, dict]:
+    basis = cohomology.h1_basis(cc)
+    tensor = cohomology.pairing_tensor(cc, basis, tolerance=args.tol)
     entries = [
         {"i": i, "j": j, "coordinates": [float(c) for c in e.coordinates], "norm": e.norm}
         for (i, j), e in sorted(tensor.entries.items())
     ]
-    report = {
-        "verb": "pairing",
-        "config": cfg,
-        "basis_size": len(basis),
-        "entries": entries,
-        "max_norm": tensor.max_norm(),
-        "verdict": tensor.verdict,
-        "smooth_by_cup_product_criterion": tensor.verdict,
-    }
-    return 0, report
+    return 0, {"basis_size": len(basis), "entries": entries, "max_norm": tensor.max_norm(),
+               "verdict": tensor.verdict, "smooth_by_cup_product_criterion": tensor.verdict}
 
 
-def _cmd_obstruct(args) -> tuple[int, dict]:
-    pres = _load_presentation(args.presentation)
-    rep = _load_representation(pres, args.representation)
-    umats = _load_cochain(pres, args.cochain)
-    cfg = _config(args, ())
-    try:
-        cc = cohomology.assemble_complex(rep, rank_rtol=args.rank_tol)
-        obs = cohomology.obstruction(cc, umats)
-    except NotACocycleError as exc:
-        raise InputError(f"{args.cochain}: not a parabolic cocycle ({exc})") from None
-    except IllConditionedError as exc:
-        return 2, {"verb": "obstruct", "config": cfg, "error": str(exc)}
-    report = {
-        "verb": "obstruct",
-        "config": cfg,
-        "obstruction": obs.to_json(),
-    }
-    return 0, report
+def _cmd_obstruct(args, pres, cc, umats) -> tuple[int, dict]:
+    return 0, {"obstruction": cohomology.obstruction(cc, umats).to_json()}
 
 
-def _cmd_lift(args) -> tuple[int, dict]:
-    pres = _load_presentation(args.presentation)
-    rep = _load_representation(pres, args.representation)
-    umats = _load_cochain(pres, args.cochain)
-    cfg = _config(args, ("order", "tol", "seed", "budget"))
+def _cmd_lift(args, pres, cc, umats) -> tuple[int, dict]:
     opts = jets.LiftOptions(tolerance=args.tol, budget=args.budget, seed=args.seed)
-    try:
-        cc = cohomology.assemble_complex(rep, rank_rtol=args.rank_tol)
-        result = jets.lift(cc, umats, args.order, opts)
-    except NotACocycleError as exc:
-        raise InputError(f"{args.cochain}: not a parabolic cocycle ({exc})") from None
-    except IllConditionedError as exc:
-        return 2, {"verb": "lift", "config": cfg, "error": str(exc)}
-    report = {"verb": "lift", "config": cfg, "report": result.to_json()}
-    return (0 if result.succeeded else 2), report
+    result = jets.lift(cc, umats, args.order, opts)
+    return (0 if result.succeeded else 2), {"report": result.to_json()}
 
 
-def _cmd_probe(args) -> tuple[int, dict]:
-    pres = _load_presentation(args.presentation)
-    rep = _load_representation(pres, args.representation)
-    cfg = _config(args, ("samples", "order", "seed", "tol", "budget"))
-    try:
-        cc = cohomology.assemble_complex(rep, rank_rtol=args.rank_tol)
-        basis = cohomology.h1_basis(cc)
-        result = jets.probe_cone(cc, basis, samples=args.samples, order=args.order,
-                                 seed=args.seed, tolerance=args.tol, budget=args.budget)
-    except IllConditionedError as exc:
-        return 2, {"verb": "probe", "config": cfg, "error": str(exc)}
-    report = {"verb": "probe", "config": cfg, "report": result.to_json()}
-    return (0 if result.prediction_holds else 2), report
+def _cmd_probe(args, pres, cc) -> tuple[int, dict]:
+    result = jets.probe_cone(cc, cohomology.h1_basis(cc), samples=args.samples,
+                             order=args.order, seed=args.seed, tolerance=args.tol,
+                             budget=args.budget)
+    return (0 if result.prediction_holds else 2), {"report": result.to_json()}
+
+
+# What a command is passed after (args, presentation): nothing more, the
+# representation, the assembled cone complex, or the complex and the cochain.
+_PRES, _REP, _CC, _COCHAIN = range(4)
+
+_POSITIONALS = (
+    ("presentation", "presentation file (.grp)"),
+    ("representation", "representation JSON file"),
+    ("cochain", "cochain JSON file (generator_part)"),
+)
+
+
+def _tol(default):
+    return "--tol", {"type": _tolerance, "default": default}
+
+
+_SEED = "--seed", {"type": int, "default": 0}
+_ATTEMPTS = "--attempts", {"type": _int_from(1), "default": 50}
+_SAMPLES = "--samples", {"type": _int_from(1), "default": 50}
+_BUDGET = "--budget", {"type": _int_from(0), "default": 3}
+_ORDER_1, _ORDER_2 = (("--order", {"type": _int_from(low), "default": 4}) for low in (1, 2))
+_OUT = "--out", {"default": None, "help": "also write the bare representation JSON here"}
+_COMMON = (
+    ("--rank-tol", {"default": 1e-8,
+                    "type": _ranged(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
+                    "help": "relative singular-value threshold for rank decisions"}),
+    ("--format", {"choices": ("json", "text"), "default": "json"}),
+)
+
+
+class _Verb(NamedTuple):
+    help: str
+    flags: tuple     # (flag, add_argument keywords), in --help order
+    config: tuple    # argument names echoed in the report's config, in report order
+    command: Callable[..., tuple[int, dict]]
+    inputs: int      # _PRES, _REP, _CC or _COCHAIN
+
+
+_VERBS = {
+    "validate": _Verb("parse and echo a presentation", _COMMON, (), _cmd_validate, _PRES),
+    "find": _Verb("search for a valid representation",
+                  (_tol(1e-10), _SEED, _ATTEMPTS, _OUT, *_COMMON),
+                  ("seed", "attempts", "tol"), _cmd_find, _PRES),
+    "check": _Verb("residuals and commutant dimension", (*_COMMON, _tol(None)),
+                   ("tol",), _cmd_check, _REP),
+    "tangent": _Verb("cohomology dimensions and basis", _COMMON, (), _cmd_tangent, _CC),
+    "pairing": _Verb("cup-product pairing tensor and verdict", (_tol(1e-8), *_COMMON),
+                     ("tol",), _cmd_pairing, _CC),
+    "obstruct": _Verb("obstruction class of a cocycle", _COMMON, (), _cmd_obstruct, _COCHAIN),
+    "lift": _Verb("order-by-order jet lifting of a cocycle",
+                  (_tol(1e-7), _SEED, _ORDER_1, _BUDGET, *_COMMON),
+                  ("order", "tol", "seed", "budget"), _cmd_lift, _COCHAIN),
+    "probe": _Verb("random cone probe of quadraticity",
+                   (_tol(1e-7), _SEED, _ORDER_2, _SAMPLES, _BUDGET, *_COMMON),
+                   ("samples", "order", "seed", "tol", "budget"), _cmd_probe, _CC),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="repvar",
                      description="constrained unitary representation varieties at desk scale")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, *, tol=None, seed=False, min_order=0, attempts=False,
-               samples=False, budget=False, out=False, representation=False,
-               cochain=False):
-        p.add_argument("presentation", help="presentation file (.grp)")
-        if representation:
-            p.add_argument("representation", help="representation JSON file")
-        if cochain:
-            p.add_argument("cochain", help="cochain JSON file (generator_part)")
-        if tol is not None:
-            p.add_argument("--tol", type=_tolerance, default=tol)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if min_order:
-            p.add_argument("--order", type=_int_from(min_order), default=4)
-        if attempts:
-            p.add_argument("--attempts", type=_int_from(1), default=50)
-        if samples:
-            p.add_argument("--samples", type=_int_from(1), default=50)
-        if budget:
-            p.add_argument("--budget", type=_int_from(0), default=3)
-        if out:
-            p.add_argument("--out", default=None, help="also write the bare representation JSON here")
-        p.add_argument("--rank-tol", dest="rank_tol", default=1e-8,
-                       type=_ranged(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
-                       help="relative singular-value threshold for rank decisions")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-
-    common(sub.add_parser("validate", help="parse and echo a presentation"))
-    common(sub.add_parser("find", help="search for a valid representation"),
-           tol=1e-10, seed=True, attempts=True, out=True)
-    common(sub.add_parser("check", help="residuals and commutant dimension"),
-           tol=None, representation=True)
-    sub.choices["check"].add_argument("--tol", type=_tolerance, default=None)
-    common(sub.add_parser("tangent", help="cohomology dimensions and basis"),
-           representation=True)
-    common(sub.add_parser("pairing", help="cup-product pairing tensor and verdict"),
-           tol=1e-8, representation=True)
-    common(sub.add_parser("obstruct", help="obstruction class of a cocycle"),
-           representation=True, cochain=True)
-    common(sub.add_parser("lift", help="order-by-order jet lifting of a cocycle"),
-           tol=1e-7, seed=True, min_order=1, budget=True, representation=True, cochain=True)
-    common(sub.add_parser("probe", help="random cone probe of quadraticity"),
-           tol=1e-7, seed=True, min_order=2, samples=True, budget=True, representation=True)
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        for arg, text in _POSITIONALS[:1 + (verb.inputs >= _REP) + (verb.inputs == _COCHAIN)]:
+            p.add_argument(arg, help=text)
+        for flag, keywords in verb.flags:
+            p.add_argument(flag, **keywords)
     return parser
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "find": _cmd_find,
-    "check": _cmd_check,
-    "tangent": _cmd_tangent,
-    "pairing": _cmd_pairing,
-    "obstruct": _cmd_obstruct,
-    "lift": _cmd_lift,
-    "probe": _cmd_probe,
-}
+def _load_inputs(args, inputs: int) -> list:
+    """The command's arguments after args: each file loaded once, in the order
+    presentation, representation, cochain, then the complex assembled once."""
+    pres = _load_presentation(args.presentation)
+    if inputs == _PRES:
+        return [pres]
+    rep = _load_representation(pres, args.representation)
+    if inputs == _REP:
+        return [pres, rep]
+    umats = [_load_cochain(pres, args.cochain)] if inputs == _COCHAIN else []
+    return [pres, cohomology.assemble_complex(rep, rank_rtol=args.rank_tol), *umats]
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    verb = _VERBS[args.verb]
+    config = {key: getattr(args, key) for key in verb.config}
+    config.update(rank_threshold=args.rank_tol, format=args.format)
     try:
-        code, report = _COMMANDS[args.verb](args)
+        code, body = verb.command(args, *_load_inputs(args, verb.inputs))
     except InputError as exc:
         print(f"repvar: error: {exc}", file=sys.stderr)
         return 1
+    except NotACocycleError as exc:  # only a cochain read from a file can fail this check
+        print(f"repvar: error: {args.cochain}: not a parabolic cocycle ({exc})", file=sys.stderr)
+        return 1
+    except IllConditionedError as exc:
+        code, body = 2, {"error": str(exc), "candidates": list(exc.candidates)}
     except NoConvergenceError as exc:
         print(f"repvar: no convergence: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.format)
+    _emit({"verb": args.verb, "config": config, **body}, args.format)
     return code
 
 

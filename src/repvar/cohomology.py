@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .presentation import Word
-from .repspace import Representation, evaluate_word, transport_apply, transport_matrix
+from .repspace import Representation, evaluate_word, transport_matrix, word_transport_terms
 from .truncring import MatrixJet, exp_series, unitary_generator_jet, word_jet
 from .unitary import ad_matrix, project_skew, unvec_skew, vec_skew
 
@@ -185,12 +185,12 @@ class _GroupData:
                  context: str, gaps: dict | None):
         self.members = members
         self.map = np.vstack(blocks)  # (|S| q, q)
-        u, s, vt = np.linalg.svd(self.map, full_matrices=True)
-        self.rank = _rank_cut(s, rtol, context, gaps)
-        self.col = u[:, :self.rank]                   # basis of the joint image
-        self.complement = u[:, self.rank:]            # B-orthogonal complement
-        self.kernel = vt[self.rank:].T                # joint centralizer directions
-        self.pinv = vt[:self.rank].T @ ((1.0 / s[:self.rank])[:, None] * u[:, :self.rank].T) \
+        solver = _LstsqSolver(self.map, rtol, context, gaps)
+        self.rank = solver.rank
+        self.col = solver.u_r                 # basis of the joint image
+        self.complement = solver.left_null    # B-orthogonal complement
+        self.kernel = solver.nullspace        # joint centralizer directions
+        self.pinv = solver.vt_r.T @ ((1.0 / solver.s_r)[:, None] * solver.u_r.T) \
             if self.rank else np.zeros((self.map.shape[1], self.map.shape[0]))
 
 
@@ -371,7 +371,10 @@ def as_cone(rep_or_cone, rank_rtol: float = 1e-8) -> ConeComplex:
 def cocycle_transport(rep: Representation, u, word: Word) -> np.ndarray:
     """Twisted derivative of the word map at rho in direction u (generator part)."""
     parts = u.generator_part if isinstance(u, Cochain1) else u
-    return transport_apply(rep.matrices, word, list(parts))
+    out = np.zeros((rep.rank, rep.rank), dtype=complex)
+    for gen, sign, prefix in word_transport_terms(rep.matrices, word):
+        out = out + sign * (prefix @ parts[gen] @ prefix.conj().T)
+    return out
 
 
 def coboundary(rep: Representation, x: np.ndarray) -> Cochain1:

@@ -124,16 +124,6 @@ def word_transport_terms(matrices: Sequence[np.ndarray], word: Word):
             yield gen, -1.0, prefix
 
 
-def transport_apply(matrices: Sequence[np.ndarray], word: Word,
-                    u: Sequence[np.ndarray]) -> np.ndarray:
-    """Word transport applied to a tangent vector (one skew matrix per generator)."""
-    n = matrices[0].shape[0] if len(matrices) else 1
-    out = np.zeros((n, n), dtype=complex)
-    for gen, sign, prefix in word_transport_terms(matrices, word):
-        out = out + sign * (prefix @ u[gen] @ prefix.conj().T)
-    return out
-
-
 def transport_matrix(rep: Representation, word: Word) -> np.ndarray:
     """Real matrix (N^2, n_gen * N^2) of the word transport in B-coordinates."""
     n = rep.rank

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repvar import cli, cohomology
-from repvar.repspace import rep_to_json
-from repvar.unitary import matrix_to_json
+from repvar.repspace import Representation, rep_to_json
+from repvar.unitary import exponential, matrix_to_json
 
 from conftest import CORPUS_DIR
 
@@ -50,10 +50,23 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
 
     nan_rep = rep_to_json(genus2_irr)
     nan_rep["generators"]["a"][0][0]["re"] = float("nan")
+    huge_rep = rep_to_json(genus2_irr)
+    huge_rep["generators"]["a"][0][0]["re"] = 1e300
+    scaled_rep = rep_to_json(genus2_irr)
+    scaled_rep["generators"]["b"][1][1]["re"] = 3.0
+
+    # 1e-8 away from genus2_reducible, still unitary: the d0 rank cut is ambiguous
+    e = exponential(1e-8 * np.array([[0, 1], [-1, 0]], dtype=complex))
+    mats = list(genus2_red.matrices)
+    mats[0] = e @ mats[0] @ e.conj().T @ exponential(1e-8 * np.array([[0, 1j], [1j, 0]]))
+    ill = Representation(genus2_red.presentation, mats, genus2_red.tolerance)
 
     return {
         "genus2_irr": dump("genus2_irr.json", rep_to_json(genus2_irr)),
         "nan_rep": dump("nan_rep.json", nan_rep),
+        "huge_rep": dump("huge_rep.json", huge_rep),
+        "scaled_rep": dump("scaled_rep.json", scaled_rep),
+        "ill_conditioned": dump("ill_conditioned.json", rep_to_json(ill)),
         "genus2_red": dump("genus2_red.json", rep_to_json(genus2_red)),
         "sphere4": dump("sphere4.json", rep_to_json(sphere4_rep)),
         "cocycle_irr": dump(
@@ -102,6 +115,10 @@ def test_usage_error_exit_1():
 BAD_INPUTS = {
     "nan_entry_check": ("check", GENUS2, "nan_rep"),
     "nan_entry_tangent": ("tangent", GENUS2, "nan_rep"),
+    "not_unitary_huge_check": ("check", GENUS2, "huge_rep"),
+    "not_unitary_huge_tangent": ("tangent", GENUS2, "huge_rep"),
+    "not_unitary_huge_probe": ("probe", GENUS2, "huge_rep", "--samples", "2"),
+    "not_unitary_three_pairing": ("pairing", GENUS2, "scaled_rep"),
     "cochain_wrong_shape": ("obstruct", GENUS2, "genus2_irr", "small_cochain"),
     "cochain_not_skew_obstruct": ("obstruct", GENUS2, "genus2_irr", "hermitian_cochain"),
     "cochain_not_skew_lift": ("lift", GENUS2, "genus2_irr", "hermitian_cochain"),
@@ -120,6 +137,7 @@ BAD_INPUTS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would print a second line
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exit_1(case, cli_files, capsys):
     argv = [cli_files.get(a, a) for a in BAD_INPUTS[case]]  # cli_files keys name files
@@ -131,6 +149,17 @@ def test_bad_input_exit_1(case, cli_files, capsys):
     assert code == 1
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["tangent", "pairing"])
+def test_ill_conditioned_exit_2(verb, cli_files, capsys):
+    code = cli.run([verb, GENUS2, cli_files["ill_conditioned"]])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == ""
+    report = json.loads(out)  # one JSON report
+    assert report["candidates"] == [2, 3]
+    assert "d0_generator: ambiguous rank" in report["error"]
 
 
 def test_find_unreachable_tol_exit_2(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repvar import cohomology
-from repvar.cohomology import coboundary, h1_basis, obstruction
+from repvar.cohomology import coboundary, cocycle_transport, h1_basis, obstruction
 from repvar.jets import (
     JetRepresentation,
     LiftOptions,
@@ -12,7 +12,7 @@ from repvar.jets import (
     lift,
     probe_cone,
 )
-from repvar.repspace import evaluate_word, transport_apply
+from repvar.repspace import evaluate_word
 from repvar.unitary import random_skew, vec_skew
 
 from conftest import random_cocycle
@@ -45,7 +45,7 @@ def test_jet_word_order1_matches_transport(corpus_points):
         jrep = _jet_rep(rep, [[x] for x in u], [[] for _ in rep.presentation.groups], 1)
         words = list(rep.presentation.relators) + [p.word for p in rep.presentation.peripherals]
         for w in words:
-            expected = transport_apply(rep.matrices, w, u) @ evaluate_word(rep, w)
+            expected = cocycle_transport(rep, u, w) @ evaluate_word(rep, w)
             got = jet_word(jrep, w).coeff(1)
             assert np.linalg.norm(got - expected) <= 1e-12, name
 

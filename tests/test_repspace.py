@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repvar.cohomology import cocycle_transport
 from repvar.presentation import ConjugacyClassSpec, Peripheral, Presentation
 from repvar.repspace import (
     NoConvergenceError,
@@ -18,7 +19,6 @@ from repvar.repspace import (
     refine,
     rep_from_json,
     rep_to_json,
-    transport_apply,
 )
 from repvar.unitary import class_distance, class_of, haar_from_rng, random_skew
 
@@ -181,7 +181,7 @@ def test_transport_matches_finite_difference(genus2_irr):
     w0 = evaluate_word(genus2_irr, word)
     w1 = evaluate_word(pert, word)
     fd = principal_log(w1 @ w0.conj().T) / eps
-    an = transport_apply(genus2_irr.matrices, word, u)
+    an = cocycle_transport(genus2_irr, u, word)
     assert np.linalg.norm(fd - an) <= 1e-5
 
 
