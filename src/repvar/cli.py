@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -170,7 +171,17 @@ def _cmd_validate(args, pres) -> tuple[int, dict]:
                "warnings": list(pres.warnings)}
 
 
+def _check_writable(path: str) -> None:
+    """Reject an --out path that cannot be written before the search, not after."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) \
+            or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise InputError(f"cannot write {path}")
+
+
 def _cmd_find(args, pres) -> tuple[int, dict]:
+    if args.out:
+        _check_writable(args.out)
     try:
         rep = find_representation(pres, seed=args.seed, attempts=args.attempts,
                                   target_tolerance=args.tol)
@@ -178,9 +189,12 @@ def _cmd_find(args, pres) -> tuple[int, dict]:
         return 2, {"found": False, "error": str(exc)}
     payload = rep_to_json(rep)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror}") from None
     return 0, {"found": True, "max_residual": constraint_residual(rep).max,
                "representation": payload}
 

@@ -18,12 +18,15 @@ the image of the parabolic differential and the conjugator-kernel shift
 directions, which absorb the ambiguity in the canonical minimal-norm
 conjugator choice).
 
-Q has a single implementation: :func:`order2_defect` gives the raw order-2
-defect of (u, xi), :func:`shift_directions` its conjugator-kernel shift
-directions, and :func:`obstruction_classes` reduces a list of defects in one
-common quotient.  :func:`obstruction`, :func:`common_obstruction`,
-:func:`pairing_tensor` and the failure path of :func:`repvar.jets.lift` all
-go through these three functions.
+Q has a single, closed-form implementation: the order-2 defect of
+X_1 = u with conjugator parts xi is a symmetric bilinear form D in (u, xi),
+the second-order Fox-calculus term (the cup product H^1 x H^1 -> H^2).
+:func:`cup_form` evaluates it on all pairs of the cocycles and the
+conjugator-kernel vectors (0, kappa): raw defects, polarized pairing and
+:func:`shift_directions` in one, and :func:`obstruction_classes` reduces the
+defects in one common quotient.  :func:`obstruction`,
+:func:`common_obstruction`, :func:`pairing_tensor` and the failure path of
+:func:`repvar.jets.lift` all go through these functions.
 
 All linear algebra is over the B-orthonormal real coordinates of
 :func:`repvar.unitary.skew_basis`, where B equals the Euclidean inner
@@ -42,7 +45,7 @@ import numpy as np
 from .presentation import Word
 from .repspace import Representation, evaluate_word, transport_matrix, word_transport_terms
 from .truncring import MatrixJet, exp_series, unitary_generator_jet, word_jet
-from .unitary import ad_matrix, project_skew, unvec_skew, vec_skew
+from .unitary import ad_matrix, project_skew, skew_basis, unvec_skew, vec_skew
 
 
 class IllConditionedError(RuntimeError):
@@ -90,12 +93,9 @@ class Dims:
     gaps: dict = field(compare=False, default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {
-            "h0": self.h0, "c0": self.c0, "z1_par": self.z1_par, "b1": self.b1,
-            "h1_par": self.h1_par, "h1_cone": self.h1_cone, "o2": self.o2,
-        }
-        out["rank_gaps"] = {k: self.gaps[k] for k in sorted(self.gaps)}
-        return out
+        keys = ("h0", "c0", "z1_par", "b1", "h1_par", "h1_cone", "o2")
+        return {**{k: getattr(self, k) for k in keys},
+                "rank_gaps": {k: self.gaps[k] for k in sorted(self.gaps)}}
 
 
 @dataclass(frozen=True)
@@ -169,11 +169,10 @@ class _LstsqSolver:
         self.vt_r = vt[:self.rank]
         self.nullspace = vt[self.rank:].T
         self.left_null = u[:, self.rank:]
-        self.cols = a.shape[1]
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, float]:
         proj = self.u_r.T @ b
-        x = self.vt_r.T @ (proj / self.s_r) if self.rank else np.zeros(self.cols)
+        x = self.vt_r.T @ (proj / self.s_r)
         resid = float(np.linalg.norm(b - self.u_r @ proj))
         return x, resid
 
@@ -190,8 +189,7 @@ class _GroupData:
         self.col = solver.u_r                 # basis of the joint image
         self.complement = solver.left_null    # B-orthogonal complement
         self.kernel = solver.nullspace        # joint centralizer directions
-        self.pinv = solver.vt_r.T @ ((1.0 / solver.s_r)[:, None] * solver.u_r.T) \
-            if self.rank else np.zeros((self.map.shape[1], self.map.shape[0]))
+        self.pinv = solver.vt_r.T @ ((1.0 / solver.s_r)[:, None] * solver.u_r.T)
 
 
 class ConeComplex:
@@ -222,17 +220,11 @@ class ConeComplex:
         eye = np.eye(q)
 
         self.d0_gen = np.vstack([eye - a for a in ad_gen]) if self.n_gen else np.zeros((0, q))
-        if self.groups:
-            self.d0_full = np.vstack([self.d0_gen] + [eye] * len(self.groups))
-        else:
-            self.d0_full = self.d0_gen
+        self.d0_full = np.vstack([self.d0_gen] + [eye] * len(self.groups))
 
         self.rel_rows = [transport_matrix(rep, r) for r in pres.relators]
         self.per_rows = [transport_matrix(rep, p.word) for p in pres.peripherals]
-        self.group_of = {}
-        for gi, members in enumerate(self.groups):
-            for i in members:
-                self.group_of[i] = gi
+        self.group_of = {i: gi for gi, members in enumerate(self.groups) for i in members}
         self.group_data = [
             _GroupData(members, [eye - ad_per[i] for i in members], self.rank_rtol,
                        f"group_{gi}", self.gaps)
@@ -263,11 +255,7 @@ class ConeComplex:
             len(gd.members) * q - gd.rank for gd in self.group_data
         )
         # orthonormal basis of the parabolic degree-2 target inside the big space
-        pt_cols = []
-        for j in range(self.n_rel):
-            block = np.zeros((rows, q))
-            block[j * q:(j + 1) * q] = eye
-            pt_cols.append(block)
+        pt_cols = [np.eye(rows, q, -j * q) for j in range(self.n_rel)]
         for gd in self.group_data:
             comp = gd.complement
             block = np.zeros((rows, comp.shape[1]))
@@ -282,9 +270,7 @@ class ConeComplex:
         self._svd_d1_par = _LstsqSolver(self.d1_par, self.rank_rtol, "d1_par", self.gaps)
         self.cone_solver = _LstsqSolver(self.d1_cone, self.rank_rtol, "d1_cone", self.gaps)
         self.cone_kernel = self.cone_solver.nullspace
-        self.complex_defect = float(
-            np.linalg.norm(self.d1_cone @ self.d0_full)
-        ) if self.d0_full.size else 0.0
+        self.complex_defect = float(np.linalg.norm(self.d1_cone @ self.d0_full))
 
     # -- coordinate helpers ------------------------------------------------
 
@@ -296,25 +282,14 @@ class ConeComplex:
         return [unvec_skew(v[i * self.q:(i + 1) * self.q], n) for i in range(self.n_gen)]
 
     def unstack_cone(self, v: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        n = self.rep.rank
-        gen = self.unstack_gen(v[: self.n_gen * self.q])
-        off = self.n_gen * self.q
-        conj = [
-            unvec_skew(v[off + g * self.q: off + (g + 1) * self.q], n)
-            for g in range(len(self.groups))
-        ]
-        return gen, conj
+        mats = [unvec_skew(block, self.rep.rank) for block in v.reshape(-1, self.q)]
+        return mats[:self.n_gen], mats[self.n_gen:]
 
-    def unstack_target(self, v: np.ndarray) -> Cochain2:
-        n = self.rep.rank
-        rel = tuple(
-            unvec_skew(v[j * self.q:(j + 1) * self.q], n) for j in range(self.n_rel)
-        )
-        per = tuple(
-            unvec_skew(v[(self.n_rel + i) * self.q:(self.n_rel + i + 1) * self.q], n)
-            for i in range(self.n_per)
-        )
-        return Cochain2(rel, per)
+    def unstack_target(self, v: np.ndarray) -> list[Cochain2]:
+        """The degree-2 cochains whose target coordinates are the columns of v."""
+        blocks = np.einsum("bac,aij->cbij", v.reshape(-1, self.q, v.shape[1]),
+                           skew_basis(self.rep.rank))
+        return [Cochain2(tuple(c[:self.n_rel]), tuple(c[self.n_rel:])) for c in blocks]
 
     def project_peripheral(self, v: np.ndarray) -> np.ndarray:
         """Project the peripheral blocks onto the complements of the joint images."""
@@ -453,33 +428,83 @@ def order_defect(cc: ConeComplex, gen_jets: Sequence[Sequence[np.ndarray]],
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def order2_defect(cc: ConeComplex, umats: Sequence[np.ndarray],
-                  xi: Sequence[np.ndarray]) -> np.ndarray:
-    """Raw order-2 defect of X_1 = u with conjugator parts xi and vanishing
-    second-order corrections: the single evaluation behind Q."""
-    return order_defect(cc, [[u] for u in umats], [[x] for x in xi], 2)
+def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
+    """The order-2 defect as a symmetric bilinear form D on all pairs of b
+    vectors (u, xi), shape (b, b, target dim): D(v, v) is the raw order-2
+    defect of X_1 = u with conjugator parts xi.
+
+    Per word, with T_p the Fox terms of word_transport_terms, the t^2
+    coefficient is sum_(q<p) T_q T_p + sum_p T_p^2 / 2; a peripheral word P
+    conjugated by exp(t xi) adds xi^2/2 + xi'^2/2 - xi a_1 - xi xi' + a_1 xi',
+    with a_1 = sum_p T_p and xi' = P xi P^H.  Squares and symmetrized products
+    of skew matrices are Hermitian and drop out of the skew part, so D(a, c) is
+    the symmetrized sum_k L_k(a) R_k(c) over L = [sum_(q<p) T_q, -xi, a_1],
+    R = [T_p, a_1 + xi', xi']: one gemm per word for every pair.
+    """
+    n, b = cc.rep.rank, len(vectors)
+    words = [(r, None) for r in cc.pres.relators] + \
+        [(p.word, i) for i, p in enumerate(cc.pres.peripherals)]
+    form = np.zeros((b, b, len(words) * cc.q))
+    if b == 0:
+        return form
+    us = np.array([list(u) for u, _ in vectors], dtype=complex).reshape(b, cc.n_gen, n, n)
+    xis = np.array([list(x) for _, x in vectors], dtype=complex).reshape(b, len(cc.groups), n, n)
+    # vec_skew(x) = -Re(flat(x) . flat_basis) as one real gemm on the
+    # interleaved (re, im) entries of x
+    flat_basis = skew_basis(n).transpose(0, 2, 1).reshape(cc.q, n * n)
+    real_basis = np.stack([-flat_basis.real, flat_basis.imag], axis=2).reshape(cc.q, -1).T
+    for w, (word, i) in enumerate(words):
+        t = np.array([sign * (prefix @ us[:, gen] @ prefix.conj().T)
+                      for gen, sign, prefix in word_transport_terms(cc.rep.matrices, word)],
+                     dtype=complex).reshape(-1, b, n, n)
+        left, right = [np.cumsum(t, axis=0) - t], [t]  # strict prefix sums of T_p
+        if i is not None:
+            a1, xi = t.sum(axis=0), xis[:, cc.group_of[i]]
+            xp = cc.periph_values[i] @ xi @ cc.periph_values[i].conj().T
+            left.append(np.array([-xi, a1]))
+            right.append(np.array([a1 + xp, xp]))
+        lf, rf = np.concatenate(left), np.concatenate(right)
+        k = lf.shape[0]
+        prod = lf.transpose(1, 2, 0, 3).reshape(b * n, k * n) \
+            @ rf.transpose(0, 2, 1, 3).reshape(k * n, b * n)
+        prod = prod.reshape(b, n, b, n).transpose(0, 2, 1, 3).reshape(b * b, n * n)
+        coords = (prod.view(float) @ real_basis).reshape(b, b, cc.q)
+        form[:, :, w * cc.q:(w + 1) * cc.q] = coords + coords.transpose(1, 0, 2)
+    form *= 0.5
+    return form
 
 
-def shift_directions(cc: ConeComplex, umats: Sequence[np.ndarray],
-                     xi: Sequence[np.ndarray], raw: np.ndarray) -> list[np.ndarray]:
-    """Directions along which Q(u) changes when the canonical conjugator choice
-    moves inside the joint-centralizer kernel; raw is order2_defect(cc, umats, xi).
-    The order-2 defect is affine in that kernel shift, so plain differences
-    give the directions exactly."""
-    n = cc.rep.rank
-    shifts = []
-    unorm = float(np.linalg.norm(cc.stack_gen(umats))) if len(umats) else 0.0
-    xinorm = max((float(np.linalg.norm(x)) for x in xi), default=0.0)
-    floor = 1e-12 * (1.0 + unorm + xinorm)
+def _order2_terms(cc: ConeComplex, cocycles: Sequence[Sequence[np.ndarray]],
+                  xis: Sequence[Sequence[np.ndarray]]):
+    """The order-2 form D on the cocycles (with conjugator parts xis), and the
+    pooled directions along which each raw defect D(u, u) moves when xi moves
+    inside a joint-centralizer kernel: for a kernel column kappa the move is
+    2 D(u, kappa) + D(kappa, kappa), read off the same form."""
+    h = len(cocycles)
+    kernel = []  # the cone cochains (0, kappa), kappa in group g's slot
     for g, gd in enumerate(cc.group_data):
-        for col in range(gd.kernel.shape[1]):
-            xi2 = [x.copy() for x in xi]
-            xi2[g] = xi2[g] + unvec_skew(gd.kernel[:, col], n)
-            diff = cc.project_peripheral(order2_defect(cc, umats, xi2) - raw)
+        for col in gd.kernel.T:
+            v = np.zeros(cc.d1_cone.shape[1])
+            v[(cc.n_gen + g) * cc.q:(cc.n_gen + g + 1) * cc.q] = col
+            kernel.append(cc.unstack_cone(v))
+    form = cup_form(cc, list(zip(cocycles, xis)) + kernel)
+    shifts = []
+    for i, (umats, xi) in enumerate(zip(cocycles, xis)):
+        xinorm = max((float(np.linalg.norm(x)) for x in xi), default=0.0)
+        floor = 1e-12 * (1.0 + float(np.linalg.norm(cc.stack_gen(umats))) + xinorm)
+        for k in range(h, h + len(kernel)):
+            diff = cc.project_peripheral(2.0 * form[i, k] + form[k, k])
             size = float(np.linalg.norm(diff))
             if size > floor:
                 shifts.append(diff / size)
-    return shifts
+    return form[:h, :h], shifts
+
+
+def shift_directions(cc: ConeComplex, umats: Sequence[np.ndarray],
+                     xi: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Directions along which Q(u) changes when the conjugator choice xi moves
+    inside the joint-centralizer kernel."""
+    return _order2_terms(cc, [umats], [xi])[1]
 
 
 def obstruction_classes(cc: ConeComplex, defects: Sequence[np.ndarray],
@@ -491,6 +516,8 @@ def obstruction_classes(cc: ConeComplex, defects: Sequence[np.ndarray],
     directions; its coordinates come from an orthonormal basis of that
     complement in parabolic-target coordinates.
     """
+    if not defects:
+        return []
     cols = [cc.pt_basis.T @ cc.d1_par] if cc.d1_par.size else []
     if shifts:
         cols.append(cc.pt_basis.T @ np.column_stack(shifts))
@@ -502,35 +529,21 @@ def obstruction_classes(cc: ConeComplex, defects: Sequence[np.ndarray],
         if keep.any():
             u, s, _ = np.linalg.svd(a[:, keep] / norms[keep], full_matrices=True)
             quotient = u[:, _rank_cut(s, cc.rank_rtol, "obstruction quotient"):]
-    classes = []
-    for raw in defects:
-        projected = cc.project_peripheral(raw)
-        coords = quotient.T @ (cc.pt_basis.T @ projected)
-        classes.append(ObstructionClass(representative=cc.unstack_target(projected),
-                                        coordinates=coords, norm=float(np.linalg.norm(coords))))
-    return classes
-
-
-def _order2_terms(cc: ConeComplex, cocycles: Sequence[Sequence[np.ndarray]]):
-    """Canonical conjugator parts and raw order-2 defects of several cocycles,
-    with the shift directions of all of them pooled."""
-    xis, raws, shifts = [], [], []
-    for umats in cocycles:
-        xi, _ = cc.canonical_xi(umats)
-        xis.append(xi)
-        raws.append(order2_defect(cc, umats, xi))
-        shifts.extend(shift_directions(cc, umats, xi, raws[-1]))
-    return xis, raws, shifts
+    projected = cc.project_peripheral(np.column_stack(defects))
+    coords = quotient.T @ (cc.pt_basis.T @ projected)
+    norms = np.linalg.norm(coords, axis=0)
+    return [ObstructionClass(representative=rep, coordinates=coords[:, j], norm=float(norms[j]))
+            for j, rep in enumerate(cc.unstack_target(projected))]
 
 
 def obstruction(rep_or_cone, u, pre_tolerance: float = 1e-6,
                 rank_rtol: float = 1e-8) -> ObstructionClass:
     """The quadratic map Q at a parabolic cocycle generator part.
 
-    Solves the canonical minimal-norm conjugator parts, computes the exact
-    order-2 relator and conjugated-peripheral defects by degree-2 jet
-    arithmetic with vanishing second-order corrections, and reduces the
-    projected defect in the operational obstruction quotient.  Q(l u) equals
+    Solves the canonical minimal-norm conjugator parts, evaluates the exact
+    order-2 relator and conjugated-peripheral defects with vanishing
+    second-order corrections in closed form (:func:`cup_form`), and reduces
+    the projected defect in the operational obstruction quotient.  Q(l u) equals
     l^2 Q(u) and Q vanishes on coboundary directions.
     """
     return common_obstruction(rep_or_cone, [u], pre_tolerance, rank_rtol)[0]
@@ -541,32 +554,27 @@ def common_obstruction(rep_or_cone, us: Sequence, pre_tolerance: float = 1e-6,
     """Obstruction classes of several cocycles reduced in one common quotient,
     so their coordinate vectors are directly comparable."""
     cc = as_cone(rep_or_cone, rank_rtol)
-    _, raws, shifts = _order2_terms(cc, [cc.cocycle_parts(u, pre_tolerance) for u in us])
-    return obstruction_classes(cc, raws, shifts)
+    cocycles = [cc.cocycle_parts(u, pre_tolerance) for u in us]
+    form, shifts = _order2_terms(cc, cocycles, [cc.canonical_xi(u)[0] for u in cocycles])
+    return obstruction_classes(cc, [form[i, i] for i in range(len(cocycles))], shifts)
 
 
 def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
                    rank_rtol: float = 1e-8) -> PairingTensor:
     """Polarized quadratic map on a cohomology basis, in a common quotient.
 
-    B(u, v) = (Q(u + v) - Q(u) - Q(v)) / 2, symmetric by construction.  The
+    B(u, v) = (Q(u + v) - Q(u) - Q(v)) / 2 = D(u, v), read off one
+    :func:`cup_form` over the basis, symmetric by construction.  The
     verdict is True iff every entry norm is at most the tolerance, which is
     the cup-product smoothness criterion.
     """
     check_tolerance(tolerance)
     cc = as_cone(rep_or_cone, rank_rtol)
     h = len(basis)
-    if h == 0:
-        return PairingTensor(entries={}, verdict=True, tolerance=tolerance)
     umats = [list(v) for v in basis.vectors]
-    xis, raws, shifts = _order2_terms(cc, umats)
-    pairs = [(i, j) for i in range(h) for j in range(i + 1, h)]
-    polar = [
-        0.5 * (order2_defect(cc, [a + b for a, b in zip(umats[i], umats[j])],
-                             [a + b for a, b in zip(xis[i], xis[j])]) - raws[i] - raws[j])
-        for i, j in pairs
-    ]
-    classes = obstruction_classes(cc, raws + polar, shifts)
-    entries = dict(sorted(zip([(i, i) for i in range(h)] + pairs, classes)))
+    form, shifts = _order2_terms(cc, umats, [cc.canonical_xi(u)[0] for u in umats])
+    keys = [(i, i) for i in range(h)] + [(i, j) for i in range(h) for j in range(i + 1, h)]
+    classes = obstruction_classes(cc, [form[key] for key in keys], shifts)
+    entries = dict(sorted(zip(keys, classes)))
     verdict = all(e.norm <= tolerance for e in entries.values())
     return PairingTensor(entries=entries, verdict=verdict, tolerance=tolerance)

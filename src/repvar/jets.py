@@ -27,7 +27,6 @@ from .cohomology import (
     check_tolerance,
     obstruction,
     obstruction_classes,
-    order2_defect,
     order_defect,
     shift_directions,
 )
@@ -214,10 +213,8 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> Lift
                 if np.linalg.norm(delta) > 0:
                     delta *= scale / np.linalg.norm(delta)
                 d_gen, d_conj = cc.unstack_cone(delta)
-                for i in range(cc.n_gen):
-                    cand_gen[i][back - 1] = cand_gen[i][back - 1] + d_gen[i]
-                for g in range(len(cc.groups)):
-                    cand_conj[g][back - 1] = cand_conj[g][back - 1] + d_conj[g]
+                for jets, d in zip(cand_gen + cand_conj, d_gen + d_conj):
+                    jets[back - 1] = jets[back - 1] + d
                 ok2, resids2, _ = _solve_through(cc, cand_gen, cand_conj, back + 1, m, tol_abs)
                 if ok2:
                     gen_jets, conj_jets = cand_gen, cand_conj
@@ -226,8 +223,9 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> Lift
             if rescued:
                 m += 1
                 continue
-        raw2 = defect if fail_order == 2 else order2_defect(cc, umats, xi)
-        obs = obstruction_classes(cc, [defect], shift_directions(cc, umats, xi, raw2))[0]
+        # an order-2 failure is classed by Q itself; a later one by its own defect
+        obs = obstruction(cc, umats, opts.pre_tolerance) if fail_order == 2 else \
+            obstruction_classes(cc, [defect], shift_directions(cc, umats, xi))[0]
         residuals.append(resid)
         return LiftReport(
             achieved_order=fail_order - 1,
@@ -273,20 +271,13 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
                       LiftOptions(tolerance=tolerance, budget=budget, seed=sample_seed))
         q = report.obstruction if report.achieved_order == 1 else obstruction(cc, umats)
         is_cone = q.norm <= tolerance * unorm ** 2
-        if report.budget_exceeded:
-            counts["budget_exceeded"] += 1
+        counts["budget_exceeded"] += report.budget_exceeded
+        got = report.achieved_order
         if is_cone:
-            if report.achieved_order == order:
-                counts["cone_success"] += 1
-            elif report.achieved_order == 1:
-                counts["cone_fail_order2"] += 1
-            else:
-                counts["cone_fail_later"] += 1
+            counts["cone_success" if got == order else
+                   "cone_fail_order2" if got == 1 else "cone_fail_later"] += 1
         else:
-            if report.achieved_order >= 2:
-                counts["noncone_past_order2"] += 1
-            else:
-                counts["noncone_fail_order2"] += 1
+            counts["noncone_past_order2" if got >= 2 else "noncone_fail_order2"] += 1
     return ConeProbeReport(samples=samples, order=order, tolerance=tolerance,
                            budget=budget, seed=seed, rigid=False, **counts)
 

@@ -351,16 +351,30 @@ def rep_to_json(rep: Representation) -> dict:
     }
 
 
+def _json_number(data: dict, key: str, convert, default):
+    value = data.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} must be a number, got {value!r}") from None
+
+
 def rep_from_json(pres: Presentation, data: dict) -> Representation:
+    """The representation a JSON object describes; malformed data raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"representation JSON must be an object, not {type(data).__name__}")
     if data.get("presentation") != pres.name:
         raise ValueError(
             f"representation is for {data.get('presentation')!r}, presentation is {pres.name!r}"
         )
-    if int(data.get("N", -1)) != pres.rank:
+    if _json_number(data, "N", int, -1) != pres.rank:
         raise ValueError(f"representation rank {data.get('N')} != presentation rank {pres.rank}")
     gens = data.get("generators", {})
+    if not isinstance(gens, dict):
+        raise ValueError("'generators' must be an object of generator matrices")
     missing = [g for g in pres.generators if g not in gens]
     if missing:
         raise ValueError(f"missing generator matrices: {missing}")
     mats = [matrix_from_json(gens[g]) for g in pres.generators]
-    return Representation(pres, mats, float(data.get("tolerance", default_tolerance(pres.rank))))
+    tolerance = _json_number(data, "tolerance", float, default_tolerance(pres.rank))
+    return Representation(pres, mats, tolerance)

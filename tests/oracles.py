@@ -3,14 +3,17 @@
 These deliberately avoid the transport/complex machinery under test: the
 dimension oracle differentiates the nonlinear constraint map by finite
 differences, the irreducibility oracle spans the image algebra with random
-words, and the ring oracle multiplies truncated jets by the naive Cauchy
-double loop over degrees.
+words, the ring oracle multiplies truncated jets by the naive Cauchy
+double loop over degrees, and the order-2 defect oracle evaluates the
+relator and conjugated-peripheral words in degree-2 jet arithmetic instead
+of the closed-form cup product.
 """
 
 from math import factorial
 
 import numpy as np
 
+from repvar.cohomology import order_defect
 from repvar.repspace import Representation, _residual_vector, evaluate_word
 from repvar.unitary import exponential, project_skew, skew_basis, vec_skew
 
@@ -145,3 +148,9 @@ def oracle_defect_profile(cc, gen_jets, conj_jets, order):
             vec_skew(project_skew(jet[m] @ base.conj().T)) for jet, base in values])))
         for m in range(1, order + 1)
     ]
+
+
+def jet_order2_defect(cc, umats, xi):
+    """Raw order-2 defect of X_1 = u with conjugator parts xi and vanishing
+    second-order corrections, by degree-2 jet arithmetic."""
+    return order_defect(cc, [[u] for u in umats], [[x] for x in xi], 2)

@@ -63,6 +63,11 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
 
     return {
         "genus2_irr": dump("genus2_irr.json", rep_to_json(genus2_irr)),
+        "list_rep": dump("list_rep.json", [rep_to_json(genus2_irr)]),
+        "null_rank_rep": dump("null_rank_rep.json", {**rep_to_json(genus2_irr), "N": None}),
+        "null_tolerance_rep": dump("null_tolerance_rep.json",
+                                   {**rep_to_json(genus2_irr), "tolerance": None}),
+        "unwritable_out": str(root / "no_such_dir" / "rep.json"),
         "nan_rep": dump("nan_rep.json", nan_rep),
         "huge_rep": dump("huge_rep.json", huge_rep),
         "scaled_rep": dump("scaled_rep.json", scaled_rep),
@@ -134,6 +139,10 @@ BAD_INPUTS = {
     "tol_negative_pairing": ("pairing", GENUS2, "genus2_irr", "--tol=-1e-8"),
     "tol_inf_find": ("find", SPHERE4, "--tol", "inf"),
     "tol_nan_check": ("check", GENUS2, "genus2_irr", "--tol", "nan"),
+    "rep_json_list": ("check", GENUS2, "list_rep"),
+    "rep_rank_null": ("check", GENUS2, "null_rank_rep"),
+    "rep_tolerance_null": ("check", GENUS2, "null_tolerance_rep"),
+    "find_out_unwritable": ("find", SPHERE4, "--seed", "1", "--out", "unwritable_out"),
 }
 
 
@@ -149,6 +158,14 @@ def test_bad_input_exit_1(case, cli_files, capsys):
     assert code == 1
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_find_out_unwritable_fails_before_search(cli_files, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "find_representation",
+                        lambda *args, **kwargs: pytest.fail("the search ran"))
+    assert cli.run(["find", SPHERE4, "--out", cli_files["unwritable_out"]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("repvar: error: cannot write ")
 
 
 @pytest.mark.parametrize("verb", ["tangent", "pairing"])

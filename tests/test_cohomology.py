@@ -1,6 +1,10 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repvar import corpus
 from repvar.cohomology import (
     IllConditionedError,
     NotACocycleError,
@@ -9,16 +13,19 @@ from repvar.cohomology import (
     coboundary,
     cocycle_transport,
     common_obstruction,
+    cup_form,
     h1_basis,
     h_dims,
     obstruction,
     pairing_tensor,
+    shift_directions,
 )
-from repvar.repspace import Representation, evaluate_word
-from repvar.unitary import exponential, principal_log, random_skew, vec_skew
+from repvar.presentation import parse_presentation
+from repvar.repspace import Representation, evaluate_word, find_representation
+from repvar.unitary import exponential, principal_log, random_skew, unvec_skew, vec_skew
 
 from conftest import random_cocycle
-from oracles import fd_h1_par, random_word
+from oracles import fd_h1_par, jet_order2_defect, random_word
 
 
 def test_transport_single_letter(genus2_irr):
@@ -312,3 +319,150 @@ def test_rank_cut_diagnostics():
         _rank_cut(np.array([1.0, 3e-8, 1e-12]), 1e-8, "fuzzy")
     assert err.value.candidates == (1, 2)
     assert _rank_cut(np.zeros(0), 1e-8, "empty") == 0
+
+
+# -- the closed-form cup product against the jet oracle, over generated points --
+
+point_cases = settings(max_examples=25, deadline=None, derandomize=True)
+POINT_TEXTS = {**corpus.TEXTS, "sphere4_joint": corpus.SPHERE4 + "together Pa Pb\n"}
+point_names = st.sampled_from(sorted(POINT_TEXTS) + ["genus2_reducible"])
+find_seeds = st.integers(1, 4)
+draw_seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@lru_cache(maxsize=None)
+def _point(name, seed):
+    """Complex and h1 basis at a corpus presentation's point found from the
+    seed, or at the fixed reducible genus-2 point."""
+    if name == "genus2_reducible":
+        rep = corpus.genus2_reducible()
+    else:
+        rep = find_representation(parse_presentation(POINT_TEXTS[name]), seed=seed,
+                                  attempts=50, target_tolerance=1e-11)
+    cc = assemble_complex(rep)
+    return cc, h1_basis(cc)
+
+
+def _with_xi(cc, u):
+    return u, cc.canonical_xi(u)[0]
+
+
+def _kernel_vectors(cc):
+    """(0, kappa) for each joint-centralizer kernel column kappa of each group."""
+    n = cc.rep.rank
+    zero = np.zeros((n, n), dtype=complex)
+    out = []
+    for g, gd in enumerate(cc.group_data):
+        for col in gd.kernel.T:
+            xi = [zero] * len(cc.groups)
+            xi[g] = unvec_skew(col, n)
+            out.append(([zero] * cc.n_gen, xi))
+    return out
+
+
+def _add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+@point_cases
+@given(point_names, find_seeds, draw_seeds)
+def test_cup_form_matches_jet_oracle(name, seed, draw):
+    # raw defects on the diagonal, polarized defects off it, and the
+    # conjugator-kernel shifts 2 D(u, kappa) + D(kappa, kappa), each against
+    # degree-2 jet arithmetic; the last vector (u, xi) is arbitrary, so the
+    # form is checked off the cocycles too
+    cc, basis = _point(name, seed)
+    rng = np.random.default_rng(draw)
+    n = cc.rep.rank
+    cocycles = [_with_xi(cc, random_cocycle(cc, basis, rng, scale))
+                for scale in (1.0, 2.5)] if len(basis) else []
+    kernel = _kernel_vectors(cc)
+    arbitrary = ([random_skew(rng, n) for _ in range(cc.n_gen)],
+                 [random_skew(rng, n) for _ in cc.groups])
+    vectors = cocycles + kernel + [arbitrary]
+    form = cup_form(cc, vectors)
+    raws = [jet_order2_defect(cc, u, xi) for u, xi in vectors]
+    for i, (u, xi) in enumerate(vectors):
+        assert np.linalg.norm(form[i, i] - raws[i]) <= 1e-12 * (1 + np.linalg.norm(raws[i]))
+        for j in range(i + 1, len(vectors)):
+            v, eta = vectors[j]
+            both = jet_order2_defect(cc, _add(u, v), _add(xi, eta))
+            scale = 1 + max(np.linalg.norm(x) for x in (raws[i], raws[j], both))
+            polar = 0.5 * (both - raws[i] - raws[j])
+            assert np.linalg.norm(form[i, j] - polar) <= 1e-12 * scale
+    for i, (u, xi) in enumerate(cocycles):
+        for k, (_, kappa) in enumerate(kernel, start=len(cocycles)):
+            moved = jet_order2_defect(cc, u, _add(xi, kappa))
+            shift = 2 * form[i, k] + form[k, k]
+            scale = 1 + max(np.linalg.norm(raws[i]), np.linalg.norm(moved))
+            assert np.linalg.norm(shift - (moved - raws[i])) <= 1e-12 * scale
+
+
+@point_cases
+@given(point_names, find_seeds, draw_seeds)
+def test_pairing_symmetric_with_q_on_diagonal(name, seed, draw):
+    cc, basis = _point(name, seed)
+    if len(basis) == 0:
+        return
+    rng = np.random.default_rng(draw)
+    u, v = (random_cocycle(cc, basis, rng) for _ in range(2))
+    form = cup_form(cc, [_with_xi(cc, w) for w in (u, v, _add(u, v))])
+    assert np.array_equal(form, form.transpose(1, 0, 2))
+    polarized = form[2, 2] - form[0, 0] - form[1, 1] - 2 * form[0, 1]
+    assert np.linalg.norm(polarized) <= 1e-12 * (1 + np.linalg.norm(form[2, 2]))
+    tensor = pairing_tensor(cc, basis)
+    for i, q in enumerate(common_obstruction(cc, basis.vectors)):
+        gap = np.linalg.norm(tensor.entries[(i, i)].coordinates - q.coordinates)
+        assert gap <= 1e-12 * (1 + q.norm)
+
+
+@point_cases
+@given(point_names, find_seeds, draw_seeds, st.floats(0.1, 4.0), st.sampled_from([1, -1]))
+def test_q_quadratic_and_zero_on_coboundaries(name, seed, draw, size, sign):
+    cc, basis = _point(name, seed)
+    rng = np.random.default_rng(draw)
+    cb = coboundary(cc.rep, random_skew(rng, cc.rep.rank)).generator_part
+    assert obstruction(cc, cb).norm <= 1e-9 * (1 + np.linalg.norm(cc.stack_gen(cb)) ** 2)
+    if len(basis) == 0:
+        return
+    lam = sign * size
+    u = random_cocycle(cc, basis, rng)
+    q1, q2 = common_obstruction(cc, [u, [lam * m for m in u]])
+    assert np.linalg.norm(q2.coordinates - lam ** 2 * q1.coordinates) <= 1e-9 * lam ** 2
+
+
+def test_no_shift_directions_at_degenerate_class_point():
+    # The class (1/5, 2/5, -3/5) repeats an eigenvalue (-3/5 = 2/5 mod 1).  At
+    # the point that find seed 1 returns, group 0 keeps a singular value of
+    # 3e-6, so the canonical xi is about 1e5.  Forming a shift as the order-2
+    # defect at xi + kappa minus the one at xi left about 1e-6 of rounding
+    # noise, which was kept as 3 shift directions per cocycle; the closed form
+    # 2 D(u, kappa) + D(kappa, kappa) is below the floor.
+    lines = ["group sphere4_u3_degenerate", "rank 3", "generators x0 x1 x2 x3",
+             "relator x0 x1 x2 x3"]
+    lines += [f"peripheral Px{i} = x{i} : 1/{q}, 2/{q}, -3/{q}"
+              for i, q in enumerate((5, 7, 11, 13))]
+    rep = find_representation(parse_presentation("\n".join(lines) + "\n"), seed=1,
+                              target_tolerance=1e-11)
+    cc = assemble_complex(rep)
+    group0 = cc.group_data[0]
+    assert np.linalg.svd(group0.map, compute_uv=False)[group0.rank - 1] < 1e-5
+    basis = h1_basis(cc)
+    assert len(basis) == 8
+    for v in basis.vectors:
+        xi, _ = cc.canonical_xi(v)
+        assert max(np.linalg.norm(x) for x in xi) > 1e3
+        assert shift_directions(cc, list(v), xi) == []
+
+
+def test_relator_that_reduces_to_nothing(genus2_irr, genus2_irr_cc):
+    # a relator that freely reduces to nothing is kept with no letters: no Fox
+    # terms, a zero block of the form, and the same pairing verdict
+    pres = parse_presentation(corpus.GENUS2 + "relator a a'\n")
+    assert pres.relators[1] == ()
+    cc = assemble_complex(Representation(pres, genus2_irr.matrices, genus2_irr.tolerance))
+    basis = h1_basis(cc)
+    form = cup_form(cc, [_with_xi(cc, list(v)) for v in basis.vectors])
+    assert not form[:, :, cc.q:].any()
+    assert pairing_tensor(cc, basis).verdict == pairing_tensor(
+        genus2_irr_cc, h1_basis(genus2_irr_cc)).verdict
