@@ -23,10 +23,17 @@ X_1 = u with conjugator parts xi is a symmetric bilinear form D in (u, xi),
 the second-order Fox-calculus term (the cup product H^1 x H^1 -> H^2).
 :func:`cup_form` evaluates it on all pairs of the cocycles and the
 conjugator-kernel vectors (0, kappa): raw defects, polarized pairing and
-:func:`shift_directions` in one, and :func:`obstruction_classes` reduces the
+shift directions in one.  :class:`QuadraticMap` holds that form over fixed
+cocycles and reads off Q of any linear combination of them, since the
+canonical xi is linear in u; :func:`obstruction_classes` reduces the
 defects in one common quotient.  :func:`obstruction`,
-:func:`common_obstruction`, :func:`pairing_tensor` and the failure path of
-:func:`repvar.jets.lift` all go through these functions.
+:func:`common_obstruction`, :func:`pairing_tensor`, the failure path of
+:func:`repvar.jets.lift` and :func:`repvar.jets.probe_cone` (one map over
+the basis per call) all go through these functions.
+
+:func:`order_defect` evaluates the higher-order defects of a jet
+representation in truncated-ring arithmetic: one batched exponential of
+all generator and conjugator series per order, then the word products.
 
 All linear algebra is over the B-orthonormal real coordinates of
 :func:`repvar.unitary.skew_basis`, where B equals the Euclidean inner
@@ -38,13 +45,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .presentation import Word
 from .repspace import Representation, evaluate_word, transport_matrix, word_transport_terms
-from .truncring import MatrixJet, exp_series, unitary_generator_jet, word_jet
+# exp_series is bound here for perfbench/tracer.py, which wraps each layer
+# function in every module that binds it; order_defect reaches it through
+# unitary_generator_jet
+from .truncring import MatrixJet, exp_series, unitary_generator_jet, word_jet  # noqa: F401
 from .unitary import ad_matrix, project_skew, skew_basis, unvec_skew, vec_skew
 
 
@@ -112,9 +123,15 @@ class CohomologyBasis:
 
 @dataclass(frozen=True)
 class ObstructionClass:
-    representative: Cochain2
     coordinates: np.ndarray
     norm: float
+    cone: ConeComplex = field(repr=False, compare=False)
+    defect: np.ndarray = field(repr=False, compare=False)  # projected, target coordinates
+
+    @cached_property
+    def representative(self) -> Cochain2:
+        """The projected defect as a degree-2 cochain, built on first access."""
+        return self.cone.unstack_target(self.defect[:, None])[0]
 
     def to_json(self) -> dict:
         return {"coordinates": [float(c) for c in self.coordinates], "norm": self.norm}
@@ -214,7 +231,14 @@ class ConeComplex:
         self.groups = pres.groups
         self.gaps: dict = {}
 
+        self.rel_values = [evaluate_word(rep, r) for r in pres.relators]
         self.periph_values = [evaluate_word(rep, p.word) for p in pres.peripherals]
+        # conjugate transposes of every word's base value, relators first
+        self.word_values_h = np.array(self.rel_values + self.periph_values,
+                                      dtype=complex).reshape(-1, n, n).conj().swapaxes(1, 2)
+        # bases of the stacked generator and conjugator jets of order_defect
+        self.jet_bases = np.array(list(rep.matrices) + [np.eye(n)] * len(self.groups),
+                                  dtype=complex).reshape(-1, n, n)
         ad_gen = [ad_matrix(m) for m in rep.matrices]
         ad_per = [ad_matrix(w) for w in self.periph_values]
         eye = np.eye(q)
@@ -272,17 +296,30 @@ class ConeComplex:
         self.cone_kernel = self.cone_solver.nullspace
         self.complex_defect = float(np.linalg.norm(self.d1_cone @ self.d0_full))
 
+        # the cone cochains (0, kappa), kappa a joint-centralizer kernel
+        # column in group g's conjugator slot
+        self.kernel_cochains = []
+        for g, gd in enumerate(self.group_data):
+            for col in gd.kernel.T:
+                xi = np.zeros((len(self.groups), n, n), dtype=complex)
+                xi[g] = unvec_skew(col, n)
+                self.kernel_cochains.append((np.zeros((self.n_gen, n, n)), xi))
+
+    @cached_property
+    def shift_free_quotient(self) -> np.ndarray:
+        """The obstruction quotient basis when there are no shift directions."""
+        return _quotient_basis(self, [])
+
     # -- coordinate helpers ------------------------------------------------
 
     def stack_gen(self, mats: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([vec_skew(m) for m in mats]) if len(mats) else np.zeros(0)
+        return vec_skew(np.asarray(mats).reshape(-1, self.rep.rank, self.rep.rank)).ravel()
 
     def unstack_gen(self, v: np.ndarray) -> list[np.ndarray]:
-        n = self.rep.rank
-        return [unvec_skew(v[i * self.q:(i + 1) * self.q], n) for i in range(self.n_gen)]
+        return list(unvec_skew(v[:self.n_gen * self.q].reshape(-1, self.q), self.rep.rank))
 
     def unstack_cone(self, v: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        mats = [unvec_skew(block, self.rep.rank) for block in v.reshape(-1, self.q)]
+        mats = list(unvec_skew(v.reshape(-1, self.q), self.rep.rank))
         return mats[:self.n_gen], mats[self.n_gen:]
 
     def unstack_target(self, v: np.ndarray) -> list[Cochain2]:
@@ -405,27 +442,26 @@ def order_defect(cc: ConeComplex, gen_jets: Sequence[Sequence[np.ndarray]],
     base values; peripheral rows are the t^m coefficients of the conjugated
     peripheral words against the base values.  Exact truncated arithmetic;
     the dependence on the order-m jets is affine with matrix d1_cone.
+
+    The series of every generator and every conjugator are stacked and
+    exponentiated at once: one :func:`unitary_generator_jet` call, whose base
+    is the generator matrix or, for a conjugator, the identity.  Coefficients
+    past order m are ignored.
     """
-    rep = cc.rep
-    n = rep.rank
-    jets = [
-        unitary_generator_jet(rep.matrices[i], list(gen_jets[i]), m)
-        for i in range(cc.n_gen)
-    ]
-    conj_exp = [
-        exp_series(MatrixJet.from_series(list(conj_jets[g]), m, n, start=1))
-        for g in range(len(cc.groups))
-    ]
-    parts = []
-    for r in rep.presentation.relators:
-        w = word_jet(jets, r, m, n)
-        base = evaluate_word(rep, r)
-        parts.append(vec_skew(project_skew(w.coeff(m) @ base.conj().T)))
-    for i, p in enumerate(rep.presentation.peripherals):
-        e = conj_exp[cc.group_of[i]]
-        c = e.dagger() @ word_jet(jets, p.word, m, n) @ e
-        parts.append(vec_skew(project_skew(c.coeff(m) @ cc.periph_values[i].conj().T)))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    n = cc.rep.rank
+    series = np.zeros((len(cc.jet_bases), m, n, n), dtype=complex)
+    for b, jets in enumerate([*gen_jets, *conj_jets]):
+        if len(jets):
+            series[b, :min(len(jets), m)] = jets[:m]
+    stacked = [MatrixJet(c) for c in unitary_generator_jet(cc.jet_bases, series, m).coeffs]
+    gen, conj = stacked[:cc.n_gen], stacked[cc.n_gen:]
+    tops = [word_jet(gen, r, m, n).coeff(m) for r in cc.pres.relators]
+    for i, p in enumerate(cc.pres.peripherals):
+        e = conj[cc.group_of[i]]
+        tops.append((e.dagger() @ word_jet(gen, p.word, m, n) @ e).coeff(m))
+    if not tops:
+        return np.zeros(0)
+    return vec_skew(project_skew(np.array(tops) @ cc.word_values_h)).ravel()
 
 
 def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
@@ -474,37 +510,76 @@ def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
     return form
 
 
-def _order2_terms(cc: ConeComplex, cocycles: Sequence[Sequence[np.ndarray]],
-                  xis: Sequence[Sequence[np.ndarray]]):
-    """The order-2 form D on the cocycles (with conjugator parts xis), and the
-    pooled directions along which each raw defect D(u, u) moves when xi moves
-    inside a joint-centralizer kernel: for a kernel column kappa the move is
-    2 D(u, kappa) + D(kappa, kappa), read off the same form."""
-    h = len(cocycles)
-    kernel = []  # the cone cochains (0, kappa), kappa in group g's slot
-    for g, gd in enumerate(cc.group_data):
-        for col in gd.kernel.T:
-            v = np.zeros(cc.d1_cone.shape[1])
-            v[(cc.n_gen + g) * cc.q:(cc.n_gen + g + 1) * cc.q] = col
-            kernel.append(cc.unstack_cone(v))
-    form = cup_form(cc, list(zip(cocycles, xis)) + kernel)
-    shifts = []
-    for i, (umats, xi) in enumerate(zip(cocycles, xis)):
-        xinorm = max((float(np.linalg.norm(x)) for x in xi), default=0.0)
-        floor = 1e-12 * (1.0 + float(np.linalg.norm(cc.stack_gen(umats))) + xinorm)
-        for k in range(h, h + len(kernel)):
-            diff = cc.project_peripheral(2.0 * form[i, k] + form[k, k])
-            size = float(np.linalg.norm(diff))
-            if size > floor:
-                shifts.append(diff / size)
-    return form[:h, :h], shifts
+class QuadraticMap:
+    """Q on the span of fixed parabolic cocycles u_1..u_h, read off one
+    :func:`cup_form` over the cocycles (with conjugator parts xis, by default
+    the canonical ones) and the conjugator-kernel vectors (0, kappa).
+
+    The canonical xi is linear in u, so for u = sum c_i u_i the raw defect
+    D(u, u) is c^T D c, and the raw defect moves by 2 D(u, kappa) +
+    D(kappa, kappa) = 2 sum c_i D(u_i, kappa) + D(kappa, kappa) when xi moves
+    along a kernel column kappa.
+    """
+
+    def __init__(self, cc: ConeComplex, cocycles: Sequence[Sequence[np.ndarray]],
+                 xis: Sequence[Sequence[np.ndarray]] | None = None):
+        self.cc = cc
+        self.h = h = len(cocycles)
+        n = cc.rep.rank
+        if xis is None:
+            xis = [cc.canonical_xi(u)[0] for u in cocycles]
+        self.form = cup_form(cc, list(zip(cocycles, xis)) + cc.kernel_cochains)
+        self.kernel_self = np.einsum("kkt->kt", self.form[h:, h:])
+        self.vectors = np.array([cc.stack_gen(u) for u in cocycles]).reshape(h, cc.n_gen * cc.q)
+        self.xis = np.array([list(x) for x in xis], dtype=complex).reshape(
+            h, len(cc.groups), n, n)
+
+    def shifts(self, c: np.ndarray) -> list[np.ndarray]:
+        """Unit directions along which the raw defect of u = sum c_i u_i moves
+        when xi moves inside the joint-centralizer kernel; moves below
+        1e-12 (1 + |u| + max |xi|) are rounding and are dropped."""
+        if len(self.kernel_self) == 0:
+            return []
+        xinorm = max((float(np.linalg.norm(x)) for x in np.tensordot(c, self.xis, 1)),
+                     default=0.0)
+        floor = 1e-12 * (1.0 + float(np.linalg.norm(c @ self.vectors)) + xinorm)
+        cross = np.tensordot(c, self.form[:self.h, self.h:], 1)
+        diff = self.cc.project_peripheral((2.0 * cross + self.kernel_self).T)
+        size = np.linalg.norm(diff, axis=0)
+        keep = size > floor
+        return list((diff[:, keep] / size[keep]).T)
+
+    def __call__(self, c: np.ndarray) -> ObstructionClass:
+        """Q(u) for u = sum c_i u_i, alone in its quotient."""
+        raw = c @ np.tensordot(c, self.form[:self.h, :self.h], 1)
+        return obstruction_classes(self.cc, [raw], self.shifts(c))[0]
+
+    def pooled_shifts(self) -> list[np.ndarray]:
+        """The shift directions of every u_i, pooled."""
+        return [d for c in np.eye(self.h) for d in self.shifts(c)]
 
 
 def shift_directions(cc: ConeComplex, umats: Sequence[np.ndarray],
                      xi: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Directions along which Q(u) changes when the conjugator choice xi moves
     inside the joint-centralizer kernel."""
-    return _order2_terms(cc, [umats], [xi])[1]
+    return QuadraticMap(cc, [umats], [xi]).pooled_shifts()
+
+
+def _quotient_basis(cc: ConeComplex, shifts: Sequence[np.ndarray]) -> np.ndarray:
+    """Orthonormal basis, in parabolic-target coordinates, of the complement
+    of Im(d1_par) plus the shift directions."""
+    cols = [cc.pt_basis.T @ cc.d1_par] if cc.d1_par.size else []
+    if shifts:
+        cols.append(cc.pt_basis.T @ np.column_stack(shifts))
+    if cols:
+        a = np.hstack(cols)
+        norms = np.linalg.norm(a, axis=0)
+        keep = norms > 1e-13 * max(1.0, float(norms.max(initial=0.0)))
+        if keep.any():
+            u, s, _ = np.linalg.svd(a[:, keep] / norms[keep], full_matrices=True)
+            return u[:, _rank_cut(s, cc.rank_rtol, "obstruction quotient"):]
+    return np.eye(cc.par_target_dim)
 
 
 def obstruction_classes(cc: ConeComplex, defects: Sequence[np.ndarray],
@@ -518,22 +593,13 @@ def obstruction_classes(cc: ConeComplex, defects: Sequence[np.ndarray],
     """
     if not defects:
         return []
-    cols = [cc.pt_basis.T @ cc.d1_par] if cc.d1_par.size else []
-    if shifts:
-        cols.append(cc.pt_basis.T @ np.column_stack(shifts))
-    quotient = np.eye(cc.par_target_dim)
-    if cols:
-        a = np.hstack(cols)
-        norms = np.linalg.norm(a, axis=0)
-        keep = norms > 1e-13 * max(1.0, float(norms.max(initial=0.0)))
-        if keep.any():
-            u, s, _ = np.linalg.svd(a[:, keep] / norms[keep], full_matrices=True)
-            quotient = u[:, _rank_cut(s, cc.rank_rtol, "obstruction quotient"):]
+    quotient = _quotient_basis(cc, shifts) if shifts else cc.shift_free_quotient
     projected = cc.project_peripheral(np.column_stack(defects))
     coords = quotient.T @ (cc.pt_basis.T @ projected)
     norms = np.linalg.norm(coords, axis=0)
-    return [ObstructionClass(representative=rep, coordinates=coords[:, j], norm=float(norms[j]))
-            for j, rep in enumerate(cc.unstack_target(projected))]
+    return [ObstructionClass(coordinates=coords[:, j], norm=float(norms[j]), cone=cc,
+                             defect=projected[:, j])
+            for j in range(len(defects))]
 
 
 def obstruction(rep_or_cone, u, pre_tolerance: float = 1e-6,
@@ -555,8 +621,9 @@ def common_obstruction(rep_or_cone, us: Sequence, pre_tolerance: float = 1e-6,
     so their coordinate vectors are directly comparable."""
     cc = as_cone(rep_or_cone, rank_rtol)
     cocycles = [cc.cocycle_parts(u, pre_tolerance) for u in us]
-    form, shifts = _order2_terms(cc, cocycles, [cc.canonical_xi(u)[0] for u in cocycles])
-    return obstruction_classes(cc, [form[i, i] for i in range(len(cocycles))], shifts)
+    qmap = QuadraticMap(cc, cocycles)
+    return obstruction_classes(cc, [qmap.form[i, i] for i in range(len(cocycles))],
+                               qmap.pooled_shifts())
 
 
 def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
@@ -571,10 +638,9 @@ def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
     check_tolerance(tolerance)
     cc = as_cone(rep_or_cone, rank_rtol)
     h = len(basis)
-    umats = [list(v) for v in basis.vectors]
-    form, shifts = _order2_terms(cc, umats, [cc.canonical_xi(u)[0] for u in umats])
+    qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
     keys = [(i, i) for i in range(h)] + [(i, j) for i in range(h) for j in range(i + 1, h)]
-    classes = obstruction_classes(cc, [form[key] for key in keys], shifts)
+    classes = obstruction_classes(cc, [qmap.form[key] for key in keys], qmap.pooled_shifts())
     entries = dict(sorted(zip(keys, classes)))
     verdict = all(e.norm <= tolerance for e in entries.values())
     return PairingTensor(entries=entries, verdict=verdict, tolerance=tolerance)

@@ -23,6 +23,7 @@ from .cohomology import (
     ConeComplex,
     CohomologyBasis,
     ObstructionClass,
+    QuadraticMap,
     as_cone,
     check_tolerance,
     obstruction,
@@ -250,7 +251,9 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     The quadraticity prediction is an empty off-diagonal contingency: cone
     directions (Q at most tolerance * |u|^2) never fail at order 2 and
     non-cone directions never lift past order 2.  A direction that fails at
-    order 2 takes Q from the lift's own failure report.
+    order 2 takes Q from the lift's own failure report; every other direction
+    u = sum c_i b_i takes it from one :class:`~repvar.cohomology.QuadraticMap`
+    over the basis, built once per call.
     """
     check_tolerance(tolerance)
     cc = as_cone(rep_or_cone)
@@ -259,6 +262,7 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
                                budget=budget, seed=seed, rigid=True)
     counts = dict(cone_success=0, cone_fail_order2=0, cone_fail_later=0,
                   noncone_fail_order2=0, noncone_past_order2=0, budget_exceeded=0)
+    qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
     for child in np.random.SeedSequence(seed).spawn(samples):
         rng = np.random.default_rng(child)
         coeffs = rng.standard_normal(len(basis))
@@ -269,7 +273,7 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
         sample_seed = int(rng.integers(0, 2 ** 62))
         report = lift(cc, umats, order,
                       LiftOptions(tolerance=tolerance, budget=budget, seed=sample_seed))
-        q = report.obstruction if report.achieved_order == 1 else obstruction(cc, umats)
+        q = report.obstruction if report.achieved_order == 1 else qmap(coeffs)
         is_cone = q.norm <= tolerance * unorm ** 2
         counts["budget_exceeded"] += report.budget_exceeded
         got = report.achieved_order

@@ -7,11 +7,15 @@ lower-triangular Toeplitz matrix acting on the stacked coefficients, so a
 product is one dense matrix product (gemm).  Exponential and logarithm
 series are finite sums here because their arguments have zero constant
 term (resp. constant term one); both run Horner's rule on the stacked
-coefficients against one Toeplitz matrix.
+coefficients against one Toeplitz matrix.  :func:`exp_series` and
+:func:`unitary_generator_jet` also take a stack of jets, coefficients
+(batch, k+1, n, n), and run one batched Horner for the whole stack; the
+product ``@`` acts on single jets only.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -37,23 +41,22 @@ class MatrixJet:
         return cls.constant(np.eye(n, dtype=complex), order)
 
     @classmethod
-    def from_series(cls, mats: Sequence[np.ndarray | None], order: int, n: int,
-                    start: int = 1) -> "MatrixJet":
-        """Jet with coefficient mats[i] at degree start + i (None means zero)."""
-        c = np.zeros((order + 1, n, n), dtype=complex)
-        for i, m in enumerate(mats):
-            d = start + i
-            if d <= order and m is not None:
-                c[d] = m
+    def from_series(cls, mats, order: int, n: int, start: int = 1) -> "MatrixJet":
+        """Jet with coefficient mats[..., i, :, :] at degree start + i; leading
+        axes of mats, shape (..., count, n, n), are batch axes."""
+        mats = np.asarray(mats, dtype=complex)
+        mats = mats.reshape(mats.shape[:-3] + (-1, n, n))[..., :max(order + 1 - start, 0), :, :]
+        c = np.zeros(mats.shape[:-3] + (order + 1, n, n), dtype=complex)
+        c[..., start:start + mats.shape[-3], :, :] = mats
         return cls(c)
 
     @property
     def order(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return self.coeffs.shape[-3] - 1
 
     @property
     def n(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     def coeff(self, m: int) -> np.ndarray:
         return self.coeffs[m]
@@ -70,7 +73,7 @@ class MatrixJet:
 
     def dagger(self) -> "MatrixJet":
         """Coefficient-wise conjugate transpose; the ring inverse of a unitary jet."""
-        return MatrixJet(np.conj(np.swapaxes(self.coeffs, 1, 2)))
+        return MatrixJet(np.conj(np.swapaxes(self.coeffs, -1, -2)))
 
     def __repr__(self) -> str:
         return f"MatrixJet(order={self.order}, n={self.n})"
@@ -78,20 +81,36 @@ class MatrixJet:
 
 def _toeplitz(a: MatrixJet) -> np.ndarray:
     """The ((k+1)n, (k+1)n) matrix of left multiplication by a on coefficients
-    stacked by degree: block (p, q) is a_(p-q), and zero for negative lags."""
-    k1, n = a.coeffs.shape[:2]
-    padded = np.concatenate([np.zeros((k1 - 1, n, n), dtype=complex), a.coeffs])
-    lag = np.subtract.outer(np.arange(k1), np.arange(k1)) + (k1 - 1)
-    return padded[lag].transpose(0, 2, 1, 3).reshape(k1 * n, k1 * n)
+    stacked by degree: block (p, q) is a_(p-q), and zero for negative lags.
+    A stack of jets gives the stack of matrices.  One gather from the
+    flattened coefficients with a zero appended."""
+    *batch, k1, n, _ = a.coeffs.shape
+    flat = np.concatenate([a.coeffs.reshape(*batch, -1), np.zeros((*batch, 1), dtype=complex)],
+                          axis=-1)
+    # take, not flat[..., index]: that leaves a batch non-contiguous, and a
+    # gemm on it runs off BLAS
+    return np.take(flat, _toeplitz_index(k1, n), axis=-1)
+
+
+@lru_cache(maxsize=128)
+def _toeplitz_index(k1: int, n: int) -> np.ndarray:
+    """Position of entry (p n + i, q n + j) of the Toeplitz matrix in the
+    flattened coefficients: entry (i, j) of a_(p-q), or the appended zero."""
+    p, i, q, j = np.ogrid[:k1, :n, :k1, :n]
+    lag = p - q
+    index = np.where(lag >= 0, (lag * n + i) * n + j, k1 * n * n).reshape(k1 * n, k1 * n)
+    index.setflags(write=False)  # shared by every caller
+    return index
 
 
 def exp_series(s: MatrixJet) -> MatrixJet:
-    """exp of a jet with zero constant term: finite sum of s^j / j!, by Horner's
-    rule out = 1 + s out / j for j = k..1."""
-    if np.any(s.coeffs[0] != 0):
+    """exp of a jet (or of each jet of a stack) with zero constant term: finite
+    sum of s^j / j!, by Horner's rule out = 1 + s out / j for j = k..1."""
+    if np.any(s.coeffs[..., 0, :, :] != 0):
         raise ValueError("exp_series needs a jet with zero constant term")
     t = _toeplitz(s)
-    unit = MatrixJet.identity(s.n, s.order).coeffs.reshape(-1, s.n)
+    unit = np.zeros(t.shape[:-1] + (s.n,), dtype=complex)
+    unit[..., :s.n, :] = np.eye(s.n)
     out = unit
     for j in range(s.order, 0, -1):
         out = unit + (t @ out) / j
@@ -114,20 +133,23 @@ def log_series(j: MatrixJet) -> MatrixJet:
     return MatrixJet(out.reshape(j.coeffs.shape))
 
 
-def unitary_generator_jet(base: np.ndarray, jets: Sequence[np.ndarray], order: int) -> MatrixJet:
+def unitary_generator_jet(base: np.ndarray, jets, order: int) -> MatrixJet:
     """exp(sum_m t^m X_m) @ base as a matrix jet; unitary over the ring when the
-    X_m are skew-Hermitian and the base is unitary."""
-    n = base.shape[0]
-    s = MatrixJet.from_series(list(jets), order, n, start=1)
+    X_m are skew-Hermitian and the base is unitary.  A stack of bases
+    (batch, n, n) with jets (batch, count, n, n) gives the stack of jets from
+    one batched exp_series."""
+    base = np.asarray(base)
+    s = MatrixJet.from_series(jets, order, base.shape[-1], start=1)
     # the constant jet has only a degree-0 coefficient, so the product is a
     # coefficient-wise right multiplication
-    return MatrixJet(exp_series(s).coeffs @ base)
+    return MatrixJet(exp_series(s).coeffs @ base[..., None, :, :])
 
 
 def word_jet(generator_jets: Sequence[MatrixJet], word, order: int, n: int) -> MatrixJet:
-    """Evaluate a word in jets of the generators; inverses via dagger."""
-    out = MatrixJet.identity(n, order)
+    """Evaluate a word in jets of the generators, from its first letter on;
+    inverses via dagger.  The empty word is the identity jet."""
+    out = None
     for gen, sign in word:
-        j = generator_jets[gen]
-        out = out @ (j if sign > 0 else j.dagger())
-    return out
+        j = generator_jets[gen] if sign > 0 else generator_jets[gen].dagger()
+        out = j if out is None else out @ j
+    return MatrixJet.identity(n, order) if out is None else out

@@ -58,18 +58,20 @@ def skew_basis(n: int) -> np.ndarray:
 
 
 def vec_skew(x: np.ndarray) -> np.ndarray:
-    """Real B-coordinates of a skew-Hermitian matrix."""
-    basis = skew_basis(x.shape[0])
-    return -np.einsum("aij,ji->a", basis, x).real
+    """Real B-coordinates of a skew-Hermitian matrix, or of each matrix of a
+    stack (..., n, n)."""
+    basis = skew_basis(x.shape[-1])
+    return -np.einsum("aij,...ji->...a", basis, x).real
 
 
 def unvec_skew(v: np.ndarray, n: int) -> np.ndarray:
-    """Skew-Hermitian matrix with the given real B-coordinates."""
-    return np.einsum("a,aij->ij", np.asarray(v, dtype=float), skew_basis(n))
+    """Skew-Hermitian matrix with the given real B-coordinates; a stack of
+    coordinate vectors (..., n^2) gives a stack of matrices."""
+    return np.einsum("...a,aij->...ij", np.asarray(v, dtype=float), skew_basis(n))
 
 
 def project_skew(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m - m.conj().T)
+    return 0.5 * (m - m.conj().swapaxes(-1, -2))
 
 
 def is_unitary(g: np.ndarray, tol: float = UNITARITY_TOL) -> bool:

@@ -455,6 +455,23 @@ def test_no_shift_directions_at_degenerate_class_point():
         assert shift_directions(cc, list(v), xi) == []
 
 
+def test_representative_built_on_first_access(sphere4_cc):
+    # the representative is the projected raw defect as a Cochain2; it is
+    # built when first read, not for every class
+    basis = h1_basis(sphere4_cc)
+    u = random_cocycle(sphere4_cc, basis, np.random.default_rng(79))
+    q = obstruction(sphere4_cc, u)
+    assert "representative" not in vars(q)
+    rep = q.representative
+    assert q.representative is rep
+    assert len(rep.relator_part) == sphere4_cc.n_rel
+    assert len(rep.peripheral_part) == sphere4_cc.n_per
+    got = np.concatenate([vec_skew(x) for x in rep.relator_part + rep.peripheral_part])
+    raw = jet_order2_defect(sphere4_cc, u, sphere4_cc.canonical_xi(u)[0])
+    want = sphere4_cc.project_peripheral(raw)
+    assert np.linalg.norm(got - want) <= 1e-12 * (1.0 + np.linalg.norm(raw))
+
+
 def test_relator_that_reduces_to_nothing(genus2_irr, genus2_irr_cc):
     # a relator that freely reduces to nothing is kept with no letters: no Fox
     # terms, a zero block of the form, and the same pairing verdict

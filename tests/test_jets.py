@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repvar import cohomology
-from repvar.cohomology import coboundary, cocycle_transport, h1_basis, obstruction
+from repvar.cohomology import QuadraticMap, coboundary, cocycle_transport, h1_basis, obstruction
 from repvar.jets import (
     JetRepresentation,
     LiftOptions,
@@ -156,25 +156,29 @@ def test_lift_profile_matches_reported_residuals(genus2_irr_cc):
         assert profile[m - 1] == pytest.approx(report.residuals[m - 1], abs=1e-10)
 
 
-def test_lift_order30_profile_matches_oracle_ring(sphere4_cc):
-    # one order-30 evaluation in the naive ring reproduces every per-order
-    # defect of the 30 truncated evaluations behind jet_residual_profile
-    basis = h1_basis(sphere4_cc)
-    u = random_cocycle(sphere4_cc, basis, np.random.default_rng(76))
-    report = lift(sphere4_cc, u, 30)
-    assert report.achieved_order == 30
+@pytest.mark.parametrize("point, order", [("sphere4_cc", 30), ("genus2_irr_cc", 12)],
+                         ids=["sphere4", "genus2_irr"])
+def test_lift_order30_profile_matches_oracle_ring(point, order, request):
+    # one full-order evaluation in the naive ring reproduces every per-order
+    # defect of the truncated evaluations behind jet_residual_profile; the
+    # genus-2 point has no peripherals, so the stack of conjugators is empty
+    cc = request.getfixturevalue(point)
+    basis = h1_basis(cc)
+    u = random_cocycle(cc, basis, np.random.default_rng(76))
+    report = lift(cc, u, order)
+    assert report.achieved_order == order
     jrep = report.corrections
-    profile = jet_residual_profile(jrep, sphere4_cc)
-    oracle = oracle_defect_profile(sphere4_cc, jrep.generator_jets, jrep.conjugator_jets, 30)
+    profile = jet_residual_profile(jrep, cc)
+    oracle = oracle_defect_profile(cc, jrep.generator_jets, jrep.conjugator_jets, order)
     assert max(oracle) <= 1e-11
     assert np.allclose(profile, oracle, rtol=0, atol=1e-12)
     # off the solution every order has a defect of size about 1e-3
     rng = np.random.default_rng(77)
-    n = sphere4_cc.rep.rank
+    n = cc.rep.rank
     gen = [[x + random_skew(rng, n, 1e-3) for x in jets] for jets in jrep.generator_jets]
     conj = [[x + random_skew(rng, n, 1e-3) for x in jets] for jets in jrep.conjugator_jets]
-    moved = jet_residual_profile(_jet_rep(jrep.base, gen, conj, 30), sphere4_cc)
-    oracle = oracle_defect_profile(sphere4_cc, gen, conj, 30)
+    moved = jet_residual_profile(_jet_rep(jrep.base, gen, conj, order), cc)
+    oracle = oracle_defect_profile(cc, gen, conj, order)
     assert min(oracle) >= 1e-5
     assert np.allclose(moved, oracle, rtol=1e-10, atol=0)
 
@@ -238,6 +242,33 @@ def test_probe_abelian_all_cone_success(torus_cc):
     assert report.cone_success == 50
     assert report.prediction_holds
     assert report.budget_exceeded == 0
+
+
+def test_probe_smooth_point_with_peripherals(sphere4_cc):
+    # every direction at the smooth sphere4 point is a cone direction and
+    # lifts to the full order without a budget retry
+    basis = h1_basis(sphere4_cc)
+    report = probe_cone(sphere4_cc, basis, samples=40, order=6, seed=11)
+    assert report.cone_success == 40
+    assert report.budget_exceeded == 0
+    assert report.prediction_holds
+
+
+@pytest.mark.parametrize("point", ["sphere4_cc", "genus2_irr_cc", "genus2_red_cc"])
+def test_probe_q_matches_obstruction(point, request):
+    # probe_cone reads Q of a direction that passes order 2 off one
+    # QuadraticMap over the basis; it must agree with obstruction()
+    cc = request.getfixturevalue(point)
+    basis = h1_basis(cc)
+    if point == "sphere4_cc":
+        assert cc.kernel_cochains  # the shift directions are exercised
+    qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
+    rng = np.random.default_rng(78)
+    for _ in range(50):
+        coeffs = rng.standard_normal(len(basis))
+        coeffs /= np.linalg.norm(coeffs)
+        want = obstruction(cc, cc.unstack_gen(basis.matrix @ coeffs)).norm
+        assert abs(qmap(coeffs).norm - want) <= 1e-12 * max(1.0, want)
 
 
 def test_probe_rigid_flagged(sphere3_cc):

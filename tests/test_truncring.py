@@ -21,17 +21,18 @@ orders = st.integers(0, 30)
 ranks = st.integers(1, 5)
 seeds = st.integers(0, 2 ** 32 - 1)
 scales = st.sampled_from([1e-3, 1.0, 3.0])
+batches = st.sampled_from([(), (1,), (3,)])  # leading axes of a stack of jets
 
 
-def random_jet(rng, n, order, scale=1.0):
-    return MatrixJet(scale * (rng.standard_normal((order + 1, n, n))
-                              + 1j * rng.standard_normal((order + 1, n, n))))
+def random_jet(rng, n, order, scale=1.0, batch=()):
+    shape = (*batch, order + 1, n, n)
+    return MatrixJet(scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
 
 
-def nilpotent_jet(seed, n, order, scale):
-    """Random jet with zero constant term."""
-    s = random_jet(np.random.default_rng(seed), n, order, scale)
-    s.coeffs[0] = 0.0
+def nilpotent_jet(seed, n, order, scale, batch=()):
+    """Random jet (or stack of jets) with zero constant term."""
+    s = random_jet(np.random.default_rng(seed), n, order, scale, batch)
+    s.coeffs[..., 0, :, :] = 0.0
     return s
 
 
@@ -50,12 +51,15 @@ def test_product_matches_cauchy_oracle(order, n, seed, scale):
 
 
 @kernel_cases
-@given(orders, ranks, seeds, scales)
-def test_exp_matches_power_series_oracle(order, n, seed, scale):
-    s = nilpotent_jet(seed, n, order, scale)
+@given(orders, ranks, seeds, scales, batches)
+def test_exp_matches_power_series_oracle(order, n, seed, scale, batch):
+    s = nilpotent_jet(seed, n, order, scale, batch)
     weights = exp_weights(order)
-    assert_within(exp_series(s).coeffs, power_series(s.coeffs, weights),
-                  power_series(np.abs(s.coeffs), weights))
+    got = exp_series(s).coeffs
+    assert got.shape == s.coeffs.shape
+    stack = s.coeffs.reshape(-1, order + 1, n, n)
+    for g, c in zip(got.reshape(stack.shape), stack):
+        assert_within(g, power_series(c, weights), power_series(np.abs(c), weights))
 
 
 @kernel_cases
@@ -131,6 +135,19 @@ def test_unitarity_over_the_ring():
         prod = j.dagger() @ j
         expected = MatrixJet.identity(n, 4)
         assert np.max(np.abs(prod.coeffs - expected.coeffs)) <= 1e-12
+
+
+def test_stacked_generator_jets_match_single_ones():
+    rng = np.random.default_rng(45)
+    for n, count, k in [(1, 1, 0), (2, 3, 4), (3, 4, 2), (2, 2, 6)]:
+        bases = np.array([haar_from_rng(rng, n) for _ in range(count)])
+        series = np.array([[random_skew(rng, n, 0.5) for _ in range(k)] for _ in range(count)])
+        series = series.reshape(count, k, n, n)
+        stacked = unitary_generator_jet(bases, series, k)
+        assert stacked.coeffs.shape == (count, k + 1, n, n)
+        for b, j in enumerate(stacked.coeffs):
+            single = unitary_generator_jet(bases[b], list(series[b]), k).coeffs
+            assert np.max(np.abs(j - single)) <= 1e-14
 
 
 def test_exp_log_round_trip():

@@ -126,6 +126,11 @@ def test_vec_unvec_round_trip():
         assert np.allclose(unvec_skew(vec_skew(x), n), x)
         v = rng.standard_normal(n * n)
         assert np.allclose(vec_skew(unvec_skew(v, n)), v)
+        # a stack is converted matrix by matrix, with the same arithmetic
+        xs = np.array([random_skew(rng, n) for _ in range(3)])
+        vs = rng.standard_normal((3, n * n))
+        assert np.array_equal(vec_skew(xs), np.array([vec_skew(m) for m in xs]))
+        assert np.array_equal(unvec_skew(vs, n), np.array([unvec_skew(w, n) for w in vs]))
 
 
 def test_ad_matrix_is_orthogonal():
