@@ -27,9 +27,10 @@ shift directions in one.  :class:`QuadraticMap` holds that form over fixed
 cocycles and reads off Q of any linear combination of them, since the
 canonical xi is linear in u; :func:`obstruction_classes` reduces the
 defects in one common quotient.  :func:`obstruction`,
-:func:`common_obstruction`, :func:`pairing_tensor`, the failure path of
-:func:`repvar.jets.lift` and :func:`repvar.jets.probe_cone` (one map over
-the basis per call) all go through these functions.
+:func:`common_obstruction`, :func:`pairing_tensor`, the failure path and
+the cone-kernel moves of :func:`repvar.jets.lift` and
+:func:`repvar.jets.probe_cone` (one map over the basis per call) all go
+through these functions.
 
 :func:`order_defect` evaluates the higher-order defects of a jet
 representation in truncated-ring arithmetic: one batched exponential of
@@ -155,13 +156,19 @@ def check_tolerance(tolerance: float) -> None:
 
 
 def _rank_cut(s: np.ndarray, rtol: float, context: str, gaps: dict | None = None) -> int:
-    """Rank at the relative threshold, with an ambiguity band of a factor 10."""
+    """Rank at the relative threshold, with an ambiguity band of a factor 10.
+    A threshold below the rounding floor eps * s.size * s[0] cannot tell rank
+    from noise; its candidates are the ranks at the floor and at the threshold."""
     s = np.asarray(s)
     if s.size == 0 or s[0] <= 0.0:
         if gaps is not None:
             gaps[context] = None
         return 0
     tau = rtol * s[0]
+    floor = np.finfo(float).eps * s.size * s[0]
+    if tau < floor:
+        raise IllConditionedError(context, (int(np.sum(s > floor)), int(np.sum(s > tau))),
+                                  float(tau))
     lo = int(np.sum(s > 10.0 * tau))
     hi = int(np.sum(s > tau / 10.0))
     if lo != hi:
@@ -309,6 +316,11 @@ class ConeComplex:
     def shift_free_quotient(self) -> np.ndarray:
         """The obstruction quotient basis when there are no shift directions."""
         return _quotient_basis(self, [])
+
+    @cached_property
+    def cone_kernel_parts(self) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+        """The cone-kernel columns as (generator parts, conjugator parts)."""
+        return [self.unstack_cone(col) for col in self.cone_kernel.T]
 
     # -- coordinate helpers ------------------------------------------------
 

@@ -9,7 +9,10 @@ factorization, so a single cached solver is reused throughout.
 
 Success at order 2 is equivalent to the vanishing of the quadratic map Q;
 lifting to all orders along the zero cone of Q is the computable shadow of
-the quadratic-cone local model.
+the quadratic-cone local model.  The choice of earlier corrections matters
+there: past order 2, a correction can move inside the cone kernel, which
+shifts the next defect linearly through the cup form, and :func:`lift`
+makes that choice by one deterministic least-squares solve per order.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .cohomology import (
     QuadraticMap,
     as_cone,
     check_tolerance,
+    cup_form,
     obstruction,
     obstruction_classes,
     order_defect,
@@ -39,8 +43,8 @@ from .unitary import project_skew
 @dataclass(frozen=True)
 class LiftOptions:
     tolerance: float = 1e-7      # relative to |u|^2, the scale of the defects
-    budget: int = 3              # kernel-search retries for failures past order 2
-    seed: int = 0                # drives the kernel search only
+    budget: int = 3              # accepted and echoed; changes no result
+    seed: int = 0                # accepted and echoed; changes no result
     pre_tolerance: float = 1e-6  # cocycle precondition
 
 
@@ -143,45 +147,26 @@ def _freeze(base, order, gen_jets, conj_jets) -> JetRepresentation:
     )
 
 
-def _solve_through(cc: ConeComplex, gen_jets, conj_jets, start: int, stop: int,
-                   tol_abs: float):
-    """Solve orders start..stop in place with the shared cone factorization.
-
-    Returns (reached, residuals, failing) where failing is (order, defect,
-    residual) for the first unsolvable order, or None.
-    """
-    residuals = []
-    for m in range(start, stop + 1):
-        defect = order_defect(cc, gen_jets, conj_jets, m)
-        x, resid = cc.cone_solver.solve(-defect)
-        if resid > tol_abs:
-            return False, residuals, (m, defect, resid)
-        gen_corr, conj_corr = cc.unstack_cone(x)
-        for i in range(cc.n_gen):
-            gen_jets[i].append(gen_corr[i])
-        for g in range(len(cc.groups)):
-            conj_jets[g].append(conj_corr[g])
-        residuals.append(resid)
-    return True, residuals, None
-
-
 def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> LiftReport:
     """Lift a parabolic cocycle to a jet representation of the given order.
 
     Sets X_1 = u and the minimal-norm conjugator jets, then solves the exact
     order-m defect equations for m = 2..order by minimal-norm least squares
     against the cone differential.  An unsolvable order-2 defect is the
-    obstruction Q(u); an unsolvable later order triggers a bounded random
-    search over cone-kernel additions at earlier orders (>= 2) before the
-    failure is reported with budget_exceeded set.
+    obstruction Q(u).  From the first unsolvable order m >= 3 on, each order
+    first moves the order-(m-1) correction inside the cone kernel K: that
+    order stays solved, and the order-m defect moves by exactly 2 D(u, K c)
+    (D the cup form of :func:`~repvar.cohomology.cup_form`; the square of
+    K c lands at order 2m - 2 > m).  c is the least-squares choice that
+    brings the defect into the image of the cone differential.  A later
+    order that is still unsolvable is reported with budget_exceeded set.
     """
     opts = options or LiftOptions()
     check_tolerance(opts.tolerance)
     cc = as_cone(rep_or_cone)
     umats = cc.cocycle_parts(u, opts.pre_tolerance)
     uvec = cc.stack_gen(umats)
-    unorm = float(np.linalg.norm(uvec))
-    tol_abs = opts.tolerance * unorm ** 2
+    tol_abs = opts.tolerance * float(np.linalg.norm(uvec)) ** 2
 
     xi, xi_resid = cc.canonical_xi(umats)
     rel_resid = max(
@@ -190,51 +175,37 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> Lift
     residuals = [max(xi_resid, rel_resid)]
     gen_jets = [[m.copy()] for m in umats]
     conj_jets = [[x.copy()] for x in xi]
-    rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
-
-    m = 2
-    budget_left = opts.budget
-    while m <= order:
-        ok, step_resids, failing = _solve_through(cc, gen_jets, conj_jets, m, m, tol_abs)
-        if ok:
-            residuals.extend(step_resids)
-            m += 1
-            continue
-        fail_order, defect, resid = failing
-        if m > 2 and budget_left > 0 and cc.cone_kernel.shape[1] > 0:
-            rescued = False
-            while budget_left > 0 and not rescued:
-                budget_left -= 1
-                back = 2 if m == 3 else int(rng.integers(2, m))
-                cand_gen = [list(jets[:back]) for jets in gen_jets]
-                cand_conj = [list(jets[:back]) for jets in conj_jets]
-                delta = cc.cone_kernel @ rng.standard_normal(cc.cone_kernel.shape[1])
-                current = cc.stack_gen([jets[back - 1] for jets in gen_jets])
-                scale = max(float(np.linalg.norm(current)), unorm ** back)
-                if np.linalg.norm(delta) > 0:
-                    delta *= scale / np.linalg.norm(delta)
-                d_gen, d_conj = cc.unstack_cone(delta)
-                for jets, d in zip(cand_gen + cand_conj, d_gen + d_conj):
-                    jets[back - 1] = jets[back - 1] + d
-                ok2, resids2, _ = _solve_through(cc, cand_gen, cand_conj, back + 1, m, tol_abs)
-                if ok2:
-                    gen_jets, conj_jets = cand_gen, cand_conj
-                    residuals[back:] = resids2
-                    rescued = True
-            if rescued:
-                m += 1
-                continue
-        # an order-2 failure is classed by Q itself; a later one by its own defect
-        obs = obstruction(cc, umats, opts.pre_tolerance) if fail_order == 2 else \
-            obstruction_classes(cc, [defect], shift_directions(cc, umats, xi))[0]
+    jets = gen_jets + conj_jets
+    moves = None  # 2 D(u, K): how the order-m defect moves with K c at order m - 1
+    for m in range(2, order + 1):
+        defect = order_defect(cc, gen_jets, conj_jets, m)
+        x, resid = cc.cone_solver.solve(-defect)
+        if resid > tol_abs and m > 2 and moves is None:
+            moves = 2.0 * cup_form(cc, [(umats, xi)] + cc.cone_kernel_parts)[0, 1:].T
+        if moves is not None:
+            coker = cc.cone_solver.left_null.T
+            c = np.linalg.lstsq(coker @ moves, -(coker @ defect), rcond=None)[0]
+            d_gen, d_conj = cc.unstack_cone(cc.cone_kernel @ c)
+            for series, d in zip(jets, d_gen + d_conj):
+                series[m - 2] = series[m - 2] + d
+            defect = defect + moves @ c
+            x, resid = cc.cone_solver.solve(-defect)
+        if resid > tol_abs:
+            # an order-2 failure is classed by Q itself; a later one by its own defect
+            obs = obstruction(cc, umats, opts.pre_tolerance) if m == 2 else \
+                obstruction_classes(cc, [defect], shift_directions(cc, umats, xi))[0]
+            residuals.append(resid)
+            return LiftReport(
+                achieved_order=m - 1,
+                residuals=tuple(residuals),
+                obstruction=obs,
+                budget_exceeded=m > 2,
+                corrections=_freeze(cc.rep, m - 1, gen_jets, conj_jets),
+            )
+        gen_corr, conj_corr = cc.unstack_cone(x)
+        for series, corr in zip(jets, gen_corr + conj_corr):
+            series.append(corr)
         residuals.append(resid)
-        return LiftReport(
-            achieved_order=fail_order - 1,
-            residuals=tuple(residuals),
-            obstruction=obs,
-            budget_exceeded=fail_order > 2,
-            corrections=_freeze(cc.rep, fail_order - 1, gen_jets, conj_jets),
-        )
     return LiftReport(
         achieved_order=order,
         residuals=tuple(residuals),
@@ -253,7 +224,9 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     non-cone directions never lift past order 2.  A direction that fails at
     order 2 takes Q from the lift's own failure report; every other direction
     u = sum c_i b_i takes it from one :class:`~repvar.cohomology.QuadraticMap`
-    over the basis, built once per call.
+    over the basis, built once per call.  budget is echoed in the report and
+    changes no lift; budget_exceeded counts the lifts that failed past
+    order 2.
     """
     check_tolerance(tolerance)
     cc = as_cone(rep_or_cone)
@@ -270,9 +243,7 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
         uvec = basis.matrix @ coeffs
         umats = cc.unstack_gen(uvec)
         unorm = float(np.linalg.norm(uvec))
-        sample_seed = int(rng.integers(0, 2 ** 62))
-        report = lift(cc, umats, order,
-                      LiftOptions(tolerance=tolerance, budget=budget, seed=sample_seed))
+        report = lift(cc, umats, order, LiftOptions(tolerance=tolerance))
         q = report.obstruction if report.achieved_order == 1 else qmap(coeffs)
         is_cone = q.norm <= tolerance * unorm ** 2
         counts["budget_exceeded"] += report.budget_exceeded

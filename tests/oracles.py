@@ -6,7 +6,8 @@ differences, the irreducibility oracle spans the image algebra with random
 words, the ring oracle multiplies truncated jets by the naive Cauchy
 double loop over degrees, and the order-2 defect oracle evaluates the
 relator and conjugated-peripheral words in degree-2 jet arithmetic instead
-of the closed-form cup product.
+of the closed-form cup product.  The cone sampler is no oracle: it draws
+inputs, directions with Q = 0, from the pairing form the library computes.
 """
 
 from math import factorial
@@ -154,3 +155,24 @@ def jet_order2_defect(cc, umats, xi):
     """Raw order-2 defect of X_1 = u with conjugator parts xi and vanishing
     second-order corrections, by degree-2 jet arithmetic."""
     return order_defect(cc, [[u] for u in umats], [[x] for x in xi], 2)
+
+
+def cone_direction(pairing, rng, steps=60):
+    """A unit c with Q(c) = c^T D c = 0, D the pairing form (one coordinate
+    vector per pair of basis cocycles), by Gauss-Newton from a random unit
+    start; Q is homogeneous, so renormalizing after each step stays on the
+    cone.  Returns c and |Q(c)|."""
+    h = max(j for _, j in pairing.entries) + 1
+    form = np.zeros((h, h, len(pairing.entries[0, 0].coordinates)))
+    for (i, j), entry in pairing.entries.items():
+        form[i, j] = form[j, i] = entry.coordinates
+    c = rng.standard_normal(h)
+    c /= np.linalg.norm(c)
+    for _ in range(steps):
+        half_jac = np.tensordot(c, form, 1)  # Q(c) = c @ half_jac
+        q = c @ half_jac
+        if np.linalg.norm(q) <= 1e-15:
+            break
+        c = c - np.linalg.lstsq(2.0 * half_jac.T, q, rcond=None)[0]
+        c /= np.linalg.norm(c)
+    return c, float(np.linalg.norm(c @ np.tensordot(c, form, 1)))

@@ -179,6 +179,19 @@ def test_ill_conditioned_exit_2(verb, cli_files, capsys):
     assert "d0_generator: ambiguous rank" in report["error"]
 
 
+@pytest.mark.parametrize("verb", ["tangent", "pairing", "probe"])
+def test_rank_tol_below_rounding_floor_exit_2(verb, cli_files, capsys):
+    # 1e-20 is inside (0, 1) but below the SVD rounding floor: no rank cut
+    # can be trusted, so the verb reports the ambiguity instead of a result
+    code = cli.run([verb, SPHERE4, cli_files["sphere4"], "--rank-tol", "1e-20"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == ""
+    report = json.loads(out)
+    assert "ambiguous rank" in report["error"]
+    assert len(report["candidates"]) == 2
+
+
 def test_find_unreachable_tol_exit_2(capsys):
     # a tiny tolerance is valid input: the search runs and finds nothing
     assert cli.run(["find", SPHERE4, "--tol", "1e-30", "--attempts", "2"]) == 2

@@ -321,6 +321,23 @@ def test_rank_cut_diagnostics():
     assert _rank_cut(np.zeros(0), 1e-8, "empty") == 0
 
 
+def test_rank_cut_below_rounding_floor(sphere4_rep, sphere4_cc):
+    # a threshold under eps * 3 * s[0] would count rounding noise as rank,
+    # even on a spectrum whose default cut is clean
+    s = np.array([1.0, 0.5, 1e-17])
+    assert _rank_cut(s, 1e-8, "clean") == 2
+    with pytest.raises(IllConditionedError) as err:
+        _rank_cut(s, 1e-20, "below floor")
+    assert err.value.candidates == (2, 3)
+    # tangent, pairing and probe all assemble the complex first
+    basis = h1_basis(sphere4_cc)
+    for call in (lambda: h_dims(sphere4_rep, 1e-20),
+                 lambda: pairing_tensor(sphere4_rep, basis, rank_rtol=1e-20),
+                 lambda: assemble_complex(sphere4_rep, 1e-20)):
+        with pytest.raises(IllConditionedError, match="ambiguous rank"):
+            call()
+
+
 # -- the closed-form cup product against the jet oracle, over generated points --
 
 point_cases = settings(max_examples=25, deadline=None, derandomize=True)

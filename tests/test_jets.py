@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repvar import cohomology
 from repvar.cohomology import QuadraticMap, coboundary, cocycle_transport, h1_basis, obstruction
@@ -16,7 +17,7 @@ from repvar.repspace import evaluate_word
 from repvar.unitary import random_skew, vec_skew
 
 from conftest import random_cocycle
-from oracles import oracle_defect_profile
+from oracles import cone_direction, oracle_defect_profile
 
 
 def _jet_rep(rep, gen_jets, conj_jets, order):
@@ -203,8 +204,8 @@ def test_lift_shares_one_factorization(genus2_irr_cc, monkeypatch):
 
 
 def test_lift_budget_exceeded_reported(sphere4_cc, monkeypatch):
-    # force an unsolvable order-3 system: the bounded kernel search must run
-    # out and the failure must be flagged, never silent
+    # force an unsolvable order-3 system: the cone-kernel rescue must fail
+    # too and the failure must be flagged, never silent
     basis = h1_basis(sphere4_cc)
     solver = sphere4_cc.cone_solver
     original = solver.solve
@@ -221,7 +222,7 @@ def test_lift_budget_exceeded_reported(sphere4_cc, monkeypatch):
     assert report.budget_exceeded
     assert report.achieved_order == 2
     assert report.obstruction is not None
-    assert calls["n"] >= 4  # order 2, order 3, and two rescue attempts
+    assert calls["n"] == 3  # order 2, order 3, and the rescue's solve
 
 
 def test_gauge_action_preserves_profile(sphere4_cc, sphere4_rep):
@@ -236,6 +237,39 @@ def test_gauge_action_preserves_profile(sphere4_cc, sphere4_rep):
     assert max(abs(a - b) for a, b in zip(before, after)) <= 1e-10
 
 
+def _cone_cocycle(cc, basis, seed, scale=1.0):
+    """A cocycle on the zero cone of Q, with the |Q| of its unit direction."""
+    c, q = cone_direction(cohomology.pairing_tensor(cc, basis), np.random.default_rng(seed))
+    return cc.unstack_gen(scale * (basis.matrix @ c)), q
+
+
+def test_cone_directions_lift_at_singular_point(genus2_red_cc):
+    # quadraticity at the singular reducible point: every direction with
+    # Q(u) = 0 lifts to all orders once the earlier corrections move inside
+    # the cone kernel, and the returned jets close order by order
+    basis = h1_basis(genus2_red_cc)
+    for seed in range(10):
+        u, q = _cone_cocycle(genus2_red_cc, basis, seed)
+        assert q <= 1e-14
+        report = lift(genus2_red_cc, u, 12)
+        assert report.succeeded and report.achieved_order == 12
+        assert not report.budget_exceeded
+        assert max(report.residuals) <= 1e-12
+        assert max(jet_residual_profile(report.corrections, genus2_red_cc)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.25, 4.0))
+def test_cone_directions_lift_property(genus2_red_cc, seed, scale):
+    basis = h1_basis(genus2_red_cc)
+    u, _ = _cone_cocycle(genus2_red_cc, basis, seed, scale)
+    report = lift(genus2_red_cc, u, 8)
+    assert report.succeeded
+    bound = 1e-12 * max(1.0, scale) ** 8
+    assert max(report.residuals) <= bound
+    assert max(jet_residual_profile(report.corrections, genus2_red_cc)) <= bound
+
+
 def test_probe_abelian_all_cone_success(torus_cc):
     basis = h1_basis(torus_cc)
     report = probe_cone(torus_cc, basis, samples=50, order=6, seed=3)
@@ -246,7 +280,7 @@ def test_probe_abelian_all_cone_success(torus_cc):
 
 def test_probe_smooth_point_with_peripherals(sphere4_cc):
     # every direction at the smooth sphere4 point is a cone direction and
-    # lifts to the full order without a budget retry
+    # lifts to the full order, none failing past order 2
     basis = h1_basis(sphere4_cc)
     report = probe_cone(sphere4_cc, basis, samples=40, order=6, seed=11)
     assert report.cone_success == 40
