@@ -234,7 +234,7 @@ def _cmd_obstruct(args, pres, cc, umats) -> tuple[int, dict]:
 
 
 def _cmd_lift(args, pres, cc, umats) -> tuple[int, dict]:
-    opts = jets.LiftOptions(tolerance=args.tol, budget=args.budget, seed=args.seed)
+    opts = jets.LiftOptions(tolerance=args.tol, budget=args.budget)
     result = jets.lift(cc, umats, args.order, opts)
     return (0 if result.succeeded else 2), {"report": result.to_json()}
 

@@ -155,17 +155,19 @@ def check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
 
 
-def _rank_cut(s: np.ndarray, rtol: float, context: str, gaps: dict | None = None) -> int:
+def _rank_cut(s: np.ndarray, rtol: float, context: str, gaps: dict | None = None,
+              size: int | None = None) -> int:
     """Rank at the relative threshold, with an ambiguity band of a factor 10.
-    A threshold below the rounding floor eps * s.size * s[0] cannot tell rank
-    from noise; its candidates are the ranks at the floor and at the threshold."""
+    A threshold below the rounding floor eps * size * s[0] cannot tell rank
+    from noise; its candidates are the ranks at the floor and at the threshold.
+    size is the larger dimension of the factored matrix (default s.size)."""
     s = np.asarray(s)
     if s.size == 0 or s[0] <= 0.0:
         if gaps is not None:
             gaps[context] = None
         return 0
     tau = rtol * s[0]
-    floor = np.finfo(float).eps * s.size * s[0]
+    floor = np.finfo(float).eps * (s.size if size is None else size) * s[0]
     if tau < floor:
         raise IllConditionedError(context, (int(np.sum(s > floor)), int(np.sum(s > tau))),
                                   float(tau))
@@ -187,7 +189,7 @@ class _LstsqSolver:
 
     def __init__(self, a: np.ndarray, rtol: float, context: str, gaps: dict | None = None):
         u, s, vt = np.linalg.svd(a, full_matrices=True)
-        self.rank = _rank_cut(s, rtol, context, gaps)
+        self.rank = _rank_cut(s, rtol, context, gaps, size=max(a.shape))
         self.u_r = u[:, :self.rank]
         self.s_r = s[:self.rank]
         self.vt_r = vt[:self.rank]
@@ -590,7 +592,7 @@ def _quotient_basis(cc: ConeComplex, shifts: Sequence[np.ndarray]) -> np.ndarray
         keep = norms > 1e-13 * max(1.0, float(norms.max(initial=0.0)))
         if keep.any():
             u, s, _ = np.linalg.svd(a[:, keep] / norms[keep], full_matrices=True)
-            return u[:, _rank_cut(s, cc.rank_rtol, "obstruction quotient"):]
+            return u[:, _rank_cut(s, cc.rank_rtol, "obstruction quotient", size=max(a.shape)):]
     return np.eye(cc.par_target_dim)
 
 

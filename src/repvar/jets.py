@@ -43,8 +43,7 @@ from .unitary import project_skew
 @dataclass(frozen=True)
 class LiftOptions:
     tolerance: float = 1e-7      # relative to |u|^2, the scale of the defects
-    budget: int = 3              # accepted and echoed; changes no result
-    seed: int = 0                # accepted and echoed; changes no result
+    budget: int = 3              # kept for perfbench's audit op; read by nothing
     pre_tolerance: float = 1e-6  # cocycle precondition
 
 
@@ -176,15 +175,17 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> Lift
     gen_jets = [[m.copy()] for m in umats]
     conj_jets = [[x.copy()] for x in xi]
     jets = gen_jets + conj_jets
-    moves = None  # 2 D(u, K): how the order-m defect moves with K c at order m - 1
+    moves = fit = None  # 2 D(u, K) and its least-squares fit on the cokernel
     for m in range(2, order + 1):
         defect = order_defect(cc, gen_jets, conj_jets, m)
-        x, resid = cc.cone_solver.solve(-defect)
-        if resid > tol_abs and m > 2 and moves is None:
-            moves = 2.0 * cup_form(cc, [(umats, xi)] + cc.cone_kernel_parts)[0, 1:].T
-        if moves is not None:
-            coker = cc.cone_solver.left_null.T
-            c = np.linalg.lstsq(coker @ moves, -(coker @ defect), rcond=None)[0]
+        if fit is None:
+            x, resid = cc.cone_solver.solve(-defect)
+            if resid > tol_abs and m > 2:
+                moves = 2.0 * cup_form(cc, [(umats, xi)] + cc.cone_kernel_parts)[0, 1:].T
+                coker = cc.cone_solver.left_null.T
+                fit = -np.linalg.pinv(coker @ moves) @ coker
+        if fit is not None:
+            c = fit @ defect
             d_gen, d_conj = cc.unstack_cone(cc.cone_kernel @ c)
             for series, d in zip(jets, d_gen + d_conj):
                 series[m - 2] = series[m - 2] + d

@@ -8,6 +8,7 @@ from repvar import corpus
 from repvar.cohomology import (
     IllConditionedError,
     NotACocycleError,
+    _LstsqSolver,
     _rank_cut,
     assemble_complex,
     coboundary,
@@ -329,6 +330,14 @@ def test_rank_cut_below_rounding_floor(sphere4_rep, sphere4_cc):
     with pytest.raises(IllConditionedError) as err:
         _rank_cut(s, 1e-20, "below floor")
     assert err.value.candidates == (2, 3)
+    # a tall matrix: the floor scales with its larger dimension, so a
+    # threshold above eps * 3 * s[0] but under eps * 200 * s[0] is rejected
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((200, 3)))
+    tall = q * s
+    assert _LstsqSolver(tall, 1e-8, "clean").rank == 2
+    assert _rank_cut(np.linalg.svd(tall, compute_uv=False), 1e-14, "square floor") == 2
+    with pytest.raises(IllConditionedError, match="ambiguous rank"):
+        _LstsqSolver(tall, 1e-14, "tall floor")
     # tangent, pairing and probe all assemble the complex first
     basis = h1_basis(sphere4_cc)
     for call in (lambda: h_dims(sphere4_rep, 1e-20),

@@ -217,7 +217,7 @@ def test_lift_budget_exceeded_reported(sphere4_cc, monkeypatch):
         return (x, resid) if calls["n"] == 1 else (x, resid + 1.0)
 
     monkeypatch.setattr(solver, "solve", failing)
-    report = lift(sphere4_cc, basis.vectors[0], 4, LiftOptions(budget=2, seed=1))
+    report = lift(sphere4_cc, basis.vectors[0], 4, LiftOptions(budget=2))
     assert not report.succeeded
     assert report.budget_exceeded
     assert report.achieved_order == 2
