@@ -52,24 +52,13 @@ from typing import Sequence
 import numpy as np
 
 from .presentation import Word
-from .repspace import Representation, evaluate_word, transport_matrix, word_transport_terms
+from .repspace import (IllConditionedError, Representation, _rank_cut, evaluate_word,
+                       transport_matrix, word_transport_terms)
 # exp_series is bound here for perfbench/tracer.py, which wraps each layer
 # function in every module that binds it; order_defect reaches it through
 # unitary_generator_jet
 from .truncring import MatrixJet, exp_series, unitary_generator_jet, word_jet  # noqa: F401
 from .unitary import ad_matrix, project_skew, skew_basis, unvec_skew, vec_skew
-
-
-class IllConditionedError(RuntimeError):
-    """A rank decision sits inside the ambiguous singular-value band."""
-
-    def __init__(self, context: str, candidates: tuple[int, int], threshold: float):
-        self.context = context
-        self.candidates = candidates
-        self.threshold = threshold
-        super().__init__(
-            f"{context}: ambiguous rank, candidates {candidates} at threshold {threshold:.3e}"
-        )
 
 
 class NotACocycleError(ValueError):
@@ -153,35 +142,6 @@ def check_tolerance(tolerance: float) -> None:
     comparison is false, so no defect would ever count as too large."""
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
-
-
-def _rank_cut(s: np.ndarray, rtol: float, context: str, gaps: dict | None = None,
-              size: int | None = None) -> int:
-    """Rank at the relative threshold, with an ambiguity band of a factor 10.
-    A threshold below the rounding floor eps * size * s[0] cannot tell rank
-    from noise; its candidates are the ranks at the floor and at the threshold.
-    size is the larger dimension of the factored matrix (default s.size)."""
-    s = np.asarray(s)
-    if s.size == 0 or s[0] <= 0.0:
-        if gaps is not None:
-            gaps[context] = None
-        return 0
-    tau = rtol * s[0]
-    floor = np.finfo(float).eps * (s.size if size is None else size) * s[0]
-    if tau < floor:
-        raise IllConditionedError(context, (int(np.sum(s > floor)), int(np.sum(s > tau))),
-                                  float(tau))
-    lo = int(np.sum(s > 10.0 * tau))
-    hi = int(np.sum(s > tau / 10.0))
-    if lo != hi:
-        raise IllConditionedError(context, (lo, hi), float(tau))
-    r = int(np.sum(s > tau))
-    gap = None
-    if 0 < r < s.size and s[r] > 0.0:
-        gap = float(s[r - 1] / s[r])
-    if gaps is not None:
-        gaps[context] = gap
-    return r
 
 
 class _LstsqSolver:
@@ -526,8 +486,8 @@ def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
 
 class QuadraticMap:
     """Q on the span of fixed parabolic cocycles u_1..u_h, read off one
-    :func:`cup_form` over the cocycles (with conjugator parts xis, by default
-    the canonical ones) and the conjugator-kernel vectors (0, kappa).
+    :func:`cup_form` over the cocycles (with their canonical conjugator parts)
+    and the conjugator-kernel vectors (0, kappa).
 
     The canonical xi is linear in u, so for u = sum c_i u_i the raw defect
     D(u, u) is c^T D c, and the raw defect moves by 2 D(u, kappa) +
@@ -535,13 +495,11 @@ class QuadraticMap:
     along a kernel column kappa.
     """
 
-    def __init__(self, cc: ConeComplex, cocycles: Sequence[Sequence[np.ndarray]],
-                 xis: Sequence[Sequence[np.ndarray]] | None = None):
+    def __init__(self, cc: ConeComplex, cocycles: Sequence[Sequence[np.ndarray]]):
         self.cc = cc
         self.h = h = len(cocycles)
         n = cc.rep.rank
-        if xis is None:
-            xis = [cc.canonical_xi(u)[0] for u in cocycles]
+        xis = [cc.canonical_xi(u)[0] for u in cocycles]
         self.form = cup_form(cc, list(zip(cocycles, xis)) + cc.kernel_cochains)
         self.kernel_self = np.einsum("kkt->kt", self.form[h:, h:])
         self.vectors = np.array([cc.stack_gen(u) for u in cocycles]).reshape(h, cc.n_gen * cc.q)
@@ -571,13 +529,6 @@ class QuadraticMap:
     def pooled_shifts(self) -> list[np.ndarray]:
         """The shift directions of every u_i, pooled."""
         return [d for c in np.eye(self.h) for d in self.shifts(c)]
-
-
-def shift_directions(cc: ConeComplex, umats: Sequence[np.ndarray],
-                     xi: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Directions along which Q(u) changes when the conjugator choice xi moves
-    inside the joint-centralizer kernel."""
-    return QuadraticMap(cc, [umats], [xi]).pooled_shifts()
 
 
 def _quotient_basis(cc: ConeComplex, shifts: Sequence[np.ndarray]) -> np.ndarray:

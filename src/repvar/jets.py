@@ -30,10 +30,8 @@ from .cohomology import (
     as_cone,
     check_tolerance,
     cup_form,
-    obstruction,
     obstruction_classes,
     order_defect,
-    shift_directions,
 )
 from .repspace import Representation
 from .truncring import MatrixJet, exp_series, log_series, unitary_generator_jet, word_jet
@@ -193,8 +191,9 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> Lift
             x, resid = cc.cone_solver.solve(-defect)
         if resid > tol_abs:
             # an order-2 failure is classed by Q itself; a later one by its own defect
-            obs = obstruction(cc, umats, opts.pre_tolerance) if m == 2 else \
-                obstruction_classes(cc, [defect], shift_directions(cc, umats, xi))[0]
+            qmap = QuadraticMap(cc, [umats])
+            obs = obstruction_classes(cc, [qmap.form[0, 0] if m == 2 else defect],
+                                      qmap.pooled_shifts())[0]
             residuals.append(resid)
             return LiftReport(
                 achieved_order=m - 1,

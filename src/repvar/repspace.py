@@ -20,9 +20,8 @@ import numpy as np
 from .presentation import Presentation, Word
 from .unitary import (
     ad_matrix,
-    charpoly_coefficients,
     charpoly_directions,
-    class_residual,
+    class_gap,
     diagonal_model,
     exponential,
     haar_from_rng,
@@ -41,6 +40,18 @@ class NoConvergenceError(RuntimeError):
         self.best = best
         self.residuals = residuals
         self.iterations = iterations
+
+
+class IllConditionedError(RuntimeError):
+    """A rank decision sits inside the ambiguous singular-value band."""
+
+    def __init__(self, context: str, candidates: tuple[int, int], threshold: float):
+        self.context = context
+        self.candidates = candidates
+        self.threshold = threshold
+        super().__init__(
+            f"{context}: ambiguous rank, candidates {candidates} at threshold {threshold:.3e}"
+        )
 
 
 class NotFoundError(RuntimeError):
@@ -135,17 +146,26 @@ def transport_matrix(rep: Representation, word: Word) -> np.ndarray:
     return out
 
 
-def constraint_residual(rep: Representation) -> Residuals:
-    """Frobenius distance to the identity per relator; class residual per peripheral."""
+def _residual_blocks(rep: Representation) -> list[np.ndarray]:
+    """The constraint gaps at rep: W - I per relator value W, then
+    :func:`~repvar.unitary.class_gap` per peripheral value.  The residuals,
+    validity and the Gauss-Newton objective are all read off these blocks."""
     eye = np.eye(rep.rank)
-    rel = tuple(
-        float(np.linalg.norm(evaluate_word(rep, r) - eye)) for r in rep.presentation.relators
-    )
-    per = tuple(
-        float(class_residual(evaluate_word(rep, p.word), p.klass))
-        for p in rep.presentation.peripherals
-    )
-    return Residuals(rel, per)
+    rel = [evaluate_word(rep, r) - eye for r in rep.presentation.relators]
+    return rel + [class_gap(evaluate_word(rep, p.word), p.klass)
+                  for p in rep.presentation.peripherals]
+
+
+def _block_residuals(rep: Representation, blocks: Sequence[np.ndarray]) -> Residuals:
+    norms = tuple(float(np.linalg.norm(d)) for d in blocks)
+    n_rel = len(rep.presentation.relators)
+    return Residuals(norms[:n_rel], norms[n_rel:])
+
+
+def constraint_residual(rep: Representation) -> Residuals:
+    """Norms of the constraint gaps: Frobenius distance to the identity per
+    relator, :func:`~repvar.unitary.class_residual` per peripheral."""
+    return _block_residuals(rep, _residual_blocks(rep))
 
 
 def is_valid(rep: Representation, tolerance: float | None = None) -> bool:
@@ -153,22 +173,14 @@ def is_valid(rep: Representation, tolerance: float | None = None) -> bool:
     return constraint_residual(rep).max <= tol
 
 
-def _residual_vector(rep: Representation) -> np.ndarray:
-    """Smooth residual components: relator entry gaps and peripheral charpoly gaps."""
-    eye = np.eye(rep.rank)
-    parts = []
-    for r in rep.presentation.relators:
-        d = evaluate_word(rep, r) - eye
-        parts.append(d.real.ravel())
-        parts.append(d.imag.ravel())
-    for p in rep.presentation.peripherals:
-        w = evaluate_word(rep, p.word)
-        d = charpoly_coefficients(w) - charpoly_coefficients(diagonal_model(p.klass))
-        parts.append(d.real)
-        parts.append(d.imag)
-    if not parts:
+def _residual_vector(rep: Representation,
+                     blocks: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """Smooth residual components: the real and imaginary parts of each
+    constraint gap (of ``blocks``, when the caller already formed them)."""
+    blocks = _residual_blocks(rep) if blocks is None else blocks
+    if not blocks:
         return np.zeros(0)
-    return np.concatenate(parts)
+    return np.concatenate([part for d in blocks for part in (d.real.ravel(), d.imag.ravel())])
 
 
 def _word_directions(rep: Representation, word: Word) -> np.ndarray:
@@ -225,49 +237,51 @@ def refine(rep: Representation, max_iterations: int = 50, target_tolerance: floa
     skew-Hermitian tangent per generator, retracted via the left
     exponential.  Steps are minimal-norm least-squares solutions; a step is
     halved until the objective decreases, so accepted iterates never
-    increase it.  Returns the first iterate whose max residual is at or
-    below the target; raises :class:`NoConvergenceError` otherwise, with
-    the best iterate attached.
+    increase it.  Each trial point forms its constraint gaps once, and the
+    Jacobian is formed once per iteration; ``trace`` receives the objective
+    of the start and of every accepted iterate.  Returns the first iterate
+    whose max residual is at or below the target; raises
+    :class:`NoConvergenceError` otherwise, with the best iterate and its
+    residuals attached.
     """
     current = rep
-    res = constraint_residual(current)
+    blocks = _residual_blocks(current)
+    r = _residual_vector(current, blocks)
+    obj = float(r @ r)
+    res = _block_residuals(current, blocks)
     if trace is not None:
-        trace.append(float(_residual_vector(current) @ _residual_vector(current)))
+        trace.append(obj)
     if res.max <= target_tolerance:
         return current
-    best = (res.max, current)
+    best = (res, current)
     for _ in range(max_iterations):
-        r = _residual_vector(current)
-        obj = float(r @ r)
         jac = _residual_jacobian(current)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=rank_rtol)
         alpha = 1.0
-        cand = None
-        cand_obj = obj
         while alpha >= 1e-12:
             trial = _retract(current, alpha * step)
-            tr = _residual_vector(trial)
+            blocks = _residual_blocks(trial)
+            tr = _residual_vector(trial, blocks)
             tobj = float(tr @ tr)
             if tobj < obj:
-                cand, cand_obj = trial, tobj
                 break
             alpha *= 0.5
-        if cand is None:
+        else:
             raise NoConvergenceError(
-                f"no descent step found; best residual {best[0]:.3e}",
-                best[1], constraint_residual(best[1]), max_iterations,
+                f"no descent step found; best residual {best[0].max:.3e}",
+                best[1], best[0], max_iterations,
             )
-        current = cand
+        current, r, obj = trial, tr, tobj
         if trace is not None:
-            trace.append(cand_obj)
-        res = constraint_residual(current)
-        if res.max < best[0]:
-            best = (res.max, current)
+            trace.append(obj)
+        res = _block_residuals(current, blocks)
+        if res.max < best[0].max:
+            best = (res, current)
         if res.max <= target_tolerance:
             return Representation(current.presentation, current.matrices, target_tolerance)
     raise NoConvergenceError(
-        f"no convergence in {max_iterations} iterations; best residual {best[0]:.3e}",
-        best[1], constraint_residual(best[1]), max_iterations,
+        f"no convergence in {max_iterations} iterations; best residual {best[0].max:.3e}",
+        best[1], best[0], max_iterations,
     )
 
 
@@ -305,21 +319,50 @@ def find_representation(pres: Presentation, seed: int = 0, attempts: int = 50,
     raise NotFoundError(f"no representation of {pres.name!r} found in {attempts} attempts")
 
 
+def _rank_cut(s: np.ndarray, rtol: float, context: str, gaps: dict | None = None,
+              size: int | None = None) -> int:
+    """Rank at the relative threshold, with an ambiguity band of a factor 10.
+    A threshold below the rounding floor eps * size * s[0] cannot tell rank
+    from noise; its candidates are the ranks at the floor and at the threshold.
+    size is the larger dimension of the factored matrix (default s.size)."""
+    s = np.asarray(s)
+    if s.size == 0 or s[0] <= 0.0:
+        if gaps is not None:
+            gaps[context] = None
+        return 0
+    tau = rtol * s[0]
+    floor = np.finfo(float).eps * (s.size if size is None else size) * s[0]
+    if tau < floor:
+        raise IllConditionedError(context, (int(np.sum(s > floor)), int(np.sum(s > tau))),
+                                  float(tau))
+    lo = int(np.sum(s > 10.0 * tau))
+    hi = int(np.sum(s > tau / 10.0))
+    if lo != hi:
+        raise IllConditionedError(context, (lo, hi), float(tau))
+    r = int(np.sum(s > tau))
+    gap = None
+    if 0 < r < s.size and s[r] > 0.0:
+        gap = float(s[r - 1] / s[r])
+    if gaps is not None:
+        gaps[context] = gap
+    return r
+
+
 def commutant_dimension(rep: Representation, rank_rtol: float = 1e-8) -> int:
     """Complex dimension of the matrices commuting with the whole image.
 
     Nullity of the stacked Sylvester system M rho(x) - rho(x) M over all
-    generators; 1 means irreducible.
+    generators; 1 means irreducible.  An ambiguous rank cut, which includes a
+    threshold below the rounding floor, raises :class:`IllConditionedError`.
     """
     n = rep.rank
     eye = np.eye(n)
     blocks = [np.kron(m, eye) - np.kron(eye, m.T) for m in rep.matrices]
     if not blocks:
         return n * n
-    s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return n * n
-    return int(n * n - np.sum(s > rank_rtol * s[0]))
+    stack = np.vstack(blocks)
+    s = np.linalg.svd(stack, compute_uv=False)
+    return n * n - _rank_cut(s, rank_rtol, "commutant", size=max(stack.shape))
 
 
 def conjugate(rep: Representation, g: np.ndarray) -> Representation:

@@ -176,13 +176,17 @@ def charpoly_directions(g: np.ndarray, dgs: np.ndarray):
     return c, dc
 
 
+def class_gap(g: np.ndarray, spec: ConjugacyClassSpec) -> np.ndarray:
+    """Characteristic polynomial coefficients of g minus those of the class's
+    diagonal model: zero on the class, smooth in g."""
+    return charpoly_coefficients(g) - charpoly_coefficients(diagonal_model(spec))
+
+
 def class_residual(g: np.ndarray, spec: ConjugacyClassSpec) -> float:
-    """Distance of g from the class: Euclidean norm of the characteristic
-    polynomial coefficient difference against the diagonal model.  Smooth in g."""
+    """Distance of g from the class: the Euclidean norm of :func:`class_gap`."""
     if spec.rank != g.shape[0]:
         raise ValueError(f"class has {spec.rank} angles, matrix is {g.shape[0]} x {g.shape[0]}")
-    target = charpoly_coefficients(diagonal_model(spec))
-    return float(np.linalg.norm(charpoly_coefficients(g) - target))
+    return float(np.linalg.norm(class_gap(g, spec)))
 
 
 def class_distance(a: ConjugacyClassSpec, b: ConjugacyClassSpec) -> float:

@@ -179,7 +179,7 @@ def test_ill_conditioned_exit_2(verb, cli_files, capsys):
     assert "d0_generator: ambiguous rank" in report["error"]
 
 
-@pytest.mark.parametrize("verb", ["tangent", "pairing", "probe"])
+@pytest.mark.parametrize("verb", ["check", "tangent", "pairing", "probe"])
 def test_rank_tol_below_rounding_floor_exit_2(verb, cli_files, capsys):
     # 1e-20 is inside (0, 1) but below the SVD rounding floor: no rank cut
     # can be trusted, so the verb reports the ambiguity instead of a result

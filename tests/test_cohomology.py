@@ -8,6 +8,7 @@ from repvar import corpus
 from repvar.cohomology import (
     IllConditionedError,
     NotACocycleError,
+    QuadraticMap,
     _LstsqSolver,
     _rank_cut,
     assemble_complex,
@@ -19,10 +20,9 @@ from repvar.cohomology import (
     h_dims,
     obstruction,
     pairing_tensor,
-    shift_directions,
 )
 from repvar.presentation import parse_presentation
-from repvar.repspace import Representation, evaluate_word, find_representation
+from repvar.repspace import Representation, commutant_dimension, evaluate_word, find_representation
 from repvar.unitary import exponential, principal_log, random_skew, unvec_skew, vec_skew
 
 from conftest import random_cocycle
@@ -134,8 +134,6 @@ def test_h_dims_reducible(genus2_red_cc):
 def test_cone_identity_singleton_groups(corpus_points):
     # h1_cone - h1_par = sum_i dim ker(Id - Ad rho(gamma_i)) - c0 at irreducible
     # points with peripherals (all corpus groups are singletons)
-    from repvar.repspace import commutant_dimension
-
     for name, rep in corpus_points.items():
         if not rep.presentation.peripherals:
             continue
@@ -148,8 +146,6 @@ def test_cone_identity_singleton_groups(corpus_points):
 
 
 def test_h1_parity_at_irreducible_points(corpus_points):
-    from repvar.repspace import commutant_dimension
-
     for name, rep in corpus_points.items():
         if commutant_dimension(rep) != 1:
             continue
@@ -338,11 +334,13 @@ def test_rank_cut_below_rounding_floor(sphere4_rep, sphere4_cc):
     assert _rank_cut(np.linalg.svd(tall, compute_uv=False), 1e-14, "square floor") == 2
     with pytest.raises(IllConditionedError, match="ambiguous rank"):
         _LstsqSolver(tall, 1e-14, "tall floor")
-    # tangent, pairing and probe all assemble the complex first
+    # tangent, pairing and probe all assemble the complex first; check
+    # counts the commutant, which the scalars keep at least 1-dimensional
     basis = h1_basis(sphere4_cc)
     for call in (lambda: h_dims(sphere4_rep, 1e-20),
                  lambda: pairing_tensor(sphere4_rep, basis, rank_rtol=1e-20),
-                 lambda: assemble_complex(sphere4_rep, 1e-20)):
+                 lambda: assemble_complex(sphere4_rep, 1e-20),
+                 lambda: commutant_dimension(sphere4_rep, rank_rtol=1e-20)):
         with pytest.raises(IllConditionedError, match="ambiguous rank"):
             call()
 
@@ -478,7 +476,7 @@ def test_no_shift_directions_at_degenerate_class_point():
     for v in basis.vectors:
         xi, _ = cc.canonical_xi(v)
         assert max(np.linalg.norm(x) for x in xi) > 1e3
-        assert shift_directions(cc, list(v), xi) == []
+        assert QuadraticMap(cc, [list(v)]).pooled_shifts() == []
 
 
 def test_representative_built_on_first_access(sphere4_cc):

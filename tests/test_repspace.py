@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repvar import repspace
 from repvar.cohomology import cocycle_transport
 from repvar.presentation import ConjugacyClassSpec, Peripheral, Presentation
 from repvar.repspace import (
@@ -20,7 +21,7 @@ from repvar.repspace import (
     rep_from_json,
     rep_to_json,
 )
-from repvar.unitary import class_distance, class_of, haar_from_rng, random_skew
+from repvar.unitary import class_distance, class_of, class_residual, haar_from_rng, random_skew
 
 from oracles import image_algebra_rank, random_word
 
@@ -75,6 +76,18 @@ def test_constraint_residual_first_order(sphere4_rep):
     assert r > eps / 1000
 
 
+def test_constraint_residual_is_norm_of_each_gap(corpus_points, sphere4_rep):
+    # the shared gap blocks give exactly the direct per-word distances
+    pert = perturb(sphere4_rep, np.random.default_rng(33), 1e-3)
+    for rep in [*corpus_points.values(), pert]:
+        eye = np.eye(rep.rank)
+        res = constraint_residual(rep)
+        assert res.relator_residuals == tuple(
+            float(np.linalg.norm(evaluate_word(rep, r) - eye)) for r in rep.presentation.relators)
+        assert res.peripheral_residuals == tuple(class_residual(evaluate_word(rep, p.word), p.klass)
+                                                 for p in rep.presentation.peripherals)
+
+
 def test_trivial_rep_misses_class(sphere3_pres):
     n = sphere3_pres.rank
     triv = Representation(sphere3_pres, [np.eye(n)] * 3)
@@ -96,12 +109,40 @@ def test_refine_recovers_perturbation(genus2_irr):
     assert all(b <= a * (1 + 1e-12) for a, b in zip(trace, trace[1:]))
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(repspace, name)
+    monkeypatch.setattr(repspace, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def test_refine_forms_gaps_once_per_trial(genus2_irr, sphere4_rep, monkeypatch):
+    pert = perturb(genus2_irr, np.random.default_rng(32), 1e-2)
+    gaps = _count_calls(monkeypatch, "_residual_blocks")
+    trials = _count_calls(monkeypatch, "_retract")
+    jacobians = _count_calls(monkeypatch, "_residual_jacobian")
+    trace = []
+    refine(pert, 8, 1e-12, trace=trace)
+    # no step rejected: the start and each accepted iterate, one Jacobian per iteration
+    assert len(trials) == len(trace) - 1
+    assert len(gaps) == len(trace)
+    assert len(jacobians) == len(trace) - 1
+    # an unreachable target rejects steps: still one gap evaluation per trial point
+    for calls in (gaps, trials, jacobians):
+        calls.clear()
+    with pytest.raises(NoConvergenceError):
+        refine(sphere4_rep, 3, 1e-30)
+    assert len(trials) > len(jacobians)
+    assert len(gaps) == 1 + len(trials)
+
+
 def test_refine_infeasible_raises():
     pres = infeasible_n1()
     mats = [np.array([[np.exp(0.4j)]]), np.array([[np.exp(1.1j)]])]
     with pytest.raises(NoConvergenceError) as err:
         refine(Representation(pres, mats), 20, 1e-10)
     assert err.value.residuals.max > 1.0
+    assert err.value.residuals == constraint_residual(err.value.best)
 
 
 def test_find_sphere4(sphere4_rep, sphere4_pres):
