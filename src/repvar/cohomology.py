@@ -33,8 +33,11 @@ the cone-kernel moves of :func:`repvar.jets.lift` and
 through these functions.
 
 :func:`order_defect` evaluates the higher-order defects of a jet
-representation in truncated-ring arithmetic: one batched exponential of
-all generator and conjugator series per order, then the word products.
+representation in truncated-ring arithmetic: the generator and conjugator
+jets come from one :class:`~repvar.truncring.IncrementalExp`, which a lift
+shares across its orders so that each order forms only the exponential
+coefficients that changed, then the word products, of which each word's
+last product forms coefficient m alone.
 
 All linear algebra is over the B-orthonormal real coordinates of
 :func:`repvar.unitary.skew_basis`, where B equals the Euclidean inner
@@ -54,10 +57,12 @@ import numpy as np
 from .presentation import Word
 from .repspace import (IllConditionedError, Representation, _rank_cut, evaluate_word,
                        transport_matrix, word_transport_terms)
-# exp_series is bound here for perfbench/tracer.py, which wraps each layer
-# function in every module that binds it; order_defect reaches it through
-# unitary_generator_jet
-from .truncring import MatrixJet, exp_series, unitary_generator_jet, word_jet  # noqa: F401
+# exp_series and unitary_generator_jet are bound here for perfbench/tracer.py,
+# which wraps each layer function in every module that binds it and requires
+# these bindings; order_defect calls neither (its exponential is an
+# IncrementalExp)
+from .truncring import (IncrementalExp, MatrixJet, exp_series,  # noqa: F401
+                        product_coefficient, unitary_generator_jet, word_jet)
 from .unitary import ad_matrix, project_skew, skew_basis, unvec_skew, vec_skew
 
 
@@ -409,7 +414,8 @@ def h1_basis(rep_or_cone, rank_rtol: float = 1e-8) -> CohomologyBasis:
 
 
 def order_defect(cc: ConeComplex, gen_jets: Sequence[Sequence[np.ndarray]],
-                 conj_jets: Sequence[Sequence[np.ndarray]], m: int) -> np.ndarray:
+                 conj_jets: Sequence[Sequence[np.ndarray]], m: int,
+                 state: IncrementalExp | None = None) -> np.ndarray:
     """Order-m defect of the jet representation with the given coefficient jets.
 
     Relator rows are the t^m coefficients of the relator words against their
@@ -418,21 +424,29 @@ def order_defect(cc: ConeComplex, gen_jets: Sequence[Sequence[np.ndarray]],
     the dependence on the order-m jets is affine with matrix d1_cone.
 
     The series of every generator and every conjugator are stacked and
-    exponentiated at once: one :func:`unitary_generator_jet` call, whose base
-    is the generator matrix or, for a conjugator, the identity.  Coefficients
-    past order m are ignored.
+    exponentiated by ``state``, an :class:`~repvar.truncring.IncrementalExp`
+    over ``cc.jet_bases`` (the generator matrices, then the identity per
+    conjugator) of order at least m; a state shared by the orders of one lift
+    forms only the degrees whose series changed since its last call.
+    Without one, a fresh state is built.  Word prefixes are full truncated
+    products; each relator's last product and each peripheral's outer
+    conjugation form coefficient m alone.  Coefficients past order m are
+    ignored.
     """
     n = cc.rep.rank
     series = np.zeros((len(cc.jet_bases), m, n, n), dtype=complex)
     for b, jets in enumerate([*gen_jets, *conj_jets]):
         if len(jets):
             series[b, :min(len(jets), m)] = jets[:m]
-    stacked = [MatrixJet(c) for c in unitary_generator_jet(cc.jet_bases, series, m).coeffs]
+    state = IncrementalExp(cc.jet_bases, m) if state is None else state
+    stacked = [MatrixJet(c) for c in state.jets(series)]
     gen, conj = stacked[:cc.n_gen], stacked[cc.n_gen:]
-    tops = [word_jet(gen, r, m, n).coeff(m) for r in cc.pres.relators]
+    # an empty relator is the identity times the identity, top coefficient 0
+    tops = [product_coefficient(word_jet(gen, r[:-1], m, n), word_jet(gen, r[-1:], m, n), m)
+            for r in cc.pres.relators]
     for i, p in enumerate(cc.pres.peripherals):
         e = conj[cc.group_of[i]]
-        tops.append((e.dagger() @ word_jet(gen, p.word, m, n) @ e).coeff(m))
+        tops.append(product_coefficient(e.dagger(), word_jet(gen, p.word, m, n) @ e, m))
     if not tops:
         return np.zeros(0)
     return vec_skew(project_skew(np.array(tops) @ cc.word_values_h)).ravel()

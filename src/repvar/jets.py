@@ -34,8 +34,9 @@ from .cohomology import (
     order_defect,
 )
 from .repspace import Representation
-from .truncring import MatrixJet, exp_series, log_series, unitary_generator_jet, word_jet
-from .unitary import project_skew
+from .truncring import (IncrementalExp, MatrixJet, exp_series, log_series,
+                        unitary_generator_jet, word_jet)
+from .unitary import project_skew, unvec_skew
 
 
 @dataclass(frozen=True)
@@ -136,20 +137,24 @@ def jet_word(jrep: JetRepresentation, word) -> MatrixJet:
     return word_jet(jrep.matrix_jets(), word, jrep.order, jrep.base.rank)
 
 
-def _freeze(base, order, gen_jets, conj_jets) -> JetRepresentation:
-    return JetRepresentation(
-        base=base, order=order,
-        generator_jets=tuple(tuple(m.copy() for m in jets) for jets in gen_jets),
-        conjugator_jets=tuple(tuple(m.copy() for m in jets) for jets in conj_jets),
-    )
+def _freeze(base, jets: np.ndarray, n_gen: int) -> JetRepresentation:
+    """The jet representation of stacked series (generators, then conjugators)."""
+    series = tuple(tuple(m.copy() for m in s) for s in jets)
+    return JetRepresentation(base=base, order=jets.shape[1], generator_jets=series[:n_gen],
+                             conjugator_jets=series[n_gen:])
 
 
-def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> LiftReport:
+def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None,
+         rank_rtol: float = 1e-8) -> LiftReport:
     """Lift a parabolic cocycle to a jet representation of the given order.
 
     Sets X_1 = u and the minimal-norm conjugator jets, then solves the exact
     order-m defect equations for m = 2..order by minimal-norm least squares
-    against the cone differential.  An unsolvable order-2 defect is the
+    against the cone differential: one
+    :func:`~repvar.cohomology.order_defect` call per order, all sharing one
+    :class:`~repvar.truncring.IncrementalExp` sized to the lift's order, so
+    an order forms only the exponential coefficients that its own degree and
+    the last correction moved.  An unsolvable order-2 defect is the
     obstruction Q(u).  From the first unsolvable order m >= 3 on, each order
     first moves the order-(m-1) correction inside the cone kernel K: that
     order stays solved, and the order-m defect moves by exactly 2 D(u, K c)
@@ -157,10 +162,14 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> Lift
     K c lands at order 2m - 2 > m).  c is the least-squares choice that
     brings the defect into the image of the cone differential.  A later
     order that is still unsolvable is reported with budget_exceeded set.
+
+    rank_rtol is the rank threshold of the complex assembled from a bare
+    representation; a :class:`~repvar.cohomology.ConeComplex` passed in keeps
+    its own.
     """
     opts = options or LiftOptions()
     check_tolerance(opts.tolerance)
-    cc = as_cone(rep_or_cone)
+    cc = as_cone(rep_or_cone, rank_rtol)
     umats = cc.cocycle_parts(u, opts.pre_tolerance)
     uvec = cc.stack_gen(umats)
     tol_abs = opts.tolerance * float(np.linalg.norm(uvec)) ** 2
@@ -170,12 +179,15 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> Lift
         (float(np.linalg.norm(row @ uvec)) for row in cc.rel_rows), default=0.0
     )
     residuals = [max(xi_resid, rel_resid)]
-    gen_jets = [[m.copy()] for m in umats]
-    conj_jets = [[x.copy()] for x in xi]
-    jets = gen_jets + conj_jets
+    # X_1..X_order of every generator, then of every conjugator; zero until solved
+    n = cc.rep.rank
+    jets = np.zeros((len(cc.jet_bases), max(order, 1), n, n), dtype=complex)
+    jets[:, 0] = umats + xi
+    gen_jets, conj_jets = jets[:cc.n_gen], jets[cc.n_gen:]
     moves = fit = None  # 2 D(u, K) and its least-squares fit on the cokernel
+    state = IncrementalExp(cc.jet_bases, order)
     for m in range(2, order + 1):
-        defect = order_defect(cc, gen_jets, conj_jets, m)
+        defect = order_defect(cc, gen_jets, conj_jets, m, state)
         if fit is None:
             x, resid = cc.cone_solver.solve(-defect)
             if resid > tol_abs and m > 2:
@@ -184,9 +196,7 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> Lift
                 fit = -np.linalg.pinv(coker @ moves) @ coker
         if fit is not None:
             c = fit @ defect
-            d_gen, d_conj = cc.unstack_cone(cc.cone_kernel @ c)
-            for series, d in zip(jets, d_gen + d_conj):
-                series[m - 2] = series[m - 2] + d
+            jets[:, m - 2] += unvec_skew((cc.cone_kernel @ c).reshape(-1, cc.q), n)
             defect = defect + moves @ c
             x, resid = cc.cone_solver.solve(-defect)
         if resid > tol_abs:
@@ -200,23 +210,22 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None) -> Lift
                 residuals=tuple(residuals),
                 obstruction=obs,
                 budget_exceeded=m > 2,
-                corrections=_freeze(cc.rep, m - 1, gen_jets, conj_jets),
+                corrections=_freeze(cc.rep, jets[:, :m - 1], cc.n_gen),
             )
-        gen_corr, conj_corr = cc.unstack_cone(x)
-        for series, corr in zip(jets, gen_corr + conj_corr):
-            series.append(corr)
+        jets[:, m - 1] = unvec_skew(x.reshape(-1, cc.q), n)
         residuals.append(resid)
     return LiftReport(
         achieved_order=order,
         residuals=tuple(residuals),
         obstruction=None,
         budget_exceeded=False,
-        corrections=_freeze(cc.rep, order, gen_jets, conj_jets),
+        corrections=_freeze(cc.rep, jets[:, :order], cc.n_gen),
     )
 
 
 def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: int = 4,
-               seed: int = 0, tolerance: float = 1e-7, budget: int = 3) -> ConeProbeReport:
+               seed: int = 0, tolerance: float = 1e-7, budget: int = 3,
+               rank_rtol: float = 1e-8) -> ConeProbeReport:
     """Sample random tangent directions, compare Q(u) with lifting behavior.
 
     The quadraticity prediction is an empty off-diagonal contingency: cone
@@ -226,10 +235,12 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     u = sum c_i b_i takes it from one :class:`~repvar.cohomology.QuadraticMap`
     over the basis, built once per call.  budget is echoed in the report and
     changes no lift; budget_exceeded counts the lifts that failed past
-    order 2.
+    order 2.  rank_rtol is the rank threshold of the complex assembled from a
+    bare representation; a :class:`~repvar.cohomology.ConeComplex` passed in
+    keeps its own.
     """
     check_tolerance(tolerance)
-    cc = as_cone(rep_or_cone)
+    cc = as_cone(rep_or_cone, rank_rtol)
     if len(basis) == 0:
         return ConeProbeReport(samples=0, order=order, tolerance=tolerance,
                                budget=budget, seed=seed, rigid=True)
@@ -257,14 +268,18 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
                            budget=budget, seed=seed, rigid=False, **counts)
 
 
-def jet_residual_profile(jrep: JetRepresentation, cone: ConeComplex | None = None) -> list[float]:
+def jet_residual_profile(jrep: JetRepresentation, cone: ConeComplex | None = None,
+                         rank_rtol: float = 1e-8) -> list[float]:
     """Per-order closure residuals of a jet representation: the norms of the
-    relator and conjugated-peripheral defects at each order 1..k."""
-    cc = cone if cone is not None else ConeComplex(jrep.base)
+    relator and conjugated-peripheral defects at each order 1..k, from one
+    :class:`~repvar.truncring.IncrementalExp` shared by the orders.  rank_rtol
+    is the rank threshold of the complex assembled when no cone is given."""
+    cc = cone if cone is not None else ConeComplex(jrep.base, rank_rtol)
     gen_jets = [list(j) for j in jrep.generator_jets]
     conj_jets = [list(j) for j in jrep.conjugator_jets]
+    state = IncrementalExp(cc.jet_bases, jrep.order)
     return [
-        float(np.linalg.norm(order_defect(cc, gen_jets, conj_jets, m)))
+        float(np.linalg.norm(order_defect(cc, gen_jets, conj_jets, m, state)))
         for m in range(1, jrep.order + 1)
     ]
 

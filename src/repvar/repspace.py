@@ -183,13 +183,12 @@ def _residual_vector(rep: Representation,
     return np.concatenate([part for d in blocks for part in (d.real.ravel(), d.imag.ravel())])
 
 
-def _word_directions(rep: Representation, word: Word) -> np.ndarray:
-    """dW/d(coordinates) for the word value W: array (n_gen * N^2, N, N)."""
+def _word_directions(rep: Representation, word: Word, w_val: np.ndarray) -> np.ndarray:
+    """dW/d(coordinates) for the word value W = w_val: array (n_gen * N^2, N, N)."""
     n = rep.rank
     q = n * n
     basis = skew_basis(n)
     n_gen = len(rep.presentation.generators)
-    w_val = evaluate_word(rep, word)
     out = np.zeros((n_gen * q, n, n), dtype=complex)
     for gen, sign, prefix in word_transport_terms(rep.matrices, word):
         moved = np.einsum("ij,ajk,lk->ail", prefix, basis, prefix.conj())
@@ -198,18 +197,19 @@ def _word_directions(rep: Representation, word: Word) -> np.ndarray:
 
 
 def _residual_jacobian(rep: Representation) -> np.ndarray:
-    """Analytic Jacobian of `_residual_vector` in left-exponential coordinates."""
+    """Analytic Jacobian of `_residual_vector` in left-exponential coordinates;
+    each constraint word is evaluated once."""
     n = rep.rank
     q = n * n
     cols = len(rep.presentation.generators) * q
     blocks = []
     for r in rep.presentation.relators:
-        dw = _word_directions(rep, r)
+        dw = _word_directions(rep, r, evaluate_word(rep, r))
         blocks.append(dw.reshape(cols, q).real.T)
         blocks.append(dw.reshape(cols, q).imag.T)
     for p in rep.presentation.peripherals:
         w_val = evaluate_word(rep, p.word)
-        dw = _word_directions(rep, p.word)
+        dw = _word_directions(rep, p.word, w_val)
         _, dc = charpoly_directions(w_val, dw)
         blocks.append(dc.real.T)
         blocks.append(dc.imag.T)

@@ -11,10 +11,16 @@ coefficients against one Toeplitz matrix.  :func:`exp_series` and
 :func:`unitary_generator_jet` also take a stack of jets, coefficients
 (batch, k+1, n, n), and run one batched Horner for the whole stack; the
 product ``@`` acts on single jets only.
+
+:class:`IncrementalExp` is the exponential of a stack of series that grows
+or changes degree by degree, as in a lift: it caches the coefficients of
+the powers and re-forms only from the lowest degree that changed.
+:func:`product_coefficient` forms one coefficient of a product alone.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -143,6 +149,65 @@ def unitary_generator_jet(base: np.ndarray, jets, order: int) -> MatrixJet:
     # the constant jet has only a degree-0 coefficient, so the product is a
     # coefficient-wise right multiplication
     return MatrixJet(exp_series(s).coeffs @ base[..., None, :, :])
+
+
+class IncrementalExp:
+    """exp(S) @ base for a stack of series S = sum_(d >= 1) t^d S_d, one base
+    per series, kept across calls whose series share their low degrees.
+
+    For j >= 2 the degree-d coefficient of S^j involves S_1..S_(d-1) only:
+    (S^j)_d = sum_(q=1..d-1) S_(d-q) (S^(j-1))_q.  The power coefficients
+    (S^j)_d of every formed degree are cached, so forming degree d is one
+    gemm per series for all j = 2..d, and E_d = sum_j (S^j)_d / j!.  A call
+    re-forms from the lowest degree whose series changed: there only E_d
+    (its powers do not involve S_d), the powers from the next degree on.
+    The cache holds (batch, order + 1, n, order + 1, n) coefficients.
+    """
+
+    def __init__(self, bases: np.ndarray, order: int):
+        self.bases = np.asarray(bases, dtype=complex)
+        batch, n = self.bases.shape[0], self.bases.shape[-1]
+        # powers[:, d, :, j, :] = (S^j)_d; j = 1 holds the series as last seen
+        self.powers = np.zeros((batch, order + 1, n, order + 1, n), dtype=complex)
+        self.coeffs = np.zeros((batch, order + 1, n, n), dtype=complex)
+        self.coeffs[:, 0] = self.bases
+        self.weights = np.array([1.0 / math.factorial(j) for j in range(order + 1)])
+        self.formed = 0  # degrees 1..formed agree with the stored series
+
+    def jets(self, series: np.ndarray) -> np.ndarray:
+        """Coefficients 0..m of exp(S) @ base for series (batch, m, n, n)
+        holding S_1..S_m; a view into the cache, valid until the next call."""
+        batch, m, n = series.shape[:3]
+        if m >= self.coeffs.shape[1]:
+            raise ValueError(f"series of degree {m} past the cache order {self.coeffs.shape[1] - 1}")
+        stored = self.powers[:, 1:m + 1, :, 1, :]
+        changed = np.any(series != stored, axis=(0, 2, 3))
+        first = int(np.argmax(changed)) + 1 if changed.any() else m + 1
+        stored[...] = series
+        if first <= min(self.formed, m):
+            self._store(first)  # the powers of the first changed degree do not involve it
+        for d in range(min(self.formed, first) + 1, m + 1):
+            # (S^j)_d for j = 2..d: S_(d-q) against (S^(j-1))_q, q = 1..d-1;
+            # the right factor is a strided view, so this is one gemm per series
+            left = self.powers[:, d - 1:0:-1, :, 1, :].transpose(0, 2, 1, 3).reshape(
+                batch, n, (d - 1) * n)
+            right = self.powers[:, 1:d, :, 1:d, :].reshape(batch, (d - 1) * n, (d - 1) * n)
+            self.powers[:, d, :, 2:d + 1, :] = (left @ right).reshape(batch, n, d - 1, n)
+            self._store(d)
+        self.formed = max(min(self.formed, first - 1), m)
+        return self.coeffs[:, :m + 1]
+
+    def _store(self, d: int) -> None:
+        """Jet coefficient d: E_d = sum_j (S^j)_d / j!, times the base."""
+        e = self.powers[:, d, :, 1:d + 1, :].swapaxes(-1, -2) @ self.weights[1:d + 1]
+        self.coeffs[:, d] = e @ self.bases
+
+
+def product_coefficient(a: MatrixJet, b: MatrixJet, m: int) -> np.ndarray:
+    """Coefficient m of the product a @ b alone: sum_p a_p b_(m-p), one
+    contraction of a's coefficients 0..m against b's m..0."""
+    n = a.n
+    return a.coeffs[:m + 1].transpose(1, 0, 2).reshape(n, -1) @ b.coeffs[m::-1].reshape(-1, n)
 
 
 def word_jet(generator_jets: Sequence[MatrixJet], word, order: int, n: int) -> MatrixJet:

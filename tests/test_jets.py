@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repvar import cohomology
-from repvar.cohomology import QuadraticMap, coboundary, cocycle_transport, h1_basis, obstruction
+from repvar import cohomology, jets, truncring
+from repvar.cohomology import (IllConditionedError, QuadraticMap, coboundary, cocycle_transport,
+                               h1_basis, obstruction, order_defect)
 from repvar.jets import (
     JetRepresentation,
     LiftOptions,
@@ -14,6 +15,7 @@ from repvar.jets import (
     probe_cone,
 )
 from repvar.repspace import evaluate_word
+from repvar.truncring import IncrementalExp
 from repvar.unitary import random_skew, vec_skew
 
 from conftest import random_cocycle
@@ -182,6 +184,65 @@ def test_lift_order30_profile_matches_oracle_ring(point, order, request):
     oracle = oracle_defect_profile(cc, gen, conj, order)
     assert min(oracle) >= 1e-5
     assert np.allclose(moved, oracle, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("point", ["sphere4_cc", "genus2_irr_cc"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(2, 6),
+       scale=st.sampled_from([0.05, 0.3, 1.0]))
+def test_shared_defect_state_follows_edited_jets(point, seed, order, scale, request):
+    # one state driven through orders 1..k while a random degree at or below
+    # the last order is edited between calls, as the cone-kernel rescue and
+    # the appended corrections do: every defect matches a fresh evaluation
+    # and the naive-ring oracle
+    cc = request.getfixturevalue(point)
+    rng = np.random.default_rng(seed)
+    n = cc.rep.rank
+    gen = [[random_skew(rng, n, scale) for _ in range(order)] for _ in range(cc.n_gen)]
+    conj = [[random_skew(rng, n, scale) for _ in range(order)] for _ in cc.groups]
+    state = IncrementalExp(cc.jet_bases, order)
+    for m in range(1, order + 1):
+        shared = order_defect(cc, gen, conj, m, state)
+        fresh = order_defect(cc, gen, conj, m)
+        size = float(np.linalg.norm(fresh))
+        assert np.linalg.norm(shared - fresh) <= 1e-13 * size
+        oracle = oracle_defect_profile(cc, gen, conj, m)[m - 1]
+        assert abs(float(np.linalg.norm(shared)) - oracle) <= 1e-13 * oracle
+        d = int(rng.integers(0, m))
+        for series in gen + conj:
+            series[d] = series[d] + random_skew(rng, n, scale)
+
+
+def test_lift_makes_one_defect_call_per_order_and_no_full_exponential(sphere4_cc, monkeypatch):
+    orders = []
+
+    def counting(cc, gen_jets, conj_jets, m, state=None):
+        orders.append(m)
+        return order_defect(cc, gen_jets, conj_jets, m, state)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lift re-exponentiated a whole series")
+
+    monkeypatch.setattr(jets, "order_defect", counting)
+    for module in (truncring, cohomology, jets):
+        for name in ("exp_series", "unitary_generator_jet"):
+            monkeypatch.setattr(module, name, forbidden)
+    report = lift(sphere4_cc, h1_basis(sphere4_cc).vectors[0], 12)
+    assert report.succeeded
+    assert orders == list(range(2, 13))
+
+
+def test_lift_and_probe_pass_rank_rtol(sphere4_rep, sphere4_cc):
+    # below the rounding floor, as h1_basis; a cone passed in keeps its own threshold
+    basis = h1_basis(sphere4_cc)
+    with pytest.raises(IllConditionedError):
+        lift(sphere4_rep, basis.vectors[0], 4, rank_rtol=1e-20)
+    with pytest.raises(IllConditionedError):
+        probe_cone(sphere4_rep, basis, samples=2, rank_rtol=1e-20)
+    with pytest.raises(IllConditionedError):
+        h1_basis(sphere4_rep, 1e-20)
+    assert lift(sphere4_cc, basis.vectors[0], 4, rank_rtol=1e-20).succeeded
+    assert probe_cone(sphere4_cc, basis, samples=2, rank_rtol=1e-20).prediction_holds
 
 
 def test_lift_shares_one_factorization(genus2_irr_cc, monkeypatch):

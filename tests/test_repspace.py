@@ -136,6 +136,14 @@ def test_refine_forms_gaps_once_per_trial(genus2_irr, sphere4_rep, monkeypatch):
     assert len(gaps) == 1 + len(trials)
 
 
+def test_residual_jacobian_evaluates_each_word_once(corpus_points, monkeypatch):
+    calls = _count_calls(monkeypatch, "evaluate_word")
+    for rep in corpus_points.values():
+        calls.clear()
+        repspace._residual_jacobian(rep)
+        assert len(calls) == len(rep.presentation.relators) + len(rep.presentation.peripherals)
+
+
 def test_refine_infeasible_raises():
     pres = infeasible_n1()
     mats = [np.array([[np.exp(0.4j)]]), np.array([[np.exp(1.1j)]])]

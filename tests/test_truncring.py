@@ -1,10 +1,14 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from repvar.truncring import (
+    IncrementalExp,
     MatrixJet,
     exp_series,
     log_series,
+    product_coefficient,
     unitary_generator_jet,
     word_jet,
 )
@@ -171,3 +175,36 @@ def test_word_jet_constant_when_jets_vanish():
     value = mats[0] @ mats[1].conj().T @ mats[0].conj().T @ mats[1]
     assert np.allclose(w.coeff(0), value)
     assert np.max(np.abs(w.coeffs[1:])) == 0.0
+
+
+@kernel_cases
+@given(st.integers(1, 12), ranks, seeds, st.sampled_from([1e-3, 0.5, 2.0]), st.integers(1, 3))
+def test_incremental_exp_matches_stacked_generator_jets(order, n, seed, scale, count):
+    # calls of every degree up to the cache order, each after an edit of one
+    # random degree: the cached powers must follow the series exactly
+    rng = np.random.default_rng(seed)
+    bases = np.array([haar_from_rng(rng, n) for _ in range(count)])
+    series = scale * (rng.standard_normal((count, order, n, n))
+                      + 1j * rng.standard_normal((count, order, n, n)))
+    state = IncrementalExp(bases, order)
+    for _ in range(3 * order):
+        m = int(rng.integers(1, order + 1))
+        d = int(rng.integers(0, order))
+        series[:, d] += scale * rng.standard_normal((count, n, n))
+        got = state.jets(series[:, :m])
+        want = unitary_generator_jet(bases, series[:, :m], m).coeffs
+        bound = np.abs(unitary_generator_jet(np.abs(bases), np.abs(series[:, :m]), m).coeffs)
+        assert_within(got, want, bound)
+    with pytest.raises(ValueError):
+        state.jets(np.zeros((count, order + 1, n, n)))
+
+
+@kernel_cases
+@given(orders, ranks, seeds, scales)
+def test_product_coefficient_is_a_coefficient_of_the_product(order, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    a, b = (random_jet(rng, n, order, scale) for _ in range(2))
+    full = (a @ b).coeffs
+    bound = cauchy_product(np.abs(a.coeffs), np.abs(b.coeffs))
+    for m in range(order + 1):
+        assert_within(product_coefficient(a, b, m), full[m], bound[m])
