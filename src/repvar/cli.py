@@ -121,7 +121,7 @@ def _load_representation(pres, path: str):
 def _load_cochain(pres, path: str):
     data = _read_json(path)
     gens = data.get("generator_part") if isinstance(data, dict) else None
-    if gens is None:
+    if not isinstance(gens, dict):
         raise InputError(f"{path}: cochain JSON needs a 'generator_part' object")
     missing = [g for g in pres.generators if g not in gens]
     if missing:

@@ -59,8 +59,8 @@ from .repspace import (IllConditionedError, Representation, _rank_cut, evaluate_
                        transport_matrix, word_transport_terms)
 # exp_series and unitary_generator_jet are bound here for perfbench/tracer.py,
 # which wraps each layer function in every module that binds it and requires
-# these bindings; order_defect calls neither (its exponential is an
-# IncrementalExp)
+# these bindings; nothing in this module calls them (order_defect drives an
+# IncrementalExp, the one exponential they are thin calls of)
 from .truncring import (IncrementalExp, MatrixJet, exp_series,  # noqa: F401
                         product_coefficient, unitary_generator_jet, word_jet)
 from .unitary import ad_matrix, project_skew, skew_basis, unvec_skew, vec_skew

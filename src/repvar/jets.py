@@ -34,8 +34,7 @@ from .cohomology import (
     order_defect,
 )
 from .repspace import Representation
-from .truncring import (IncrementalExp, MatrixJet, exp_series, log_series,
-                        unitary_generator_jet, word_jet)
+from .truncring import IncrementalExp, MatrixJet, log_series, unitary_generator_jet, word_jet
 from .unitary import project_skew, unvec_skew
 
 
@@ -55,13 +54,13 @@ class JetRepresentation:
 
     def matrix_jets(self) -> list[MatrixJet]:
         return [
-            unitary_generator_jet(m, list(jets), self.order)
+            unitary_generator_jet(m, jets, self.order)
             for m, jets in zip(self.base.matrices, self.generator_jets)
         ]
 
     def conjugator_exp(self, group: int) -> MatrixJet:
-        return exp_series(MatrixJet.from_series(
-            list(self.conjugator_jets[group]), self.order, self.base.rank, start=1))
+        return unitary_generator_jet(np.eye(self.base.rank), self.conjugator_jets[group],
+                                     self.order)
 
 
 @dataclass(frozen=True)
@@ -293,11 +292,11 @@ def gauge_transform(jrep: JetRepresentation, gauge_jets: Sequence[np.ndarray]) -
     base = jrep.base
     n = base.rank
     k = jrep.order
-    g = exp_series(MatrixJet.from_series(list(gauge_jets), k, n, start=1))
+    g = unitary_generator_jet(np.eye(n), gauge_jets, k)
     ginv = g.dagger()
     new_gen = []
     for mat, jets in zip(base.matrices, jrep.generator_jets):
-        old = unitary_generator_jet(mat, list(jets), k)
+        old = unitary_generator_jet(mat, jets, k)
         moved = g @ old @ ginv
         s = log_series(moved @ MatrixJet.constant(mat.conj().T, k))
         new_gen.append(tuple(project_skew(s.coeff(m)) for m in range(1, k + 1)))

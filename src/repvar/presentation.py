@@ -11,10 +11,10 @@ The input format is line oriented; ``#`` starts a comment::
 
 A LETTER is a generator name, with a trailing apostrophe for its
 inverse (``a'``); letters are whitespace separated.  ANGLE is a
-rational ``p/q`` or a signed decimal, measured in turns (fractions of a
-full revolution) and normalized modulo 1.  Each ``together`` line joins
-the named peripherals into one simultaneity group; peripherals not
-mentioned in any such line form singleton groups.
+rational ``p/q`` or a finite signed decimal, measured in turns
+(fractions of a full revolution) and normalized modulo 1.  Each
+``together`` line joins the named peripherals into one simultaneity
+group; peripherals not mentioned in any such line form singleton groups.
 
 Words are stored as tuples of (generator index, sign) with sign +-1,
 always freely reduced.  A relator that reduces to the empty word is
@@ -24,6 +24,7 @@ it serializes as a bare ``relator`` line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -187,7 +188,6 @@ class Presentation:
                     seen.add(i)
             if seen != set(range(n_per)):
                 raise ValueError("simultaneity groups must cover all peripherals")
-        index = {g: i for i, g in enumerate(generators)}
         for w in list(norm_relators) + [p.word for p in peripherals]:
             for gen, _ in w:
                 if not 0 <= gen < len(generators):
@@ -199,13 +199,6 @@ class Presentation:
         object.__setattr__(self, "peripherals", peripherals)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "warnings", tuple(warn))
-        object.__setattr__(self, "_gen_index", index)
-
-    def generator_index(self, name: str) -> int:
-        try:
-            return self._gen_index[name]  # type: ignore[attr-defined]
-        except KeyError:
-            raise KeyError(f"unknown generator {name!r}") from None
 
     def word_to_string(self, word: Iterable[Letter]) -> str:
         return " ".join(
@@ -220,9 +213,12 @@ def _parse_angle(token: str, lineno: int) -> Angle:
             return Fraction(token)
         if token.lstrip("+-").isdigit():
             return Fraction(int(token))
-        return float(token)
+        angle = float(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad angle {token!r}", lineno) from None
+    if not math.isfinite(angle):  # nan, inf, or a decimal past the float range
+        raise ParseError(f"bad angle {token!r}", lineno)
+    return angle
 
 
 def _parse_letters(tokens: Sequence[str], gen_index: dict[str, int], lineno: int, raw: str):

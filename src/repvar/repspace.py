@@ -93,9 +93,6 @@ class Representation:
     def rank(self) -> int:
         return self.presentation.rank
 
-    def generator(self, name: str) -> np.ndarray:
-        return self.matrices[self.presentation.generator_index(name)]
-
 
 @dataclass(frozen=True)
 class Residuals:

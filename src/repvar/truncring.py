@@ -6,16 +6,15 @@ the truncation order discarded.  Left multiplication by a jet is a block
 lower-triangular Toeplitz matrix acting on the stacked coefficients, so a
 product is one dense matrix product (gemm).  Exponential and logarithm
 series are finite sums here because their arguments have zero constant
-term (resp. constant term one); both run Horner's rule on the stacked
-coefficients against one Toeplitz matrix.  :func:`exp_series` and
-:func:`unitary_generator_jet` also take a stack of jets, coefficients
-(batch, k+1, n, n), and run one batched Horner for the whole stack; the
-product ``@`` acts on single jets only.
+term (resp. constant term one).
 
-:class:`IncrementalExp` is the exponential of a stack of series that grows
-or changes degree by degree, as in a lift: it caches the coefficients of
-the powers and re-forms only from the lowest degree that changed.
-:func:`product_coefficient` forms one coefficient of a product alone.
+:class:`IncrementalExp` is the one exponential: exp(S) @ base for a stack
+of series that grows or changes degree by degree, as in a lift.  It caches
+the coefficients of the powers and re-forms only from the lowest degree
+that changed; :func:`unitary_generator_jet` and :func:`exp_series` are one
+call of a fresh one.  :func:`log_series` runs Horner's rule on the stacked
+coefficients against one Toeplitz matrix.  :func:`product_coefficient`
+forms one coefficient of a product alone.
 """
 
 from __future__ import annotations
@@ -46,19 +45,9 @@ class MatrixJet:
     def identity(cls, n: int, order: int) -> "MatrixJet":
         return cls.constant(np.eye(n, dtype=complex), order)
 
-    @classmethod
-    def from_series(cls, mats, order: int, n: int, start: int = 1) -> "MatrixJet":
-        """Jet with coefficient mats[..., i, :, :] at degree start + i; leading
-        axes of mats, shape (..., count, n, n), are batch axes."""
-        mats = np.asarray(mats, dtype=complex)
-        mats = mats.reshape(mats.shape[:-3] + (-1, n, n))[..., :max(order + 1 - start, 0), :, :]
-        c = np.zeros(mats.shape[:-3] + (order + 1, n, n), dtype=complex)
-        c[..., start:start + mats.shape[-3], :, :] = mats
-        return cls(c)
-
     @property
     def order(self) -> int:
-        return self.coeffs.shape[-3] - 1
+        return self.coeffs.shape[0] - 1
 
     @property
     def n(self) -> int:
@@ -88,14 +77,9 @@ class MatrixJet:
 def _toeplitz(a: MatrixJet) -> np.ndarray:
     """The ((k+1)n, (k+1)n) matrix of left multiplication by a on coefficients
     stacked by degree: block (p, q) is a_(p-q), and zero for negative lags.
-    A stack of jets gives the stack of matrices.  One gather from the
-    flattened coefficients with a zero appended."""
-    *batch, k1, n, _ = a.coeffs.shape
-    flat = np.concatenate([a.coeffs.reshape(*batch, -1), np.zeros((*batch, 1), dtype=complex)],
-                          axis=-1)
-    # take, not flat[..., index]: that leaves a batch non-contiguous, and a
-    # gemm on it runs off BLAS
-    return np.take(flat, _toeplitz_index(k1, n), axis=-1)
+    One gather from the flattened coefficients with a zero appended."""
+    k1, n = a.coeffs.shape[:2]
+    return np.concatenate([a.coeffs.ravel(), np.zeros(1, dtype=complex)])[_toeplitz_index(k1, n)]
 
 
 @lru_cache(maxsize=128)
@@ -110,17 +94,10 @@ def _toeplitz_index(k1: int, n: int) -> np.ndarray:
 
 
 def exp_series(s: MatrixJet) -> MatrixJet:
-    """exp of a jet (or of each jet of a stack) with zero constant term: finite
-    sum of s^j / j!, by Horner's rule out = 1 + s out / j for j = k..1."""
-    if np.any(s.coeffs[..., 0, :, :] != 0):
+    """exp of a jet with zero constant term: the finite sum of s^j / j!."""
+    if np.any(s.coeffs[0] != 0):
         raise ValueError("exp_series needs a jet with zero constant term")
-    t = _toeplitz(s)
-    unit = np.zeros(t.shape[:-1] + (s.n,), dtype=complex)
-    unit[..., :s.n, :] = np.eye(s.n)
-    out = unit
-    for j in range(s.order, 0, -1):
-        out = unit + (t @ out) / j
-    return MatrixJet(out.reshape(s.coeffs.shape))
+    return unitary_generator_jet(np.eye(s.n), s.coeffs[1:], s.order)
 
 
 def log_series(j: MatrixJet) -> MatrixJet:
@@ -140,15 +117,15 @@ def log_series(j: MatrixJet) -> MatrixJet:
 
 
 def unitary_generator_jet(base: np.ndarray, jets, order: int) -> MatrixJet:
-    """exp(sum_m t^m X_m) @ base as a matrix jet; unitary over the ring when the
-    X_m are skew-Hermitian and the base is unitary.  A stack of bases
-    (batch, n, n) with jets (batch, count, n, n) gives the stack of jets from
-    one batched exp_series."""
-    base = np.asarray(base)
-    s = MatrixJet.from_series(jets, order, base.shape[-1], start=1)
-    # the constant jet has only a degree-0 coefficient, so the product is a
-    # coefficient-wise right multiplication
-    return MatrixJet(exp_series(s).coeffs @ base[..., None, :, :])
+    """exp(sum_m t^m X_m) @ base as a matrix jet, from jets X_1.. (those past
+    the order are dropped, missing ones are zero); unitary over the ring when
+    the X_m are skew-Hermitian and the base is unitary."""
+    base = np.asarray(base, dtype=complex)
+    n = base.shape[-1]
+    jets = np.asarray(jets, dtype=complex).reshape(-1, n, n)[:order]
+    series = np.zeros((1, order, n, n), dtype=complex)
+    series[0, :len(jets)] = jets
+    return MatrixJet(IncrementalExp(base[None], order).jets(series)[0])
 
 
 class IncrementalExp:
@@ -161,14 +138,15 @@ class IncrementalExp:
     gemm per series for all j = 2..d, and E_d = sum_j (S^j)_d / j!.  A call
     re-forms from the lowest degree whose series changed: there only E_d
     (its powers do not involve S_d), the powers from the next degree on.
-    The cache holds (batch, order + 1, n, order + 1, n) coefficients.
+    The cache holds (batch, order + 1, n, max(order, 1) + 1, n) coefficients.
     """
 
     def __init__(self, bases: np.ndarray, order: int):
         self.bases = np.asarray(bases, dtype=complex)
         batch, n = self.bases.shape[0], self.bases.shape[-1]
-        # powers[:, d, :, j, :] = (S^j)_d; j = 1 holds the series as last seen
-        self.powers = np.zeros((batch, order + 1, n, order + 1, n), dtype=complex)
+        # powers[:, d, :, j, :] = (S^j)_d; j = 1 holds the series as last seen,
+        # so it is there at order 0 too
+        self.powers = np.zeros((batch, order + 1, n, max(order, 1) + 1, n), dtype=complex)
         self.coeffs = np.zeros((batch, order + 1, n, n), dtype=complex)
         self.coeffs[:, 0] = self.bases
         self.weights = np.array([1.0 / math.factorial(j) for j in range(order + 1)])

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +62,9 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
     mats[0] = e @ mats[0] @ e.conj().T @ exponential(1e-8 * np.array([[0, 1j], [1j, 0]]))
     ill = Representation(genus2_red.presentation, mats, genus2_red.tolerance)
 
+    nan_angle = root / "nan_angle.grp"
+    nan_angle.write_text(Path(SPHERE4).read_text().replace("1/5", "nan"))
+
     return {
         "genus2_irr": dump("genus2_irr.json", rep_to_json(genus2_irr)),
         "list_rep": dump("list_rep.json", [rep_to_json(genus2_irr)]),
@@ -87,6 +91,9 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
         "hermitian_cochain": dump(
             "hermitian_cochain.json",
             cochain([1j * m for m in basis_irr.vectors[0]], genus2_irr.presentation)),
+        "list_cochain": dump("list_cochain.json", {"generator_part": ["a", "b", "c", "d"]}),
+        "string_cochain": dump("string_cochain.json", {"generator_part": "abcd"}),
+        "nan_angle_grp": str(nan_angle),
     }
 
 
@@ -127,6 +134,10 @@ BAD_INPUTS = {
     "cochain_wrong_shape": ("obstruct", GENUS2, "genus2_irr", "small_cochain"),
     "cochain_not_skew_obstruct": ("obstruct", GENUS2, "genus2_irr", "hermitian_cochain"),
     "cochain_not_skew_lift": ("lift", GENUS2, "genus2_irr", "hermitian_cochain"),
+    "cochain_part_list_obstruct": ("obstruct", SPHERE4, "sphere4", "list_cochain"),
+    "cochain_part_list_lift": ("lift", SPHERE4, "sphere4", "list_cochain"),
+    "cochain_part_string_obstruct": ("obstruct", SPHERE4, "sphere4", "string_cochain"),
+    "angle_nan_find": ("find", "nan_angle_grp"),
     "samples_negative": ("probe", GENUS2, "genus2_red", "--samples", "-3"),
     "attempts_zero": ("find", SPHERE4, "--attempts", "0"),
     "order_zero": ("lift", GENUS2, "genus2_irr", "cocycle_irr", "--order", "0"),

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repvar import corpus
 from repvar.presentation import (
     ConjugacyClassSpec,
     ParseError,
@@ -74,6 +75,9 @@ def test_parse_comments_and_blank_lines():
         ("rank 1\ngenerators a\n", "missing 'group'"),
         ("group g\ngenerators a\n", "missing 'rank'"),
         ("group g\nrank 1\ngenerators a\nperipheral P = a : 1/0\n", "bad angle"),
+        ("group g\nrank 1\ngenerators a\nperipheral P = a : nan\n", "bad angle"),
+        ("group g\nrank 1\ngenerators a\nperipheral P = a : -inf\n", "bad angle"),
+        ("group g\nrank 1\ngenerators a\nperipheral P = a : 1e400\n", "bad angle"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -146,6 +150,12 @@ def test_round_trip_on_corpus():
         first = parse_presentation(path.read_text())
         again = parse_presentation(serialize_presentation(first))
         assert again == first
+
+
+def test_corpus_files_are_the_builtin_texts():
+    # library tests read corpus.TEXTS, the CLI tests the files: same bytes, same names
+    files = {path.stem: path.read_bytes() for path in corpus_files()}
+    assert files == {name: text.encode() for name, text in corpus.TEXTS.items()}
 
 
 def test_round_trip_with_together_and_decimals():
