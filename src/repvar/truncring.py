@@ -8,13 +8,13 @@ product is one dense matrix product (gemm).  Exponential and logarithm
 series are finite sums here because their arguments have zero constant
 term (resp. constant term one).
 
-:class:`IncrementalExp` is the one exponential: exp(S) @ base for a stack
+:class:`IncrementalExp` is the one series kernel: exp(S) @ base for a stack
 of series that grows or changes degree by degree, as in a lift.  It caches
 the coefficients of the powers and re-forms only from the lowest degree
 that changed; :func:`unitary_generator_jet` and :func:`exp_series` are one
-call of a fresh one.  :func:`log_series` runs Horner's rule on the stacked
-coefficients against one Toeplitz matrix.  :func:`product_coefficient`
-forms one coefficient of a product alone.
+call of a fresh one, and :func:`log_series` is its inverse, solved for one
+degree per call.  :func:`product_coefficient` forms one coefficient of a
+product alone.
 """
 
 from __future__ import annotations
@@ -63,8 +63,11 @@ class MatrixJet:
         return MatrixJet(self.coeffs - other.coeffs)
 
     def __matmul__(self, other: "MatrixJet") -> "MatrixJet":
+        # one gather of the Toeplitz matrix of left multiplication by self
+        flat = np.concatenate([self.coeffs.ravel(), np.zeros(1, dtype=complex)])
+        toeplitz = flat[_toeplitz_index(*self.coeffs.shape[:2])]
         stacked = other.coeffs.reshape(-1, other.n)
-        return MatrixJet((_toeplitz(self) @ stacked).reshape(other.coeffs.shape))
+        return MatrixJet((toeplitz @ stacked).reshape(other.coeffs.shape))
 
     def dagger(self) -> "MatrixJet":
         """Coefficient-wise conjugate transpose; the ring inverse of a unitary jet."""
@@ -72,14 +75,6 @@ class MatrixJet:
 
     def __repr__(self) -> str:
         return f"MatrixJet(order={self.order}, n={self.n})"
-
-
-def _toeplitz(a: MatrixJet) -> np.ndarray:
-    """The ((k+1)n, (k+1)n) matrix of left multiplication by a on coefficients
-    stacked by degree: block (p, q) is a_(p-q), and zero for negative lags.
-    One gather from the flattened coefficients with a zero appended."""
-    k1, n = a.coeffs.shape[:2]
-    return np.concatenate([a.coeffs.ravel(), np.zeros(1, dtype=complex)])[_toeplitz_index(k1, n)]
 
 
 @lru_cache(maxsize=128)
@@ -101,19 +96,18 @@ def exp_series(s: MatrixJet) -> MatrixJet:
 
 
 def log_series(j: MatrixJet) -> MatrixJet:
-    """log of a jet with constant term the identity: finite alternating sum of
-    (-1)^(d+1) m^d / d in m = j - 1, by Horner's rule from d = k down."""
+    """log of a jet with constant term the identity: the S with exp(S) = j,
+    solved degree by degree on one :class:`IncrementalExp`.  S_m enters
+    coefficient m of exp(S) only as itself (its j = 1 term), so with S_m
+    still zero that coefficient is E_m(S_1..S_(m-1)) and S_m = j_m - E_m."""
     n, k = j.n, j.order
     if np.linalg.norm(j.coeffs[0] - np.eye(n)) > 1e-8:
         raise ValueError("log_series needs a jet with identity constant term")
-    m = j - MatrixJet.identity(n, k)
-    m.coeffs[0] = 0.0
-    t = _toeplitz(m)
-    unit = MatrixJet.identity(n, k).coeffs.reshape(-1, n)
-    out = np.zeros_like(unit)
-    for d in range(k, 0, -1):
-        out = t @ (((-1.0) ** (d + 1) / d) * unit + out)
-    return MatrixJet(out.reshape(j.coeffs.shape))
+    state = IncrementalExp(np.eye(n)[None], k)
+    series = np.zeros((1, k + 1, n, n), dtype=complex)  # degree 0 stays zero
+    for m in range(1, k + 1):
+        series[0, m] = j.coeffs[m] - state.jets(series[:, 1:m + 1])[0, m]
+    return MatrixJet(series[0])
 
 
 def unitary_generator_jet(base: np.ndarray, jets, order: int) -> MatrixJet:

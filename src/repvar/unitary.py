@@ -90,19 +90,24 @@ def exponential(x: np.ndarray) -> np.ndarray:
 
 
 def principal_log(g: np.ndarray, angle_tol: float = 1e-8) -> np.ndarray:
-    """Skew-Hermitian logarithm with eigenvalue angles in (-pi, pi).
+    """Skew-Hermitian logarithm of a unitary g with eigenvalue angles in (-pi, pi).
 
     Raises :class:`BranchCutError` when an eigenvalue of ``g`` lies within
-    ``angle_tol`` (radians) of -1.
+    ``angle_tol`` (radians) of -1.  Rotated so that -1 sits mid-way across the
+    widest gap of the eigen-angles, g has the Hermitian Cayley transform
+    i(I - r)(I + r)^(-1); ``eigh`` of it gives orthonormal eigenvectors
+    (repeated eigenvalues included) and the angles through 2 arctan(lambda).
     """
-    import scipy.linalg  # deferred: the only use of scipy, and no CLI verb needs it
-
-    t, z = scipy.linalg.schur(np.asarray(g, dtype=complex), output="complex")
-    eigs = np.diagonal(t)
-    theta = np.angle(eigs)
+    theta = np.sort(np.angle(np.linalg.eigvals(g)))
     if np.any(np.pi - np.abs(theta) < angle_tol):
         raise BranchCutError("eigenvalue at or near -1; principal log undefined")
-    return project_skew((z * (1j * theta)) @ z.conj().T)
+    gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
+    mid = theta[np.argmax(gaps)] + 0.5 * gaps.max()  # the Cayley pole r = -1 goes here
+    r = np.exp(1j * (np.pi - mid)) * np.asarray(g)
+    eye = np.eye(len(r))
+    lam, v = np.linalg.eigh(1j * np.linalg.solve(eye + r, eye - r))
+    angles = np.mod(mid + 2.0 * np.arctan(lam), 2.0 * np.pi) - np.pi
+    return project_skew((v * (1j * angles)) @ v.conj().T)
 
 
 def adjoint_action(g: np.ndarray, x: np.ndarray) -> np.ndarray:

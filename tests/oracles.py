@@ -4,19 +4,22 @@ These deliberately avoid the transport/complex machinery under test: the
 dimension oracle differentiates the nonlinear constraint map by finite
 differences, the irreducibility oracle spans the image algebra with random
 words, the ring oracle multiplies truncated jets by the naive Cauchy
-double loop over degrees, and the order-2 defect oracle evaluates the
+double loop over degrees, the order-2 defect oracle evaluates the
 relator and conjugated-peripheral words in degree-2 jet arithmetic instead
-of the closed-form cup product.  The cone sampler is no oracle: it draws
-inputs, directions with Q = 0, from the pairing form the library computes.
+of the closed-form cup product, and the logarithm oracle reads the angles
+off a Schur form (scipy, which only the test extra installs).  The cone
+sampler is no oracle: it draws inputs, directions with Q = 0, from the
+pairing form the library computes.
 """
 
 from math import factorial
 
 import numpy as np
+import scipy.linalg
 
 from repvar.cohomology import order_defect
 from repvar.repspace import Representation, _residual_vector, evaluate_word
-from repvar.unitary import exponential, project_skew, skew_basis, vec_skew
+from repvar.unitary import BranchCutError, exponential, project_skew, skew_basis, vec_skew
 
 
 def random_word(rng, n_gens, max_length=20):
@@ -80,6 +83,17 @@ def image_algebra_rank(rep, rng, n_words=80, max_length=12, rtol=1e-8):
         rows.append(evaluate_word(rep, w).ravel())
     s = np.linalg.svd(np.array(rows), compute_uv=False)
     return int(np.sum(s > rtol * s[0]))
+
+
+def schur_log(g, angle_tol=1e-8):
+    """Principal log of a unitary g from its complex Schur form g = Z T Z^H:
+    T is diagonal for a normal matrix, so log g = Z diag(i angle(T_jj)) Z^H.
+    Raises BranchCutError on the rule of unitary.principal_log."""
+    t, z = scipy.linalg.schur(np.asarray(g, dtype=complex), output="complex")
+    theta = np.angle(np.diagonal(t))
+    if np.any(np.pi - np.abs(theta) < angle_tol):
+        raise BranchCutError("eigenvalue at or near -1; principal log undefined")
+    return project_skew((z * (1j * theta)) @ z.conj().T)
 
 
 # -- the truncated ring R[t]/(t^(k+1)) on coefficient stacks (k+1, n, n) -----

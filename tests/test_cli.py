@@ -124,6 +124,49 @@ def test_usage_error_exit_1():
     assert "frobnicate" in out.stderr
 
 
+# A fresh interpreter in which every import of scipy fails: the library and
+# each verb, run through cli.run, must do without it.
+WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"import of {name} blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+import numpy as np
+from repvar import cli, exponential, principal_log
+
+x = np.array([[0.5j, 0.2], [-0.2, -0.1j]])
+log_error = float(np.linalg.norm(principal_log(exponential(x)) - x))
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run(argv))
+print(json.dumps({"log_error": log_error, "codes": codes}))
+"""
+
+
+def test_library_and_verbs_run_without_scipy(cli_files):
+    verbs = [
+        ["validate", SPHERE4],
+        ["find", SPHERE4, "--seed", "1"],
+        ["check", GENUS2, cli_files["genus2_irr"]],
+        ["tangent", GENUS2, cli_files["genus2_irr"]],
+        ["pairing", GENUS2, cli_files["genus2_red"]],
+        ["obstruct", GENUS2, cli_files["genus2_red"], cli_files["cocycle_red"]],
+        ["lift", GENUS2, cli_files["genus2_irr"], cli_files["cocycle_irr"], "--order", "4"],
+        ["probe", GENUS2, cli_files["genus2_red"], "--samples", "5", "--order", "3", "--seed", "2"],
+    ]
+    out = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, json.dumps(verbs)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["log_error"] <= 1e-13
+    assert result["codes"] == [0] * len(verbs)
+
+
 BAD_INPUTS = {
     "nan_entry_check": ("check", GENUS2, "nan_rep"),
     "nan_entry_tangent": ("tangent", GENUS2, "nan_rep"),

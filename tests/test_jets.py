@@ -289,14 +289,15 @@ def test_lift_budget_exceeded_reported(sphere4_cc, monkeypatch):
 
 def test_gauge_action_preserves_profile(sphere4_cc, sphere4_rep):
     basis = h1_basis(sphere4_cc)
-    report = lift(sphere4_cc, basis.vectors[0], 5)
-    assert report.succeeded
-    before = jet_residual_profile(report.corrections, sphere4_cc)
     rng = np.random.default_rng(74)
-    gauge = [random_skew(rng, 2, 0.4) for _ in range(5)]
-    moved = gauge_transform(report.corrections, gauge)
-    after = jet_residual_profile(moved, sphere4_cc)
-    assert max(abs(a - b) for a, b in zip(before, after)) <= 1e-10
+    for order, scale in ((5, 0.4), (30, 0.1)):
+        report = lift(sphere4_cc, basis.vectors[0], order)
+        assert report.succeeded
+        before = jet_residual_profile(report.corrections, sphere4_cc)
+        gauge = [random_skew(rng, 2, scale) for _ in range(order)]
+        moved = gauge_transform(report.corrections, gauge)
+        after = jet_residual_profile(moved, sphere4_cc)
+        assert max(abs(a - b) for a, b in zip(before, after)) <= 1e-10
 
 
 def _cone_cocycle(cc, basis, seed, scale=1.0):

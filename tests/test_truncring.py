@@ -149,6 +149,13 @@ def test_exp_log_round_trip():
         s.coeffs[0] = 0.0
         back = log_series(exp_series(s))
         assert np.max(np.abs(back.coeffs - s.coeffs)) <= 1e-10
+    # the log inverts the exponential kernel degree by degree, so it undoes it
+    # to rounding at high order too
+    for n in (1, 2, 3):
+        for _ in range(4):
+            s = nilpotent_jet(int(rng.integers(2 ** 32)), n, 30, 0.4)
+            back = log_series(exp_series(s))
+            assert np.max(np.abs(back.coeffs - s.coeffs)) <= 1e-13 * np.max(np.abs(s.coeffs))
 
 
 def test_word_jet_constant_when_jets_vanish():

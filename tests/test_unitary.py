@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repvar.presentation import ConjugacyClassSpec
 from repvar.unitary import (
@@ -24,6 +25,8 @@ from repvar.unitary import (
     unvec_skew,
     vec_skew,
 )
+
+from oracles import schur_log
 
 
 def test_exponential_zero_is_identity():
@@ -67,6 +70,35 @@ def test_principal_log_identity_and_diagonal():
 def test_principal_log_branch_cut():
     with pytest.raises(BranchCutError):
         principal_log(np.array([[-1.0 + 0j]]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 3, 5]),
+       st.sampled_from(["haar", "near_identity", "repeated", "near_cut"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_principal_log_matches_schur_oracle(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        g = haar_from_rng(rng, n)
+    elif kind == "near_identity":
+        g = exponential(random_skew(rng, n, 10.0 ** rng.uniform(-8, -1)))
+    else:
+        angles = rng.uniform(-np.pi, np.pi, n)
+        if kind == "repeated":  # twice at N = 2, 3; three times at N = 5
+            angles[1:max(2, n // 2 + 1)] = angles[0]
+        else:  # on the cut, or clear of angle_tol = 1e-8 on either side
+            angles[0] = np.pi - rng.choice([0.0, 0.5, 2.0, 100.0]) * 1e-8
+        u = haar_from_rng(rng, n)
+        g = (u * np.exp(1j * angles)) @ u.conj().T
+    try:
+        want = schur_log(g)
+    except BranchCutError:
+        with pytest.raises(BranchCutError):
+            principal_log(g)
+        return
+    # g's entries carry absolute rounding, which fixes its log to absolute
+    # precision only: relative to |log g| where that is above 1
+    assert np.linalg.norm(principal_log(g) - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
 
 
 def test_adjoint_identity():
