@@ -27,17 +27,19 @@ shift directions in one.  :class:`QuadraticMap` holds that form over fixed
 cocycles and reads off Q of any linear combination of them, since the
 canonical xi is linear in u; :func:`obstruction_classes` reduces the
 defects in one common quotient.  :func:`obstruction`,
-:func:`common_obstruction`, :func:`pairing_tensor`, the failure path and
-the cone-kernel moves of :func:`repvar.jets.lift` and
-:func:`repvar.jets.probe_cone` (one map over the basis per call) all go
-through these functions.
+:func:`common_obstruction`, :func:`pairing_tensor`, the failure path of
+:func:`repvar.jets.lift`, Q in :func:`repvar.jets.probe_cone` (one map over
+the basis per call) and the cone-kernel moves of both
+(:attr:`ConeComplex.kernel_cup`, one form per complex) all go through these
+functions.
 
 :func:`order_defect` evaluates the higher-order defects of a jet
-representation in truncated-ring arithmetic: the generator and conjugator
-jets come from one :class:`~repvar.truncring.IncrementalExp`, which a lift
-shares across its orders so that each order forms only the exponential
-coefficients that changed, then the word products, of which each word's
-last product forms coefficient m alone.
+representation, or of a stack of them, in truncated-ring arithmetic: the
+generator and conjugator jets come from one
+:class:`~repvar.truncring.IncrementalExp`, which a lift shares across its
+orders so that each order forms only the exponential coefficients that
+changed, then the word products, of which each word's last product forms
+coefficient m alone.
 
 All linear algebra is over the B-orthonormal real coordinates of
 :func:`repvar.unitary.skew_basis`, where B equals the Euclidean inner
@@ -149,6 +151,14 @@ def check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
 
 
+def rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m for a stack of rows a (..., d), one vector-matrix product per
+    row.  A single gemm over all rows would round each row according to the
+    whole block, so a sample's result would depend on the samples stacked
+    with it."""
+    return (a[..., None, :] @ m)[..., 0, :]
+
+
 class _LstsqSolver:
     """Cached SVD factorization for minimal-norm least squares against one matrix."""
 
@@ -161,11 +171,13 @@ class _LstsqSolver:
         self.nullspace = vt[self.rank:].T
         self.left_null = u[:, self.rank:]
 
-    def solve(self, b: np.ndarray) -> tuple[np.ndarray, float]:
-        proj = self.u_r.T @ b
-        x = self.vt_r.T @ (proj / self.s_r)
-        resid = float(np.linalg.norm(b - self.u_r @ proj))
-        return x, resid
+    def solve(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Minimal-norm least-squares solutions for a right-hand side b, or a
+        stack of them (p, dim), and their residual norms; each one is solved
+        on its own (see :func:`rowwise`)."""
+        proj = rowwise(b, self.u_r)
+        x = rowwise(proj / self.s_r, self.vt_r)
+        return x, np.linalg.norm(b - rowwise(proj, self.u_r.T), axis=-1)
 
 
 class _GroupData:
@@ -289,6 +301,25 @@ class ConeComplex:
         """The cone-kernel columns as (generator parts, conjugator parts)."""
         return [self.unstack_cone(col) for col in self.cone_kernel.T]
 
+    @cached_property
+    def kernel_cup(self) -> np.ndarray:
+        """The cup form D(e_a, kappa_j) of the unit cone cochains e_a
+        (coordinates of the generator parts, then of the conjugator parts)
+        against the cone-kernel columns kappa_j, (cols, kernel dim, target
+        dim).  D is bilinear, so D(v, kappa_j) of any cone cochain v is
+        v @ this, one row per cochain.  Each :func:`cup_form` call takes as
+        many units as there are kernel columns: one form over all units
+        would also hold every pair of units (7 MB at a U(3) four-punctured
+        sphere)."""
+        parts = self.cone_kernel_parts
+        units = [self.unstack_cone(e) for e in np.eye(self.d1_cone.shape[1])]
+        cup = np.empty((len(units), len(parts), self.d1_cone.shape[0]))
+        step = max(len(parts), 1)
+        for a in range(0, len(units), step):
+            chunk = units[a:a + step]
+            cup[a:a + step] = cup_form(self, chunk + parts)[:len(chunk), len(chunk):]
+        return cup
+
     # -- coordinate helpers ------------------------------------------------
 
     def stack_gen(self, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -334,18 +365,23 @@ class ConeComplex:
             raise NotACocycleError(resid, bound)
         return parts
 
-    def canonical_xi(self, umats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], float]:
-        """Minimal-norm conjugator parts solving the peripheral rows jointly per group."""
+    def canonical_xi(self, umats) -> tuple[np.ndarray, np.ndarray]:
+        """Minimal-norm conjugator parts solving the peripheral rows jointly per
+        group, (groups, n, n), and the largest group residual.  Generator parts
+        with leading stack axes (..., n_gen, n, n) give results with the same
+        leading axes."""
         n = self.rep.rank
-        uvec = self.stack_gen(umats)
-        values = [row @ uvec for row in self.per_rows]
-        xis = []
-        worst = 0.0
-        for gd in self.group_data:
-            stacked = np.concatenate([values[i] for i in gd.members])
-            x = gd.pinv @ stacked
-            worst = max(worst, float(np.linalg.norm(gd.map @ x - stacked)))
-            xis.append(unvec_skew(x, n))
+        umats = np.asarray(umats, dtype=complex)
+        lead = umats.shape[:-3]
+        uvec = vec_skew(umats).reshape(*lead, -1)
+        values = [rowwise(uvec, row.T) for row in self.per_rows]
+        xis = np.zeros((*lead, len(self.groups), n, n), dtype=complex)
+        worst = np.zeros(lead)
+        for g, gd in enumerate(self.group_data):
+            stacked = np.concatenate([values[i] for i in gd.members], axis=-1)
+            x = rowwise(stacked, gd.pinv.T)
+            worst = np.maximum(worst, np.linalg.norm(rowwise(x, gd.map.T) - stacked, axis=-1))
+            xis[..., g, :, :] = unvec_skew(x, n)
         return xis, worst
 
 
@@ -413,8 +449,7 @@ def h1_basis(rep_or_cone, rank_rtol: float = 1e-8) -> CohomologyBasis:
 # -- the quadratic map Q -----------------------------------------------------
 
 
-def order_defect(cc: ConeComplex, gen_jets: Sequence[Sequence[np.ndarray]],
-                 conj_jets: Sequence[Sequence[np.ndarray]], m: int,
+def order_defect(cc: ConeComplex, gen_jets, conj_jets, m: int,
                  state: IncrementalExp | None = None) -> np.ndarray:
     """Order-m defect of the jet representation with the given coefficient jets.
 
@@ -423,33 +458,48 @@ def order_defect(cc: ConeComplex, gen_jets: Sequence[Sequence[np.ndarray]],
     peripheral words against the base values.  Exact truncated arithmetic;
     the dependence on the order-m jets is affine with matrix d1_cone.
 
-    The series of every generator and every conjugator are stacked and
-    exponentiated by ``state``, an :class:`~repvar.truncring.IncrementalExp`
-    over ``cc.jet_bases`` (the generator matrices, then the identity per
-    conjugator) of order at least m; a state shared by the orders of one lift
+    The jets are X_1.. per generator and zeta_1.. per conjugator (sequences,
+    shorter ones padded with zero), giving a (dim,) defect; or arrays
+    (b, n_gen, k, n, n) and (b, groups, k, n, n) of a stack of b samples,
+    giving a (b, dim) defect.  The series of every sample's generators and
+    conjugators are stacked and exponentiated by ``state``, an
+    :class:`~repvar.truncring.IncrementalExp` over b copies of
+    ``cc.jet_bases`` (the generator matrices, then the identity per
+    conjugator) of order at least m; a state shared by the orders of a lift
     forms only the degrees whose series changed since its last call.
     Without one, a fresh state is built.  Word prefixes are full truncated
-    products; each relator's last product and each peripheral's outer
-    conjugation form coefficient m alone.  Coefficients past order m are
-    ignored.
+    products of the whole stack; each relator's last product and each
+    peripheral's outer conjugation form coefficient m alone.  Coefficients
+    past order m are ignored.
     """
-    n = cc.rep.rank
-    series = np.zeros((len(cc.jet_bases), m, n, n), dtype=complex)
-    for b, jets in enumerate([*gen_jets, *conj_jets]):
-        if len(jets):
-            series[b, :min(len(jets), m)] = jets[:m]
-    state = IncrementalExp(cc.jet_bases, m) if state is None else state
-    stacked = [MatrixJet(c) for c in state.jets(series)]
-    gen, conj = stacked[:cc.n_gen], stacked[cc.n_gen:]
+    n, count = cc.rep.rank, len(cc.jet_bases)
+    stacked = isinstance(gen_jets, np.ndarray) and gen_jets.ndim == 5
+    if stacked:
+        b, k = len(gen_jets), min(gen_jets.shape[2], m)
+        series = np.zeros((b, count, m, n, n), dtype=complex)
+        series[:, :cc.n_gen, :k] = gen_jets[:, :, :k]
+        series[:, cc.n_gen:, :k] = conj_jets[:, :, :k]
+    else:
+        b = 1
+        series = np.zeros((1, count, m, n, n), dtype=complex)
+        for s, jets in enumerate([*gen_jets, *conj_jets]):
+            if len(jets):
+                series[0, s, :min(len(jets), m)] = jets[:m]
+    if state is None:
+        state = IncrementalExp(np.tile(cc.jet_bases, (b, 1, 1)), m)
+    coeffs = state.jets(series.reshape(b * count, m, n, n)).reshape(b, count, m + 1, n, n)
+    gen = [MatrixJet(coeffs[:, g]) for g in range(cc.n_gen)]
+    conj = [MatrixJet(coeffs[:, cc.n_gen + g]) for g in range(len(cc.groups))]
+    tops = np.zeros((b, len(cc.word_values_h), n, n), dtype=complex)
     # an empty relator is the identity times the identity, top coefficient 0
-    tops = [product_coefficient(word_jet(gen, r[:-1], m, n), word_jet(gen, r[-1:], m, n), m)
-            for r in cc.pres.relators]
+    for w, r in enumerate(cc.pres.relators):
+        tops[:, w] = product_coefficient(word_jet(gen, r[:-1], m, n),
+                                         word_jet(gen, r[-1:], m, n), m)
     for i, p in enumerate(cc.pres.peripherals):
         e = conj[cc.group_of[i]]
-        tops.append(product_coefficient(e.dagger(), word_jet(gen, p.word, m, n) @ e, m))
-    if not tops:
-        return np.zeros(0)
-    return vec_skew(project_skew(np.array(tops) @ cc.word_values_h)).ravel()
+        tops[:, cc.n_rel + i] = product_coefficient(e.dagger(), word_jet(gen, p.word, m, n) @ e, m)
+    defect = vec_skew(project_skew(tops @ cc.word_values_h)).reshape(b, -1)
+    return defect if stacked else defect[0]
 
 
 def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
@@ -513,12 +563,11 @@ class QuadraticMap:
         self.cc = cc
         self.h = h = len(cocycles)
         n = cc.rep.rank
-        xis = [cc.canonical_xi(u)[0] for u in cocycles]
-        self.form = cup_form(cc, list(zip(cocycles, xis)) + cc.kernel_cochains)
+        self.xis = cc.canonical_xi(
+            np.asarray(cocycles, dtype=complex).reshape(h, cc.n_gen, n, n))[0]
+        self.form = cup_form(cc, list(zip(cocycles, self.xis)) + cc.kernel_cochains)
         self.kernel_self = np.einsum("kkt->kt", self.form[h:, h:])
         self.vectors = np.array([cc.stack_gen(u) for u in cocycles]).reshape(h, cc.n_gen * cc.q)
-        self.xis = np.array([list(x) for x in xis], dtype=complex).reshape(
-            h, len(cc.groups), n, n)
 
     def shifts(self, c: np.ndarray) -> list[np.ndarray]:
         """Unit directions along which the raw defect of u = sum c_i u_i moves

@@ -13,6 +13,7 @@ the quadratic-cone local model.  The choice of earlier corrections matters
 there: past order 2, a correction can move inside the cone kernel, which
 shifts the next defect linearly through the cup form, and :func:`lift`
 makes that choice by one deterministic least-squares solve per order.
+:func:`probe_cone` lifts all its samples as one stack, order by order.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from .cohomology import (
     QuadraticMap,
     as_cone,
     check_tolerance,
-    cup_form,
     obstruction_classes,
     order_defect,
+    rowwise,
 )
 from .repspace import Representation
 from .truncring import IncrementalExp, MatrixJet, log_series, unitary_generator_jet, word_jet
-from .unitary import project_skew, unvec_skew
+from .unitary import project_skew, unvec_skew, vec_skew
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,110 @@ def _freeze(base, jets: np.ndarray, n_gen: int) -> JetRepresentation:
                              conjugator_jets=series[n_gen:])
 
 
+# A stack of lifts is split into chunks whose exponential caches hold at most
+# this many complex numbers (4 MB); one sample's cache holds
+# series * (order + 1)^2 * n^2 of them, 1,568 for 4 generators and 4
+# conjugators at U(2), order 6.
+_STACK_CACHE_LIMIT = 2 ** 18
+
+
+@dataclass
+class _Lifts:
+    """Outcomes of the lifts of a stack of b cocycles to one order: the order
+    each reached, its residuals at orders 1..order (zero past a failing
+    order), the defect it failed on, and its jets X_1..X_order per generator,
+    then per conjugator (zero from the failing order on)."""
+
+    achieved: np.ndarray   # (b,)
+    residuals: np.ndarray  # (b, order)
+    defects: np.ndarray    # (b, dim)
+    jets: np.ndarray       # (b, series, order, n, n)
+
+
+def _lift_stack(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float) -> _Lifts:
+    """Lift the cocycles umats (b, n_gen, n, n) to the given order with a
+    tolerance relative to each |u|^2, in chunks of at most _STACK_CACHE_LIMIT
+    cached exponential coefficients."""
+    b, count, n = len(umats), len(cc.jet_bases), cc.rep.rank
+    out = _Lifts(achieved=np.full(b, order), residuals=np.zeros((b, order)),
+                 defects=np.zeros((b, cc.d1_cone.shape[0])),
+                 jets=np.zeros((b, count, order, n, n), dtype=complex))
+    size = max(1, _STACK_CACHE_LIMIT // (count * (order + 1) ** 2 * cc.q))
+    for start in range(0, b, size):
+        _lift_chunk(cc, umats, order, tolerance, out, np.arange(start, min(start + size, b)))
+    return out
+
+
+def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float,
+                out: _Lifts, active: np.ndarray) -> None:
+    """Lift the samples at the rows ``active`` of umats together, writing
+    their outcomes into those rows of out.
+
+    Each order makes one order_defect call and one cone solve for all active
+    samples, and one more solve for those in the cone-kernel rescue.  A
+    sample's rescue moves 2 D(u, K) are its X_1 = (u, xi) times the cone's
+    cached ``kernel_cup``.  A sample that fails leaves the active rows and
+    the shared exponential.  Every product that involves a sample is formed
+    per stack row (batched products, :func:`~repvar.cohomology.rowwise`),
+    so a sample's outcome does not depend on the samples lifted with it."""
+    n, q, n_gen, count = cc.rep.rank, cc.q, cc.n_gen, len(cc.jet_bases)
+    b = len(active)
+    u = np.asarray(umats[active], dtype=complex)
+    uvecs = vec_skew(u).reshape(b, -1)
+    tol = tolerance * np.linalg.norm(uvecs, axis=1) ** 2
+    xis, xi_resid = cc.canonical_xi(u)
+    rel = rowwise(uvecs, cc.d1_cone[:cc.n_rel * q, :n_gen * q].T).reshape(b, cc.n_rel, q)
+    residuals = np.zeros((b, order))
+    residuals[:, 0] = np.maximum(xi_resid, np.linalg.norm(rel, axis=2).max(axis=1, initial=0.0))
+    # X_1..X_order of every generator, then of every conjugator; zero until solved
+    jets = np.zeros((b, count, order, n, n), dtype=complex)
+    jets[:, :n_gen, 0], jets[:, n_gen:, 0] = u, xis
+    state = IncrementalExp(np.tile(cc.jet_bases, (b, 1, 1)), order)
+    kernel, coker = cc.cone_kernel, cc.cone_solver.left_null.T
+    # per sample, once rescued: 2 D(u, K) and its least-squares fit on the cokernel
+    # (an order-2 failure is Q(u) and is never rescued)
+    rescued, rescuing = np.zeros(b, dtype=bool), False
+    moves = np.zeros((b, coker.shape[1], kernel.shape[1]))
+    fit = np.zeros((b, kernel.shape[1], coker.shape[1]))
+    for m in range(2, order + 1):
+        if not len(active):
+            break
+        defect = order_defect(cc, jets[:, :n_gen], jets[:, n_gen:], m, state)
+        x, resid = cc.cone_solver.solve(-defect)
+        failed = resid > tol
+        lost = failed.any()
+        if m > 2 and (lost or rescuing):
+            new = failed & ~rescued
+            if new.any():
+                cup = cc.kernel_cup
+                first = vec_skew(jets[new, :, 0]).reshape(-1, len(cup))  # (u, xi) of X_1
+                moves[new] = 2.0 * rowwise(first, cup.reshape(len(cup), -1)).reshape(
+                    -1, *cup.shape[1:]).swapaxes(1, 2)
+                fit[new] = -np.linalg.pinv(coker @ moves[new]) @ coker
+                rescued |= new
+                rescuing = True
+            c = fit[rescued] @ defect[rescued, :, None]
+            jets[rescued, :, m - 2] += unvec_skew((kernel @ c).reshape(-1, count, q), n)
+            defect[rescued] += (moves[rescued] @ c)[..., 0]
+            x[rescued], resid[rescued] = cc.cone_solver.solve(-defect[rescued])
+            failed = resid > tol
+            lost = failed.any()
+        residuals[:, m - 1] = resid
+        if lost:
+            gone = active[failed]
+            out.achieved[gone] = m - 1
+            out.residuals[gone], out.defects[gone], out.jets[gone] = (
+                residuals[failed], defect[failed], jets[failed])
+            keep = ~failed
+            active, jets, x, tol, residuals, rescued, moves, fit = (
+                active[keep], jets[keep], x[keep], tol[keep], residuals[keep], rescued[keep],
+                moves[keep], fit[keep])
+            state.keep(np.repeat(keep, count))
+            rescuing = rescued.any()
+        jets[:, :, m - 1] = unvec_skew(x.reshape(-1, count, q), n)
+    out.residuals[active], out.jets[active] = residuals, jets
+
+
 def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None,
          rank_rtol: float = 1e-8) -> LiftReport:
     """Lift a parabolic cocycle to a jet representation of the given order.
@@ -162,63 +267,35 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None,
     brings the defect into the image of the cone differential.  A later
     order that is still unsolvable is reported with budget_exceeded set.
 
+    This is the one-sample case of the stacked lift that :func:`probe_cone`
+    runs over all its samples at once, where each order forms the defects
+    and the cone solves of the whole stack and a failed sample leaves it;
+    a sample's outcome there is that of its own lift.
+
     rank_rtol is the rank threshold of the complex assembled from a bare
     representation; a :class:`~repvar.cohomology.ConeComplex` passed in keeps
     its own.
     """
     opts = options or LiftOptions()
     check_tolerance(opts.tolerance)
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
     cc = as_cone(rep_or_cone, rank_rtol)
     umats = cc.cocycle_parts(u, opts.pre_tolerance)
-    uvec = cc.stack_gen(umats)
-    tol_abs = opts.tolerance * float(np.linalg.norm(uvec)) ** 2
-
-    xi, xi_resid = cc.canonical_xi(umats)
-    rel_resid = max(
-        (float(np.linalg.norm(row @ uvec)) for row in cc.rel_rows), default=0.0
-    )
-    residuals = [max(xi_resid, rel_resid)]
-    # X_1..X_order of every generator, then of every conjugator; zero until solved
-    n = cc.rep.rank
-    jets = np.zeros((len(cc.jet_bases), max(order, 1), n, n), dtype=complex)
-    jets[:, 0] = umats + xi
-    gen_jets, conj_jets = jets[:cc.n_gen], jets[cc.n_gen:]
-    moves = fit = None  # 2 D(u, K) and its least-squares fit on the cokernel
-    state = IncrementalExp(cc.jet_bases, order)
-    for m in range(2, order + 1):
-        defect = order_defect(cc, gen_jets, conj_jets, m, state)
-        if fit is None:
-            x, resid = cc.cone_solver.solve(-defect)
-            if resid > tol_abs and m > 2:
-                moves = 2.0 * cup_form(cc, [(umats, xi)] + cc.cone_kernel_parts)[0, 1:].T
-                coker = cc.cone_solver.left_null.T
-                fit = -np.linalg.pinv(coker @ moves) @ coker
-        if fit is not None:
-            c = fit @ defect
-            jets[:, m - 2] += unvec_skew((cc.cone_kernel @ c).reshape(-1, cc.q), n)
-            defect = defect + moves @ c
-            x, resid = cc.cone_solver.solve(-defect)
-        if resid > tol_abs:
-            # an order-2 failure is classed by Q itself; a later one by its own defect
-            qmap = QuadraticMap(cc, [umats])
-            obs = obstruction_classes(cc, [qmap.form[0, 0] if m == 2 else defect],
-                                      qmap.pooled_shifts())[0]
-            residuals.append(resid)
-            return LiftReport(
-                achieved_order=m - 1,
-                residuals=tuple(residuals),
-                obstruction=obs,
-                budget_exceeded=m > 2,
-                corrections=_freeze(cc.rep, jets[:, :m - 1], cc.n_gen),
-            )
-        jets[:, m - 1] = unvec_skew(x.reshape(-1, cc.q), n)
-        residuals.append(resid)
+    lifts = _lift_stack(cc, np.asarray(umats, dtype=complex)[None], order, opts.tolerance)
+    got = int(lifts.achieved[0])
+    obs = None
+    if got < order:
+        # an order-2 failure is classed by Q itself; a later one by its own defect
+        qmap = QuadraticMap(cc, [umats])
+        obs = obstruction_classes(cc, [qmap.form[0, 0] if got == 1 else lifts.defects[0]],
+                                  qmap.pooled_shifts())[0]
     return LiftReport(
-        achieved_order=order,
-        residuals=tuple(residuals),
-        obstruction=None,
-        budget_exceeded=False,
-        corrections=_freeze(cc.rep, jets[:, :order], cc.n_gen),
+        achieved_order=got,
+        residuals=tuple(lifts.residuals[0, :got + (got < order)].tolist()),
+        obstruction=obs,
+        budget_exceeded=1 < got < order,
+        corrections=_freeze(cc.rep, lifts.jets[0, :, :got], cc.n_gen),
     )
 
 
@@ -229,16 +306,24 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
 
     The quadraticity prediction is an empty off-diagonal contingency: cone
     directions (Q at most tolerance * |u|^2) never fail at order 2 and
-    non-cone directions never lift past order 2.  A direction that fails at
-    order 2 takes Q from the lift's own failure report; every other direction
-    u = sum c_i b_i takes it from one :class:`~repvar.cohomology.QuadraticMap`
-    over the basis, built once per call.  budget is echoed in the report and
+    non-cone directions never lift past order 2.  Every direction
+    u = sum c_i b_i takes Q from one :class:`~repvar.cohomology.QuadraticMap`
+    over the basis, built once per call.  All samples are lifted as one stack
+    (in chunks of bounded memory) by the code that :func:`lift` runs on one:
+    each order makes one defect evaluation and one cone solve for the
+    samples still lifting, the cone-kernel rescue reads every sample's moves
+    off one cup form of the complex, and a failed sample leaves the stack,
+    its outcome that of its own lift.  budget is echoed in the report and
     changes no lift; budget_exceeded counts the lifts that failed past
-    order 2.  rank_rtol is the rank threshold of the complex assembled from a
-    bare representation; a :class:`~repvar.cohomology.ConeComplex` passed in
-    keeps its own.
+    order 2.  rank_rtol is the rank threshold of the complex assembled from
+    a bare representation; a :class:`~repvar.cohomology.ConeComplex` passed
+    in keeps its own.
     """
     check_tolerance(tolerance)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if order < 2:
+        raise ValueError(f"order must be at least 2, got {order}")
     cc = as_cone(rep_or_cone, rank_rtol)
     if len(basis) == 0:
         return ConeProbeReport(samples=0, order=order, tolerance=tolerance,
@@ -246,18 +331,15 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     counts = dict(cone_success=0, cone_fail_order2=0, cone_fail_later=0,
                   noncone_fail_order2=0, noncone_past_order2=0, budget_exceeded=0)
     qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
-    for child in np.random.SeedSequence(seed).spawn(samples):
-        rng = np.random.default_rng(child)
-        coeffs = rng.standard_normal(len(basis))
-        coeffs /= np.linalg.norm(coeffs)
-        uvec = basis.matrix @ coeffs
-        umats = cc.unstack_gen(uvec)
-        unorm = float(np.linalg.norm(uvec))
-        report = lift(cc, umats, order, LiftOptions(tolerance=tolerance))
-        q = report.obstruction if report.achieved_order == 1 else qmap(coeffs)
-        is_cone = q.norm <= tolerance * unorm ** 2
-        counts["budget_exceeded"] += report.budget_exceeded
-        got = report.achieved_order
+    draws = [np.random.default_rng(child).standard_normal(len(basis))
+             for child in np.random.SeedSequence(seed).spawn(samples)]
+    coeffs = np.array([c / np.linalg.norm(c) for c in draws])
+    uvecs = rowwise(coeffs, basis.matrix.T)
+    umats = unvec_skew(uvecs.reshape(samples, cc.n_gen, cc.q), cc.rep.rank)
+    lifts = _lift_stack(cc, umats, order, tolerance)
+    for c, uvec, got in zip(coeffs, uvecs, lifts.achieved.tolist()):
+        is_cone = qmap(c).norm <= tolerance * float(np.linalg.norm(uvec)) ** 2
+        counts["budget_exceeded"] += 1 < got < order
         if is_cone:
             counts["cone_success" if got == order else
                    "cone_fail_order2" if got == 1 else "cone_fail_later"] += 1

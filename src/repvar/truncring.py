@@ -15,6 +15,10 @@ that changed; :func:`unitary_generator_jet` and :func:`exp_series` are one
 call of a fresh one, and :func:`log_series` is its inverse, solved for one
 degree per call.  :func:`product_coefficient` forms one coefficient of a
 product alone.
+
+A jet may carry leading stack axes, coefficients (..., k+1, n, n): products
+and coefficients then act row by row, so :func:`word_jet` evaluates a word
+for a whole stack of samples at once.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import numpy as np
 
 
 class MatrixJet:
-    """Matrix with entries in R[t]/(t^(k+1)), stored as coefficients (k+1, n, n)."""
+    """Matrix with entries in R[t]/(t^(k+1)), stored as coefficients (k+1, n, n),
+    or (..., k+1, n, n) for a stack of them."""
 
     __slots__ = ("coeffs",)
 
@@ -47,14 +52,14 @@ class MatrixJet:
 
     @property
     def order(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return self.coeffs.shape[-3] - 1
 
     @property
     def n(self) -> int:
         return self.coeffs.shape[-1]
 
     def coeff(self, m: int) -> np.ndarray:
-        return self.coeffs[m]
+        return self.coeffs[..., m, :, :]
 
     def __add__(self, other: "MatrixJet") -> "MatrixJet":
         return MatrixJet(self.coeffs + other.coeffs)
@@ -63,27 +68,36 @@ class MatrixJet:
         return MatrixJet(self.coeffs - other.coeffs)
 
     def __matmul__(self, other: "MatrixJet") -> "MatrixJet":
-        # one gather of the Toeplitz matrix of left multiplication by self
-        flat = np.concatenate([self.coeffs.ravel(), np.zeros(1, dtype=complex)])
-        toeplitz = flat[_toeplitz_index(*self.coeffs.shape[:2])]
-        stacked = other.coeffs.reshape(-1, other.n)
-        return MatrixJet((toeplitz @ stacked).reshape(other.coeffs.shape))
+        # one gather of the Toeplitz matrices of left multiplication by every
+        # jet of the stack, then one (batched) gemm
+        shape = self.coeffs.shape
+        k1, n = shape[-3], shape[-2]
+        flat = np.concatenate([self.coeffs.ravel(), _ZERO])
+        toeplitz = flat[_toeplitz_index(shape[:-3], k1, n)]
+        out = toeplitz @ other.coeffs.reshape(other.coeffs.shape[:-3] + (k1 * n, -1))
+        return MatrixJet(out.reshape(out.shape[:-2] + (k1, n, -1)))
 
     def dagger(self) -> "MatrixJet":
         """Coefficient-wise conjugate transpose; the ring inverse of a unitary jet."""
-        return MatrixJet(np.conj(np.swapaxes(self.coeffs, -1, -2)))
+        return MatrixJet(self.coeffs.swapaxes(-1, -2).conj())
 
     def __repr__(self) -> str:
         return f"MatrixJet(order={self.order}, n={self.n})"
 
 
+_ZERO = np.zeros(1, dtype=complex)  # appended to flattened coefficients
+
+
 @lru_cache(maxsize=128)
-def _toeplitz_index(k1: int, n: int) -> np.ndarray:
-    """Position of entry (p n + i, q n + j) of the Toeplitz matrix in the
-    flattened coefficients: entry (i, j) of a_(p-q), or the appended zero."""
-    p, i, q, j = np.ogrid[:k1, :n, :k1, :n]
+def _toeplitz_index(lead: tuple, k1: int, n: int) -> np.ndarray:
+    """Position of entry (p n + i, q n + j) of the Toeplitz matrix of each jet
+    of a stack of shape lead in the flattened coefficients of the stack:
+    entry (i, j) of that jet's a_(p-q), or the appended zero."""
+    rows = math.prod(lead)
+    r, p, i, q, j = np.ogrid[:rows, :k1, :n, :k1, :n]
     lag = p - q
-    index = np.where(lag >= 0, (lag * n + i) * n + j, k1 * n * n).reshape(k1 * n, k1 * n)
+    index = np.where(lag >= 0, ((r * k1 + lag) * n + i) * n + j, rows * k1 * n * n)
+    index = index.reshape(lead + (k1 * n, k1 * n))
     index.setflags(write=False)  # shared by every caller
     return index
 
@@ -169,6 +183,10 @@ class IncrementalExp:
         self.formed = max(min(self.formed, first - 1), m)
         return self.coeffs[:, :m + 1]
 
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the series at the given stack rows (indices or a mask)."""
+        self.bases, self.powers, self.coeffs = self.bases[rows], self.powers[rows], self.coeffs[rows]
+
     def _store(self, d: int) -> None:
         """Jet coefficient d: E_d = sum_j (S^j)_d / j!, times the base."""
         e = self.powers[:, d, :, 1:d + 1, :].swapaxes(-1, -2) @ self.weights[1:d + 1]
@@ -177,9 +195,11 @@ class IncrementalExp:
 
 def product_coefficient(a: MatrixJet, b: MatrixJet, m: int) -> np.ndarray:
     """Coefficient m of the product a @ b alone: sum_p a_p b_(m-p), one
-    contraction of a's coefficients 0..m against b's m..0."""
-    n = a.n
-    return a.coeffs[:m + 1].transpose(1, 0, 2).reshape(n, -1) @ b.coeffs[m::-1].reshape(-1, n)
+    contraction of a's coefficients 0..m against b's m..0 (per stack row)."""
+    left = a.coeffs.swapaxes(-3, -2)[..., :m + 1, :]
+    right = b.coeffs[..., m::-1, :, :]
+    return left.reshape(left.shape[:-3] + (left.shape[-3], -1)) \
+        @ right.reshape(right.shape[:-3] + (-1, right.shape[-1]))
 
 
 def word_jet(generator_jets: Sequence[MatrixJet], word, order: int, n: int) -> MatrixJet:

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repvar import cohomology, corpus, repspace
+from repvar import cohomology, corpus, presentation, repspace
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -88,6 +88,20 @@ def sphere3_cc(sphere3_rep):
 @pytest.fixture(scope="session")
 def sphere4_cc(sphere4_rep):
     return cohomology.assemble_complex(sphere4_rep)
+
+
+@pytest.fixture(scope="session")
+def degenerate_u3_cc():
+    """A U(3) four-punctured sphere whose classes (1/q, 2/q, -3/q) repeat an
+    eigenvalue at q = 5.  Find seed 1 returns the repeated angle split by
+    about 1e-6; lifts there fail at order 2 or 3, decided by rounding."""
+    lines = ["group sphere4_u3_degenerate", "rank 3", "generators x0 x1 x2 x3",
+             "relator x0 x1 x2 x3"]
+    lines += [f"peripheral Px{i} = x{i} : 1/{q}, 2/{q}, -3/{q}"
+              for i, q in enumerate((5, 7, 11, 13))]
+    pres = presentation.parse_presentation("\n".join(lines) + "\n")
+    rep = repspace.find_representation(pres, seed=1, target_tolerance=1e-11)
+    return cohomology.assemble_complex(rep)
 
 
 @pytest.fixture(scope="session")

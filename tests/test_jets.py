@@ -1,3 +1,6 @@
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,7 +104,7 @@ def test_lift_failure_matches_obstruction(genus2_red_cc):
 
 
 def test_lift_failure_obstruction_is_bitwise_q(genus2_red_cc):
-    # probe_cone reads Q of an order-2 failure from the lift report, so it must
+    # a lift that fails at order 2 reports Q(u) as its obstruction, so it must
     # be exactly the class that obstruction() computes
     basis = h1_basis(genus2_red_cc)
     rng = np.random.default_rng(75)
@@ -123,6 +126,23 @@ def test_bad_tolerance_rejected(genus2_red_cc, tol):
         probe_cone(genus2_red_cc, basis, samples=2, order=3, tolerance=tol)
     with pytest.raises(ValueError, match="tolerance"):
         cohomology.pairing_tensor(genus2_red_cc, basis, tolerance=tol)
+
+
+@pytest.mark.parametrize("samples, order", [(0, 3), (-3, 3), (2, 1), (2, 0)])
+def test_bad_sample_count_or_order_rejected(genus2_red_cc, samples, order):
+    # the bounds the CLI applies: at least one sample, probe order at least 2
+    basis = h1_basis(genus2_red_cc)
+    name = "samples" if samples < 1 else "order"
+    with pytest.raises(ValueError, match=name):
+        probe_cone(genus2_red_cc, basis, samples=samples, order=order)
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_bad_lift_order_rejected(genus2_red_cc, order):
+    basis = h1_basis(genus2_red_cc)
+    with pytest.raises(ValueError, match="order"):
+        lift(genus2_red_cc, basis.vectors[0], order)
+    assert lift(genus2_red_cc, basis.vectors[0], 1).achieved_order == 1
 
 
 def test_order2_equivalence_sampled(corpus_points):
@@ -233,6 +253,32 @@ def test_lift_makes_one_defect_call_per_order_and_no_full_exponential(sphere4_cc
     assert orders == list(range(2, 13))
 
 
+def test_benchmark_tracer_covers_lift_and_probe(sphere4_cc, monkeypatch):
+    # perfbench's tracer rebinds the layer functions by name in every repvar
+    # module and checks that a successful lift makes exactly k - 1
+    # order_defect calls; a probe makes one call per order for all samples
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    basis = h1_basis(sphere4_cc)
+    tracer = Tracer()
+    tracer.install()  # raises CoverageError on a binding it cannot wrap
+    try:
+        tracer.start_op("lift")
+        assert jets.lift(sphere4_cc, basis.vectors[0], 5).succeeded
+        tracer.start_op("probe")
+        probe = jets.probe_cone(sphere4_cc, basis, samples=8, order=4, seed=1)
+    finally:
+        tracer.restore()
+    assert probe.cone_success == 8
+    totals, problems = tracer.layer_totals()
+    assert problems == []
+    assert totals["jets.lift.calls"] == 1
+    assert totals["jets.lift.exact_count_lifts"] == 1
+    assert totals["jets.lift.order_defect_per_order"] == 1.0
+    assert totals["cohomology.order_defect.calls"] == 4 + 3
+
+
 def test_lift_and_probe_pass_rank_rtol(sphere4_rep, sphere4_cc):
     # below the rounding floor, as h1_basis; a cone passed in keeps its own threshold
     basis = h1_basis(sphere4_cc)
@@ -333,6 +379,55 @@ def test_cone_directions_lift_property(genus2_red_cc, seed, scale):
     assert max(jet_residual_profile(report.corrections, genus2_red_cc)) <= bound
 
 
+def _stack_directions(point, cc, basis, rng):
+    """A mixed stack of cocycles at one point, in random order: at sphere4
+    random directions that lift to the full order; at the reducible genus-2
+    point random directions that fail at order 2 and Gauss-Newton cone
+    directions that need the cone-kernel rescue; at the degenerate U(3)
+    point probe-like random directions."""
+    scales = [0.3, 1.0, 2.0]
+    if point == "genus2_red_cc":
+        pairing = cohomology.pairing_tensor(cc, basis)
+        stack = [cone_direction(pairing, rng)[0] * s for s in scales]
+        stack += [rng.standard_normal(len(basis)) for _ in range(3)]
+    else:
+        stack = [rng.standard_normal(len(basis)) for _ in range(6)]
+        stack = [c * scales[i % 3] / np.linalg.norm(c) for i, c in enumerate(stack)]
+    return [cc.unstack_gen(basis.matrix @ c) for c in rng.permutation(stack)]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3], ids=["whole", "chunk1", "chunk3"])
+@pytest.mark.parametrize("point, order", [("sphere4_cc", 6), ("genus2_red_cc", 6),
+                                          ("degenerate_u3_cc", 5)])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_lift_matches_single_lifts(point, order, chunk, seed, request):
+    # each sample of a stack, lifted whole or in chunks, has the outcome of
+    # its own lift: a failed sample leaves the stack, and a rescue moves only
+    # the sample it was fitted to
+    cc = request.getfixturevalue(point)
+    basis = h1_basis(cc)
+    stack = _stack_directions(point, cc, basis, np.random.default_rng(seed))
+    per_sample = len(cc.jet_bases) * (order + 1) ** 2 * cc.q
+    limit = jets._STACK_CACHE_LIMIT if chunk is None else chunk * per_sample
+    assert chunk is not None or limit >= len(stack) * per_sample
+    with mock.patch.object(jets, "_STACK_CACHE_LIMIT", limit):
+        lifts = jets._lift_stack(cc, np.array(stack), order, 1e-7)
+    for i, u in enumerate(stack):
+        single = lift(cc, u, order)
+        got = int(lifts.achieved[i])
+        assert got == single.achieved_order
+        assert (1 < got < order) == single.budget_exceeded
+        # past the order a sample failed at, nothing more is recorded for it
+        residuals = np.zeros(order)
+        residuals[:len(single.residuals)] = single.residuals
+        assert np.max(np.abs(lifts.residuals[i] - residuals)) <= 1e-14
+        corrections = single.corrections
+        want = np.array(corrections.generator_jets + corrections.conjugator_jets)
+        assert np.max(np.abs(lifts.jets[i, :, :got] - want)) <= 1e-12 * np.max(np.abs(want))
+        assert not lifts.jets[i, :, got:].any()
+
+
 def test_probe_abelian_all_cone_success(torus_cc):
     basis = h1_basis(torus_cc)
     report = probe_cone(torus_cc, basis, samples=50, order=6, seed=3)
@@ -353,7 +448,7 @@ def test_probe_smooth_point_with_peripherals(sphere4_cc):
 
 @pytest.mark.parametrize("point", ["sphere4_cc", "genus2_irr_cc", "genus2_red_cc"])
 def test_probe_q_matches_obstruction(point, request):
-    # probe_cone reads Q of a direction that passes order 2 off one
+    # probe_cone reads Q of every direction, failing ones included, off one
     # QuadraticMap over the basis; it must agree with obstruction()
     cc = request.getfixturevalue(point)
     basis = h1_basis(cc)
