@@ -20,8 +20,9 @@ cone complex once, wraps the command's report body in
 Reports are JSON by default (deterministic: sorted keys, no timestamps) and
 embed the full effective configuration.  Exit codes: 0 success, 1 input or
 usage errors, 2 constraint or verdict failures (NotFound, NoConvergence,
-failed lift, violated probe prediction, invalid representation, and an
-ill-conditioned rank decision, reported with its two candidate ranks).
+failed lift, violated probe prediction, invalid representation, a stray
+numerical error from numpy, and an ill-conditioned rank decision, reported
+with its two candidate ranks).
 """
 
 from __future__ import annotations
@@ -346,6 +347,9 @@ def run(argv) -> int:
         code, body = 2, {"error": str(exc), "candidates": list(exc.candidates)}
     except NoConvergenceError as exc:
         print(f"repvar: no convergence: {exc}", file=sys.stderr)
+        return 2
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        print(f"repvar: numerical error: {exc}", file=sys.stderr)
         return 2
     _emit({"verb": args.verb, "config": config, **body}, args.format)
     return code

@@ -24,14 +24,15 @@ the second-order Fox-calculus term (the cup product H^1 x H^1 -> H^2).
 :func:`cup_form` evaluates it on all pairs of the cocycles and the
 conjugator-kernel vectors (0, kappa): raw defects, polarized pairing and
 shift directions in one.  :class:`QuadraticMap` holds that form over fixed
-cocycles and reads off Q of any linear combination of them, since the
-canonical xi is linear in u; :func:`obstruction_classes` reduces the
-defects in one common quotient.  :func:`obstruction`,
+cocycles and reads off Q of any stack of linear combinations of them in one
+batched evaluation, since the canonical xi is linear in u;
+:func:`obstruction_classes` reduces defects in one common quotient, through
+the same stacked reduction.  :func:`obstruction`,
 :func:`common_obstruction`, :func:`pairing_tensor`, the failure path of
 :func:`repvar.jets.lift`, Q in :func:`repvar.jets.probe_cone` (one map over
-the basis per call) and the cone-kernel moves of both
-(:attr:`ConeComplex.kernel_cup`, one form per complex) all go through these
-functions.
+the basis per call, evaluated once on all samples) and the cone-kernel
+moves of both (:attr:`ConeComplex.kernel_cup`, one form per complex) all go
+through these functions.
 
 :func:`order_defect` evaluates the higher-order defects of a jet
 representation, or of a stack of them, in truncated-ring arithmetic: the
@@ -157,6 +158,18 @@ def rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     whole block, so a sample's result would depend on the samples stacked
     with it."""
     return (a[..., None, :] @ m)[..., 0, :]
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """The norm of every row of a (..., d), each equal to the 1-D
+    ``np.linalg.norm`` of that row: the square root of one dot product per
+    row (of the real and imaginary parts for complex rows).  The ``axis=``
+    form of ``np.linalg.norm`` sums in another order."""
+    def dots(x):
+        return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+    if np.iscomplexobj(a):
+        return np.sqrt(dots(a.real) + dots(a.imag))
+    return np.sqrt(dots(a))
 
 
 class _LstsqSolver:
@@ -339,17 +352,20 @@ class ConeComplex:
         return [Cochain2(tuple(c[:self.n_rel]), tuple(c[self.n_rel:])) for c in blocks]
 
     def project_peripheral(self, v: np.ndarray) -> np.ndarray:
-        """Project the peripheral blocks onto the complements of the joint images."""
+        """Project the peripheral blocks onto the complements of the joint
+        images.  v holds target coordinates along its first axis, (dim,) or
+        (dim, cols), or is a stack (..., dim, cols) of such matrices, each
+        projected by its own products (see :func:`rowwise`)."""
+        if v.ndim == 1:
+            return self.project_peripheral(v[:, None])[:, 0]
         out = v.copy()
         for gd in self.group_data:
-            stacked = np.concatenate([
-                v[(self.n_rel + i) * self.q:(self.n_rel + i + 1) * self.q]
-                for i in gd.members
-            ])
+            rows = [np.s_[..., (self.n_rel + i) * self.q:(self.n_rel + i + 1) * self.q, :]
+                    for i in gd.members]
+            stacked = np.concatenate([v[r] for r in rows], axis=-2)
             stacked = stacked - gd.col @ (gd.col.T @ stacked)
-            for pos, i in enumerate(gd.members):
-                r0 = (self.n_rel + i) * self.q
-                out[r0:r0 + self.q] = stacked[pos * self.q:(pos + 1) * self.q]
+            for pos, r in enumerate(rows):
+                out[r] = stacked[..., pos * self.q:(pos + 1) * self.q, :]
         return out
 
     def cocycle_parts(self, u, pre_tolerance: float) -> list[np.ndarray]:
@@ -557,6 +573,13 @@ class QuadraticMap:
     D(u, u) is c^T D c, and the raw defect moves by 2 D(u, kappa) +
     D(kappa, kappa) = 2 sum c_i D(u_i, kappa) + D(kappa, kappa) when xi moves
     along a kernel column kappa.
+
+    :meth:`shifts` and calling the map take a stack of coefficient rows c,
+    (s, h), and evaluate all of them at once: the raw defects, shift floors,
+    cross terms, peripheral projections and kept-shift masks are formed by
+    batched products, one product per row (see :func:`rowwise`), so a row's
+    result is bitwise the one it gets alone.  :meth:`pooled_shifts` is
+    :meth:`shifts` of the stack of unit rows.
     """
 
     def __init__(self, cc: ConeComplex, cocycles: Sequence[Sequence[np.ndarray]]):
@@ -568,30 +591,42 @@ class QuadraticMap:
         self.form = cup_form(cc, list(zip(cocycles, self.xis)) + cc.kernel_cochains)
         self.kernel_self = np.einsum("kkt->kt", self.form[h:, h:])
         self.vectors = np.array([cc.stack_gen(u) for u in cocycles]).reshape(h, cc.n_gen * cc.q)
+        # the blocks a coefficient row multiplies, one row per cocycle
+        self._pairs = self.form[:h, :h].reshape(h, -1)
+        self._cross = self.form[:h, h:].reshape(h, -1)
+        self._xis = self.xis.reshape(h, -1)
 
-    def shifts(self, c: np.ndarray) -> list[np.ndarray]:
-        """Unit directions along which the raw defect of u = sum c_i u_i moves
-        when xi moves inside the joint-centralizer kernel; moves below
-        1e-12 (1 + |u| + max |xi|) are rounding and are dropped."""
-        if len(self.kernel_self) == 0:
-            return []
-        xinorm = max((float(np.linalg.norm(x)) for x in np.tensordot(c, self.xis, 1)),
-                     default=0.0)
-        floor = 1e-12 * (1.0 + float(np.linalg.norm(c @ self.vectors)) + xinorm)
-        cross = np.tensordot(c, self.form[:self.h, self.h:], 1)
-        diff = self.cc.project_peripheral((2.0 * cross + self.kernel_self).T)
-        size = np.linalg.norm(diff, axis=0)
-        keep = size > floor
-        return list((diff[:, keep] / size[keep]).T)
+    def shifts(self, c: np.ndarray) -> list[list[np.ndarray]]:
+        """Per row of c (s, h): the unit directions along which the raw defect
+        of u = sum c_i u_i moves when xi moves inside the joint-centralizer
+        kernel; moves below 1e-12 (1 + |u| + max |xi|) are rounding and are
+        dropped."""
+        s, k, dim = len(c), len(self.kernel_self), self.form.shape[-1]
+        out = [[] for _ in range(s)]
+        if k == 0:
+            return out
+        xis = rowwise(c.astype(complex), self._xis).reshape(s, len(self.cc.groups), -1)
+        floor = 1e-12 * (1.0 + row_norms(rowwise(c, self.vectors))
+                         + row_norms(xis).max(axis=1))
+        cross = rowwise(c, self._cross).reshape(s, k, dim)
+        diff = self.cc.project_peripheral((2.0 * cross + self.kernel_self).swapaxes(1, 2))
+        size = np.linalg.norm(diff, axis=1)
+        keep = size > floor[:, None]
+        for j in np.flatnonzero(keep.any(axis=1)):
+            out[j] = list((diff[j][:, keep[j]] / size[j][keep[j]]).T)
+        return out
 
-    def __call__(self, c: np.ndarray) -> ObstructionClass:
-        """Q(u) for u = sum c_i u_i, alone in its quotient."""
-        raw = c @ np.tensordot(c, self.form[:self.h, :self.h], 1)
-        return obstruction_classes(self.cc, [raw], self.shifts(c))[0]
+    def __call__(self, c: np.ndarray) -> list[ObstructionClass]:
+        """Q(u) for u = sum c_i u_i of every row of c (s, h), each alone in
+        its quotient: the rows that keep no shift direction are classed in
+        ``cc.shift_free_quotient`` by one batched projection, a row that
+        keeps some in its own quotient."""
+        raw = rowwise(c, rowwise(c, self._pairs).reshape(len(c), self.h, -1))
+        return [cls for (cls,) in _stacked_classes(self.cc, raw[..., None], self.shifts(c))]
 
     def pooled_shifts(self) -> list[np.ndarray]:
         """The shift directions of every u_i, pooled."""
-        return [d for c in np.eye(self.h) for d in self.shifts(c)]
+        return [d for row in self.shifts(np.eye(self.h)) for d in row]
 
 
 def _quotient_basis(cc: ConeComplex, shifts: Sequence[np.ndarray]) -> np.ndarray:
@@ -610,6 +645,28 @@ def _quotient_basis(cc: ConeComplex, shifts: Sequence[np.ndarray]) -> np.ndarray
     return np.eye(cc.par_target_dim)
 
 
+def _stacked_classes(cc: ConeComplex, defects: np.ndarray,
+                     shifts: Sequence[Sequence[np.ndarray]]) -> list[list[ObstructionClass]]:
+    """Classes of a stack of defect sets, defects (s, dim, cols): the columns
+    of set j are reduced in one common quotient modulo shifts[j], and each
+    set by its own products.  All sets without shifts share
+    ``cc.shift_free_quotient`` and one batched projection; a set with
+    shifts gets its own :func:`_quotient_basis`."""
+    projected = cc.project_peripheral(defects)
+    target = cc.pt_basis.T @ projected
+    coords, norms = [None] * len(defects), [None] * len(defects)
+    free = [j for j, sh in enumerate(shifts) if not len(sh)]
+    block = cc.shift_free_quotient.T @ target[free]
+    for j, x, size in zip(free, block, np.linalg.norm(block, axis=1)):
+        coords[j], norms[j] = x, size
+    for j, sh in enumerate(shifts):
+        if len(sh):
+            coords[j] = _quotient_basis(cc, sh).T @ target[j]
+            norms[j] = np.linalg.norm(coords[j], axis=0)
+    return [[ObstructionClass(coordinates=x[:, i], norm=float(size[i]), cone=cc, defect=p[:, i])
+             for i in range(x.shape[1])] for x, size, p in zip(coords, norms, projected)]
+
+
 def obstruction_classes(cc: ConeComplex, defects: Sequence[np.ndarray],
                         shifts: Sequence[np.ndarray]) -> list[ObstructionClass]:
     """Classes of raw defects in one common quotient O^2, so their coordinates
@@ -617,17 +674,12 @@ def obstruction_classes(cc: ConeComplex, defects: Sequence[np.ndarray],
 
     O^2 is the parabolic degree-2 target modulo Im(d1_par) plus the shift
     directions; its coordinates come from an orthonormal basis of that
-    complement in parabolic-target coordinates.
+    complement in parabolic-target coordinates.  This is the one-set case
+    of the stacked reduction that :class:`QuadraticMap` runs on its rows.
     """
-    if not defects:
+    if not len(defects):
         return []
-    quotient = _quotient_basis(cc, shifts) if shifts else cc.shift_free_quotient
-    projected = cc.project_peripheral(np.column_stack(defects))
-    coords = quotient.T @ (cc.pt_basis.T @ projected)
-    norms = np.linalg.norm(coords, axis=0)
-    return [ObstructionClass(coordinates=coords[:, j], norm=float(norms[j]), cone=cc,
-                             defect=projected[:, j])
-            for j in range(len(defects))]
+    return _stacked_classes(cc, np.column_stack(defects)[None], [shifts])[0]
 
 
 def obstruction(rep_or_cone, u, pre_tolerance: float = 1e-6,

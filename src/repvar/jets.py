@@ -13,7 +13,8 @@ the quadratic-cone local model.  The choice of earlier corrections matters
 there: past order 2, a correction can move inside the cone kernel, which
 shifts the next defect linearly through the cup form, and :func:`lift`
 makes that choice by one deterministic least-squares solve per order.
-:func:`probe_cone` lifts all its samples as one stack, order by order.
+:func:`probe_cone` lifts all its samples as one stack, order by order, and
+reads Q of all of them off one stacked evaluation.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .cohomology import (
     check_tolerance,
     obstruction_classes,
     order_defect,
+    row_norms,
     rowwise,
 )
 from .repspace import Representation
@@ -308,7 +310,9 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     directions (Q at most tolerance * |u|^2) never fail at order 2 and
     non-cone directions never lift past order 2.  Every direction
     u = sum c_i b_i takes Q from one :class:`~repvar.cohomology.QuadraticMap`
-    over the basis, built once per call.  All samples are lifted as one stack
+    over the basis, built once per call and evaluated once, on the stack of
+    all sample coefficients; each sample's Q is bitwise the one it gets
+    alone.  All samples are lifted as one stack
     (in chunks of bounded memory) by the code that :func:`lift` runs on one:
     each order makes one defect evaluation and one cone solve for the
     samples still lifting, the cone-kernel rescue reads every sample's moves
@@ -331,14 +335,15 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     counts = dict(cone_success=0, cone_fail_order2=0, cone_fail_later=0,
                   noncone_fail_order2=0, noncone_past_order2=0, budget_exceeded=0)
     qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
-    draws = [np.random.default_rng(child).standard_normal(len(basis))
-             for child in np.random.SeedSequence(seed).spawn(samples)]
-    coeffs = np.array([c / np.linalg.norm(c) for c in draws])
+    draws = np.array([np.random.default_rng(child).standard_normal(len(basis))
+                      for child in np.random.SeedSequence(seed).spawn(samples)])
+    coeffs = draws / row_norms(draws)[:, None]
     uvecs = rowwise(coeffs, basis.matrix.T)
     umats = unvec_skew(uvecs.reshape(samples, cc.n_gen, cc.q), cc.rep.rank)
     lifts = _lift_stack(cc, umats, order, tolerance)
-    for c, uvec, got in zip(coeffs, uvecs, lifts.achieved.tolist()):
-        is_cone = qmap(c).norm <= tolerance * float(np.linalg.norm(uvec)) ** 2
+    norms = row_norms(uvecs).tolist()
+    for q, unorm, got in zip(qmap(coeffs), norms, lifts.achieved.tolist()):
+        is_cone = q.norm <= tolerance * unorm ** 2
         counts["budget_exceeded"] += 1 < got < order
         if is_cone:
             counts["cone_success" if got == order else

@@ -222,6 +222,20 @@ def test_find_out_unwritable_fails_before_search(cli_files, monkeypatch, capsys)
     assert out == "" and err.startswith("repvar: error: cannot write ")
 
 
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("SVD did not converge"),
+                                   FloatingPointError("overflow encountered in matmul")])
+def test_numerical_error_exit_2(error, cli_files, monkeypatch, capsys):
+    def fail(*args):
+        raise error
+    monkeypatch.setitem(cli._VERBS, "tangent", cli._VERBS["tangent"]._replace(command=fail))
+    code = cli.run(["tangent", GENUS2, cli_files["genus2_irr"]])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("repvar: ") and str(error) in err
+
+
 @pytest.mark.parametrize("verb", ["tangent", "pairing"])
 def test_ill_conditioned_exit_2(verb, cli_files, capsys):
     code = cli.run([verb, GENUS2, cli_files["ill_conditioned"]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repvar import corpus
+from repvar import cohomology, corpus
 from repvar.cohomology import (
     IllConditionedError,
     NotACocycleError,
@@ -26,7 +26,7 @@ from repvar.repspace import Representation, commutant_dimension, evaluate_word, 
 from repvar.unitary import exponential, principal_log, random_skew, unvec_skew, vec_skew
 
 from conftest import random_cocycle
-from oracles import fd_h1_par, jet_order2_defect, random_word
+from oracles import fd_h1_par, jet_order2_defect, random_word, sample_q, sample_shifts
 
 
 def test_transport_single_letter(genus2_irr):
@@ -477,6 +477,84 @@ def test_no_shift_directions_at_degenerate_class_point():
         xi, _ = cc.canonical_xi(v)
         assert max(np.linalg.norm(x) for x in xi) > 1e3
         assert QuadraticMap(cc, [list(v)]).pooled_shifts() == []
+
+
+def _assert_rows_match_oracle(qmap, rows):
+    """Every row's stacked class and shift set are bitwise the per-row oracle's."""
+    classes, shifts = qmap(rows), qmap.shifts(rows)
+    assert len(classes) == len(shifts) == len(rows)
+    for c, got, kept in zip(rows, classes, shifts):
+        want = sample_q(qmap, c)
+        assert got.norm == want.norm
+        assert got.coordinates.shape == want.coordinates.shape
+        assert np.array_equal(got.coordinates, want.coordinates)
+        assert np.array_equal(got.defect, want.defect)
+        oracle = sample_shifts(qmap, c)
+        assert len(kept) == len(oracle)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, oracle))
+    return classes, shifts
+
+
+@pytest.mark.parametrize("point", ["sphere4_cc", "genus2_irr_cc", "genus2_red_cc",
+                                   "degenerate_u3_cc"])
+def test_stacked_q_matches_per_sample_oracle(point, request):
+    # Q of a stack of coefficient rows is one batched evaluation with one
+    # product per row, so each row's class is bitwise the one the row gets
+    # alone, whatever it is stacked with
+    cc = request.getfixturevalue(point)
+    basis = h1_basis(cc)
+    qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
+    rng = np.random.default_rng(81)
+    for size in (1, 7, 40):
+        rows = rng.standard_normal((size, len(basis)))
+        _assert_rows_match_oracle(qmap, rows / np.linalg.norm(rows, axis=1)[:, None])
+    c = rng.standard_normal(len(basis))
+    for lam in (-3.0, 0.25, 2.0):
+        _assert_rows_match_oracle(qmap, np.array([c, lam * c]))
+    pooled = [d for c in np.eye(len(basis)) for d in sample_shifts(qmap, c)]
+    got = qmap.pooled_shifts()
+    assert len(got) == len(pooled)
+    assert all(np.array_equal(a, b) for a, b in zip(got, pooled))
+
+
+def test_rows_that_keep_shifts_get_their_own_quotient(sphere4_cc, monkeypatch):
+    # No corpus point keeps a shift direction: the projected moves along the
+    # conjugator kernel are rounding.  Here the cup form is perturbed so that
+    # u_0 moves along kernel column 0 by e, a unit vector of the shift-free
+    # quotient, and along kernel column 1 by a vector of Im(d1_par).  Rows
+    # with c_0 != 0 then keep shift directions and rows with c_0 = 0 keep
+    # none, so one stack holds both kinds.
+    cc = sphere4_cc
+    basis = h1_basis(cc)
+    h = len(basis)
+    quotient = cc.shift_free_quotient
+    assert quotient.shape[1] == 1  # o2 = 1: a kept e leaves an empty quotient
+    e = cc.pt_basis @ quotient[:, 0]
+    image = cc.d1_par @ np.random.default_rng(82).standard_normal(cc.d1_par.shape[1])
+    real_cup = cohomology.cup_form
+
+    def perturbed(cone, vectors):
+        form = real_cup(cone, vectors)
+        form[0, h] += e
+        form[h, 0] += e
+        form[0, h + 1] += image
+        form[h + 1, 0] += image
+        return form
+
+    with monkeypatch.context() as m:
+        m.setattr(cohomology, "cup_form", perturbed)
+        qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
+    rows = np.random.default_rng(83).standard_normal((9, h))
+    rows[::3, 0] = 0.0
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    classes, shifts = _assert_rows_match_oracle(qmap, rows)
+    kept = [len(s) for s in shifts]
+    assert kept[::3] == [0, 0, 0]
+    assert all(k == 2 for i, k in enumerate(kept) if i % 3)
+    for i, q in enumerate(classes):
+        # own quotient: Im(d1_par) + e fills the parabolic target
+        assert q.coordinates.shape == ((1,) if i % 3 == 0 else (0,))
+    assert len(qmap.pooled_shifts()) == 2
 
 
 def test_representative_built_on_first_access(sphere4_cc):

@@ -449,18 +449,19 @@ def test_probe_smooth_point_with_peripherals(sphere4_cc):
 @pytest.mark.parametrize("point", ["sphere4_cc", "genus2_irr_cc", "genus2_red_cc"])
 def test_probe_q_matches_obstruction(point, request):
     # probe_cone reads Q of every direction, failing ones included, off one
-    # QuadraticMap over the basis; it must agree with obstruction()
+    # stacked call of a QuadraticMap over the basis; it must agree with
+    # obstruction()
     cc = request.getfixturevalue(point)
     basis = h1_basis(cc)
     if point == "sphere4_cc":
         assert cc.kernel_cochains  # the shift directions are exercised
     qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
     rng = np.random.default_rng(78)
-    for _ in range(50):
-        coeffs = rng.standard_normal(len(basis))
-        coeffs /= np.linalg.norm(coeffs)
+    rows = rng.standard_normal((50, len(basis)))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    for coeffs, q in zip(rows, qmap(rows)):
         want = obstruction(cc, cc.unstack_gen(basis.matrix @ coeffs)).norm
-        assert abs(qmap(coeffs).norm - want) <= 1e-12 * max(1.0, want)
+        assert abs(q.norm - want) <= 1e-12 * max(1.0, want)
 
 
 def test_probe_rigid_flagged(sphere3_cc):
