@@ -12,27 +12,30 @@ Two complexes are assembled at a representation rho:
 
 The kernel of the parabolic differential modulo coboundaries is the
 tangent space of the moduli problem; the quadratic map Q sends a
-parabolic cocycle to the class of its order-2 deformation defect in the
-operational obstruction quotient (the parabolic degree-2 target modulo
-the image of the parabolic differential and the conjugator-kernel shift
-directions, which absorb the ambiguity in the canonical minimal-norm
-conjugator choice).
+parabolic cocycle to the class of its order-2 deformation defect in O^2,
+the parabolic degree-2 target modulo Im(d1_par).  The conjugator part is
+fixed only up to the joint centralizer of its group; moving it by kappa
+moves the defect on peripheral row i by 1/2 [a_1, kappa], a_1 the
+first-order transport of u along gamma_i, and leaves every other row.  On a
+parabolic cocycle a_1 = (Id - Ad rho(gamma_i)) xi, so the move is
+(Id - Ad rho(gamma_i)) [xi, kappa], inside the joint image that the
+peripheral projection removes: the canonical minimal-norm xi moves no class.
 
 Q has a single, closed-form implementation: the order-2 defect of
 X_1 = u with conjugator parts xi is a symmetric bilinear form D in (u, xi),
 the second-order Fox-calculus term (the cup product H^1 x H^1 -> H^2).
-:func:`cup_form` evaluates it on all pairs of the cocycles and the
-conjugator-kernel vectors (0, kappa): raw defects, polarized pairing and
-shift directions in one.  :class:`QuadraticMap` holds that form over fixed
-cocycles and reads off Q of any stack of linear combinations of them in one
-batched evaluation, since the canonical xi is linear in u;
-:func:`obstruction_classes` reduces defects in one common quotient, through
-the same stacked reduction.  :func:`obstruction`,
-:func:`common_obstruction`, :func:`pairing_tensor`, the failure path of
-:func:`repvar.jets.lift`, Q in :func:`repvar.jets.probe_cone` (one map over
-the basis per call, evaluated once on all samples) and the cone-kernel
-moves of both (:attr:`ConeComplex.kernel_cup`, one form per complex) all go
-through these functions.
+:func:`cup_form` evaluates it on all pairs of given vectors: raw defects
+and polarized pairing in one.  :class:`QuadraticMap` holds that form over
+fixed cocycles and reads off Q of any stack of linear combinations of them
+in one batched evaluation, since the canonical xi is linear in u;
+:func:`obstruction_classes` reduces defects in the one cached quotient
+basis, :attr:`ConeComplex.obstruction_quotient`, through the same stacked
+reduction.  :func:`obstruction`, :func:`common_obstruction`,
+:func:`pairing_tensor`, the failure path of :func:`repvar.jets.lift`, Q in
+:func:`repvar.jets.probe_cone` (one map over the basis per call, evaluated
+once on all samples) and the cone-kernel moves of both
+(:attr:`ConeComplex.kernel_cup`, one form per complex) all go through these
+functions.
 
 :func:`order_defect` evaluates the higher-order defects of a jet
 representation, or of a stack of them, in truncated-ring arithmetic: the
@@ -295,19 +298,19 @@ class ConeComplex:
         self.cone_kernel = self.cone_solver.nullspace
         self.complex_defect = float(np.linalg.norm(self.d1_cone @ self.d0_full))
 
-        # the cone cochains (0, kappa), kappa a joint-centralizer kernel
-        # column in group g's conjugator slot
-        self.kernel_cochains = []
-        for g, gd in enumerate(self.group_data):
-            for col in gd.kernel.T:
-                xi = np.zeros((len(self.groups), n, n), dtype=complex)
-                xi[g] = unvec_skew(col, n)
-                self.kernel_cochains.append((np.zeros((self.n_gen, n, n)), xi))
-
     @cached_property
-    def shift_free_quotient(self) -> np.ndarray:
-        """The obstruction quotient basis when there are no shift directions."""
-        return _quotient_basis(self, [])
+    def obstruction_quotient(self) -> np.ndarray:
+        """Orthonormal basis, in parabolic-target coordinates, of the
+        complement of Im(d1_par): the coordinates of O^2."""
+        if self.d1_par.size:
+            a = self.pt_basis.T @ self.d1_par
+            norms = np.linalg.norm(a, axis=0)
+            keep = norms > 1e-13 * max(1.0, float(norms.max(initial=0.0)))
+            if keep.any():
+                u, s, _ = np.linalg.svd(a[:, keep] / norms[keep], full_matrices=True)
+                return u[:, _rank_cut(s, self.rank_rtol, "obstruction quotient",
+                                      size=max(a.shape)):]
+        return np.eye(self.par_target_dim)
 
     @cached_property
     def cone_kernel_parts(self) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
@@ -389,7 +392,7 @@ class ConeComplex:
         n = self.rep.rank
         umats = np.asarray(umats, dtype=complex)
         lead = umats.shape[:-3]
-        uvec = vec_skew(umats).reshape(*lead, -1)
+        uvec = vec_skew(umats).reshape(*lead, self.n_gen * self.q)
         values = [rowwise(uvec, row.T) for row in self.per_rows]
         xis = np.zeros((*lead, len(self.groups), n, n), dtype=complex)
         worst = np.zeros(lead)
@@ -566,120 +569,54 @@ def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
 
 class QuadraticMap:
     """Q on the span of fixed parabolic cocycles u_1..u_h, read off one
-    :func:`cup_form` over the cocycles (with their canonical conjugator parts)
-    and the conjugator-kernel vectors (0, kappa).
+    :func:`cup_form` over the cocycles with their canonical conjugator parts.
 
     The canonical xi is linear in u, so for u = sum c_i u_i the raw defect
-    D(u, u) is c^T D c, and the raw defect moves by 2 D(u, kappa) +
-    D(kappa, kappa) = 2 sum c_i D(u_i, kappa) + D(kappa, kappa) when xi moves
-    along a kernel column kappa.
-
-    :meth:`shifts` and calling the map take a stack of coefficient rows c,
-    (s, h), and evaluate all of them at once: the raw defects, shift floors,
-    cross terms, peripheral projections and kept-shift masks are formed by
-    batched products, one product per row (see :func:`rowwise`), so a row's
-    result is bitwise the one it gets alone.  :meth:`pooled_shifts` is
-    :meth:`shifts` of the stack of unit rows.
+    D(u, u) is c^T D c.  Calling the map takes a stack of coefficient rows c,
+    (s, h), and evaluates all of them at once: the raw defects and the
+    peripheral projections are batched products, one product per row (see
+    :func:`rowwise`), so a row's class is bitwise the one it gets alone.
     """
 
     def __init__(self, cc: ConeComplex, cocycles: Sequence[Sequence[np.ndarray]]):
         self.cc = cc
         self.h = h = len(cocycles)
         n = cc.rep.rank
-        self.xis = cc.canonical_xi(
-            np.asarray(cocycles, dtype=complex).reshape(h, cc.n_gen, n, n))[0]
-        self.form = cup_form(cc, list(zip(cocycles, self.xis)) + cc.kernel_cochains)
-        self.kernel_self = np.einsum("kkt->kt", self.form[h:, h:])
-        self.vectors = np.array([cc.stack_gen(u) for u in cocycles]).reshape(h, cc.n_gen * cc.q)
+        xis = cc.canonical_xi(np.asarray(cocycles, dtype=complex).reshape(h, cc.n_gen, n, n))[0]
+        self.form = cup_form(cc, list(zip(cocycles, xis)))
         # the blocks a coefficient row multiplies, one row per cocycle
-        self._pairs = self.form[:h, :h].reshape(h, -1)
-        self._cross = self.form[:h, h:].reshape(h, -1)
-        self._xis = self.xis.reshape(h, -1)
-
-    def shifts(self, c: np.ndarray) -> list[list[np.ndarray]]:
-        """Per row of c (s, h): the unit directions along which the raw defect
-        of u = sum c_i u_i moves when xi moves inside the joint-centralizer
-        kernel; moves below 1e-12 (1 + |u| + max |xi|) are rounding and are
-        dropped."""
-        s, k, dim = len(c), len(self.kernel_self), self.form.shape[-1]
-        out = [[] for _ in range(s)]
-        if k == 0:
-            return out
-        xis = rowwise(c.astype(complex), self._xis).reshape(s, len(self.cc.groups), -1)
-        floor = 1e-12 * (1.0 + row_norms(rowwise(c, self.vectors))
-                         + row_norms(xis).max(axis=1))
-        cross = rowwise(c, self._cross).reshape(s, k, dim)
-        diff = self.cc.project_peripheral((2.0 * cross + self.kernel_self).swapaxes(1, 2))
-        size = np.linalg.norm(diff, axis=1)
-        keep = size > floor[:, None]
-        for j in np.flatnonzero(keep.any(axis=1)):
-            out[j] = list((diff[j][:, keep[j]] / size[j][keep[j]]).T)
-        return out
+        self._pairs = self.form.reshape(h, h * self.form.shape[-1])
 
     def __call__(self, c: np.ndarray) -> list[ObstructionClass]:
-        """Q(u) for u = sum c_i u_i of every row of c (s, h), each alone in
-        its quotient: the rows that keep no shift direction are classed in
-        ``cc.shift_free_quotient`` by one batched projection, a row that
-        keeps some in its own quotient."""
+        """Q(u) for u = sum c_i u_i of every row of c (s, h), each in its own
+        products, all in ``cc.obstruction_quotient``."""
         raw = rowwise(c, rowwise(c, self._pairs).reshape(len(c), self.h, -1))
-        return [cls for (cls,) in _stacked_classes(self.cc, raw[..., None], self.shifts(c))]
-
-    def pooled_shifts(self) -> list[np.ndarray]:
-        """The shift directions of every u_i, pooled."""
-        return [d for row in self.shifts(np.eye(self.h)) for d in row]
+        return [cls for (cls,) in _stacked_classes(self.cc, raw[..., None])]
 
 
-def _quotient_basis(cc: ConeComplex, shifts: Sequence[np.ndarray]) -> np.ndarray:
-    """Orthonormal basis, in parabolic-target coordinates, of the complement
-    of Im(d1_par) plus the shift directions."""
-    cols = [cc.pt_basis.T @ cc.d1_par] if cc.d1_par.size else []
-    if shifts:
-        cols.append(cc.pt_basis.T @ np.column_stack(shifts))
-    if cols:
-        a = np.hstack(cols)
-        norms = np.linalg.norm(a, axis=0)
-        keep = norms > 1e-13 * max(1.0, float(norms.max(initial=0.0)))
-        if keep.any():
-            u, s, _ = np.linalg.svd(a[:, keep] / norms[keep], full_matrices=True)
-            return u[:, _rank_cut(s, cc.rank_rtol, "obstruction quotient", size=max(a.shape)):]
-    return np.eye(cc.par_target_dim)
-
-
-def _stacked_classes(cc: ConeComplex, defects: np.ndarray,
-                     shifts: Sequence[Sequence[np.ndarray]]) -> list[list[ObstructionClass]]:
-    """Classes of a stack of defect sets, defects (s, dim, cols): the columns
-    of set j are reduced in one common quotient modulo shifts[j], and each
-    set by its own products.  All sets without shifts share
-    ``cc.shift_free_quotient`` and one batched projection; a set with
-    shifts gets its own :func:`_quotient_basis`."""
+def _stacked_classes(cc: ConeComplex, defects: np.ndarray) -> list[list[ObstructionClass]]:
+    """Classes of a stack of defect sets, defects (s, dim, cols), all in
+    ``cc.obstruction_quotient`` by one batched projection, each set by its
+    own products."""
     projected = cc.project_peripheral(defects)
-    target = cc.pt_basis.T @ projected
-    coords, norms = [None] * len(defects), [None] * len(defects)
-    free = [j for j, sh in enumerate(shifts) if not len(sh)]
-    block = cc.shift_free_quotient.T @ target[free]
-    for j, x, size in zip(free, block, np.linalg.norm(block, axis=1)):
-        coords[j], norms[j] = x, size
-    for j, sh in enumerate(shifts):
-        if len(sh):
-            coords[j] = _quotient_basis(cc, sh).T @ target[j]
-            norms[j] = np.linalg.norm(coords[j], axis=0)
+    coords = cc.obstruction_quotient.T @ (cc.pt_basis.T @ projected)
     return [[ObstructionClass(coordinates=x[:, i], norm=float(size[i]), cone=cc, defect=p[:, i])
-             for i in range(x.shape[1])] for x, size, p in zip(coords, norms, projected)]
+             for i in range(x.shape[1])]
+            for x, size, p in zip(coords, np.linalg.norm(coords, axis=1), projected)]
 
 
-def obstruction_classes(cc: ConeComplex, defects: Sequence[np.ndarray],
-                        shifts: Sequence[np.ndarray]) -> list[ObstructionClass]:
+def obstruction_classes(cc: ConeComplex, defects: Sequence[np.ndarray]) -> list[ObstructionClass]:
     """Classes of raw defects in one common quotient O^2, so their coordinates
     are directly comparable.
 
-    O^2 is the parabolic degree-2 target modulo Im(d1_par) plus the shift
-    directions; its coordinates come from an orthonormal basis of that
+    O^2 is the parabolic degree-2 target modulo Im(d1_par); its coordinates
+    come from ``cc.obstruction_quotient``, an orthonormal basis of the
     complement in parabolic-target coordinates.  This is the one-set case
     of the stacked reduction that :class:`QuadraticMap` runs on its rows.
     """
     if not len(defects):
         return []
-    return _stacked_classes(cc, np.column_stack(defects)[None], [shifts])[0]
+    return _stacked_classes(cc, np.column_stack(defects)[None])[0]
 
 
 def obstruction(rep_or_cone, u, pre_tolerance: float = 1e-6,
@@ -688,8 +625,8 @@ def obstruction(rep_or_cone, u, pre_tolerance: float = 1e-6,
 
     Solves the canonical minimal-norm conjugator parts, evaluates the exact
     order-2 relator and conjugated-peripheral defects with vanishing
-    second-order corrections in closed form (:func:`cup_form`), and reduces
-    the projected defect in the operational obstruction quotient.  Q(l u) equals
+    second-order corrections in closed form (:func:`cup_form`), and classes
+    the projected defect in O^2 (:func:`obstruction_classes`).  Q(l u) equals
     l^2 Q(u) and Q vanishes on coboundary directions.
     """
     return common_obstruction(rep_or_cone, [u], pre_tolerance, rank_rtol)[0]
@@ -702,8 +639,7 @@ def common_obstruction(rep_or_cone, us: Sequence, pre_tolerance: float = 1e-6,
     cc = as_cone(rep_or_cone, rank_rtol)
     cocycles = [cc.cocycle_parts(u, pre_tolerance) for u in us]
     qmap = QuadraticMap(cc, cocycles)
-    return obstruction_classes(cc, [qmap.form[i, i] for i in range(len(cocycles))],
-                               qmap.pooled_shifts())
+    return obstruction_classes(cc, [qmap.form[i, i] for i in range(len(cocycles))])
 
 
 def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
@@ -720,7 +656,7 @@ def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
     h = len(basis)
     qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
     keys = [(i, i) for i in range(h)] + [(i, j) for i in range(h) for j in range(i + 1, h)]
-    classes = obstruction_classes(cc, [qmap.form[key] for key in keys], qmap.pooled_shifts())
+    classes = obstruction_classes(cc, [qmap.form[key] for key in keys])
     entries = dict(sorted(zip(keys, classes)))
     verdict = all(e.norm <= tolerance for e in entries.values())
     return PairingTensor(entries=entries, verdict=verdict, tolerance=tolerance)

@@ -289,9 +289,8 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None,
     obs = None
     if got < order:
         # an order-2 failure is classed by Q itself; a later one by its own defect
-        qmap = QuadraticMap(cc, [umats])
-        obs = obstruction_classes(cc, [qmap.form[0, 0] if got == 1 else lifts.defects[0]],
-                                  qmap.pooled_shifts())[0]
+        defect = QuadraticMap(cc, [umats]).form[0, 0] if got == 1 else lifts.defects[0]
+        obs = obstruction_classes(cc, [defect])[0]
     return LiftReport(
         achieved_order=got,
         residuals=tuple(lifts.residuals[0, :got + (got < order)].tolist()),
@@ -311,17 +310,17 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     non-cone directions never lift past order 2.  Every direction
     u = sum c_i b_i takes Q from one :class:`~repvar.cohomology.QuadraticMap`
     over the basis, built once per call and evaluated once, on the stack of
-    all sample coefficients; each sample's Q is bitwise the one it gets
-    alone.  All samples are lifted as one stack
-    (in chunks of bounded memory) by the code that :func:`lift` runs on one:
-    each order makes one defect evaluation and one cone solve for the
-    samples still lifting, the cone-kernel rescue reads every sample's moves
-    off one cup form of the complex, and a failed sample leaves the stack,
-    its outcome that of its own lift.  budget is echoed in the report and
-    changes no lift; budget_exceeded counts the lifts that failed past
-    order 2.  rank_rtol is the rank threshold of the complex assembled from
-    a bare representation; a :class:`~repvar.cohomology.ConeComplex` passed
-    in keeps its own.
+    all sample coefficients, in the one quotient of the complex; each
+    sample's Q is bitwise the one it gets alone.  All samples are lifted as
+    one stack (in chunks of bounded memory) by the code that :func:`lift`
+    runs on one: each order makes one defect evaluation and one cone solve
+    for the samples still lifting, the cone-kernel rescue reads every
+    sample's moves off one cup form of the complex, and a failed sample
+    leaves the stack, its outcome that of its own lift.  budget is echoed in
+    the report and changes no lift; budget_exceeded counts the lifts that
+    failed past order 2.  rank_rtol is the rank threshold of the complex
+    assembled from a bare representation; a
+    :class:`~repvar.cohomology.ConeComplex` passed in keeps its own.
     """
     check_tolerance(tolerance)
     if samples < 1:

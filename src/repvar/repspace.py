@@ -321,14 +321,18 @@ def _rank_cut(s: np.ndarray, rtol: float, context: str, gaps: dict | None = None
     """Rank at the relative threshold, with an ambiguity band of a factor 10.
     A threshold below the rounding floor eps * size * s[0] cannot tell rank
     from noise; its candidates are the ranks at the floor and at the threshold.
-    size is the larger dimension of the factored matrix (default s.size)."""
+    size is the larger dimension of the factored matrix (default s.size).
+    Every factored matrix is formed from unitaries, identities or unit
+    columns, so its scale is 1, and one with s[0] <= eps * size is rounding
+    of zero: rank 0."""
     s = np.asarray(s)
-    if s.size == 0 or s[0] <= 0.0:
+    eps_size = np.finfo(float).eps * (s.size if size is None else size)
+    if s.size == 0 or s[0] <= eps_size:
         if gaps is not None:
             gaps[context] = None
         return 0
     tau = rtol * s[0]
-    floor = np.finfo(float).eps * (s.size if size is None else size) * s[0]
+    floor = eps_size * s[0]
     if tau < floor:
         raise IllConditionedError(context, (int(np.sum(s > floor)), int(np.sum(s > tau))),
                                   float(tau))

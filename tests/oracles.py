@@ -19,7 +19,7 @@ from math import factorial
 import numpy as np
 import scipy.linalg
 
-from repvar.cohomology import ObstructionClass, _quotient_basis, order_defect
+from repvar.cohomology import ObstructionClass, order_defect
 from repvar.repspace import Representation, _residual_vector, evaluate_word
 from repvar.unitary import BranchCutError, exponential, project_skew, skew_basis, vec_skew
 
@@ -194,33 +194,13 @@ def cone_direction(pairing, rng, steps=60):
     return c, float(np.linalg.norm(c @ np.tensordot(c, form, 1)))
 
 
-def sample_shifts(qmap, c):
-    """Shift directions of one coefficient row c (h,) of a QuadraticMap:
-    the moves 2 D(u, kappa) + D(kappa, kappa) of u = sum c_i u_i, projected,
-    kept above 1e-12 (1 + |u| + max |xi|) and normalized, all formed for
-    this row alone."""
-    if len(qmap.kernel_self) == 0:
-        return []
-    xinorm = max((float(np.linalg.norm(x)) for x in np.tensordot(c, qmap.xis, 1)),
-                 default=0.0)
-    floor = 1e-12 * (1.0 + float(np.linalg.norm(c @ qmap.vectors)) + xinorm)
-    cross = np.tensordot(c, qmap.form[:qmap.h, qmap.h:], 1)
-    diff = qmap.cc.project_peripheral((2.0 * cross + qmap.kernel_self).T)
-    size = np.linalg.norm(diff, axis=0)
-    keep = size > floor
-    return list((diff[:, keep] / size[keep]).T)
-
-
 def sample_q(qmap, c):
-    """Q of one coefficient row c (h,) of a QuadraticMap, alone in its
-    quotient: the shift-free quotient when it keeps no shift direction,
-    else its own."""
+    """Q of one coefficient row c (h,) of a QuadraticMap, formed for this
+    row alone."""
     cc = qmap.cc
-    raw = c @ np.tensordot(c, qmap.form[:qmap.h, :qmap.h], 1)
-    shifts = sample_shifts(qmap, c)
-    quotient = _quotient_basis(cc, shifts) if shifts else cc.shift_free_quotient
+    raw = c @ np.tensordot(c, qmap.form, 1)
     projected = cc.project_peripheral(np.column_stack([raw]))
-    coords = quotient.T @ (cc.pt_basis.T @ projected)
+    coords = cc.obstruction_quotient.T @ (cc.pt_basis.T @ projected)
     return ObstructionClass(coordinates=coords[:, 0],
                             norm=float(np.linalg.norm(coords, axis=0)[0]), cone=cc,
                             defect=projected[:, 0])

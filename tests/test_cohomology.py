@@ -1,10 +1,12 @@
+import json
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repvar import cohomology, corpus
+from repvar import cli, corpus
 from repvar.cohomology import (
     IllConditionedError,
     NotACocycleError,
@@ -22,11 +24,13 @@ from repvar.cohomology import (
     pairing_tensor,
 )
 from repvar.presentation import parse_presentation
-from repvar.repspace import Representation, commutant_dimension, evaluate_word, find_representation
-from repvar.unitary import exponential, principal_log, random_skew, unvec_skew, vec_skew
+from repvar.repspace import (Representation, commutant_dimension, evaluate_word,
+                             find_representation, rep_to_json)
+from repvar.unitary import (exponential, matrix_to_json, principal_log, random_skew, unvec_skew,
+                            vec_skew)
 
 from conftest import random_cocycle
-from oracles import fd_h1_par, jet_order2_defect, random_word, sample_q, sample_shifts
+from oracles import fd_h1_par, jet_order2_defect, random_word, sample_q
 
 
 def test_transport_single_letter(genus2_irr):
@@ -455,44 +459,167 @@ def test_q_quadratic_and_zero_on_coboundaries(name, seed, draw, size, sign):
     assert np.linalg.norm(q2.coordinates - lam ** 2 * q1.coordinates) <= 1e-9 * lam ** 2
 
 
-def test_no_shift_directions_at_degenerate_class_point():
+U3_DIAGONAL = """\
+group sphere4_u3_diagonal
+rank 3
+generators a b c d
+relator a b c d
+peripheral Pa = a : 1/5, 1/5, -2/5
+peripheral Pb = b : 1/7, 2/7, -3/7
+peripheral Pc = c : 1/11, 3/11, -4/11
+peripheral Pd = d : -167/385, -292/385, 459/385
+"""
+
+
+@lru_cache(maxsize=None)
+def _u3_diagonal():
+    """A U(3) four-punctured sphere at a diagonal point built from exact
+    fractions: d's angles are minus the sums of the others, so a b c d
+    closes exactly, and Pa repeats an eigenvalue.  There o2 = 3."""
+    angles = [[Fraction(1, 5), Fraction(1, 5), Fraction(-2, 5)],
+              [Fraction(1, 7), Fraction(2, 7), Fraction(-3, 7)],
+              [Fraction(1, 11), Fraction(3, 11), Fraction(-4, 11)]]
+    angles.append([-sum(col) for col in zip(*angles)])
+    rep = corpus.diagonal_representation(parse_presentation(U3_DIAGONAL), angles)
+    cc = assemble_complex(rep)
+    return rep, cc, h1_basis(cc)
+
+
+def _near_cocycle(cc, basis):
+    """An exact unit combination u of the basis and a fixed skew tangent n of
+    unit norm, which is no cocycle."""
+    rng = np.random.default_rng(90)
+    c = rng.standard_normal(len(basis))
+    u = cc.unstack_gen(basis.matrix @ (c / np.linalg.norm(c)))
+    n = [random_skew(rng, cc.rep.rank) for _ in range(cc.n_gen)]
+    size = np.linalg.norm(cc.stack_gen(n))
+    return u, [x / size for x in n]
+
+
+def test_near_cocycle_keeps_every_quotient_coordinate(tmp_path):
+    # Q of u + eps n moves by O(eps): the quotient is the complement of
+    # Im(d1_par) alone, so a near-cocycle keeps all o2 = 3 coordinates and
+    # its rank decision does not depend on eps
+    rep, cc, basis = _u3_diagonal()
+    assert h_dims(cc).o2 == 3
+    u, n = _near_cocycle(cc, basis)
+    q0 = obstruction(cc, u)
+    assert q0.coordinates.shape == (3,)
+    for eps in (1e-11, 1e-9, 1e-8):
+        q = obstruction(cc, [a + eps * b for a, b in zip(u, n)])
+        assert q.coordinates.shape == (3,)
+        assert np.linalg.norm(q.coordinates - q0.coordinates) <= 10 * eps
+    files = {"grp": U3_DIAGONAL, "rep": json.dumps(rep_to_json(rep)),
+             "cochain": json.dumps({"generator_part": {
+                 name: matrix_to_json(a + 1e-9 * b)
+                 for name, a, b in zip(rep.presentation.generators, u, n)},
+                 "conjugator_part": {}})}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli.run(["obstruct", *(str(tmp_path / name) for name in files)]) == 0
+
+
+def _projected_kernel_moves(cc, u):
+    """The largest |project_peripheral(2 D(u, kappa) + D(kappa, kappa))| over
+    the conjugator-kernel cochains (0, kappa), from cup_form, and the floor
+    1e-12 (1 + |u| + max |xi|) at the canonical xi."""
+    kernel = _kernel_vectors(cc)
+    assert kernel
+    u, xi = _with_xi(cc, u)
+    form = cup_form(cc, [(u, xi)] + kernel)
+    moves = [np.linalg.norm(cc.project_peripheral(2.0 * form[0, k] + form[k, k]))
+             for k in range(1, len(form))]
+    floor = 1e-12 * (1.0 + np.linalg.norm(cc.stack_gen(u)) + max(np.linalg.norm(x) for x in xi))
+    return max(moves), floor
+
+
+@point_cases
+@given(st.sampled_from(["sphere4", "sphere4_joint", "sphere4_u3_diagonal"]), find_seeds,
+       draw_seeds, st.floats(0.1, 4.0))
+def test_conjugator_kernel_moves_vanish_on_cocycles(name, seed, draw, scale):
+    # moving xi by kappa moves peripheral row i by 1/2 [a_1, kappa] with
+    # a_1 = (Id - Ad P_i) xi on a cocycle, which the projection removes, so
+    # Q does not depend on the choice of xi
+    cc, basis = _u3_diagonal()[1:] if name == "sphere4_u3_diagonal" else _point(name, seed)
+    u = random_cocycle(cc, basis, np.random.default_rng(draw), scale)
+    move, floor = _projected_kernel_moves(cc, u)
+    assert move <= floor
+
+
+def test_conjugator_kernel_moves_seen_off_cocycles():
+    # the negative control: u + 1e-8 n is no cocycle, and its move is seen
+    _, cc, basis = _u3_diagonal()
+    u, n = _near_cocycle(cc, basis)
+    move, floor = _projected_kernel_moves(cc, u)
+    assert move <= floor
+    v = [a + 1e-8 * b for a, b in zip(u, n)]
+    assert np.linalg.norm(cc.d1_par @ cc.stack_gen(v)) > 1e-9
+    move, floor = _projected_kernel_moves(cc, v)
+    assert move > floor
+
+
+def test_no_shift_directions_at_degenerate_class_point(degenerate_u3_cc):
     # The class (1/5, 2/5, -3/5) repeats an eigenvalue (-3/5 = 2/5 mod 1).  At
     # the point that find seed 1 returns, group 0 keeps a singular value of
-    # 3e-6, so the canonical xi is about 1e5.  Forming a shift as the order-2
-    # defect at xi + kappa minus the one at xi left about 1e-6 of rounding
-    # noise, which was kept as 3 shift directions per cocycle; the closed form
-    # 2 D(u, kappa) + D(kappa, kappa) is below the floor.
-    lines = ["group sphere4_u3_degenerate", "rank 3", "generators x0 x1 x2 x3",
-             "relator x0 x1 x2 x3"]
-    lines += [f"peripheral Px{i} = x{i} : 1/{q}, 2/{q}, -3/{q}"
-              for i, q in enumerate((5, 7, 11, 13))]
-    rep = find_representation(parse_presentation("\n".join(lines) + "\n"), seed=1,
-                              target_tolerance=1e-11)
-    cc = assemble_complex(rep)
+    # 3e-6, so the canonical xi is about 1e5.  Even there the projected moves
+    # of the raw defect along the conjugator kernel stay under the floor.
+    cc = degenerate_u3_cc
     group0 = cc.group_data[0]
     assert np.linalg.svd(group0.map, compute_uv=False)[group0.rank - 1] < 1e-5
     basis = h1_basis(cc)
     assert len(basis) == 8
-    for v in basis.vectors:
+    rng = np.random.default_rng(91)
+    for v in list(basis.vectors) + [random_cocycle(cc, basis, rng) for _ in range(4)]:
         xi, _ = cc.canonical_xi(v)
         assert max(np.linalg.norm(x) for x in xi) > 1e3
-        assert QuadraticMap(cc, [list(v)]).pooled_shifts() == []
+        move, floor = _projected_kernel_moves(cc, v)
+        assert move <= floor
+
+
+def test_scalar_class_gets_rank_zero():
+    # Pa = (1/2, 1/2) makes rho(a) = -I, so Id - Ad rho(a) is zero up to
+    # rounding (singular values 2e-16): its rank is 0, not 2.  By hand u_a = 0,
+    # the b, c, d parts are off-diagonal (6 dimensions), the relator removes
+    # 2 and the coboundaries 2, so h1_par = 2.
+    text = ("group sphere4_scalar\nrank 2\ngenerators a b c d\nrelator a b c d\n"
+            "peripheral Pa = a : 1/2, 1/2\nperipheral Pb = b : 1/7, -1/7\n"
+            "peripheral Pc = c : 1/5, -1/5\nperipheral Pd = d : 11/70, -11/70\n")
+    angles = [(0.5, 0.5), (1 / 7, -1 / 7), (1 / 5, -1 / 5), (11 / 70, -11 / 70)]
+    rep = corpus.diagonal_representation(parse_presentation(text), angles)
+    cc = assemble_complex(rep)
+    assert cc.group_data[0].rank == 0
+    basis = h1_basis(cc)
+    assert len(basis) == 2
+    for v in basis.vectors:
+        assert max(np.linalg.norm(x) for x in cc.canonical_xi(v)[0]) <= 10
+        assert obstruction(cc, v).norm <= 10
+
+
+def test_abelian_point_from_find_has_no_coboundaries():
+    # at U(1), Id - Ad rho(x) is zero up to the rounding of |rho(x)|^2 = 1,
+    # so d0 has rank 0 and h1_par = 2 at every point, as at the exact one
+    rep = find_representation(corpus.load("torus_puncture"), seed=1, target_tolerance=1e-10)
+    dims = h_dims(rep)
+    assert (dims.b1, dims.c0, dims.h1_par) == (0, 1, 2)
+
+
+def test_pairing_at_rigid_point(sphere3_cc):
+    # h1_par = 0: the pairing has no entries and the verdict is smooth
+    tensor = pairing_tensor(sphere3_cc, h1_basis(sphere3_cc))
+    assert tensor.entries == {} and tensor.verdict
+    assert common_obstruction(sphere3_cc, []) == []
 
 
 def _assert_rows_match_oracle(qmap, rows):
-    """Every row's stacked class and shift set are bitwise the per-row oracle's."""
-    classes, shifts = qmap(rows), qmap.shifts(rows)
-    assert len(classes) == len(shifts) == len(rows)
-    for c, got, kept in zip(rows, classes, shifts):
+    """Every row's stacked class is bitwise the per-row oracle's."""
+    classes = qmap(rows)
+    assert len(classes) == len(rows)
+    for c, got in zip(rows, classes):
         want = sample_q(qmap, c)
         assert got.norm == want.norm
         assert got.coordinates.shape == want.coordinates.shape
         assert np.array_equal(got.coordinates, want.coordinates)
         assert np.array_equal(got.defect, want.defect)
-        oracle = sample_shifts(qmap, c)
-        assert len(kept) == len(oracle)
-        assert all(np.array_equal(a, b) for a, b in zip(kept, oracle))
-    return classes, shifts
 
 
 @pytest.mark.parametrize("point", ["sphere4_cc", "genus2_irr_cc", "genus2_red_cc",
@@ -511,50 +638,6 @@ def test_stacked_q_matches_per_sample_oracle(point, request):
     c = rng.standard_normal(len(basis))
     for lam in (-3.0, 0.25, 2.0):
         _assert_rows_match_oracle(qmap, np.array([c, lam * c]))
-    pooled = [d for c in np.eye(len(basis)) for d in sample_shifts(qmap, c)]
-    got = qmap.pooled_shifts()
-    assert len(got) == len(pooled)
-    assert all(np.array_equal(a, b) for a, b in zip(got, pooled))
-
-
-def test_rows_that_keep_shifts_get_their_own_quotient(sphere4_cc, monkeypatch):
-    # No corpus point keeps a shift direction: the projected moves along the
-    # conjugator kernel are rounding.  Here the cup form is perturbed so that
-    # u_0 moves along kernel column 0 by e, a unit vector of the shift-free
-    # quotient, and along kernel column 1 by a vector of Im(d1_par).  Rows
-    # with c_0 != 0 then keep shift directions and rows with c_0 = 0 keep
-    # none, so one stack holds both kinds.
-    cc = sphere4_cc
-    basis = h1_basis(cc)
-    h = len(basis)
-    quotient = cc.shift_free_quotient
-    assert quotient.shape[1] == 1  # o2 = 1: a kept e leaves an empty quotient
-    e = cc.pt_basis @ quotient[:, 0]
-    image = cc.d1_par @ np.random.default_rng(82).standard_normal(cc.d1_par.shape[1])
-    real_cup = cohomology.cup_form
-
-    def perturbed(cone, vectors):
-        form = real_cup(cone, vectors)
-        form[0, h] += e
-        form[h, 0] += e
-        form[0, h + 1] += image
-        form[h + 1, 0] += image
-        return form
-
-    with monkeypatch.context() as m:
-        m.setattr(cohomology, "cup_form", perturbed)
-        qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
-    rows = np.random.default_rng(83).standard_normal((9, h))
-    rows[::3, 0] = 0.0
-    rows /= np.linalg.norm(rows, axis=1)[:, None]
-    classes, shifts = _assert_rows_match_oracle(qmap, rows)
-    kept = [len(s) for s in shifts]
-    assert kept[::3] == [0, 0, 0]
-    assert all(k == 2 for i, k in enumerate(kept) if i % 3)
-    for i, q in enumerate(classes):
-        # own quotient: Im(d1_par) + e fills the parabolic target
-        assert q.coordinates.shape == ((1,) if i % 3 == 0 else (0,))
-    assert len(qmap.pooled_shifts()) == 2
 
 
 def test_representative_built_on_first_access(sphere4_cc):
