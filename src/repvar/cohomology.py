@@ -600,9 +600,10 @@ def _stacked_classes(cc: ConeComplex, defects: np.ndarray) -> list[list[Obstruct
     own products."""
     projected = cc.project_peripheral(defects)
     coords = cc.obstruction_quotient.T @ (cc.pt_basis.T @ projected)
-    return [[ObstructionClass(coordinates=x[:, i], norm=float(size[i]), cone=cc, defect=p[:, i])
-             for i in range(x.shape[1])]
-            for x, size, p in zip(coords, np.linalg.norm(coords, axis=1), projected)]
+    return [[ObstructionClass(coordinates=x, norm=size, cone=cc, defect=p)
+             for x, size, p in zip(xs, sizes, ps)]
+            for xs, sizes, ps in zip(coords.swapaxes(1, 2), np.linalg.norm(coords, axis=1).tolist(),
+                                     projected.swapaxes(1, 2))]
 
 
 def obstruction_classes(cc: ConeComplex, defects: Sequence[np.ndarray]) -> list[ObstructionClass]:
@@ -656,7 +657,8 @@ def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
     h = len(basis)
     qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
     keys = [(i, i) for i in range(h)] + [(i, j) for i in range(h) for j in range(i + 1, h)]
-    classes = obstruction_classes(cc, [qmap.form[key] for key in keys])
+    rows, cols = np.array(keys, dtype=int).reshape(-1, 2).T
+    classes = _stacked_classes(cc, qmap.form[rows, cols].T[None])[0]
     entries = dict(sorted(zip(keys, classes)))
     verdict = all(e.norm <= tolerance for e in entries.values())
     return PairingTensor(entries=entries, verdict=verdict, tolerance=tolerance)

@@ -143,14 +143,23 @@ def transport_matrix(rep: Representation, word: Word) -> np.ndarray:
     return out
 
 
-def _residual_blocks(rep: Representation) -> list[np.ndarray]:
-    """The constraint gaps at rep: W - I per relator value W, then
+def _word_values(rep: Representation) -> list[np.ndarray]:
+    """The constraint word values at rep: relators, then peripheral words."""
+    pres = rep.presentation
+    return [evaluate_word(rep, w) for w in (*pres.relators, *(p.word for p in pres.peripherals))]
+
+
+def _residual_blocks(rep: Representation,
+                     values: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
+    """The constraint gaps at rep (from its word ``values``, when the caller
+    already formed them): W - I per relator value W, then
     :func:`~repvar.unitary.class_gap` per peripheral value.  The residuals,
     validity and the Gauss-Newton objective are all read off these blocks."""
+    values = _word_values(rep) if values is None else values
+    n_rel = len(rep.presentation.relators)
     eye = np.eye(rep.rank)
-    rel = [evaluate_word(rep, r) - eye for r in rep.presentation.relators]
-    return rel + [class_gap(evaluate_word(rep, p.word), p.klass)
-                  for p in rep.presentation.peripherals]
+    return [w - eye for w in values[:n_rel]] + \
+        [class_gap(w, p.klass) for w, p in zip(values[n_rel:], rep.presentation.peripherals)]
 
 
 def _block_residuals(rep: Representation, blocks: Sequence[np.ndarray]) -> Residuals:
@@ -181,49 +190,49 @@ def _residual_vector(rep: Representation,
 
 
 def _word_directions(rep: Representation, word: Word, w_val: np.ndarray) -> np.ndarray:
-    """dW/d(coordinates) for the word value W = w_val: array (n_gen * N^2, N, N)."""
+    """dW/d(coordinates) for the word value W = w_val: array (n_gen * N^2, N, N).
+
+    All Fox terms of the word are formed at once, sign * Ad(prefix)(basis) W
+    by two batched einsums over the stacked prefixes, then added into their
+    generator blocks in word order.  The batch axis only repeats einsum's
+    loop over the contracted indices, so each term is bitwise the one a
+    per-term einsum gives (numpy 2.4), and so are the sums and every
+    ``refine`` iterate."""
     n = rep.rank
     q = n * n
-    basis = skew_basis(n)
-    n_gen = len(rep.presentation.generators)
-    out = np.zeros((n_gen * q, n, n), dtype=complex)
-    for gen, sign, prefix in word_transport_terms(rep.matrices, word):
-        moved = np.einsum("ij,ajk,lk->ail", prefix, basis, prefix.conj())
-        out[gen * q:(gen + 1) * q] += sign * np.einsum("aij,jk->aik", moved, w_val)
+    out = np.zeros((len(rep.presentation.generators) * q, n, n), dtype=complex)
+    terms = list(word_transport_terms(rep.matrices, word))
+    prefixes = np.array([prefix for _, _, prefix in terms]).reshape(-1, n, n)
+    moved = np.einsum("tij,ajk,tlk->tail", prefixes, skew_basis(n), prefixes.conj())
+    for (gen, sign, _), d in zip(terms, np.einsum("taij,jk->taik", moved, w_val)):
+        out[gen * q:(gen + 1) * q] += sign * d
     return out
 
 
-def _residual_jacobian(rep: Representation) -> np.ndarray:
-    """Analytic Jacobian of `_residual_vector` in left-exponential coordinates;
-    each constraint word is evaluated once."""
-    n = rep.rank
-    q = n * n
-    cols = len(rep.presentation.generators) * q
+def _residual_jacobian(rep: Representation, values: Sequence[np.ndarray]) -> np.ndarray:
+    """Analytic Jacobian of `_residual_vector` in left-exponential coordinates
+    at the word ``values`` of :func:`_word_values`."""
+    n_rel = len(rep.presentation.relators)
+    cols = len(rep.presentation.generators) * rep.rank ** 2
     blocks = []
-    for r in rep.presentation.relators:
-        dw = _word_directions(rep, r, evaluate_word(rep, r))
-        blocks.append(dw.reshape(cols, q).real.T)
-        blocks.append(dw.reshape(cols, q).imag.T)
-    for p in rep.presentation.peripherals:
-        w_val = evaluate_word(rep, p.word)
-        dw = _word_directions(rep, p.word, w_val)
-        _, dc = charpoly_directions(w_val, dw)
-        blocks.append(dc.real.T)
-        blocks.append(dc.imag.T)
+    for word, w_val in zip(rep.presentation.relators, values[:n_rel]):
+        dw = _word_directions(rep, word, w_val).reshape(cols, -1)
+        blocks += [dw.real.T, dw.imag.T]
+    for p, w_val in zip(rep.presentation.peripherals, values[n_rel:]):
+        _, dc = charpoly_directions(w_val, _word_directions(rep, p.word, w_val))
+        blocks += [dc.real.T, dc.imag.T]
     if not blocks:
         return np.zeros((0, cols))
     return np.vstack(blocks)
 
 
 def _retract(rep: Representation, step: np.ndarray) -> Representation:
-    """Left-exponential update of every generator by the stacked coordinate step."""
+    """Left-exponential update of every generator by the stacked coordinate
+    step, all generators in one batched exponential."""
     n = rep.rank
-    q = n * n
-    mats = []
-    for i, m in enumerate(rep.matrices):
-        x = unvec_skew(step[i * q:(i + 1) * q], n)
-        mats.append(exponential(x) @ m)
-    return Representation(rep.presentation, mats, rep.tolerance)
+    x = unvec_skew(step.reshape(len(rep.matrices), n * n), n)
+    return Representation(rep.presentation, exponential(x) @ np.array(rep.matrices),
+                          rep.tolerance)
 
 
 def refine(rep: Representation, max_iterations: int = 50, target_tolerance: float = 1e-10,
@@ -234,15 +243,20 @@ def refine(rep: Representation, max_iterations: int = 50, target_tolerance: floa
     skew-Hermitian tangent per generator, retracted via the left
     exponential.  Steps are minimal-norm least-squares solutions; a step is
     halved until the objective decreases, so accepted iterates never
-    increase it.  Each trial point forms its constraint gaps once, and the
-    Jacobian is formed once per iteration; ``trace`` receives the objective
-    of the start and of every accepted iterate.  Returns the first iterate
-    whose max residual is at or below the target; raises
+    increase it.  Each trial point evaluates its constraint words once, and
+    the Jacobian is formed once per iteration from the accepted point's word
+    values, all Fox terms of a word in one batched product; a retraction
+    moves all generators in one batched exponential.  Both batched forms
+    give bitwise the numbers of one product per term and one exponential
+    per generator, so the iterates do too.  ``trace`` receives the
+    objective of the start and of every accepted iterate.  Returns the
+    first iterate whose max residual is at or below the target; raises
     :class:`NoConvergenceError` otherwise, with the best iterate and its
     residuals attached.
     """
     current = rep
-    blocks = _residual_blocks(current)
+    values = _word_values(current)
+    blocks = _residual_blocks(current, values)
     r = _residual_vector(current, blocks)
     obj = float(r @ r)
     res = _block_residuals(current, blocks)
@@ -252,12 +266,13 @@ def refine(rep: Representation, max_iterations: int = 50, target_tolerance: floa
         return current
     best = (res, current)
     for _ in range(max_iterations):
-        jac = _residual_jacobian(current)
+        jac = _residual_jacobian(current, values)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=rank_rtol)
         alpha = 1.0
         while alpha >= 1e-12:
             trial = _retract(current, alpha * step)
-            blocks = _residual_blocks(trial)
+            tvalues = _word_values(trial)
+            blocks = _residual_blocks(trial, tvalues)
             tr = _residual_vector(trial, blocks)
             tobj = float(tr @ tr)
             if tobj < obj:
@@ -268,7 +283,7 @@ def refine(rep: Representation, max_iterations: int = 50, target_tolerance: floa
                 f"no descent step found; best residual {best[0].max:.3e}",
                 best[1], best[0], max_iterations,
             )
-        current, r, obj = trial, tr, tobj
+        current, values, r, obj = trial, tvalues, tr, tobj
         if trace is not None:
             trace.append(obj)
         res = _block_residuals(current, blocks)
@@ -290,15 +305,17 @@ def find_representation(pres: Presentation, seed: int = 0, attempts: int = 50,
     Generators that appear as single-letter peripheral words start as random
     conjugates of the class's diagonal model, everything else starts Haar.
     Deterministic in the seed: attempt seeds are spawned from the master seed
-    and tried in order; the first refined success is returned.
+    one at a time, the children one spawn of all of them gives, and tried in
+    order; the first refined success is returned.
     """
     single: dict[int, tuple] = {}
     for p in pres.peripherals:
         if len(p.word) == 1:
             gen, sign = p.word[0]
             single.setdefault(gen, (p.klass, sign))
-    for child in np.random.SeedSequence(seed).spawn(attempts):
-        rng = np.random.default_rng(child)
+    master = np.random.SeedSequence(seed)
+    for _ in range(attempts):
+        rng = np.random.default_rng(master.spawn(1)[0])
         mats = []
         for i in range(len(pres.generators)):
             if i in single:

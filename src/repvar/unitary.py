@@ -22,6 +22,7 @@ SKEW_TOL = 1e-12
 ANGLE_TOL = 1e-9
 
 _BASIS_CACHE: dict[int, np.ndarray] = {}
+_CLASS_COEFFICIENTS: dict[ConjugacyClassSpec, np.ndarray] = {}
 
 
 class BranchCutError(ValueError):
@@ -84,9 +85,10 @@ def is_skew_hermitian(x: np.ndarray, tol: float = SKEW_TOL) -> bool:
 
 
 def exponential(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a skew-Hermitian matrix; exactly unitary up to rounding."""
+    """Matrix exponential of a skew-Hermitian matrix, or of each matrix of a
+    stack (..., n, n); exactly unitary up to rounding."""
     w, v = np.linalg.eigh(-1j * x)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def principal_log(g: np.ndarray, angle_tol: float = 1e-8) -> np.ndarray:
@@ -183,8 +185,11 @@ def charpoly_directions(g: np.ndarray, dgs: np.ndarray):
 
 def class_gap(g: np.ndarray, spec: ConjugacyClassSpec) -> np.ndarray:
     """Characteristic polynomial coefficients of g minus those of the class's
-    diagonal model: zero on the class, smooth in g."""
-    return charpoly_coefficients(g) - charpoly_coefficients(diagonal_model(spec))
+    diagonal model: zero on the class, smooth in g.  The model's coefficients
+    are computed once per spec."""
+    if spec not in _CLASS_COEFFICIENTS:
+        _CLASS_COEFFICIENTS[spec] = charpoly_coefficients(diagonal_model(spec))
+    return charpoly_coefficients(g) - _CLASS_COEFFICIENTS[spec]
 
 
 def class_residual(g: np.ndarray, spec: ConjugacyClassSpec) -> float:

@@ -6,8 +6,10 @@ differences, the irreducibility oracle spans the image algebra with random
 words, the ring oracle multiplies truncated jets by the naive Cauchy
 double loop over degrees, the order-2 defect oracle evaluates the
 relator and conjugated-peripheral words in degree-2 jet arithmetic instead
-of the closed-form cup product, the quadratic-map oracle evaluates Q of one
-coefficient row at a time (the per-sample path that the stacked
+of the closed-form cup product, the word-direction oracle forms one Fox
+term of a word at a time (the per-term loop that the batched
+repspace._word_directions replaced), the quadratic-map oracle evaluates Q
+of one coefficient row at a time (the per-sample path that the stacked
 QuadraticMap replaced), and the logarithm oracle reads the angles off a
 Schur form (scipy, which only the test extra installs).  The cone
 sampler is no oracle: it draws inputs, directions with Q = 0, from the
@@ -20,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from repvar.cohomology import ObstructionClass, order_defect
-from repvar.repspace import Representation, _residual_vector, evaluate_word
+from repvar.repspace import Representation, _residual_vector, evaluate_word, word_transport_terms
 from repvar.unitary import BranchCutError, exponential, project_skew, skew_basis, vec_skew
 
 
@@ -49,6 +51,19 @@ def fd_constraint_rank(rep, eps=1e-6, threshold=1e-5):
         return 0
     s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
     return int(np.sum(s > threshold))
+
+
+def word_directions_per_term(rep, word, w_val):
+    """dW/d(coordinates) for the word value W = w_val, (n_gen * N^2, N, N),
+    with two einsums per Fox term."""
+    n = rep.rank
+    q = n * n
+    basis = skew_basis(n)
+    out = np.zeros((len(rep.presentation.generators) * q, n, n), dtype=complex)
+    for gen, sign, prefix in word_transport_terms(rep.matrices, word):
+        moved = np.einsum("ij,ajk,lk->ail", prefix, basis, prefix.conj())
+        out[gen * q:(gen + 1) * q] += sign * np.einsum("aij,jk->aik", moved, w_val)
+    return out
 
 
 def fd_orbit_rank(rep, eps=1e-6, threshold=1e-5):

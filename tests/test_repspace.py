@@ -5,7 +5,7 @@ import pytest
 
 from repvar import repspace
 from repvar.cohomology import cocycle_transport
-from repvar.presentation import ConjugacyClassSpec, Peripheral, Presentation
+from repvar.presentation import ConjugacyClassSpec, Peripheral, Presentation, parse_presentation
 from repvar.repspace import (
     NoConvergenceError,
     NotFoundError,
@@ -21,9 +21,17 @@ from repvar.repspace import (
     rep_from_json,
     rep_to_json,
 )
-from repvar.unitary import class_distance, class_of, class_residual, haar_from_rng, random_skew
+from repvar.unitary import (
+    class_distance,
+    class_of,
+    class_residual,
+    exponential,
+    haar_from_rng,
+    random_skew,
+    skew_basis,
+)
 
-from oracles import image_algebra_rank, random_word
+from oracles import image_algebra_rank, random_word, word_directions_per_term
 
 
 def infeasible_n1():
@@ -116,7 +124,7 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_refine_forms_gaps_once_per_trial(genus2_irr, sphere4_rep, monkeypatch):
+def test_refine_forms_gaps_once_per_trial(genus2_irr, monkeypatch):
     pert = perturb(genus2_irr, np.random.default_rng(32), 1e-2)
     gaps = _count_calls(monkeypatch, "_residual_blocks")
     trials = _count_calls(monkeypatch, "_retract")
@@ -127,21 +135,76 @@ def test_refine_forms_gaps_once_per_trial(genus2_irr, sphere4_rep, monkeypatch):
     assert len(trials) == len(trace) - 1
     assert len(gaps) == len(trace)
     assert len(jacobians) == len(trace) - 1
-    # an unreachable target rejects steps: still one gap evaluation per trial point
+    # an unreachable target rejects steps: still one gap evaluation per trial point.
+    # In U(1) the commutator is constant: the Jacobian vanishes, the step is
+    # zero and every halving is rejected, whatever the rounding.
     for calls in (gaps, trials, jacobians):
         calls.clear()
+    mats = [np.array([[np.exp(0.4j)]]), np.array([[np.exp(1.1j)]])]
     with pytest.raises(NoConvergenceError):
-        refine(sphere4_rep, 3, 1e-30)
+        refine(Representation(infeasible_n1(), mats), 3, 1e-30)
     assert len(trials) > len(jacobians)
     assert len(gaps) == 1 + len(trials)
 
 
-def test_residual_jacobian_evaluates_each_word_once(corpus_points, monkeypatch):
-    calls = _count_calls(monkeypatch, "evaluate_word")
-    for rep in corpus_points.values():
-        calls.clear()
-        repspace._residual_jacobian(rep)
-        assert len(calls) == len(rep.presentation.relators) + len(rep.presentation.peripherals)
+def test_refine_evaluates_each_word_once_per_trial(corpus_points, monkeypatch):
+    # the Jacobian reads the word values of the accepted trial point
+    words = _count_calls(monkeypatch, "evaluate_word")
+    trials = _count_calls(monkeypatch, "_retract")
+    jacobian = repspace._residual_jacobian
+
+    def no_words(*args):
+        before = len(words)
+        out = jacobian(*args)
+        assert len(words) == before
+        return out
+
+    monkeypatch.setattr(repspace, "_residual_jacobian", no_words)
+    steps = {}
+    for i, (name, rep) in enumerate(corpus_points.items()):
+        pert = perturb(rep, np.random.default_rng(40 + i), 1e-3)
+        words.clear()
+        trials.clear()
+        refine(pert, 8, 1e-12)
+        pres = rep.presentation
+        assert len(words) == (len(pres.relators) + len(pres.peripherals)) * (1 + len(trials))
+        steps[name] = len(trials)
+    assert steps["genus2_irr"] > 0 and steps["sphere4"] > 0
+
+
+def test_residual_jacobian_matches_central_differences(genus2_irr, sphere4_rep):
+    lines = ["group sphere4_u3", "rank 3", "generators x0 x1 x2 x3", "relator x0 x1 x2 x3"]
+    lines += [f"peripheral Px{i} = x{i} : 1/{q}, 2/{q}, -3/{q}"
+              for i, q in enumerate((7, 11, 13, 17))]
+    u3 = parse_presentation("\n".join(lines) + "\n")
+    eps = 1e-5
+    for rep in (genus2_irr, sphere4_rep, find_representation(u3, seed=1, target_tolerance=1e-11)):
+        n = rep.rank
+        basis = skew_basis(n)
+        jac = repspace._residual_jacobian(rep, repspace._word_values(rep))
+        for col in range(jac.shape[1]):
+            i, a = divmod(col, n * n)
+            ends = []
+            for t in (eps, -eps):
+                mats = list(rep.matrices)
+                mats[i] = exponential(t * basis[a]) @ mats[i]
+                ends.append(repspace._residual_vector(Representation(rep.presentation, mats)))
+            fd = (ends[0] - ends[1]) / (2 * eps)
+            assert np.linalg.norm(fd - jac[:, col]) <= 1e-6 * np.linalg.norm(jac[:, col])
+
+
+def test_word_directions_match_per_term_oracle():
+    rng = np.random.default_rng(41)
+    for n in range(1, 6):
+        pres = Presentation("free3", n, ["a", "b", "c"])
+        rep = Representation(pres, [haar_from_rng(rng, n) for _ in range(3)])
+        words = [(), ((1, -1),), ((0, 1), (0, 1), (2, -1), (0, -1), (2, -1))]
+        words += [random_word(rng, 3, 12) for _ in range(10)]
+        for word in words:
+            w_val = evaluate_word(rep, word)
+            got = repspace._word_directions(rep, word, w_val)
+            want = word_directions_per_term(rep, word, w_val)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_refine_infeasible_raises():
@@ -223,8 +286,6 @@ def test_transport_matches_finite_difference(genus2_irr):
     eps = 1e-6
     word = random_word(rng, 4, 8)
     u = [random_skew(rng, 2, 0.5) for _ in range(4)]
-    from repvar.unitary import exponential
-
     mats = [exponential(eps * x) @ m for x, m in zip(u, genus2_irr.matrices)]
     pert = Representation(genus2_irr.presentation, mats)
     w0 = evaluate_word(genus2_irr, word)
