@@ -28,17 +28,17 @@ the second-order Fox-calculus term (the cup product H^1 x H^1 -> H^2).
 and polarized pairing in one.  :class:`QuadraticMap` holds that form over
 fixed cocycles and reads off Q of any stack of linear combinations of them
 in one batched evaluation, since the canonical xi is linear in u;
-:func:`obstruction_classes` reduces defects in the one cached quotient
-basis, :attr:`ConeComplex.obstruction_quotient`, through the same stacked
-reduction.  :func:`obstruction`, :func:`common_obstruction`,
+:func:`obstruction_classes` reduces a stack of defect sets in the one
+cached quotient basis, :attr:`ConeComplex.obstruction_quotient`, and is the
+one class reduction.  :func:`obstruction`, :func:`common_obstruction`,
 :func:`pairing_tensor`, the failure path of :func:`repvar.jets.lift`, Q in
 :func:`repvar.jets.probe_cone` (one map over the basis per call, evaluated
 once on all samples) and the cone-kernel moves of both
 (:attr:`ConeComplex.kernel_cup`, one form per complex) all go through these
 functions.
 
-:func:`order_defect` evaluates the higher-order defects of a jet
-representation, or of a stack of them, in truncated-ring arithmetic: the
+:func:`order_defect` evaluates the higher-order defects of a stack of jet
+representations in truncated-ring arithmetic: the
 generator and conjugator jets come from one
 :class:`~repvar.truncring.IncrementalExp`, which a lift shares across its
 orders so that each order forms only the exponential coefficients that
@@ -196,19 +196,20 @@ class _LstsqSolver:
         return x, np.linalg.norm(b - rowwise(proj, self.u_r.T), axis=-1)
 
 
-class _GroupData:
-    """Joint conjugator map data for one simultaneity group."""
+class _GroupData(_LstsqSolver):
+    """The joint conjugator map of one simultaneity group, its members'
+    blocks Id - Ad rho(gamma_i) stacked in member order, factored: u_r spans
+    the joint image, left_null its B-orthogonal complement and nullspace the
+    joint centralizer.  rows index the members' target rows in that order."""
 
-    def __init__(self, members: tuple[int, ...], blocks: list[np.ndarray], rtol: float,
-                 context: str, gaps: dict | None):
+    def __init__(self, members: tuple[int, ...], n_rel: int, ad_per: list[np.ndarray],
+                 rtol: float, context: str, gaps: dict | None):
+        q = len(ad_per[0])
         self.members = members
-        self.map = np.vstack(blocks)  # (|S| q, q)
-        solver = _LstsqSolver(self.map, rtol, context, gaps)
-        self.rank = solver.rank
-        self.col = solver.u_r                 # basis of the joint image
-        self.complement = solver.left_null    # B-orthogonal complement
-        self.kernel = solver.nullspace        # joint centralizer directions
-        self.pinv = solver.vt_r.T @ ((1.0 / solver.s_r)[:, None] * solver.u_r.T)
+        self.rows = ((n_rel + np.array(members))[:, None] * q + np.arange(q)).ravel()
+        self.map = np.vstack([np.eye(q) - ad_per[i] for i in members])  # (|S| q, q)
+        super().__init__(self.map, rtol, context, gaps)
+        self.pinv = self.vt_r.T @ ((1.0 / self.s_r)[:, None] * self.u_r.T)
 
 
 class ConeComplex:
@@ -251,45 +252,33 @@ class ConeComplex:
         self.rel_rows = [transport_matrix(rep, r) for r in pres.relators]
         self.per_rows = [transport_matrix(rep, p.word) for p in pres.peripherals]
         self.group_of = {i: gi for gi, members in enumerate(self.groups) for i in members}
-        self.group_data = [
-            _GroupData(members, [eye - ad_per[i] for i in members], self.rank_rtol,
-                       f"group_{gi}", self.gaps)
-            for gi, members in enumerate(self.groups)
-        ]
+        self.group_data = [_GroupData(members, self.n_rel, ad_per, self.rank_rtol,
+                                      f"group_{gi}", self.gaps)
+                           for gi, members in enumerate(self.groups)]
 
         # cone differential on (generator parts, conjugator parts)
         rows = (self.n_rel + self.n_per) * q
-        cols = (self.n_gen + len(self.groups)) * q
-        d1_cone = np.zeros((rows, cols))
-        for j, block in enumerate(self.rel_rows):
-            d1_cone[j * q:(j + 1) * q, :self.n_gen * q] = block
-        for i, block in enumerate(self.per_rows):
-            r0 = (self.n_rel + i) * q
-            d1_cone[r0:r0 + q, :self.n_gen * q] = block
-            gi = self.group_of[i]
-            pos = list(self.groups[gi]).index(i)
-            c0 = (self.n_gen + gi) * q
-            d1_cone[r0:r0 + q, c0:c0 + q] = -self.group_data[gi].map[pos * q:(pos + 1) * q]
+        unprojected = np.vstack(self.rel_rows + self.per_rows) if rows \
+            else np.zeros((0, self.n_gen * q))
+        d1_cone = np.zeros((rows, (self.n_gen + len(self.groups)) * q))
+        d1_cone[:, :self.n_gen * q] = unprojected
+        for gi, gd in enumerate(self.group_data):
+            d1_cone[gd.rows, (self.n_gen + gi) * q:(self.n_gen + gi + 1) * q] = -gd.map
         self.d1_cone = d1_cone
 
         # parabolic differential on generator parts, peripheral rows projected
-        unprojected = np.vstack(self.rel_rows + self.per_rows) if rows \
-            else np.zeros((0, self.n_gen * q))
         self.d1_par = self.project_peripheral(unprojected)
 
         self.par_target_dim = self.n_rel * q + sum(
             len(gd.members) * q - gd.rank for gd in self.group_data
         )
         # orthonormal basis of the parabolic degree-2 target inside the big space
-        pt_cols = [np.eye(rows, q, -j * q) for j in range(self.n_rel)]
+        pt_cols = [np.eye(rows, self.n_rel * q)]
         for gd in self.group_data:
-            comp = gd.complement
-            block = np.zeros((rows, comp.shape[1]))
-            for pos, i in enumerate(gd.members):
-                r0 = (self.n_rel + i) * q
-                block[r0:r0 + q, :] = comp[pos * q:(pos + 1) * q, :]
+            block = np.zeros((rows, gd.left_null.shape[1]))
+            block[gd.rows] = gd.left_null
             pt_cols.append(block)
-        self.pt_basis = np.hstack(pt_cols) if pt_cols else np.zeros((rows, 0))
+        self.pt_basis = np.hstack(pt_cols)
 
         self._svd_d0_gen = _LstsqSolver(self.d0_gen, self.rank_rtol, "d0_generator", self.gaps)
         self._svd_d0_full = _LstsqSolver(self.d0_full, self.rank_rtol, "d0_cone", self.gaps)
@@ -307,15 +296,9 @@ class ConeComplex:
             norms = np.linalg.norm(a, axis=0)
             keep = norms > 1e-13 * max(1.0, float(norms.max(initial=0.0)))
             if keep.any():
-                u, s, _ = np.linalg.svd(a[:, keep] / norms[keep], full_matrices=True)
-                return u[:, _rank_cut(s, self.rank_rtol, "obstruction quotient",
-                                      size=max(a.shape)):]
+                return _LstsqSolver(a[:, keep] / norms[keep], self.rank_rtol,
+                                    "obstruction quotient").left_null
         return np.eye(self.par_target_dim)
-
-    @cached_property
-    def cone_kernel_parts(self) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
-        """The cone-kernel columns as (generator parts, conjugator parts)."""
-        return [self.unstack_cone(col) for col in self.cone_kernel.T]
 
     @cached_property
     def kernel_cup(self) -> np.ndarray:
@@ -327,7 +310,7 @@ class ConeComplex:
         many units as there are kernel columns: one form over all units
         would also hold every pair of units (7 MB at a U(3) four-punctured
         sphere)."""
-        parts = self.cone_kernel_parts
+        parts = [self.unstack_cone(col) for col in self.cone_kernel.T]
         units = [self.unstack_cone(e) for e in np.eye(self.d1_cone.shape[1])]
         cup = np.empty((len(units), len(parts), self.d1_cone.shape[0]))
         step = max(len(parts), 1)
@@ -363,12 +346,8 @@ class ConeComplex:
             return self.project_peripheral(v[:, None])[:, 0]
         out = v.copy()
         for gd in self.group_data:
-            rows = [np.s_[..., (self.n_rel + i) * self.q:(self.n_rel + i + 1) * self.q, :]
-                    for i in gd.members]
-            stacked = np.concatenate([v[r] for r in rows], axis=-2)
-            stacked = stacked - gd.col @ (gd.col.T @ stacked)
-            for pos, r in enumerate(rows):
-                out[r] = stacked[..., pos * self.q:(pos + 1) * self.q, :]
+            stacked = v[..., gd.rows, :]
+            out[..., gd.rows, :] = stacked - gd.u_r @ (gd.u_r.T @ stacked)
         return out
 
     def cocycle_parts(self, u, pre_tolerance: float) -> list[np.ndarray]:
@@ -470,19 +449,19 @@ def h1_basis(rep_or_cone, rank_rtol: float = 1e-8) -> CohomologyBasis:
 
 def order_defect(cc: ConeComplex, gen_jets, conj_jets, m: int,
                  state: IncrementalExp | None = None) -> np.ndarray:
-    """Order-m defect of the jet representation with the given coefficient jets.
+    """Order-m defects of a stack of b jet representations, (b, dim).
 
     Relator rows are the t^m coefficients of the relator words against their
     base values; peripheral rows are the t^m coefficients of the conjugated
     peripheral words against the base values.  Exact truncated arithmetic;
     the dependence on the order-m jets is affine with matrix d1_cone.
 
-    The jets are X_1.. per generator and zeta_1.. per conjugator (sequences,
-    shorter ones padded with zero), giving a (dim,) defect; or arrays
-    (b, n_gen, k, n, n) and (b, groups, k, n, n) of a stack of b samples,
-    giving a (b, dim) defect.  The series of every sample's generators and
-    conjugators are stacked and exponentiated by ``state``, an
-    :class:`~repvar.truncring.IncrementalExp` over b copies of
+    The jets are arrays (b, n_gen, k, n, n) of X_1..X_k per generator and
+    (b, groups, k, n, n) of zeta_1..zeta_k per conjugator; k below m counts
+    as padded with zero, and a caller with ragged series pads them to one k
+    (:func:`repvar.jets.jet_residual_profile`).  The series of every
+    sample's generators and conjugators are stacked and exponentiated by
+    ``state``, an :class:`~repvar.truncring.IncrementalExp` over b copies of
     ``cc.jet_bases`` (the generator matrices, then the identity per
     conjugator) of order at least m; a state shared by the orders of a lift
     forms only the degrees whose series changed since its last call.
@@ -492,18 +471,10 @@ def order_defect(cc: ConeComplex, gen_jets, conj_jets, m: int,
     past order m are ignored.
     """
     n, count = cc.rep.rank, len(cc.jet_bases)
-    stacked = isinstance(gen_jets, np.ndarray) and gen_jets.ndim == 5
-    if stacked:
-        b, k = len(gen_jets), min(gen_jets.shape[2], m)
-        series = np.zeros((b, count, m, n, n), dtype=complex)
-        series[:, :cc.n_gen, :k] = gen_jets[:, :, :k]
-        series[:, cc.n_gen:, :k] = conj_jets[:, :, :k]
-    else:
-        b = 1
-        series = np.zeros((1, count, m, n, n), dtype=complex)
-        for s, jets in enumerate([*gen_jets, *conj_jets]):
-            if len(jets):
-                series[0, s, :min(len(jets), m)] = jets[:m]
+    b, k = len(gen_jets), min(gen_jets.shape[2], m)
+    series = np.zeros((b, count, m, n, n), dtype=complex)
+    series[:, :cc.n_gen, :k] = gen_jets[:, :, :k]
+    series[:, cc.n_gen:, :k] = conj_jets[:, :, :k]
     if state is None:
         state = IncrementalExp(np.tile(cc.jet_bases, (b, 1, 1)), m)
     coeffs = state.jets(series.reshape(b * count, m, n, n)).reshape(b, count, m + 1, n, n)
@@ -517,8 +488,7 @@ def order_defect(cc: ConeComplex, gen_jets, conj_jets, m: int,
     for i, p in enumerate(cc.pres.peripherals):
         e = conj[cc.group_of[i]]
         tops[:, cc.n_rel + i] = product_coefficient(e.dagger(), word_jet(gen, p.word, m, n) @ e, m)
-    defect = vec_skew(project_skew(tops @ cc.word_values_h)).reshape(b, -1)
-    return defect if stacked else defect[0]
+    return vec_skew(project_skew(tops @ cc.word_values_h)).reshape(b, -1)
 
 
 def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
@@ -591,33 +561,21 @@ class QuadraticMap:
         """Q(u) for u = sum c_i u_i of every row of c (s, h), each in its own
         products, all in ``cc.obstruction_quotient``."""
         raw = rowwise(c, rowwise(c, self._pairs).reshape(len(c), self.h, -1))
-        return [cls for (cls,) in _stacked_classes(self.cc, raw[..., None])]
+        return [cls for (cls,) in obstruction_classes(self.cc, raw[..., None])]
 
 
-def _stacked_classes(cc: ConeComplex, defects: np.ndarray) -> list[list[ObstructionClass]]:
-    """Classes of a stack of defect sets, defects (s, dim, cols), all in
-    ``cc.obstruction_quotient`` by one batched projection, each set by its
-    own products."""
+def obstruction_classes(cc: ConeComplex, defects: np.ndarray) -> list[list[ObstructionClass]]:
+    """Classes of a stack of raw defect sets, defects (s, dim, cols): one
+    class per column, each set reduced by its own products, all in one
+    common quotient O^2 (the parabolic target modulo Im(d1_par)) by one
+    batched projection onto ``cc.obstruction_quotient``, so that their
+    coordinates are directly comparable."""
     projected = cc.project_peripheral(defects)
     coords = cc.obstruction_quotient.T @ (cc.pt_basis.T @ projected)
     return [[ObstructionClass(coordinates=x, norm=size, cone=cc, defect=p)
              for x, size, p in zip(xs, sizes, ps)]
             for xs, sizes, ps in zip(coords.swapaxes(1, 2), np.linalg.norm(coords, axis=1).tolist(),
                                      projected.swapaxes(1, 2))]
-
-
-def obstruction_classes(cc: ConeComplex, defects: Sequence[np.ndarray]) -> list[ObstructionClass]:
-    """Classes of raw defects in one common quotient O^2, so their coordinates
-    are directly comparable.
-
-    O^2 is the parabolic degree-2 target modulo Im(d1_par); its coordinates
-    come from ``cc.obstruction_quotient``, an orthonormal basis of the
-    complement in parabolic-target coordinates.  This is the one-set case
-    of the stacked reduction that :class:`QuadraticMap` runs on its rows.
-    """
-    if not len(defects):
-        return []
-    return _stacked_classes(cc, np.column_stack(defects)[None])[0]
 
 
 def obstruction(rep_or_cone, u, pre_tolerance: float = 1e-6,
@@ -638,9 +596,9 @@ def common_obstruction(rep_or_cone, us: Sequence, pre_tolerance: float = 1e-6,
     """Obstruction classes of several cocycles reduced in one common quotient,
     so their coordinate vectors are directly comparable."""
     cc = as_cone(rep_or_cone, rank_rtol)
-    cocycles = [cc.cocycle_parts(u, pre_tolerance) for u in us]
-    qmap = QuadraticMap(cc, cocycles)
-    return obstruction_classes(cc, [qmap.form[i, i] for i in range(len(cocycles))])
+    form = QuadraticMap(cc, [cc.cocycle_parts(u, pre_tolerance) for u in us]).form
+    d = np.arange(len(form))
+    return obstruction_classes(cc, form[d, d].T[None])[0]
 
 
 def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
@@ -658,7 +616,7 @@ def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
     qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
     keys = [(i, i) for i in range(h)] + [(i, j) for i in range(h) for j in range(i + 1, h)]
     rows, cols = np.array(keys, dtype=int).reshape(-1, 2).T
-    classes = _stacked_classes(cc, qmap.form[rows, cols].T[None])[0]
+    classes = obstruction_classes(cc, qmap.form[rows, cols].T[None])[0]
     entries = dict(sorted(zip(keys, classes)))
     verdict = all(e.norm <= tolerance for e in entries.values())
     return PairingTensor(entries=entries, verdict=verdict, tolerance=tolerance)

@@ -208,7 +208,7 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
     kernel, coker = cc.cone_kernel, cc.cone_solver.left_null.T
     # per sample, once rescued: 2 D(u, K) and its least-squares fit on the cokernel
     # (an order-2 failure is Q(u) and is never rescued)
-    rescued, rescuing = np.zeros(b, dtype=bool), False
+    rescued = np.zeros(b, dtype=bool)
     moves = np.zeros((b, coker.shape[1], kernel.shape[1]))
     fit = np.zeros((b, kernel.shape[1], coker.shape[1]))
     for m in range(2, order + 1):
@@ -218,7 +218,7 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
         x, resid = cc.cone_solver.solve(-defect)
         failed = resid > tol
         lost = failed.any()
-        if m > 2 and (lost or rescuing):
+        if m > 2 and (lost or rescued.any()):
             new = failed & ~rescued
             if new.any():
                 cup = cc.kernel_cup
@@ -227,7 +227,6 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
                     -1, *cup.shape[1:]).swapaxes(1, 2)
                 fit[new] = -np.linalg.pinv(coker @ moves[new]) @ coker
                 rescued |= new
-                rescuing = True
             c = fit[rescued] @ defect[rescued, :, None]
             jets[rescued, :, m - 2] += unvec_skew((kernel @ c).reshape(-1, count, q), n)
             defect[rescued] += (moves[rescued] @ c)[..., 0]
@@ -245,7 +244,6 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
                 active[keep], jets[keep], x[keep], tol[keep], residuals[keep], rescued[keep],
                 moves[keep], fit[keep])
             state.keep(np.repeat(keep, count))
-            rescuing = rescued.any()
         jets[:, :, m - 1] = unvec_skew(x.reshape(-1, count, q), n)
     out.residuals[active], out.jets[active] = residuals, jets
 
@@ -290,7 +288,7 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None,
     if got < order:
         # an order-2 failure is classed by Q itself; a later one by its own defect
         defect = QuadraticMap(cc, [umats]).form[0, 0] if got == 1 else lifts.defects[0]
-        obs = obstruction_classes(cc, [defect])[0]
+        obs = obstruction_classes(cc, defect[None, :, None])[0][0]
     return LiftReport(
         achieved_order=got,
         residuals=tuple(lifts.residuals[0, :got + (got < order)].tolist()),
@@ -360,13 +358,15 @@ def jet_residual_profile(jrep: JetRepresentation, cone: ConeComplex | None = Non
     :class:`~repvar.truncring.IncrementalExp` shared by the orders.  rank_rtol
     is the rank threshold of the complex assembled when no cone is given."""
     cc = cone if cone is not None else ConeComplex(jrep.base, rank_rtol)
-    gen_jets = [list(j) for j in jrep.generator_jets]
-    conj_jets = [list(j) for j in jrep.conjugator_jets]
-    state = IncrementalExp(cc.jet_bases, jrep.order)
-    return [
-        float(np.linalg.norm(order_defect(cc, gen_jets, conj_jets, m, state)))
-        for m in range(1, jrep.order + 1)
-    ]
+    n, k = cc.rep.rank, jrep.order
+    # every series zero-padded to the order, as a stack of one sample
+    series = np.zeros((1, len(cc.jet_bases), k, n, n), dtype=complex)
+    for s, jets in enumerate(jrep.generator_jets + jrep.conjugator_jets):
+        if len(jets):
+            series[0, s, :min(len(jets), k)] = jets[:k]
+    state = IncrementalExp(cc.jet_bases, k)
+    gen, conj = series[:, :cc.n_gen], series[:, cc.n_gen:]
+    return [float(np.linalg.norm(order_defect(cc, gen, conj, m, state))) for m in range(1, k + 1)]
 
 
 def gauge_transform(jrep: JetRepresentation, gauge_jets: Sequence[np.ndarray]) -> JetRepresentation:

@@ -185,7 +185,9 @@ def oracle_defect_profile(cc, gen_jets, conj_jets, order):
 def jet_order2_defect(cc, umats, xi):
     """Raw order-2 defect of X_1 = u with conjugator parts xi and vanishing
     second-order corrections, by degree-2 jet arithmetic."""
-    return order_defect(cc, [[u] for u in umats], [[x] for x in xi], 2)
+    n = cc.rep.rank
+    return order_defect(cc, np.asarray(umats, dtype=complex).reshape(1, cc.n_gen, 1, n, n),
+                        np.asarray(xi, dtype=complex).reshape(1, len(cc.groups), 1, n, n), 2)[0]
 
 
 def cone_direction(pairing, rng, steps=60):

@@ -71,7 +71,7 @@ def test_c03_cone_complex_identity(corpus_points):
             continue
         cc = assemble_complex(rep)
         dims = h_dims(cc)
-        ker_sum = sum(gd.kernel.shape[1] for gd in cc.group_data)
+        ker_sum = sum(gd.nullspace.shape[1] for gd in cc.group_data)
         assert dims.h1_cone - dims.h1_par == ker_sum - dims.c0, name
         checked.append(name)
     assert checked

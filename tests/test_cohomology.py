@@ -21,6 +21,7 @@ from repvar.cohomology import (
     h1_basis,
     h_dims,
     obstruction,
+    obstruction_classes,
     pairing_tensor,
 )
 from repvar.presentation import parse_presentation
@@ -145,7 +146,7 @@ def test_cone_identity_singleton_groups(corpus_points):
             continue
         cc = assemble_complex(rep)
         d = h_dims(cc)
-        ker_sum = sum(gd.kernel.shape[1] for gd in cc.group_data)
+        ker_sum = sum(gd.nullspace.shape[1] for gd in cc.group_data)
         assert d.h1_cone - d.h1_par == ker_sum - d.c0, name
 
 
@@ -296,7 +297,7 @@ def test_joint_simultaneity_group(sphere4_rep):
     cc = assemble_complex(rep)
     joint = cc.group_data[0]
     # generic pair: the joint centralizer is the center alone
-    assert joint.kernel.shape[1] == 1
+    assert joint.nullspace.shape[1] == 1
     assert joint.rank == 3
     assert cc.complex_defect <= 1e-10
     d = h_dims(cc)
@@ -310,6 +311,37 @@ def test_joint_simultaneity_group(sphere4_rep):
     result = jets.lift(cc, basis.vectors[0], 4)
     assert (q.norm <= 1e-7) == result.succeeded
     assert result.succeeded and max(result.residuals) <= 1e-11
+
+
+def test_group_listed_out_of_order(sphere4_rep):
+    # a group's peripheral rows are gathered and scattered in the order its
+    # members are listed: "together Pc Pa" (members (2, 0)) must give the
+    # complex of "together Pa Pc" (members (0, 2)) on the same matrices
+    cones = []
+    for line in ("together Pc Pa\n", "together Pa Pc\n"):
+        pres = parse_presentation(corpus.SPHERE4 + line)
+        cones.append(assemble_complex(Representation(pres, sphere4_rep.matrices,
+                                                     sphere4_rep.tolerance)))
+    listed, ascending = cones
+    assert listed.groups[0] == (2, 0) and ascending.groups[0] == (0, 2)
+    assert h_dims(listed) == h_dims(ascending)  # the integers; gaps do not compare
+    assert [pairing_tensor(cc, h1_basis(cc)).verdict for cc in cones] == [True, True]
+    for cc in cones:
+        assert cc.complex_defect <= 1e-10
+    # Q vanishes at this smooth point, so its norms compare at the scale |u|^2 = 1
+    for v in h1_basis(ascending).vectors:
+        a, b = (obstruction(cc, v).norm for cc in cones)
+        assert abs(a - b) <= 1e-12 * max(a, b, 1.0)
+    # the classes of arbitrary degree-2 cochains, and the projection itself
+    rng = np.random.default_rng(16)
+    v = rng.standard_normal((listed.d1_cone.shape[0], 4))
+    a, b = (np.array([c.norm for c in obstruction_classes(cc, v[None])[0]]) for cc in cones)
+    assert np.all(a > 1e-3)
+    assert np.all(np.abs(a - b) <= 1e-12 * a)
+    once = [cc.project_peripheral(v) for cc in cones]
+    assert np.abs(once[0] - once[1]).max() <= 1e-12
+    for cc, p in zip(cones, once):
+        assert np.abs(cc.project_peripheral(p) - p).max() <= 1e-12
 
 
 def test_rank_cut_diagnostics():
@@ -381,7 +413,7 @@ def _kernel_vectors(cc):
     zero = np.zeros((n, n), dtype=complex)
     out = []
     for g, gd in enumerate(cc.group_data):
-        for col in gd.kernel.T:
+        for col in gd.nullspace.T:
             xi = [zero] * len(cc.groups)
             xi[g] = unvec_skew(col, n)
             out.append(([zero] * cc.n_gen, xi))

@@ -179,6 +179,21 @@ def test_lift_profile_matches_reported_residuals(genus2_irr_cc):
         assert profile[m - 1] == pytest.approx(report.residuals[m - 1], abs=1e-10)
 
 
+def test_jet_residual_profile_pads_short_series(sphere4_cc):
+    # series shorter than the order, some of them empty, count as zero-padded
+    cc, order = sphere4_cc, 4
+    rng = np.random.default_rng(78)
+    n = cc.rep.rank
+    gen = [[random_skew(rng, n, 0.3) for _ in range(k)] for k in (2, 0, 4, 1)]
+    conj = [[random_skew(rng, n, 0.3) for _ in range(k)] for k in (0, 3, 4, 1)]
+    zero = np.zeros((n, n), dtype=complex)
+    gen_full, conj_full = ([s + [zero] * (order - len(s)) for s in x] for x in (gen, conj))
+    short = jet_residual_profile(_jet_rep(cc.rep, gen, conj, order), cc)
+    padded = jet_residual_profile(_jet_rep(cc.rep, gen_full, conj_full, order), cc)
+    assert short == padded
+    assert min(padded) > 1e-3
+
+
 @pytest.mark.parametrize("point, order", [("sphere4_cc", 30), ("genus2_irr_cc", 12)],
                          ids=["sphere4", "genus2_irr"])
 def test_lift_order30_profile_matches_oracle_ring(point, order, request):
@@ -222,8 +237,10 @@ def test_shared_defect_state_follows_edited_jets(point, seed, order, scale, requ
     conj = [[random_skew(rng, n, scale) for _ in range(order)] for _ in cc.groups]
     state = IncrementalExp(cc.jet_bases, order)
     for m in range(1, order + 1):
-        shared = order_defect(cc, gen, conj, m, state)
-        fresh = order_defect(cc, gen, conj, m)
+        # one-sample stacks; the reshape keeps the group axis when there are no groups
+        stacks = [np.array(s, dtype=complex).reshape(1, len(s), order, n, n) for s in (gen, conj)]
+        shared = order_defect(cc, *stacks, m, state)
+        fresh = order_defect(cc, *stacks, m)
         size = float(np.linalg.norm(fresh))
         assert np.linalg.norm(shared - fresh) <= 1e-13 * size
         oracle = oracle_defect_profile(cc, gen, conj, m)[m - 1]
