@@ -54,6 +54,7 @@ explicit ill-conditioning diagnostic.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -138,14 +139,51 @@ class ObstructionClass:
         return {"coordinates": [float(c) for c in self.coordinates], "norm": self.norm}
 
 
+class _PairingEntries(Mapping):
+    """Read-only mapping (i, j) with i <= j -> ObstructionClass, in sorted
+    key order, over the columns of one batched class reduction: each class
+    is built on first access and kept, and ``norms`` (in key order) needs
+    none."""
+
+    def __init__(self, cc: ConeComplex, keys: list, coords: np.ndarray, norms: np.ndarray,
+                 projected: np.ndarray):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._index = {keys[c]: i for i, c in enumerate(order)}
+        self._cc = cc
+        self._coords = coords[:, order]
+        self._projected = projected[:, order]
+        self.norms = norms[order].tolist()
+        self._built: dict = {}
+
+    def __getitem__(self, key) -> ObstructionClass:
+        cls = self._built.get(key)
+        if cls is None:
+            i = self._index[key]
+            # setdefault: of two threads that build the same class, both
+            # return the one stored first
+            cls = self._built.setdefault(key, ObstructionClass(
+                coordinates=self._coords[:, i], norm=self.norms[i], cone=self._cc,
+                defect=self._projected[:, i]))
+        return cls
+
+    def __iter__(self) -> Iterator:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True)
 class PairingTensor:
-    entries: dict  # (i, j) with i <= j -> ObstructionClass
+    entries: _PairingEntries  # (i, j) with i <= j -> ObstructionClass
     verdict: bool
     tolerance: float
 
     def max_norm(self) -> float:
-        return max((e.norm for e in self.entries.values()), default=0.0)
+        return max(self.entries.norms, default=0.0)
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -440,7 +478,7 @@ def h1_basis(rep_or_cone, rank_rtol: float = 1e-8) -> CohomologyBasis:
     if count != dims.h1_par:
         raise IllConditionedError("h1 basis projection", (count, dims.h1_par), 0.5)
     mat = u[:, :count]
-    vectors = tuple(tuple(cc.unstack_gen(mat[:, j])) for j in range(count))
+    vectors = tuple(map(tuple, unvec_skew(mat.T.reshape(count, cc.n_gen, cc.q), cc.rep.rank)))
     return CohomologyBasis(vectors=vectors, matrix=mat, dims=dims)
 
 
@@ -570,12 +608,19 @@ def obstruction_classes(cc: ConeComplex, defects: np.ndarray) -> list[list[Obstr
     common quotient O^2 (the parabolic target modulo Im(d1_par)) by one
     batched projection onto ``cc.obstruction_quotient``, so that their
     coordinates are directly comparable."""
-    projected = cc.project_peripheral(defects)
-    coords = cc.obstruction_quotient.T @ (cc.pt_basis.T @ projected)
+    coords, norms, projected = _class_parts(cc, defects)
     return [[ObstructionClass(coordinates=x, norm=size, cone=cc, defect=p)
              for x, size, p in zip(xs, sizes, ps)]
-            for xs, sizes, ps in zip(coords.swapaxes(1, 2), np.linalg.norm(coords, axis=1).tolist(),
+            for xs, sizes, ps in zip(coords.swapaxes(1, 2), norms.tolist(),
                                      projected.swapaxes(1, 2))]
+
+
+def _class_parts(cc: ConeComplex, defects: np.ndarray):
+    """Quotient coordinates (s, o2, cols), their norms (s, cols) and the
+    projected defects (s, dim, cols) of a stack of raw defect sets."""
+    projected = cc.project_peripheral(defects)
+    coords = cc.obstruction_quotient.T @ (cc.pt_basis.T @ projected)
+    return coords, np.linalg.norm(coords, axis=1), projected
 
 
 def obstruction(rep_or_cone, u, pre_tolerance: float = 1e-6,
@@ -608,7 +653,9 @@ def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
     B(u, v) = (Q(u + v) - Q(u) - Q(v)) / 2 = D(u, v), read off one
     :func:`cup_form` over the basis, symmetric by construction.  The
     verdict is True iff every entry norm is at most the tolerance, which is
-    the cup-product smoothness criterion.
+    the cup-product smoothness criterion.  The verdict and
+    :meth:`PairingTensor.max_norm` read the norms alone; an entry's
+    :class:`ObstructionClass` is built when it is first looked up.
     """
     check_tolerance(tolerance)
     cc = as_cone(rep_or_cone, rank_rtol)
@@ -616,7 +663,7 @@ def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
     qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
     keys = [(i, i) for i in range(h)] + [(i, j) for i in range(h) for j in range(i + 1, h)]
     rows, cols = np.array(keys, dtype=int).reshape(-1, 2).T
-    classes = obstruction_classes(cc, qmap.form[rows, cols].T[None])[0]
-    entries = dict(sorted(zip(keys, classes)))
-    verdict = all(e.norm <= tolerance for e in entries.values())
+    coords, norms, projected = _class_parts(cc, qmap.form[rows, cols].T[None])
+    entries = _PairingEntries(cc, keys, coords[0], norms[0], projected[0])
+    verdict = all(size <= tolerance for size in entries.norms)
     return PairingTensor(entries=entries, verdict=verdict, tolerance=tolerance)

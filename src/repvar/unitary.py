@@ -23,6 +23,10 @@ ANGLE_TOL = 1e-9
 
 _BASIS_CACHE: dict[int, np.ndarray] = {}
 _CLASS_COEFFICIENTS: dict[ConjugacyClassSpec, np.ndarray] = {}
+# numpy scalars, not 0-d arrays: the same values, but scalar arithmetic skips
+# the ufunc dispatch that an operation on a 0-d array goes through
+_ONE = np.complex128(1)
+_ZERO = np.complex128(0)
 
 
 class BranchCutError(ValueError):
@@ -147,8 +151,28 @@ def charpoly_coefficients(g: np.ndarray) -> np.ndarray:
     Computed from traces of powers via Newton's identities, which keeps the
     map smooth in ``g`` (unlike eigenvalue sorting).
     """
-    c, _ = charpoly_directions(g, np.zeros((0,) + g.shape, dtype=complex))
-    return c
+    e = _newton_elementary([pk.trace() for pk in _powers(g)])
+    return np.array([(-1) ** k * e[k] for k in range(1, len(e))])
+
+
+def _powers(g: np.ndarray) -> list:
+    """g^0 .. g^N, each the previous times g."""
+    powers = [np.eye(g.shape[0], dtype=complex)]
+    for _ in range(g.shape[0]):
+        powers.append(powers[-1] @ g)
+    return powers
+
+
+def _newton_elementary(p: list) -> list:
+    """Elementary symmetric functions e_0 .. e_N of the eigenvalues from the
+    power traces p_0 .. p_N: k e_k = sum_j (-1)^(j-1) e_(k-j) p_j."""
+    e = [_ONE]
+    for k in range(1, len(p)):
+        acc = _ZERO
+        for j in range(1, k + 1):
+            acc = acc + (-1) ** (j - 1) * e[k - j] * p[j]
+        e.append(acc / k)
+    return e
 
 
 def charpoly_directions(g: np.ndarray, dgs: np.ndarray):
@@ -156,27 +180,22 @@ def charpoly_directions(g: np.ndarray, dgs: np.ndarray):
     batch of directions (dgs has shape (M, n, n)).
 
     Returns (c, dc) with c of shape (n,) and dc of shape (M, n); Newton's
-    identities are differentiated through dp_k = k tr(g^{k-1} dg).
+    identities are differentiated through dp_k = k tr(g^{k-1} dg).  c is
+    bitwise :func:`charpoly_coefficients` of g.
     """
     n = g.shape[0]
     m = dgs.shape[0]
-    powers = [np.eye(n, dtype=complex)]
-    for _ in range(n):
-        powers.append(powers[-1] @ g)
-    p = [np.trace(powers[k]) for k in range(n + 1)]
+    powers = _powers(g)
+    p = [pk.trace() for pk in powers]
+    e = _newton_elementary(p)
     dp = [np.zeros(m, dtype=complex)]
     for k in range(1, n + 1):
         dp.append(k * np.einsum("ij,aji->a", powers[k - 1], dgs))
-    e = [np.ones((), dtype=complex)]
     de = [np.zeros(m, dtype=complex)]
     for k in range(1, n + 1):
-        acc = np.zeros((), dtype=complex)
         dacc = np.zeros(m, dtype=complex)
         for j in range(1, k + 1):
-            s = (-1) ** (j - 1)
-            acc = acc + s * e[k - j] * p[j]
-            dacc = dacc + s * (de[k - j] * p[j] + e[k - j] * dp[j])
-        e.append(acc / k)
+            dacc = dacc + (-1) ** (j - 1) * (de[k - j] * p[j] + e[k - j] * dp[j])
         de.append(dacc / k)
     c = np.array([(-1) ** k * e[k] for k in range(1, n + 1)])
     dc = np.stack([(-1) ** k * de[k] for k in range(1, n + 1)], axis=1)
@@ -187,9 +206,10 @@ def class_gap(g: np.ndarray, spec: ConjugacyClassSpec) -> np.ndarray:
     """Characteristic polynomial coefficients of g minus those of the class's
     diagonal model: zero on the class, smooth in g.  The model's coefficients
     are computed once per spec."""
-    if spec not in _CLASS_COEFFICIENTS:
-        _CLASS_COEFFICIENTS[spec] = charpoly_coefficients(diagonal_model(spec))
-    return charpoly_coefficients(g) - _CLASS_COEFFICIENTS[spec]
+    target = _CLASS_COEFFICIENTS.get(spec)
+    if target is None:
+        target = _CLASS_COEFFICIENTS[spec] = charpoly_coefficients(diagonal_model(spec))
+    return charpoly_coefficients(g) - target
 
 
 def class_residual(g: np.ndarray, spec: ConjugacyClassSpec) -> float:

@@ -2,18 +2,24 @@
 
 These deliberately avoid the transport/complex machinery under test: the
 dimension oracle differentiates the nonlinear constraint map by finite
-differences, the irreducibility oracle spans the image algebra with random
-words, the ring oracle multiplies truncated jets by the naive Cauchy
-double loop over degrees, the order-2 defect oracle evaluates the
-relator and conjugated-peripheral words in degree-2 jet arithmetic instead
-of the closed-form cup product, the word-direction oracle forms one Fox
-term of a word at a time (the per-term loop that the batched
-repspace._word_directions replaced), the quadratic-map oracle evaluates Q
-of one coefficient row at a time (the per-sample path that the stacked
-QuadraticMap replaced), and the logarithm oracle reads the angles off a
-Schur form (scipy, which only the test extra installs).  The cone
-sampler is no oracle: it draws inputs, directions with Q = 0, from the
-pairing form the library computes.
+differences, the irreducibility oracle spans the image algebra with
+random words, the ring oracle multiplies truncated jets by the naive
+Cauchy double loop over degrees, the order-2 defect oracle evaluates the
+relator and conjugated-peripheral words in degree-2 jet arithmetic
+instead of the closed-form cup product, the word-direction oracle forms
+one Fox term of a word at a time (the per-term loop that the batched
+repspace._word_directions replaced), the quadratic-map oracle evaluates
+Q of one coefficient row at a time (the per-sample path that the stacked
+QuadraticMap replaced), the eager pairing oracle builds every pairing
+class at once (the dict that the lazily built pairing entries replaced),
+the Newton oracle writes out the characteristic polynomial recursion on
+0-d arrays (the scalar operations the library must keep, in their
+order), the basis oracle unstacks one h1 basis column at a time (the
+per-column loop that the one batched unstacking replaced), and the
+logarithm oracle reads the angles off a Schur form (scipy, which only
+the test extra installs).  The cone sampler is no oracle: it draws
+inputs, directions with Q = 0, from the pairing form the library
+computes.
 """
 
 from math import factorial
@@ -21,7 +27,7 @@ from math import factorial
 import numpy as np
 import scipy.linalg
 
-from repvar.cohomology import ObstructionClass, order_defect
+from repvar.cohomology import ObstructionClass, QuadraticMap, obstruction_classes, order_defect
 from repvar.repspace import Representation, _residual_vector, evaluate_word, word_transport_terms
 from repvar.unitary import BranchCutError, exponential, project_skew, skew_basis, vec_skew
 
@@ -221,3 +227,40 @@ def sample_q(qmap, c):
     return ObstructionClass(coordinates=coords[:, 0],
                             norm=float(np.linalg.norm(coords, axis=0)[0]), cone=cc,
                             defect=projected[:, 0])
+
+
+def eager_pairing_entries(cc, basis):
+    """The pairing entries as a dict (i, j) -> ObstructionClass in sorted key
+    order, every class built at once: one obstruction_classes call on the
+    pair blocks of the cup form, diagonal pairs first."""
+    h = len(basis)
+    form = QuadraticMap(cc, [list(v) for v in basis.vectors]).form
+    keys = [(i, i) for i in range(h)] + [(i, j) for i in range(h) for j in range(i + 1, h)]
+    rows, cols = np.array(keys, dtype=int).reshape(-1, 2).T
+    classes = obstruction_classes(cc, form[rows, cols].T[None])[0]
+    return dict(sorted(zip(keys, classes)))
+
+
+def per_column_basis_vectors(cc, basis):
+    """The generator parts of the h1 basis, unstacked one matrix column at a
+    time."""
+    return tuple(tuple(cc.unstack_gen(basis.matrix[:, j])) for j in range(len(basis)))
+
+
+def newton_charpoly(g):
+    """Coefficients c_1 .. c_N of det(tI - g) by Newton's identities on the
+    traces of g^0 .. g^N, each power the previous times g."""
+    n = len(g)
+    power = np.eye(n, dtype=complex)
+    p = [np.trace(power)]
+    for _ in range(n):
+        power = power @ g
+        p.append(np.trace(power))
+    e = [np.ones((), dtype=complex)]
+    for k in range(1, n + 1):
+        acc = np.zeros((), dtype=complex)
+        for j in range(1, k + 1):
+            s = (-1) ** (j - 1)
+            acc = acc + s * e[k - j] * p[j]
+        e.append(acc / k)
+    return np.array([(-1) ** k * e[k] for k in range(1, n + 1)])

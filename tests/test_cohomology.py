@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -6,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repvar import cli, corpus
+from repvar import cli, cohomology, corpus
 from repvar.cohomology import (
     IllConditionedError,
     NotACocycleError,
+    ObstructionClass,
     QuadraticMap,
     _LstsqSolver,
     _rank_cut,
@@ -31,7 +34,8 @@ from repvar.unitary import (exponential, matrix_to_json, principal_log, random_s
                             vec_skew)
 
 from conftest import random_cocycle
-from oracles import fd_h1_par, jet_order2_defect, random_word, sample_q
+from oracles import (eager_pairing_entries, fd_h1_par, jet_order2_defect,
+                     per_column_basis_vectors, random_word, sample_q)
 
 
 def test_transport_single_letter(genus2_irr):
@@ -640,6 +644,103 @@ def test_pairing_at_rigid_point(sphere3_cc):
     tensor = pairing_tensor(sphere3_cc, h1_basis(sphere3_cc))
     assert tensor.entries == {} and tensor.verdict
     assert common_obstruction(sphere3_cc, []) == []
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("point", ["genus2_irr_cc", "genus2_red_cc", "sphere4_cc",
+                                   "degenerate_u3_cc"])
+def test_pairing_entries_match_eager_oracle(point, request, monkeypatch):
+    # the entries are a read-only mapping whose classes are built on first
+    # access from one batched reduction: bitwise the classes built all at once
+    cc = request.getfixturevalue(point)
+    basis = h1_basis(cc)
+    h = len(basis)
+    want = eager_pairing_entries(cc, basis)
+    built = []
+    monkeypatch.setattr(cohomology, "ObstructionClass",
+                        lambda **kw: built.append(kw) or ObstructionClass(**kw))
+    tensor = pairing_tensor(cc, basis)
+    assert tensor.verdict == all(e.norm <= tensor.tolerance for e in want.values())
+    assert tensor.max_norm() == max(e.norm for e in want.values())
+    assert built == []  # the verdict and max_norm read the norms alone
+    entries = tensor.entries
+    assert len(entries) == h * (h + 1) // 2
+    assert list(entries) == list(want)
+    for key, w in want.items():
+        got = entries[key]
+        assert entries[key] is got
+        assert got.norm == w.norm
+        assert _same_bits(got.coordinates, w.coordinates)
+        assert _same_bits(got.defect, w.defect)
+        rep = got.representative
+        oracle = cc.unstack_target(w.defect[:, None])[0]
+        for part, oracle_part in ((rep.relator_part, oracle.relator_part),
+                                  (rep.peripheral_part, oracle.peripheral_part)):
+            assert len(part) == len(oracle_part)
+            assert all(_same_bits(x, y) for x, y in zip(part, oracle_part))
+    assert len(built) == len(want)
+    with pytest.raises(KeyError):
+        entries[h, h]
+    with pytest.raises(KeyError):
+        entries[1, 0]
+    with pytest.raises(TypeError):
+        entries[0, 0] = want[0, 0]
+
+
+def test_pairing_entries_shared_across_threads(genus2_irr_cc):
+    # threads reading the same entries concurrently all get the one class
+    # stored per key, even when two of them build it at the same time
+    basis = h1_basis(genus2_irr_cc)
+    tensors = [pairing_tensor(genus2_irr_cc, basis) for _ in range(20)]
+    keys = list(tensors[0].entries)
+    seen = []
+    start = threading.Barrier(6, timeout=60)
+
+    def read():
+        got = []
+        for t in tensors:
+            start.wait()  # every thread on the same fresh tensor at once
+            got.append([t.entries[k] for k in keys])
+        seen.append(got)
+
+    workers = [threading.Thread(target=read) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(seen) == len(workers)
+    for t, classes in zip(tensors, seen[0]):
+        assert all(t.entries[k] is c for k, c in zip(keys, classes))  # stored, not rebuilt
+    for got in seen:
+        for ours, first in zip(got, seen[0]):
+            assert len(ours) == len(keys)
+            assert all(a is b for a, b in zip(ours, first))
+
+
+def test_h1_basis_vectors_match_per_column_oracle(corpus_points, degenerate_u3_cc):
+    # all basis vectors come from one unstacking of the basis matrix: bitwise
+    # the matrices of unstacking each column alone, rigid sphere3 included
+    cones = [assemble_complex(rep) for rep in corpus_points.values()] + [degenerate_u3_cc]
+    sizes = []
+    for cc in cones:
+        basis = h1_basis(cc)
+        want = per_column_basis_vectors(cc, basis)
+        sizes.append(len(basis))
+        assert len(basis.vectors) == len(want)
+        for got_v, want_v in zip(basis.vectors, want):
+            assert isinstance(got_v, tuple) and len(got_v) == len(want_v) == cc.n_gen
+            assert all(_same_bits(x, y) for x, y in zip(got_v, want_v))
+    assert 0 in sizes
 
 
 def _assert_rows_match_oracle(qmap, rows):

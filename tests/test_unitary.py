@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,8 @@ from repvar.unitary import (
     BranchCutError,
     ad_matrix,
     adjoint_action,
+    charpoly_coefficients,
+    charpoly_directions,
     class_distance,
     class_of,
     class_residual,
@@ -26,7 +30,7 @@ from repvar.unitary import (
     vec_skew,
 )
 
-from oracles import schur_log
+from oracles import newton_charpoly, schur_log
 
 
 def test_exponential_zero_is_identity():
@@ -212,6 +216,22 @@ def test_charpoly_directions_match_finite_differences():
         for a in range(5):
             fd = (charpoly_coefficients(g + eps * dgs[a]) - c) / eps
             assert np.linalg.norm(fd - dc[a]) <= 1e-5
+
+
+def test_charpoly_coefficients_match_directions_bitwise():
+    # the coefficient-only path makes the scalar operations of the
+    # directional one, and of the written-out recursion, in the same order:
+    # bitwise the same coefficients, on regular classes and on a class with
+    # a repeated eigenvalue
+    mats = [haar_sample(n, seed) for n in range(1, 7) for seed in range(4)]
+    mats.append(diagonal_model(ConjugacyClassSpec([Fraction(1, 5), Fraction(2, 5),
+                                                   Fraction(-3, 5)])))
+    for g in mats:
+        c = charpoly_coefficients(g)
+        want = charpoly_directions(g, np.zeros((0,) + g.shape, dtype=complex))[0]
+        assert c.shape == want.shape and c.dtype == want.dtype
+        assert c.tobytes() == want.tobytes() == newton_charpoly(g).tobytes()
+        assert np.max(np.abs(c - np.poly(np.linalg.eigvals(g))[1:])) <= 1e-12
 
 
 def test_class_residual_conjugation_invariant():
