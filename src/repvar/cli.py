@@ -23,6 +23,11 @@ usage errors, 2 constraint or verdict failures (NotFound, NoConvergence,
 failed lift, violated probe prediction, invalid representation, a stray
 numerical error from numpy, and an ill-conditioned rank decision, reported
 with its two candidate ranks).
+
+Only the parser is imported with this module.  Each stage imports the
+numeric modules it runs when it runs, so ``validate`` and ``--help`` load no
+numpy, ``find`` and ``check`` no cohomology, and only ``lift`` and ``probe``
+load :mod:`repvar.jets`.
 """
 
 from __future__ import annotations
@@ -34,22 +39,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import cohomology, jets
-from .cohomology import IllConditionedError, NotACocycleError
 from .presentation import ParseError, parse_presentation, serialize_presentation
-from .repspace import (
-    NoConvergenceError,
-    NotFoundError,
-    commutant_dimension,
-    constraint_residual,
-    find_representation,
-    rep_from_json,
-    rep_to_json,
-)
-from .unitary import (SKEW_TOL, UNITARITY_TOL, is_skew_hermitian, is_unitary,
-                      matrix_from_json, matrix_to_json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,6 +95,10 @@ def _load_presentation(path: str):
 
 
 def _load_representation(pres, path: str):
+    import numpy as np
+
+    from .repspace import rep_from_json
+    from .unitary import UNITARITY_TOL, is_unitary
     data = _read_json(path)
     if isinstance(data, dict) and "representation" in data:
         data = data["representation"]  # accept a `find` report envelope
@@ -120,6 +114,9 @@ def _load_representation(pres, path: str):
 
 
 def _load_cochain(pres, path: str):
+    import numpy as np
+
+    from .unitary import SKEW_TOL, is_skew_hermitian, matrix_from_json
     data = _read_json(path)
     gens = data.get("generator_part") if isinstance(data, dict) else None
     if not isinstance(gens, dict):
@@ -142,6 +139,7 @@ def _load_cochain(pres, path: str):
 
 
 def _cochain_json(pres, mats) -> dict:
+    from .unitary import matrix_to_json
     return {"generator_part": {name: matrix_to_json(m) for name, m in zip(pres.generators, mats)},
             "conjugator_part": {}}
 
@@ -181,14 +179,15 @@ def _check_writable(path: str) -> None:
 
 
 def _cmd_find(args, pres) -> tuple[int, dict]:
+    from . import repspace
     if args.out:
         _check_writable(args.out)
     try:
-        rep = find_representation(pres, seed=args.seed, attempts=args.attempts,
-                                  target_tolerance=args.tol)
-    except NotFoundError as exc:
+        rep = repspace.find_representation(pres, seed=args.seed, attempts=args.attempts,
+                                           target_tolerance=args.tol)
+    except repspace.NotFoundError as exc:
         return 2, {"found": False, "error": str(exc)}
-    payload = rep_to_json(rep)
+    payload = repspace.rep_to_json(rep)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -196,13 +195,14 @@ def _cmd_find(args, pres) -> tuple[int, dict]:
                 fh.write("\n")
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc.strerror}") from None
-    return 0, {"found": True, "max_residual": constraint_residual(rep).max,
+    return 0, {"found": True, "max_residual": repspace.constraint_residual(rep).max,
                "representation": payload}
 
 
 def _cmd_check(args, pres, rep) -> tuple[int, dict]:
-    res = constraint_residual(rep)
-    dim = commutant_dimension(rep, rank_rtol=args.rank_tol)
+    from . import repspace
+    res = repspace.constraint_residual(rep)
+    dim = repspace.commutant_dimension(rep, rank_rtol=args.rank_tol)
     tol = rep.tolerance if args.tol is None else args.tol
     valid = res.max <= tol
     return (0 if valid else 2), {
@@ -214,12 +214,14 @@ def _cmd_check(args, pres, rep) -> tuple[int, dict]:
 
 
 def _cmd_tangent(args, pres, cc) -> tuple[int, dict]:
+    from . import cohomology
     basis = cohomology.h1_basis(cc)
     return 0, {"dims": basis.dims.to_json(), "h1_par": basis.dims.h1_par,
                "basis": [_cochain_json(pres, vec) for vec in basis.vectors]}
 
 
 def _cmd_pairing(args, pres, cc) -> tuple[int, dict]:
+    from . import cohomology
     basis = cohomology.h1_basis(cc)
     tensor = cohomology.pairing_tensor(cc, basis, tolerance=args.tol)
     entries = [
@@ -231,16 +233,19 @@ def _cmd_pairing(args, pres, cc) -> tuple[int, dict]:
 
 
 def _cmd_obstruct(args, pres, cc, umats) -> tuple[int, dict]:
+    from . import cohomology
     return 0, {"obstruction": cohomology.obstruction(cc, umats).to_json()}
 
 
 def _cmd_lift(args, pres, cc, umats) -> tuple[int, dict]:
+    from . import jets
     opts = jets.LiftOptions(tolerance=args.tol, budget=args.budget)
     result = jets.lift(cc, umats, args.order, opts)
     return (0 if result.succeeded else 2), {"report": result.to_json()}
 
 
 def _cmd_probe(args, pres, cc) -> tuple[int, dict]:
+    from . import cohomology, jets
     result = jets.probe_cone(cc, cohomology.h1_basis(cc), samples=args.samples,
                              order=args.order, seed=args.seed, tolerance=args.tol,
                              budget=args.budget)
@@ -327,7 +332,16 @@ def _load_inputs(args, inputs: int) -> list:
     if inputs == _REP:
         return [pres, rep]
     umats = [_load_cochain(pres, args.cochain)] if inputs == _COCHAIN else []
+    from . import cohomology
     return [pres, cohomology.assemble_complex(rep, rank_rtol=args.rank_tol), *umats]
+
+
+def _raised(module: str, name: str) -> tuple:
+    """The exception class module.name if that module is loaded, else no class
+    at all: a run that never imported the module cannot raise it, and looking
+    it up here imports nothing."""
+    loaded = sys.modules.get(module)
+    return (getattr(loaded, name),) if loaded else ()
 
 
 def run(argv) -> int:
@@ -340,15 +354,16 @@ def run(argv) -> int:
     except InputError as exc:
         print(f"repvar: error: {exc}", file=sys.stderr)
         return 1
-    except NotACocycleError as exc:  # only a cochain read from a file can fail this check
+    # only a cochain read from a file can fail the cocycle check
+    except _raised("repvar.cohomology", "NotACocycleError") as exc:
         print(f"repvar: error: {args.cochain}: not a parabolic cocycle ({exc})", file=sys.stderr)
         return 1
-    except IllConditionedError as exc:
+    except _raised("repvar.repspace", "IllConditionedError") as exc:
         code, body = 2, {"error": str(exc), "candidates": list(exc.candidates)}
-    except NoConvergenceError as exc:
+    except _raised("repvar.repspace", "NoConvergenceError") as exc:
         print(f"repvar: no convergence: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (*_raised("numpy.linalg", "LinAlgError"), FloatingPointError) as exc:
         print(f"repvar: numerical error: {exc}", file=sys.stderr)
         return 2
     _emit({"verb": args.verb, "config": config, **body}, args.format)

@@ -598,8 +598,16 @@ class QuadraticMap:
     def __call__(self, c: np.ndarray) -> list[ObstructionClass]:
         """Q(u) for u = sum c_i u_i of every row of c (s, h), each in its own
         products, all in ``cc.obstruction_quotient``."""
-        raw = rowwise(c, rowwise(c, self._pairs).reshape(len(c), self.h, -1))
-        return [cls for (cls,) in obstruction_classes(self.cc, raw[..., None])]
+        return [cls for (cls,) in obstruction_classes(self.cc, self._raw(c))]
+
+    def norms(self, c: np.ndarray) -> np.ndarray:
+        """|Q(u)| of every row of c (s,): the norms of the classes a call
+        returns, bitwise, with no class built."""
+        return _class_parts(self.cc, self._raw(c))[1][:, 0]
+
+    def _raw(self, c: np.ndarray) -> np.ndarray:
+        """The raw defect sets (s, dim, 1) of the rows of c, one product per row."""
+        return rowwise(c, rowwise(c, self._pairs).reshape(len(c), self.h, -1))[..., None]
 
 
 def obstruction_classes(cc: ConeComplex, defects: np.ndarray) -> list[list[ObstructionClass]]:

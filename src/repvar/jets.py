@@ -306,10 +306,10 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     The quadraticity prediction is an empty off-diagonal contingency: cone
     directions (Q at most tolerance * |u|^2) never fail at order 2 and
     non-cone directions never lift past order 2.  Every direction
-    u = sum c_i b_i takes Q from one :class:`~repvar.cohomology.QuadraticMap`
-    over the basis, built once per call and evaluated once, on the stack of
-    all sample coefficients, in the one quotient of the complex; each
-    sample's Q is bitwise the one it gets alone.  All samples are lifted as
+    u = sum c_i b_i takes |Q| from one :class:`~repvar.cohomology.QuadraticMap`
+    over the basis, built once per call and read once for its norms alone, on
+    the stack of all sample coefficients, in the one quotient of the complex;
+    each sample's norm is bitwise its own class's.  All samples are lifted as
     one stack (in chunks of bounded memory) by the code that :func:`lift`
     runs on one: each order makes one defect evaluation and one cone solve
     for the samples still lifting, the cone-kernel rescue reads every
@@ -339,8 +339,9 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     umats = unvec_skew(uvecs.reshape(samples, cc.n_gen, cc.q), cc.rep.rank)
     lifts = _lift_stack(cc, umats, order, tolerance)
     norms = row_norms(uvecs).tolist()
-    for q, unorm, got in zip(qmap(coeffs), norms, lifts.achieved.tolist()):
-        is_cone = q.norm <= tolerance * unorm ** 2
+    qnorms = qmap.norms(coeffs).tolist()
+    for qnorm, unorm, got in zip(qnorms, norms, lifts.achieved.tolist()):
+        is_cone = qnorm <= tolerance * unorm ** 2
         counts["budget_exceeded"] += 1 < got < order
         if is_cone:
             counts["cone_success" if got == order else

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repvar import cli, cohomology
+from repvar import cli, cohomology, repspace
 from repvar.repspace import Representation, rep_to_json
 from repvar.unitary import exponential, matrix_to_json
 
@@ -167,6 +167,89 @@ def test_library_and_verbs_run_without_scipy(cli_files):
     assert result["codes"] == [0] * len(verbs)
 
 
+# A fresh interpreter that imports repvar, runs one command line (if any)
+# through cli.run and prints the exit code and the modules it loaded.
+LOADED_MODULES = """
+import contextlib, io, json, sys
+import repvar
+argv, code = json.loads(sys.argv[1]), None
+if argv is not None:
+    from repvar import cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+NUMERIC = {"numpy", "repvar.unitary", "repvar.repspace"}
+COHOMOLOGY = {"repvar.cohomology", "repvar.truncring"}
+JETS = {"repvar.jets"}
+IMPORT_SURFACE = {  # argv, exit code, modules loaded, modules left out
+    "import": (None, None, set(), NUMERIC | COHOMOLOGY | JETS),
+    "help": (["--help"], 0, set(), NUMERIC | COHOMOLOGY | JETS),
+    "validate": (["validate", SPHERE4], 0, {"repvar.presentation"}, NUMERIC),
+    "validate_bad": (["validate", "bad_grp"], 1, {"repvar.presentation"}, NUMERIC),
+    "find": (["find", SPHERE4, "--seed", "1"], 0, NUMERIC, COHOMOLOGY | JETS),
+    "check": (["check", GENUS2, "genus2_irr"], 0, NUMERIC, COHOMOLOGY | JETS),
+    "tangent": (["tangent", GENUS2, "genus2_irr"], 0, NUMERIC | COHOMOLOGY, JETS),
+    "pairing": (["pairing", GENUS2, "genus2_irr"], 0, NUMERIC | COHOMOLOGY, JETS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMPORT_SURFACE))
+def test_verbs_import_only_what_they_run(case, cli_files, tmp_path):
+    argv, code, loaded, absent = IMPORT_SURFACE[case]
+    bad = tmp_path / "bad.grp"
+    bad.write_text("group g\nrank 1\ngenerators a\nrelator a x\n")
+    files = {**cli_files, "bad_grp": str(bad)}
+    argv = None if argv is None else [files.get(a, a) for a in argv]
+    out = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(argv)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    modules = set(result["modules"])
+    assert result["code"] == code
+    assert loaded <= modules
+    assert not absent & modules
+
+
+EXPORTS = """
+import sys
+import repvar
+from repvar import repspace
+
+exports = set(repvar.__all__)
+assert len(exports) == len(repvar.__all__)
+assert exports <= set(dir(repvar))
+for name in repvar.__all__:
+    value = getattr(repvar, name)
+    owners = [m for key, m in sys.modules.items()
+              if key.startswith("repvar.") and name in vars(m)]
+    assert owners and all(vars(m)[name] is value for m in owners), name
+try:
+    repvar.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+star = {}
+exec("from repvar import *", star)
+assert all(star[name] is getattr(repvar, name) for name in exports)
+original = repspace.refine
+repspace.refine = marker = object()  # a later rebinding shows through the package
+assert repvar.refine is marker
+repspace.refine = original
+assert repvar.refine is original
+"""
+
+
+def test_package_exports_resolve_on_use():
+    out = subprocess.run([sys.executable, "-c", EXPORTS], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 BAD_INPUTS = {
     "nan_entry_check": ("check", GENUS2, "nan_rep"),
     "nan_entry_tangent": ("tangent", GENUS2, "nan_rep"),
@@ -215,7 +298,7 @@ def test_bad_input_exit_1(case, cli_files, capsys):
 
 
 def test_find_out_unwritable_fails_before_search(cli_files, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "find_representation",
+    monkeypatch.setattr(repspace, "find_representation",
                         lambda *args, **kwargs: pytest.fail("the search ran"))
     assert cli.run(["find", SPHERE4, "--out", cli_files["unwritable_out"]]) == 1
     out, err = capsys.readouterr()

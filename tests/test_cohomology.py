@@ -744,9 +744,11 @@ def test_h1_basis_vectors_match_per_column_oracle(corpus_points, degenerate_u3_c
 
 
 def _assert_rows_match_oracle(qmap, rows):
-    """Every row's stacked class is bitwise the per-row oracle's."""
+    """Every row's stacked class is bitwise the per-row oracle's, and the
+    norms-only read is bitwise the classes' norms."""
     classes = qmap(rows)
     assert len(classes) == len(rows)
+    assert qmap.norms(rows).tolist() == [got.norm for got in classes]
     for c, got in zip(rows, classes):
         want = sample_q(qmap, c)
         assert got.norm == want.norm

@@ -465,8 +465,8 @@ def test_probe_smooth_point_with_peripherals(sphere4_cc):
 
 @pytest.mark.parametrize("point", ["sphere4_cc", "genus2_irr_cc", "genus2_red_cc"])
 def test_probe_q_matches_obstruction(point, request):
-    # probe_cone reads Q of every direction, failing ones included, off one
-    # stacked call of a QuadraticMap over the basis; it must agree with
+    # probe_cone reads |Q| of every direction, failing ones included, off one
+    # stacked norms read of a QuadraticMap over the basis; it must agree with
     # obstruction()
     cc = request.getfixturevalue(point)
     basis = h1_basis(cc)
@@ -474,9 +474,9 @@ def test_probe_q_matches_obstruction(point, request):
     rng = np.random.default_rng(78)
     rows = rng.standard_normal((50, len(basis)))
     rows /= np.linalg.norm(rows, axis=1)[:, None]
-    for coeffs, q in zip(rows, qmap(rows)):
+    for coeffs, qnorm in zip(rows, qmap.norms(rows).tolist()):
         want = obstruction(cc, cc.unstack_gen(basis.matrix @ coeffs)).norm
-        assert abs(q.norm - want) <= 1e-12 * max(1.0, want)
+        assert abs(qnorm - want) <= 1e-12 * max(1.0, want)
 
 
 def test_probe_rigid_flagged(sphere3_cc):
