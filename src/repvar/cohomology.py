@@ -38,12 +38,14 @@ once on all samples) and the cone-kernel moves of both
 functions.
 
 :func:`order_defect` evaluates the higher-order defects of a stack of jet
-representations in truncated-ring arithmetic: the
-generator and conjugator jets come from one
-:class:`~repvar.truncring.IncrementalExp`, which a lift shares across its
-orders so that each order forms only the exponential coefficients that
-changed, then the word products, of which each word's last product forms
-coefficient m alone.
+representations in truncated-ring arithmetic, on a :class:`DefectState`
+that a lift shares across its orders: its
+:class:`~repvar.truncring.IncrementalExp` forms the generator and conjugator
+jets and reports the lowest degree lo that changed, and the word products
+(relator prefixes, each peripheral word times its conjugator; the
+:class:`ProductPlan` of the complex) keep their coefficients below lo and
+form only lo..m, each by the sum a full truncated product forms.  Each
+word's last product forms coefficient m alone.
 
 All linear algebra is over the B-orthonormal real coordinates of
 :func:`repvar.unitary.skew_basis`, where B equals the Euclidean inner
@@ -64,12 +66,13 @@ import numpy as np
 from .presentation import Word
 from .repspace import (IllConditionedError, Representation, _rank_cut, evaluate_word,
                        transport_matrix, word_transport_terms)
-# exp_series and unitary_generator_jet are bound here for perfbench/tracer.py,
-# which wraps each layer function in every module that binds it and requires
-# these bindings; nothing in this module calls them (order_defect drives an
-# IncrementalExp, the one exponential they are thin calls of)
+# exp_series, unitary_generator_jet and word_jet are bound here for
+# perfbench/tracer.py, which wraps each layer function in every module that
+# binds it and requires these bindings; nothing in this module calls them
+# (order_defect drives an IncrementalExp, the one exponential the first two
+# are thin calls of, and forms its word products in a DefectState)
 from .truncring import (IncrementalExp, MatrixJet, exp_series,  # noqa: F401
-                        product_coefficient, unitary_generator_jet, word_jet)
+                        product_coefficient, toeplitz_rows, unitary_generator_jet, word_jet)
 from .unitary import ad_matrix, project_skew, skew_basis, unvec_skew, vec_skew
 
 
@@ -216,9 +219,10 @@ def row_norms(a: np.ndarray) -> np.ndarray:
 class _LstsqSolver:
     """Cached SVD factorization for minimal-norm least squares against one matrix."""
 
-    def __init__(self, a: np.ndarray, rtol: float, context: str, gaps: dict | None = None):
+    def __init__(self, a: np.ndarray, rtol: float, context: str, gaps: dict | None = None,
+                 terms: int = 1):
         u, s, vt = np.linalg.svd(a, full_matrices=True)
-        self.rank = _rank_cut(s, rtol, context, gaps, size=max(a.shape))
+        self.rank = _rank_cut(s, rtol, context, gaps, size=max(a.shape), terms=terms)
         self.u_r = u[:, :self.rank]
         self.s_r = s[:self.rank]
         self.vt_r = vt[:self.rank]
@@ -241,12 +245,12 @@ class _GroupData(_LstsqSolver):
     joint centralizer.  rows index the members' target rows in that order."""
 
     def __init__(self, members: tuple[int, ...], n_rel: int, ad_per: list[np.ndarray],
-                 rtol: float, context: str, gaps: dict | None):
+                 rtol: float, context: str, gaps: dict | None, terms: int):
         q = len(ad_per[0])
         self.members = members
         self.rows = ((n_rel + np.array(members))[:, None] * q + np.arange(q)).ravel()
         self.map = np.vstack([np.eye(q) - ad_per[i] for i in members])  # (|S| q, q)
-        super().__init__(self.map, rtol, context, gaps)
+        super().__init__(self.map, rtol, context, gaps, terms)
         self.pinv = self.vt_r.T @ ((1.0 / self.s_r)[:, None] * self.u_r.T)
 
 
@@ -290,8 +294,16 @@ class ConeComplex:
         self.rel_rows = [transport_matrix(rep, r) for r in pres.relators]
         self.per_rows = [transport_matrix(rep, p.word) for p in pres.peripherals]
         self.group_of = {i: gi for gi, members in enumerate(self.groups) for i in members}
+        # the rounding of an entry of d0, d1 or a group map, in units of eps:
+        # each entry sums at most L + 1 unit terms (the Fox terms of a word
+        # of length at most L, or an identity and an Ad), each the Ad of a
+        # product of at most L rounded unitaries, whose own unitarity is
+        # rounded too; terms = (L + 1)^2 bounds that
+        longest = max(map(len, list(pres.relators) + [p.word for p in pres.peripherals]),
+                      default=0)
+        terms = (longest + 1) ** 2
         self.group_data = [_GroupData(members, self.n_rel, ad_per, self.rank_rtol,
-                                      f"group_{gi}", self.gaps)
+                                      f"group_{gi}", self.gaps, terms)
                            for gi, members in enumerate(self.groups)]
 
         # cone differential on (generator parts, conjugator parts)
@@ -318,10 +330,13 @@ class ConeComplex:
             pt_cols.append(block)
         self.pt_basis = np.hstack(pt_cols)
 
-        self._svd_d0_gen = _LstsqSolver(self.d0_gen, self.rank_rtol, "d0_generator", self.gaps)
-        self._svd_d0_full = _LstsqSolver(self.d0_full, self.rank_rtol, "d0_cone", self.gaps)
-        self._svd_d1_par = _LstsqSolver(self.d1_par, self.rank_rtol, "d1_par", self.gaps)
-        self.cone_solver = _LstsqSolver(self.d1_cone, self.rank_rtol, "d1_cone", self.gaps)
+        self._svd_d0_gen = _LstsqSolver(self.d0_gen, self.rank_rtol, "d0_generator", self.gaps,
+                                        terms)
+        self._svd_d0_full = _LstsqSolver(self.d0_full, self.rank_rtol, "d0_cone", self.gaps,
+                                         terms)
+        self._svd_d1_par = _LstsqSolver(self.d1_par, self.rank_rtol, "d1_par", self.gaps, terms)
+        self.cone_solver = _LstsqSolver(self.d1_cone, self.rank_rtol, "d1_cone", self.gaps,
+                                        terms)
         self.cone_kernel = self.cone_solver.nullspace
         self.complex_defect = float(np.linalg.norm(self.d1_cone @ self.d0_full))
 
@@ -337,6 +352,11 @@ class ConeComplex:
                 return _LstsqSolver(a[:, keep] / norms[keep], self.rank_rtol,
                                     "obstruction quotient").left_null
         return np.eye(self.par_target_dim)
+
+    @cached_property
+    def product_plan(self) -> ProductPlan:
+        """The word products of :func:`order_defect` (see :class:`ProductPlan`)."""
+        return ProductPlan(self)
 
     @cached_property
     def kernel_cup(self) -> np.ndarray:
@@ -421,6 +441,110 @@ class ConeComplex:
         return xis, worst
 
 
+class ProductPlan:
+    """The word products of :func:`order_defect` as slots of one coefficient
+    buffer per sample (:class:`DefectState`).
+
+    A product is named by its letters, (series, sign) pairs over the
+    generator series and then the conjugator series (the order of
+    ``ConeComplex.jet_bases``).  Slots 0..count-1 hold the series
+    themselves; then come the daggers of the ``inverted`` series (those that
+    occur inverted in a word, and every conjugator), the identity when a
+    relator has one letter, and the products, depth by depth: each relator
+    prefix r[:-1] and each peripheral word followed by its conjugator,
+    formed from its first letter on, a prefix shared by two words formed
+    once.  ``depths`` holds, per product depth, the slots of the left
+    factors (an array (J, 1, 1)), of the right factors (letters) and the
+    slot range of the products; ``tops`` the target rows of the words with a top coefficient
+    (every word but an empty relator) and the slots of its two factors: a
+    relator's prefix and last letter, a peripheral's conjugator dagger e^H
+    and product W e (None when no word has one).  Other consecutive slots
+    are given as slices, so that reading them is a view.
+    """
+
+    def __init__(self, cc: ConeComplex):
+        count = len(cc.jet_bases)
+        inverted: dict = {}  # insertion-ordered sets
+        levels: list[dict] = []
+        tops = []
+        words = [(w, r) for w, r in enumerate(cc.pres.relators) if r]
+        for i, p in enumerate(cc.pres.peripherals):
+            e = cc.n_gen + cc.group_of[i]
+            inverted[e] = None
+            words.append((cc.n_rel + i, tuple(p.word) + ((e, 1),)))
+        for row, word in words:
+            inverted.update((s, None) for s, sign in word if sign < 0)
+            chain = word[:-1] if row < cc.n_rel else word
+            for end in range(2, len(chain) + 1):
+                if len(levels) < end - 1:
+                    levels.append({})
+                levels[end - 2][chain[:end]] = None
+            if row < cc.n_rel:
+                tops.append((row, chain, word[-1:]))
+            else:
+                tops.append((row, ((word[-1][0], -1),), chain))
+        self.inverted = _slots(list(inverted))
+        keys = [((s, 1),) for s in range(count)] + [((s, -1),) for s in inverted]
+        if any(len(r) == 1 for r in cc.pres.relators):
+            keys.append(())  # the identity, the product of no letters
+        ranges = []
+        for level in levels:
+            ranges.append((len(keys), len(keys) + len(level)))
+            keys += list(level)
+        slot = {key: i for i, key in enumerate(keys)}
+        self.slots = len(keys)
+        self.identity = slot.get(())
+        self.depths = [(np.array([slot[key[:-1]] for key in keys[a:b]])[:, None, None],
+                        _slots([slot[key[-1:]] for key in keys[a:b]]), slice(a, b))
+                       for a, b in ranges]
+        self.tops = [_slots(list(col)) for col in zip(
+            *[(row, slot[left], slot[right]) for row, left, right in tops])] if tops else None
+
+
+def _slots(slots: list):
+    """An index of the given slots: a slice when they are consecutive (or
+    none), else an array."""
+    first = slots[0] if slots else 0
+    if slots == list(range(first, first + len(slots))):
+        return slice(first, first + len(slots))
+    return np.array(slots, dtype=int)
+
+
+class DefectState:
+    """What :func:`order_defect` keeps across the orders of a lift of b
+    samples: the :class:`~repvar.truncring.IncrementalExp` of their
+    generator and conjugator series and, per sample, the coefficients of
+    every slot of ``cc.product_plan``, each slot led by one zero, the layout
+    :func:`~repvar.truncring.toeplitz_rows` gathers from.  ``coeffs`` views
+    them as (b, slots, order + 1, n, n), ``rows`` as
+    (b, slots, (order + 1) n, n).  ``formed`` is the highest degree the slots
+    hold; -1 before the first call, and no entry above it is read before it
+    is written."""
+
+    def __init__(self, cc: ConeComplex, samples: int, order: int):
+        n, plan = cc.rep.rank, cc.product_plan
+        self.count = len(cc.jet_bases)
+        self.exp = IncrementalExp(np.tile(cc.jet_bases, (samples, 1, 1)), order)
+        self._view(np.empty((samples, plan.slots, 1 + (order + 1) * n * n), dtype=complex))
+        self.buffer[:, :, 0] = 0.0
+        if plan.identity is not None:
+            self.coeffs[:, plan.identity] = np.eye(n) * (np.arange(order + 1) == 0)[:, None, None]
+        self.formed = -1
+
+    def _view(self, buffer: np.ndarray) -> None:
+        b, slots, width = buffer.shape
+        n = self.exp.bases.shape[-1]
+        k1 = (width - 1) // (n * n)
+        self.buffer = buffer
+        self.coeffs = buffer[:, :, 1:].reshape(b, slots, k1, n, n)
+        self.rows = buffer[:, :, 1:].reshape(b, slots, k1 * n, n)
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep only the samples where the boolean mask (b,) is set."""
+        self.exp.keep(np.repeat(mask, self.count))
+        self._view(self.buffer[mask])
+
+
 def assemble_complex(rep: Representation, rank_rtol: float = 1e-8) -> ConeComplex:
     return ConeComplex(rep, rank_rtol)
 
@@ -486,7 +610,7 @@ def h1_basis(rep_or_cone, rank_rtol: float = 1e-8) -> CohomologyBasis:
 
 
 def order_defect(cc: ConeComplex, gen_jets, conj_jets, m: int,
-                 state: IncrementalExp | None = None) -> np.ndarray:
+                 state: DefectState | None = None) -> np.ndarray:
     """Order-m defects of a stack of b jet representations, (b, dim).
 
     Relator rows are the t^m coefficients of the relator words against their
@@ -497,16 +621,25 @@ def order_defect(cc: ConeComplex, gen_jets, conj_jets, m: int,
     The jets are arrays (b, n_gen, k, n, n) of X_1..X_k per generator and
     (b, groups, k, n, n) of zeta_1..zeta_k per conjugator; k below m counts
     as padded with zero, and a caller with ragged series pads them to one k
-    (:func:`repvar.jets.jet_residual_profile`).  The series of every
-    sample's generators and conjugators are stacked and exponentiated by
-    ``state``, an :class:`~repvar.truncring.IncrementalExp` over b copies of
-    ``cc.jet_bases`` (the generator matrices, then the identity per
-    conjugator) of order at least m; a state shared by the orders of a lift
-    forms only the degrees whose series changed since its last call.
-    Without one, a fresh state is built.  Word prefixes are full truncated
-    products of the whole stack; each relator's last product and each
-    peripheral's outer conjugation form coefficient m alone.  Coefficients
-    past order m are ignored.
+    (:func:`repvar.jets.jet_residual_profile`).  ``state`` is a
+    :class:`DefectState` for b samples of order at least m; without one, a
+    fresh state is built.  Its exponential forms the coefficients of the
+    generator and conjugator jets (the generator matrices, then the identity
+    per conjugator, as bases) and reports the lowest degree lo whose
+    coefficients changed since the state's last call (0 on a fresh state);
+    the word products of ``cc.product_plan`` keep their coefficients below
+    lo and form only lo..m.  Per product depth, one gather of the left
+    factors' Toeplitz block rows lo..m over block columns 0..m and one
+    batched gemm serve every word; one batched
+    :func:`~repvar.truncring.product_coefficient` then forms each word's
+    top coefficient m alone: a relator's prefix times its last letter, a
+    peripheral's e^H times W e.  Each coefficient is the sum a full
+    truncated product of the words forms, over the same columns in the same
+    order; one formed at an earlier order m' < m lacks only the zero terms of
+    columns m'+1..m.  With OpenBLAS 0.3.31 at N >= 2 the defects are bitwise
+    those of full products (at N = 1 numpy forms the products by gemv or a
+    dot product, whose rounding moves).  Coefficients past order m are
+    ignored.
     """
     n, count = cc.rep.rank, len(cc.jet_bases)
     b, k = len(gen_jets), min(gen_jets.shape[2], m)
@@ -514,18 +647,27 @@ def order_defect(cc: ConeComplex, gen_jets, conj_jets, m: int,
     series[:, :cc.n_gen, :k] = gen_jets[:, :, :k]
     series[:, cc.n_gen:, :k] = conj_jets[:, :, :k]
     if state is None:
-        state = IncrementalExp(np.tile(cc.jet_bases, (b, 1, 1)), m)
-    coeffs = state.jets(series.reshape(b * count, m, n, n)).reshape(b, count, m + 1, n, n)
-    gen = [MatrixJet(coeffs[:, g]) for g in range(cc.n_gen)]
-    conj = [MatrixJet(coeffs[:, cc.n_gen + g]) for g in range(len(cc.groups))]
+        state = DefectState(cc, b, m)
+    jets = state.exp.jets(series.reshape(b * count, m, n, n)).reshape(b, count, m + 1, n, n)
+    lo = min(state.exp.low, state.formed + 1)
+    state.formed = m
+    plan, coeffs = cc.product_plan, state.coeffs
+    coeffs[:, :count, lo:m + 1] = jets[:, :, lo:]
+    inverted = jets[:, plan.inverted, lo:]  # their daggers follow the series
+    np.conjugate(inverted, out=coeffs[:, count:count + inverted.shape[1], lo:m + 1].swapaxes(-1, -2))
+    rows, flat = toeplitz_rows(lo, m, n), state.buffer.reshape(b, -1)
+    width = state.buffer.shape[-1]
+    for left, right, out in plan.depths:
+        # a C-contiguous gather, so that numpy passes every stack row to BLAS
+        # and a sample's products do not depend on the samples stacked with it
+        np.matmul(np.take(flat, left * width + rows, axis=1), state.rows[:, right, :(m + 1) * n],
+                  out=state.rows[:, out, lo * n:(m + 1) * n])
     tops = np.zeros((b, len(cc.word_values_h), n, n), dtype=complex)
     # an empty relator is the identity times the identity, top coefficient 0
-    for w, r in enumerate(cc.pres.relators):
-        tops[:, w] = product_coefficient(word_jet(gen, r[:-1], m, n),
-                                         word_jet(gen, r[-1:], m, n), m)
-    for i, p in enumerate(cc.pres.peripherals):
-        e = conj[cc.group_of[i]]
-        tops[:, cc.n_rel + i] = product_coefficient(e.dagger(), word_jet(gen, p.word, m, n) @ e, m)
+    if plan.tops is not None:
+        words, left, right = plan.tops
+        tops[:, words] = product_coefficient(MatrixJet(coeffs[:, left, :m + 1]),
+                                             MatrixJet(coeffs[:, right, :m + 1]), m)
     return vec_skew(project_skew(tops @ cc.word_values_h)).reshape(b, -1)
 
 

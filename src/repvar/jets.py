@@ -27,6 +27,7 @@ import numpy as np
 from .cohomology import (
     ConeComplex,
     CohomologyBasis,
+    DefectState,
     ObstructionClass,
     QuadraticMap,
     as_cone,
@@ -37,7 +38,7 @@ from .cohomology import (
     rowwise,
 )
 from .repspace import Representation
-from .truncring import IncrementalExp, MatrixJet, log_series, unitary_generator_jet, word_jet
+from .truncring import MatrixJet, log_series, unitary_generator_jet, word_jet
 from .unitary import project_skew, unvec_skew, vec_skew
 
 
@@ -141,7 +142,7 @@ def jet_word(jrep: JetRepresentation, word) -> MatrixJet:
 
 def _freeze(base, jets: np.ndarray, n_gen: int) -> JetRepresentation:
     """The jet representation of stacked series (generators, then conjugators)."""
-    series = tuple(tuple(m.copy() for m in s) for s in jets)
+    series = tuple(map(tuple, jets.copy()))  # one copy, one view per coefficient
     return JetRepresentation(base=base, order=jets.shape[1], generator_jets=series[:n_gen],
                              conjugator_jets=series[n_gen:])
 
@@ -149,7 +150,8 @@ def _freeze(base, jets: np.ndarray, n_gen: int) -> JetRepresentation:
 # A stack of lifts is split into chunks whose exponential caches hold at most
 # this many complex numbers (4 MB); one sample's cache holds
 # series * (order + 1)^2 * n^2 of them, 1,568 for 4 generators and 4
-# conjugators at U(2), order 6.
+# conjugators at U(2), order 6.  Its word products add
+# slots * ((order + 1) * n^2 + 1), 522 there (18 slots).
 _STACK_CACHE_LIMIT = 2 ** 18
 
 
@@ -189,7 +191,7 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
     samples, and one more solve for those in the cone-kernel rescue.  A
     sample's rescue moves 2 D(u, K) are its X_1 = (u, xi) times the cone's
     cached ``kernel_cup``.  A sample that fails leaves the active rows and
-    the shared exponential.  Every product that involves a sample is formed
+    the shared defect state.  Every product that involves a sample is formed
     per stack row (batched products, :func:`~repvar.cohomology.rowwise`),
     so a sample's outcome does not depend on the samples lifted with it."""
     n, q, n_gen, count = cc.rep.rank, cc.q, cc.n_gen, len(cc.jet_bases)
@@ -204,7 +206,7 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
     # X_1..X_order of every generator, then of every conjugator; zero until solved
     jets = np.zeros((b, count, order, n, n), dtype=complex)
     jets[:, :n_gen, 0], jets[:, n_gen:, 0] = u, xis
-    state = IncrementalExp(np.tile(cc.jet_bases, (b, 1, 1)), order)
+    state = DefectState(cc, b, order)
     kernel, coker = cc.cone_kernel, cc.cone_solver.left_null.T
     # per sample, once rescued: 2 D(u, K) and its least-squares fit on the cokernel
     # (an order-2 failure is Q(u) and is never rescued)
@@ -243,7 +245,7 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
             active, jets, x, tol, residuals, rescued, moves, fit = (
                 active[keep], jets[keep], x[keep], tol[keep], residuals[keep], rescued[keep],
                 moves[keep], fit[keep])
-            state.keep(np.repeat(keep, count))
+            state.keep(keep)
         jets[:, :, m - 1] = unvec_skew(x.reshape(-1, count, q), n)
     out.residuals[active], out.jets[active] = residuals, jets
 
@@ -256,15 +258,15 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None,
     order-m defect equations for m = 2..order by minimal-norm least squares
     against the cone differential: one
     :func:`~repvar.cohomology.order_defect` call per order, all sharing one
-    :class:`~repvar.truncring.IncrementalExp` sized to the lift's order, so
-    an order forms only the exponential coefficients that its own degree and
-    the last correction moved.  An unsolvable order-2 defect is the
-    obstruction Q(u).  From the first unsolvable order m >= 3 on, each order
-    first moves the order-(m-1) correction inside the cone kernel K: that
-    order stays solved, and the order-m defect moves by exactly 2 D(u, K c)
-    (D the cup form of :func:`~repvar.cohomology.cup_form`; the square of
-    K c lands at order 2m - 2 > m).  c is the least-squares choice that
-    brings the defect into the image of the cone differential.  A later
+    :class:`~repvar.cohomology.DefectState` sized to the lift's order, so an
+    order forms only the exponential and word-product coefficients that its
+    own degree and the last correction moved.  An unsolvable order-2 defect
+    is the obstruction Q(u).  From the first unsolvable order m >= 3 on,
+    each order first moves the order-(m-1) correction inside the cone kernel
+    K: that order stays solved, and the order-m defect moves by exactly
+    2 D(u, K c) (D the cup form of :func:`~repvar.cohomology.cup_form`; the
+    square of K c lands at order 2m - 2 > m).  c is the least-squares choice
+    that brings the defect into the image of the cone differential.  A later
     order that is still unsolvable is reported with budget_exceeded set.
 
     This is the one-sample case of the stacked lift that :func:`probe_cone`
@@ -356,7 +358,7 @@ def jet_residual_profile(jrep: JetRepresentation, cone: ConeComplex | None = Non
                          rank_rtol: float = 1e-8) -> list[float]:
     """Per-order closure residuals of a jet representation: the norms of the
     relator and conjugated-peripheral defects at each order 1..k, from one
-    :class:`~repvar.truncring.IncrementalExp` shared by the orders.  rank_rtol
+    :class:`~repvar.cohomology.DefectState` shared by the orders.  rank_rtol
     is the rank threshold of the complex assembled when no cone is given."""
     cc = cone if cone is not None else ConeComplex(jrep.base, rank_rtol)
     n, k = cc.rep.rank, jrep.order
@@ -365,7 +367,7 @@ def jet_residual_profile(jrep: JetRepresentation, cone: ConeComplex | None = Non
     for s, jets in enumerate(jrep.generator_jets + jrep.conjugator_jets):
         if len(jets):
             series[0, s, :min(len(jets), k)] = jets[:k]
-    state = IncrementalExp(cc.jet_bases, k)
+    state = DefectState(cc, 1, k)
     gen, conj = series[:, :cc.n_gen], series[:, cc.n_gen:]
     return [float(np.linalg.norm(order_defect(cc, gen, conj, m, state))) for m in range(1, k + 1)]
 

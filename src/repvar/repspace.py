@@ -334,16 +334,17 @@ def find_representation(pres: Presentation, seed: int = 0, attempts: int = 50,
 
 
 def _rank_cut(s: np.ndarray, rtol: float, context: str, gaps: dict | None = None,
-              size: int | None = None) -> int:
+              size: int | None = None, terms: int = 1) -> int:
     """Rank at the relative threshold, with an ambiguity band of a factor 10.
-    A threshold below the rounding floor eps * size * s[0] cannot tell rank
-    from noise; its candidates are the ranks at the floor and at the threshold.
-    size is the larger dimension of the factored matrix (default s.size).
-    Every factored matrix is formed from unitaries, identities or unit
-    columns, so its scale is 1, and one with s[0] <= eps * size is rounding
-    of zero: rank 0."""
+    A threshold below the rounding floor eps * size * terms * s[0] cannot
+    tell rank from noise; its candidates are the ranks at the floor and at
+    the threshold.  size is the larger dimension of the factored matrix
+    (default s.size), terms bounds the rounding of one entry in units of eps
+    (default 1: an entry formed in one operation).  Every factored matrix is
+    formed from unitaries, identities or unit columns, so its scale is 1,
+    and one with s[0] <= eps * size * terms is rounding of zero: rank 0."""
     s = np.asarray(s)
-    eps_size = np.finfo(float).eps * (s.size if size is None else size)
+    eps_size = np.finfo(float).eps * (s.size if size is None else size) * terms
     if s.size == 0 or s[0] <= eps_size:
         if gaps is not None:
             gaps[context] = None

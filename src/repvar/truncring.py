@@ -11,10 +11,13 @@ term (resp. constant term one).
 :class:`IncrementalExp` is the one series kernel: exp(S) @ base for a stack
 of series that grows or changes degree by degree, as in a lift.  It caches
 the coefficients of the powers and re-forms only from the lowest degree
-that changed; :func:`unitary_generator_jet` and :func:`exp_series` are one
-call of a fresh one, and :func:`log_series` is its inverse, solved for one
-degree per call.  :func:`product_coefficient` forms one coefficient of a
-product alone.
+that changed, and reports that degree, so a caller that keeps products of
+the coefficients forms only their block rows from there on
+(:func:`repvar.cohomology.order_defect`; a block row of the Toeplitz
+product over all block columns is the same sum as in the full product).
+:func:`unitary_generator_jet` and :func:`exp_series` are one call of a
+fresh one, and :func:`log_series` is its inverse, solved for one degree per
+call.  :func:`product_coefficient` forms one coefficient of a product alone.
 
 A jet may carry leading stack axes, coefficients (..., k+1, n, n): products
 and coefficients then act row by row, so :func:`word_jet` evaluates a word
@@ -69,11 +72,14 @@ class MatrixJet:
 
     def __matmul__(self, other: "MatrixJet") -> "MatrixJet":
         # one gather of the Toeplitz matrices of left multiplication by every
-        # jet of the stack, then one (batched) gemm
+        # jet of the stack, from its coefficients led by one zero, then one
+        # (batched) gemm; the gather is C-contiguous, so that numpy passes
+        # every stack row to BLAS
         shape = self.coeffs.shape
         k1, n = shape[-3], shape[-2]
-        flat = np.concatenate([self.coeffs.ravel(), _ZERO])
-        toeplitz = flat[_toeplitz_index(shape[:-3], k1, n)]
+        led = np.zeros(shape[:-3] + (1 + k1 * n * n,), dtype=complex)
+        led[..., 1:] = self.coeffs.reshape(shape[:-3] + (-1,))
+        toeplitz = np.take(led, toeplitz_rows(0, k1 - 1, n), axis=-1)
         out = toeplitz @ other.coeffs.reshape(other.coeffs.shape[:-3] + (k1 * n, -1))
         return MatrixJet(out.reshape(out.shape[:-2] + (k1, n, -1)))
 
@@ -85,19 +91,15 @@ class MatrixJet:
         return f"MatrixJet(order={self.order}, n={self.n})"
 
 
-_ZERO = np.zeros(1, dtype=complex)  # appended to flattened coefficients
-
-
-@lru_cache(maxsize=128)
-def _toeplitz_index(lead: tuple, k1: int, n: int) -> np.ndarray:
-    """Position of entry (p n + i, q n + j) of the Toeplitz matrix of each jet
-    of a stack of shape lead in the flattened coefficients of the stack:
-    entry (i, j) of that jet's a_(p-q), or the appended zero."""
-    rows = math.prod(lead)
-    r, p, i, q, j = np.ogrid[:rows, :k1, :n, :k1, :n]
-    lag = p - q
-    index = np.where(lag >= 0, ((r * k1 + lag) * n + i) * n + j, rows * k1 * n * n)
-    index = index.reshape(lead + (k1 * n, k1 * n))
+@lru_cache(maxsize=256)
+def toeplitz_rows(lo: int, m: int, n: int) -> np.ndarray:
+    """Position, in a jet's coefficients 0..m (n x n each) flattened and led
+    by one zero, of entry (p n + i, q n + j) of the Toeplitz matrix of left
+    multiplication by the jet, for block rows p = lo..m and block columns
+    q = 0..m: entry (i, j) of coefficient p - q, or the leading zero."""
+    p, i, q, j = np.ogrid[lo:m + 1, :n, :m + 1, :n]
+    index = np.where(p >= q, 1 + ((p - q) * n + i) * n + j, 0)
+    index = index.reshape((m + 1 - lo) * n, (m + 1) * n)
     index.setflags(write=False)  # shared by every caller
     return index
 
@@ -146,7 +148,10 @@ class IncrementalExp:
     gemm per series for all j = 2..d, and E_d = sum_j (S^j)_d / j!.  A call
     re-forms from the lowest degree whose series changed: there only E_d
     (its powers do not involve S_d), the powers from the next degree on.
-    The cache holds (batch, order + 1, n, max(order, 1) + 1, n) coefficients.
+    ``low`` is the lowest degree the last call re-formed (m + 1 when it
+    re-formed none), so a caller that keeps products of the coefficients
+    re-forms them from there.  The cache holds
+    (batch, order + 1, n, max(order, 1) + 1, n) coefficients.
     """
 
     def __init__(self, bases: np.ndarray, order: int):
@@ -159,6 +164,7 @@ class IncrementalExp:
         self.coeffs[:, 0] = self.bases
         self.weights = np.array([1.0 / math.factorial(j) for j in range(order + 1)])
         self.formed = 0  # degrees 1..formed agree with the stored series
+        self.low = 0  # the bases, degree 0, are formed here
 
     def jets(self, series: np.ndarray) -> np.ndarray:
         """Coefficients 0..m of exp(S) @ base for series (batch, m, n, n)
@@ -170,6 +176,7 @@ class IncrementalExp:
         changed = np.any(series != stored, axis=(0, 2, 3))
         first = int(np.argmax(changed)) + 1 if changed.any() else m + 1
         stored[...] = series
+        self.low = min(first, self.formed + 1)
         if first <= min(self.formed, m):
             self._store(first)  # the powers of the first changed degree do not involve it
         for d in range(min(self.formed, first) + 1, m + 1):

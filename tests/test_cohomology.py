@@ -27,6 +27,7 @@ from repvar.cohomology import (
     obstruction_classes,
     pairing_tensor,
 )
+from repvar.jets import lift
 from repvar.presentation import parse_presentation
 from repvar.repspace import (Representation, commutant_dimension, evaluate_word,
                              find_representation, rep_to_json)
@@ -383,6 +384,25 @@ def test_rank_cut_below_rounding_floor(sphere4_rep, sphere4_cc):
                  lambda: commutant_dimension(sphere4_rep, rank_rtol=1e-20)):
         with pytest.raises(IllConditionedError, match="ambiguous rank"):
             call()
+
+
+def test_u1_rank_decisions_ignore_rounding_of_zero(torus_pres):
+    # at U(1) the punctured-torus differentials are zero in exact arithmetic,
+    # but find leaves entries of a few eps in them: every rank stays 0, so
+    # every point has c0 = 1, h1_par = h1_cone = 2, the commutant count
+    # agrees, and a lift makes no correction past order 1
+    for seed in range(200):
+        cc = assemble_complex(find_representation(torus_pres, seed=seed))
+        dims = h_dims(cc)
+        assert (dims.c0, dims.h1_par, dims.h1_cone) == (1, 2, 2), seed
+        assert commutant_dimension(cc.rep) == dims.c0
+        for u in h1_basis(cc).vectors:
+            report = lift(cc, u, 4)
+            assert report.succeeded, seed
+            jets = report.corrections
+            assert all(np.array_equal(x, np.zeros_like(x))
+                       for series in jets.generator_jets + jets.conjugator_jets
+                       for x in series[1:]), seed
 
 
 # -- the closed-form cup product against the jet oracle, over generated points --

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repvar import cohomology, jets, truncring
-from repvar.cohomology import (IllConditionedError, QuadraticMap, coboundary, cocycle_transport,
-                               h1_basis, obstruction, order_defect)
+from repvar.cohomology import (DefectState, IllConditionedError, QuadraticMap, coboundary,
+                               cocycle_transport, h1_basis, obstruction, order_defect)
 from repvar.jets import (
     JetRepresentation,
     LiftOptions,
@@ -17,8 +17,8 @@ from repvar.jets import (
     lift,
     probe_cone,
 )
-from repvar.repspace import evaluate_word
-from repvar.truncring import IncrementalExp
+from repvar.presentation import parse_presentation
+from repvar.repspace import evaluate_word, find_representation
 from repvar.unitary import random_skew, vec_skew
 
 from conftest import random_cocycle
@@ -235,7 +235,7 @@ def test_shared_defect_state_follows_edited_jets(point, seed, order, scale, requ
     n = cc.rep.rank
     gen = [[random_skew(rng, n, scale) for _ in range(order)] for _ in range(cc.n_gen)]
     conj = [[random_skew(rng, n, scale) for _ in range(order)] for _ in cc.groups]
-    state = IncrementalExp(cc.jet_bases, order)
+    state = DefectState(cc, 1, order)
     for m in range(1, order + 1):
         # one-sample stacks; the reshape keeps the group axis when there are no groups
         stacks = [np.array(s, dtype=complex).reshape(1, len(s), order, n, n) for s in (gen, conj)]
@@ -248,6 +248,91 @@ def test_shared_defect_state_follows_edited_jets(point, seed, order, scale, requ
         d = int(rng.integers(0, m))
         for series in gen + conj:
             series[d] = series[d] + random_skew(rng, n, scale)
+
+
+EDGE_WORDS = """group edge_words
+rank 2
+generators a b c
+relator a b a' b'
+relator c
+relator a a'
+peripheral P = a b' : 1/5, -1/5
+"""
+
+
+@pytest.fixture(scope="module")
+def edge_words_cc():
+    # a relator with inverse letters, a one-letter relator, an empty one
+    # (a a' reduces away) and a two-letter peripheral with an inverse letter
+    rep = find_representation(parse_presentation(EDGE_WORDS), seed=0, target_tolerance=1e-11)
+    return cohomology.assemble_complex(rep)
+
+
+@pytest.mark.parametrize("point", ["torus_cc", "edge_words_cc"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(2, 6),
+       scale=st.sampled_from([0.05, 0.3, 1.0]))
+def test_defect_state_on_edge_words(point, seed, order, scale, request):
+    # the state shared across orders, with a degree at or below the last
+    # order edited between calls, against a fresh state and the naive-ring
+    # oracle, on the words test_shared_defect_state_follows_edited_jets does
+    # not meet: a U(1) point with no relator and a four-letter peripheral of
+    # inverse letters, and the edge words above.  At U(1) numpy forms the
+    # products by gemv or a dot product, so fresh and shared states agree to
+    # rounding, not bitwise; and its jets commute, so every defect there is
+    # rounding of zero, on the unit scale of the base matrices
+    cc = request.getfixturevalue(point)
+    rng = np.random.default_rng(seed)
+    n = cc.rep.rank
+    floor = 1.0 if n == 1 else 0.0
+    gen = [[random_skew(rng, n, scale) for _ in range(order)] for _ in range(cc.n_gen)]
+    conj = [[random_skew(rng, n, scale) for _ in range(order)] for _ in cc.groups]
+    state = DefectState(cc, 1, order)
+    for m in range(1, order + 1):
+        stacks = [np.array(s, dtype=complex).reshape(1, len(s), order, n, n) for s in (gen, conj)]
+        shared = order_defect(cc, *stacks, m, state)
+        fresh = order_defect(cc, *stacks, m)
+        size = float(np.linalg.norm(fresh))
+        assert np.linalg.norm(shared - fresh) <= 1e-13 * max(size, floor)
+        oracle = oracle_defect_profile(cc, gen, conj, m)[m - 1]
+        assert abs(float(np.linalg.norm(shared)) - oracle) <= 1e-13 * max(oracle, floor)
+        d = int(rng.integers(0, m))
+        for series in gen + conj:
+            series[d] = series[d] + random_skew(rng, n, scale)
+
+
+@pytest.mark.parametrize("point, order, rescued", [("degenerate_u3_cc", 5, False),
+                                                   ("genus2_red_cc", 6, True)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stacked_lift_defect_state_matches_fresh_and_oracle(point, order, rescued, seed,
+                                                            request):
+    # every defect a stacked lift reads off its shared state, after failed
+    # samples left the stack (DefectState.keep) and, at the reducible point,
+    # after a rescue moved a lower degree of the samples that stay, matches
+    # a fresh state and, per sample, the naive-ring oracle.  The degenerate
+    # point's conjugator parts reach 1e5, so its defects (up to 1e9) cancel
+    # products of up to (1 + sum_d |X_d|)^m, about 1e15: the oracle, which
+    # sums in another order, agrees on that scale
+    cc = request.getfixturevalue(point)
+    stack = _stack_directions(point, cc, h1_basis(cc), np.random.default_rng(seed))
+    seen = []
+
+    def checked(cc, gen_jets, conj_jets, m, state):
+        shared = order_defect(cc, gen_jets, conj_jets, m, state)
+        seen.append((m, len(gen_jets), state.exp.low))
+        fresh = order_defect(cc, gen_jets, conj_jets, m)
+        assert np.linalg.norm(shared - fresh) <= 1e-13 * np.linalg.norm(fresh)
+        series = np.concatenate([gen_jets, conj_jets], axis=1)[:, :, :m]
+        units = (1.0 + np.abs(series).max(axis=(1, 3, 4)).sum(axis=1)) ** m
+        for defect, g, c, unit in zip(shared, gen_jets, conj_jets, units):
+            oracle = oracle_defect_profile(cc, g, c, m)[m - 1]
+            assert abs(float(np.linalg.norm(defect)) - oracle) <= 1e-13 * max(oracle, unit)
+        return shared
+
+    with mock.patch.object(jets, "order_defect", checked):
+        jets._lift_stack(cc, np.array(stack), order, 1e-7)
+    assert any(rows < len(stack) for _, rows, _ in seen)
+    assert any(low < m - 1 for m, _, low in seen[1:]) == rescued
 
 
 def test_lift_makes_one_defect_call_per_order_and_no_full_exponential(sphere4_cc, monkeypatch):
@@ -443,6 +528,21 @@ def test_stacked_lift_matches_single_lifts(point, order, chunk, seed, request):
         want = np.array(corrections.generator_jets + corrections.conjugator_jets)
         assert np.max(np.abs(lifts.jets[i, :, :got] - want)) <= 1e-12 * np.max(np.abs(want))
         assert not lifts.jets[i, :, got:].any()
+
+
+def test_u1_stacked_lift_is_bitwise_its_single_lifts(torus_cc):
+    # at U(1) numpy forms the products by gemv, whose rounding depends on the
+    # memory layout of the operands: a stacked sample must still get the
+    # bits of its own lift
+    basis = h1_basis(torus_cc)
+    rng = np.random.default_rng(12)
+    stack = np.array([torus_cc.unstack_gen(basis.matrix @ rng.standard_normal(len(basis)))
+                      for _ in range(5)])
+    lifts = jets._lift_stack(torus_cc, stack, 6, 1e-7)
+    for i, u in enumerate(stack):
+        single = jets._lift_stack(torus_cc, u[None], 6, 1e-7)
+        assert np.array_equal(single.jets[0], lifts.jets[i])
+        assert np.array_equal(single.residuals[0], lifts.residuals[i])
 
 
 def test_probe_abelian_all_cone_success(torus_cc):
