@@ -71,8 +71,8 @@ from .repspace import (IllConditionedError, Representation, _rank_cut, evaluate_
 # binds it and requires these bindings; nothing in this module calls them
 # (order_defect drives an IncrementalExp, the one exponential the first two
 # are thin calls of, and forms its word products in a DefectState)
-from .truncring import (IncrementalExp, MatrixJet, exp_series,  # noqa: F401
-                        product_coefficient, toeplitz_rows, unitary_generator_jet, word_jet)
+from .truncring import (IncrementalExp, exp_series, product_coefficient,  # noqa: F401
+                        toeplitz_rows, unitary_generator_jet, word_jet)
 from .unitary import ad_matrix, project_skew, skew_basis, unvec_skew, vec_skew
 
 
@@ -531,6 +531,14 @@ class DefectState:
             self.coeffs[:, plan.identity] = np.eye(n) * (np.arange(order + 1) == 0)[:, None, None]
         self.formed = -1
 
+    @staticmethod
+    def size(cc: ConeComplex, order: int) -> int:
+        """The complex numbers one sample's state holds: its exponential's
+        bases, powers and coefficients, and its slot buffer."""
+        n, k1 = cc.rep.rank, order + 1
+        per_series = n * n * (1 + k1 * (max(order, 1) + 1) + k1)
+        return len(cc.jet_bases) * per_series + cc.product_plan.slots * (1 + k1 * n * n)
+
     def _view(self, buffer: np.ndarray) -> None:
         b, slots, width = buffer.shape
         n = self.exp.bases.shape[-1]
@@ -609,8 +617,7 @@ def h1_basis(rep_or_cone, rank_rtol: float = 1e-8) -> CohomologyBasis:
 # -- the quadratic map Q -----------------------------------------------------
 
 
-def order_defect(cc: ConeComplex, gen_jets, conj_jets, m: int,
-                 state: DefectState | None = None) -> np.ndarray:
+def order_defect(cc: ConeComplex, state: DefectState, jets: np.ndarray, m: int) -> np.ndarray:
     """Order-m defects of a stack of b jet representations, (b, dim).
 
     Relator rows are the t^m coefficients of the relator words against their
@@ -618,19 +625,18 @@ def order_defect(cc: ConeComplex, gen_jets, conj_jets, m: int,
     peripheral words against the base values.  Exact truncated arithmetic;
     the dependence on the order-m jets is affine with matrix d1_cone.
 
-    The jets are arrays (b, n_gen, k, n, n) of X_1..X_k per generator and
-    (b, groups, k, n, n) of zeta_1..zeta_k per conjugator; k below m counts
-    as padded with zero, and a caller with ragged series pads them to one k
-    (:func:`repvar.jets.jet_residual_profile`).  ``state`` is a
-    :class:`DefectState` for b samples of order at least m; without one, a
-    fresh state is built.  Its exponential forms the coefficients of the
-    generator and conjugator jets (the generator matrices, then the identity
-    per conjugator, as bases) and reports the lowest degree lo whose
-    coefficients changed since the state's last call (0 on a fresh state);
-    the word products of ``cc.product_plan`` keep their coefficients below
-    lo and form only lo..m.  Per product depth, one gather of the left
-    factors' Toeplitz block rows lo..m over block columns 0..m and one
-    batched gemm serve every word; one batched
+    ``jets`` is the one input form, the lift's own stack (b, series, k, n, n)
+    with k >= m: X_1..X_k per generator, then zeta_1..zeta_k per conjugator
+    (the order of ``cc.jet_bases``); degrees past m are not read.  ``state``
+    is the :class:`DefectState` of those b samples, of order at least m,
+    that the caller keeps across its orders.  Its exponential forms the
+    coefficients of the generator and conjugator jets (the generator
+    matrices, then the identity per conjugator, as bases) and reports the
+    lowest degree lo whose coefficients changed since the state's last call
+    (0 on a fresh state); the word products of ``cc.product_plan`` keep
+    their coefficients below lo and form only lo..m.  Per product depth, one
+    gather of the left factors' Toeplitz block rows lo..m over block columns
+    0..m and one batched gemm serve every word; one batched
     :func:`~repvar.truncring.product_coefficient` then forms each word's
     top coefficient m alone: a relator's prefix times its last letter, a
     peripheral's e^H times W e.  Each coefficient is the sum a full
@@ -638,22 +644,16 @@ def order_defect(cc: ConeComplex, gen_jets, conj_jets, m: int,
     order; one formed at an earlier order m' < m lacks only the zero terms of
     columns m'+1..m.  With OpenBLAS 0.3.31 at N >= 2 the defects are bitwise
     those of full products (at N = 1 numpy forms the products by gemv or a
-    dot product, whose rounding moves).  Coefficients past order m are
-    ignored.
+    dot product, whose rounding moves).
     """
-    n, count = cc.rep.rank, len(cc.jet_bases)
-    b, k = len(gen_jets), min(gen_jets.shape[2], m)
-    series = np.zeros((b, count, m, n, n), dtype=complex)
-    series[:, :cc.n_gen, :k] = gen_jets[:, :, :k]
-    series[:, cc.n_gen:, :k] = conj_jets[:, :, :k]
-    if state is None:
-        state = DefectState(cc, b, m)
-    jets = state.exp.jets(series.reshape(b * count, m, n, n)).reshape(b, count, m + 1, n, n)
+    # m stays the fourth positional argument: perfbench/tracer.py reads args[3]
+    b, count, n = len(jets), len(cc.jet_bases), cc.rep.rank
+    exps = state.exp.jets(jets[:, :, :m].reshape(b * count, m, n, n)).reshape(b, count, -1, n, n)
     lo = min(state.exp.low, state.formed + 1)
     state.formed = m
     plan, coeffs = cc.product_plan, state.coeffs
-    coeffs[:, :count, lo:m + 1] = jets[:, :, lo:]
-    inverted = jets[:, plan.inverted, lo:]  # their daggers follow the series
+    coeffs[:, :count, lo:m + 1] = exps[:, :, lo:]
+    inverted = exps[:, plan.inverted, lo:]  # their daggers follow the series
     np.conjugate(inverted, out=coeffs[:, count:count + inverted.shape[1], lo:m + 1].swapaxes(-1, -2))
     rows, flat = toeplitz_rows(lo, m, n), state.buffer.reshape(b, -1)
     width = state.buffer.shape[-1]
@@ -666,8 +666,7 @@ def order_defect(cc: ConeComplex, gen_jets, conj_jets, m: int,
     # an empty relator is the identity times the identity, top coefficient 0
     if plan.tops is not None:
         words, left, right = plan.tops
-        tops[:, words] = product_coefficient(MatrixJet(coeffs[:, left, :m + 1]),
-                                             MatrixJet(coeffs[:, right, :m + 1]), m)
+        tops[:, words] = product_coefficient(coeffs[:, left, :m + 1], coeffs[:, right, :m + 1], m)
     return vec_skew(project_skew(tops @ cc.word_values_h)).reshape(b, -1)
 
 

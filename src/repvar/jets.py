@@ -147,11 +147,8 @@ def _freeze(base, jets: np.ndarray, n_gen: int) -> JetRepresentation:
                              conjugator_jets=series[n_gen:])
 
 
-# A stack of lifts is split into chunks whose exponential caches hold at most
-# this many complex numbers (4 MB); one sample's cache holds
-# series * (order + 1)^2 * n^2 of them, 1,568 for 4 generators and 4
-# conjugators at U(2), order 6.  Its word products add
-# slots * ((order + 1) * n^2 + 1), 522 there (18 slots).
+# A stack of lifts is split into chunks whose defect states hold at most
+# this many complex numbers (4 MB; DefectState.size per sample).
 _STACK_CACHE_LIMIT = 2 ** 18
 
 
@@ -170,13 +167,13 @@ class _Lifts:
 
 def _lift_stack(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float) -> _Lifts:
     """Lift the cocycles umats (b, n_gen, n, n) to the given order with a
-    tolerance relative to each |u|^2, in chunks of at most _STACK_CACHE_LIMIT
-    cached exponential coefficients."""
+    tolerance relative to each |u|^2, in chunks whose defect states hold at
+    most _STACK_CACHE_LIMIT complex numbers."""
     b, count, n = len(umats), len(cc.jet_bases), cc.rep.rank
     out = _Lifts(achieved=np.full(b, order), residuals=np.zeros((b, order)),
                  defects=np.zeros((b, cc.d1_cone.shape[0])),
                  jets=np.zeros((b, count, order, n, n), dtype=complex))
-    size = max(1, _STACK_CACHE_LIMIT // (count * (order + 1) ** 2 * cc.q))
+    size = max(1, _STACK_CACHE_LIMIT // DefectState.size(cc, order))
     for start in range(0, b, size):
         _lift_chunk(cc, umats, order, tolerance, out, np.arange(start, min(start + size, b)))
     return out
@@ -216,12 +213,10 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
     for m in range(2, order + 1):
         if not len(active):
             break
-        defect = order_defect(cc, jets[:, :n_gen], jets[:, n_gen:], m, state)
+        defect = order_defect(cc, state, jets, m)
         x, resid = cc.cone_solver.solve(-defect)
-        failed = resid > tol
-        lost = failed.any()
-        if m > 2 and (lost or rescued.any()):
-            new = failed & ~rescued
+        if m > 2:
+            new = (resid > tol) & ~rescued
             if new.any():
                 cup = cc.kernel_cup
                 first = vec_skew(jets[new, :, 0]).reshape(-1, len(cup))  # (u, xi) of X_1
@@ -229,14 +224,14 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
                     -1, *cup.shape[1:]).swapaxes(1, 2)
                 fit[new] = -np.linalg.pinv(coker @ moves[new]) @ coker
                 rescued |= new
-            c = fit[rescued] @ defect[rescued, :, None]
-            jets[rescued, :, m - 2] += unvec_skew((kernel @ c).reshape(-1, count, q), n)
-            defect[rescued] += (moves[rescued] @ c)[..., 0]
-            x[rescued], resid[rescued] = cc.cone_solver.solve(-defect[rescued])
-            failed = resid > tol
-            lost = failed.any()
+            if rescued.any():
+                c = fit[rescued] @ defect[rescued, :, None]
+                jets[rescued, :, m - 2] += unvec_skew((kernel @ c).reshape(-1, count, q), n)
+                defect[rescued] += (moves[rescued] @ c)[..., 0]
+                x[rescued], resid[rescued] = cc.cone_solver.solve(-defect[rescued])
+        failed = resid > tol
         residuals[:, m - 1] = resid
-        if lost:
+        if failed.any():
             gone = active[failed]
             out.achieved[gone] = m - 1
             out.residuals[gone], out.defects[gone], out.jets[gone] = (
@@ -368,8 +363,7 @@ def jet_residual_profile(jrep: JetRepresentation, cone: ConeComplex | None = Non
         if len(jets):
             series[0, s, :min(len(jets), k)] = jets[:k]
     state = DefectState(cc, 1, k)
-    gen, conj = series[:, :cc.n_gen], series[:, cc.n_gen:]
-    return [float(np.linalg.norm(order_defect(cc, gen, conj, m, state))) for m in range(1, k + 1)]
+    return [float(np.linalg.norm(order_defect(cc, state, series, m))) for m in range(1, k + 1)]
 
 
 def gauge_transform(jrep: JetRepresentation, gauge_jets: Sequence[np.ndarray]) -> JetRepresentation:
@@ -384,8 +378,7 @@ def gauge_transform(jrep: JetRepresentation, gauge_jets: Sequence[np.ndarray]) -
     g = unitary_generator_jet(np.eye(n), gauge_jets, k)
     ginv = g.dagger()
     new_gen = []
-    for mat, jets in zip(base.matrices, jrep.generator_jets):
-        old = unitary_generator_jet(mat, jets, k)
+    for mat, old in zip(base.matrices, jrep.matrix_jets()):
         moved = g @ old @ ginv
         s = log_series(moved @ MatrixJet.constant(mat.conj().T, k))
         new_gen.append(tuple(project_skew(s.coeff(m)) for m in range(1, k + 1)))

@@ -17,11 +17,11 @@ the coefficients forms only their block rows from there on
 product over all block columns is the same sum as in the full product).
 :func:`unitary_generator_jet` and :func:`exp_series` are one call of a
 fresh one, and :func:`log_series` is its inverse, solved for one degree per
-call.  :func:`product_coefficient` forms one coefficient of a product alone.
+call.  :func:`product_coefficient` forms one coefficient of a product alone,
+from coefficient arrays that may carry leading stack axes.
 
-A jet may carry leading stack axes, coefficients (..., k+1, n, n): products
-and coefficients then act row by row, so :func:`word_jet` evaluates a word
-for a whole stack of samples at once.
+A :class:`MatrixJet` is one jet.  Stacks of samples live in
+:class:`repvar.cohomology.DefectState`, as coefficient arrays.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import numpy as np
 
 
 class MatrixJet:
-    """Matrix with entries in R[t]/(t^(k+1)), stored as coefficients (k+1, n, n),
-    or (..., k+1, n, n) for a stack of them."""
+    """Matrix with entries in R[t]/(t^(k+1)), stored as coefficients (k+1, n, n)."""
 
     __slots__ = ("coeffs",)
 
@@ -55,14 +54,14 @@ class MatrixJet:
 
     @property
     def order(self) -> int:
-        return self.coeffs.shape[-3] - 1
+        return self.coeffs.shape[0] - 1
 
     @property
     def n(self) -> int:
         return self.coeffs.shape[-1]
 
     def coeff(self, m: int) -> np.ndarray:
-        return self.coeffs[..., m, :, :]
+        return self.coeffs[m]
 
     def __add__(self, other: "MatrixJet") -> "MatrixJet":
         return MatrixJet(self.coeffs + other.coeffs)
@@ -71,21 +70,17 @@ class MatrixJet:
         return MatrixJet(self.coeffs - other.coeffs)
 
     def __matmul__(self, other: "MatrixJet") -> "MatrixJet":
-        # one gather of the Toeplitz matrices of left multiplication by every
-        # jet of the stack, from its coefficients led by one zero, then one
-        # (batched) gemm; the gather is C-contiguous, so that numpy passes
-        # every stack row to BLAS
-        shape = self.coeffs.shape
-        k1, n = shape[-3], shape[-2]
-        led = np.zeros(shape[:-3] + (1 + k1 * n * n,), dtype=complex)
-        led[..., 1:] = self.coeffs.reshape(shape[:-3] + (-1,))
-        toeplitz = np.take(led, toeplitz_rows(0, k1 - 1, n), axis=-1)
-        out = toeplitz @ other.coeffs.reshape(other.coeffs.shape[:-3] + (k1 * n, -1))
-        return MatrixJet(out.reshape(out.shape[:-2] + (k1, n, -1)))
+        # one gather of the Toeplitz matrix of left multiplication by the jet,
+        # from its coefficients led by one zero, then one gemm
+        k1, n = self.coeffs.shape[:2]
+        led = np.zeros(1 + k1 * n * n, dtype=complex)
+        led[1:] = self.coeffs.ravel()
+        out = np.take(led, toeplitz_rows(0, k1 - 1, n)) @ other.coeffs.reshape(k1 * n, -1)
+        return MatrixJet(out.reshape(k1, n, -1))
 
     def dagger(self) -> "MatrixJet":
         """Coefficient-wise conjugate transpose; the ring inverse of a unitary jet."""
-        return MatrixJet(self.coeffs.swapaxes(-1, -2).conj())
+        return MatrixJet(self.coeffs.swapaxes(1, 2).conj())
 
     def __repr__(self) -> str:
         return f"MatrixJet(order={self.order}, n={self.n})"
@@ -200,11 +195,12 @@ class IncrementalExp:
         self.coeffs[:, d] = e @ self.bases
 
 
-def product_coefficient(a: MatrixJet, b: MatrixJet, m: int) -> np.ndarray:
-    """Coefficient m of the product a @ b alone: sum_p a_p b_(m-p), one
-    contraction of a's coefficients 0..m against b's m..0 (per stack row)."""
-    left = a.coeffs.swapaxes(-3, -2)[..., :m + 1, :]
-    right = b.coeffs[..., m::-1, :, :]
+def product_coefficient(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Coefficient m of the product of two jets alone, from their
+    coefficients (..., k+1, n, n): sum_p a_p b_(m-p), one contraction of a's
+    coefficients 0..m against b's m..0 (per stack row)."""
+    left = a.swapaxes(-3, -2)[..., :m + 1, :]
+    right = b[..., m::-1, :, :]
     return left.reshape(left.shape[:-3] + (left.shape[-3], -1)) \
         @ right.reshape(right.shape[:-3] + (-1, right.shape[-1]))
 

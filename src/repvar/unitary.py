@@ -19,7 +19,6 @@ from .presentation import ConjugacyClassSpec
 
 UNITARITY_TOL = 1e-10
 SKEW_TOL = 1e-12
-ANGLE_TOL = 1e-9
 
 _BASIS_CACHE: dict[int, np.ndarray] = {}
 _CLASS_COEFFICIENTS: dict[ConjugacyClassSpec, np.ndarray] = {}

@@ -27,7 +27,8 @@ from math import factorial
 import numpy as np
 import scipy.linalg
 
-from repvar.cohomology import ObstructionClass, QuadraticMap, obstruction_classes, order_defect
+from repvar.cohomology import (DefectState, ObstructionClass, QuadraticMap, obstruction_classes,
+                               order_defect)
 from repvar.repspace import Representation, _residual_vector, evaluate_word, word_transport_terms
 from repvar.unitary import BranchCutError, exponential, project_skew, skew_basis, vec_skew
 
@@ -191,9 +192,10 @@ def oracle_defect_profile(cc, gen_jets, conj_jets, order):
 def jet_order2_defect(cc, umats, xi):
     """Raw order-2 defect of X_1 = u with conjugator parts xi and vanishing
     second-order corrections, by degree-2 jet arithmetic."""
-    n = cc.rep.rank
-    return order_defect(cc, np.asarray(umats, dtype=complex).reshape(1, cc.n_gen, 1, n, n),
-                        np.asarray(xi, dtype=complex).reshape(1, len(cc.groups), 1, n, n), 2)[0]
+    n, count = cc.rep.rank, len(cc.jet_bases)
+    stack = np.zeros((1, count, 2, n, n), dtype=complex)  # X_2 = 0 and zeta_2 = 0
+    stack[0, :, 0] = np.concatenate([np.reshape(umats, (-1, n, n)), np.reshape(xi, (-1, n, n))])
+    return order_defect(cc, DefectState(cc, 1, 2), stack, 2)[0]
 
 
 def cone_direction(pairing, rng, steps=60):

@@ -141,6 +141,18 @@ def test_h_dims_reducible(genus2_red_cc):
     assert (d.h1_par, d.o2, d.c0) == (12, 2, 2)
 
 
+def test_o2_is_the_obstruction_quotient_width(genus2_red_cc):
+    # two rank decisions on Im(d1_par): h_dims cuts the singular values of
+    # d1_par, the quotient cuts those of its normalized columns; tangent's o2
+    # and the length of obstruct's coordinates are these two numbers
+    points = [("torus_puncture", seed) for seed in range(40)]
+    points += [(name, seed) for name in ("sphere3", "sphere4", "genus2") for seed in range(5)]
+    ccs = [assemble_complex(find_representation(corpus.load(name), seed=seed))
+           for name, seed in points]
+    for (name, seed), cc in zip(points + [("genus2_reducible", None)], ccs + [genus2_red_cc]):
+        assert h_dims(cc).o2 == cc.obstruction_quotient.shape[1], (name, seed)
+
+
 def test_cone_identity_singleton_groups(corpus_points):
     # h1_cone - h1_par = sum_i dim ker(Id - Ad rho(gamma_i)) - c0 at irreducible
     # points with peripherals (all corpus groups are singletons)

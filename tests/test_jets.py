@@ -237,10 +237,9 @@ def test_shared_defect_state_follows_edited_jets(point, seed, order, scale, requ
     conj = [[random_skew(rng, n, scale) for _ in range(order)] for _ in cc.groups]
     state = DefectState(cc, 1, order)
     for m in range(1, order + 1):
-        # one-sample stacks; the reshape keeps the group axis when there are no groups
-        stacks = [np.array(s, dtype=complex).reshape(1, len(s), order, n, n) for s in (gen, conj)]
-        shared = order_defect(cc, *stacks, m, state)
-        fresh = order_defect(cc, *stacks, m)
+        stack = np.array(gen + conj, dtype=complex)[None]  # a one-sample stack
+        shared = order_defect(cc, state, stack, m)
+        fresh = order_defect(cc, DefectState(cc, 1, m), stack, m)
         size = float(np.linalg.norm(fresh))
         assert np.linalg.norm(shared - fresh) <= 1e-13 * size
         oracle = oracle_defect_profile(cc, gen, conj, m)[m - 1]
@@ -289,9 +288,9 @@ def test_defect_state_on_edge_words(point, seed, order, scale, request):
     conj = [[random_skew(rng, n, scale) for _ in range(order)] for _ in cc.groups]
     state = DefectState(cc, 1, order)
     for m in range(1, order + 1):
-        stacks = [np.array(s, dtype=complex).reshape(1, len(s), order, n, n) for s in (gen, conj)]
-        shared = order_defect(cc, *stacks, m, state)
-        fresh = order_defect(cc, *stacks, m)
+        stack = np.array(gen + conj, dtype=complex)[None]
+        shared = order_defect(cc, state, stack, m)
+        fresh = order_defect(cc, DefectState(cc, 1, m), stack, m)
         size = float(np.linalg.norm(fresh))
         assert np.linalg.norm(shared - fresh) <= 1e-13 * max(size, floor)
         oracle = oracle_defect_profile(cc, gen, conj, m)[m - 1]
@@ -299,6 +298,21 @@ def test_defect_state_on_edge_words(point, seed, order, scale, request):
         d = int(rng.integers(0, m))
         for series in gen + conj:
             series[d] = series[d] + random_skew(rng, n, scale)
+
+
+@pytest.mark.parametrize("point", ["sphere4_cc", "genus2_irr_cc", "torus_cc", "edge_words_cc"])
+@pytest.mark.parametrize("order", [1, 2, 6, 30])
+def test_defect_state_size_is_its_allocation(point, order, request):
+    # the memory rule that chunks a stacked lift counts every array a
+    # state holds, before and after samples leave it
+    cc = request.getfixturevalue(point)
+    state = DefectState(cc, 3, order)
+    for mask in (None, np.array([True, False, True])):
+        if mask is not None:
+            state.keep(mask)
+        exp = state.exp
+        held = exp.bases.size + exp.powers.size + exp.coeffs.size + state.buffer.size
+        assert DefectState.size(cc, order) * len(state.buffer) == held
 
 
 @pytest.mark.parametrize("point, order, rescued", [("degenerate_u3_cc", 5, False),
@@ -317,12 +331,13 @@ def test_stacked_lift_defect_state_matches_fresh_and_oracle(point, order, rescue
     stack = _stack_directions(point, cc, h1_basis(cc), np.random.default_rng(seed))
     seen = []
 
-    def checked(cc, gen_jets, conj_jets, m, state):
-        shared = order_defect(cc, gen_jets, conj_jets, m, state)
-        seen.append((m, len(gen_jets), state.exp.low))
-        fresh = order_defect(cc, gen_jets, conj_jets, m)
+    def checked(cc, state, stacked, m):
+        shared = order_defect(cc, state, stacked, m)
+        seen.append((m, len(stacked), state.exp.low))
+        fresh = order_defect(cc, DefectState(cc, len(stacked), m), stacked, m)
         assert np.linalg.norm(shared - fresh) <= 1e-13 * np.linalg.norm(fresh)
-        series = np.concatenate([gen_jets, conj_jets], axis=1)[:, :, :m]
+        gen_jets, conj_jets = stacked[:, :cc.n_gen], stacked[:, cc.n_gen:]
+        series = stacked[:, :, :m]
         units = (1.0 + np.abs(series).max(axis=(1, 3, 4)).sum(axis=1)) ** m
         for defect, g, c, unit in zip(shared, gen_jets, conj_jets, units):
             oracle = oracle_defect_profile(cc, g, c, m)[m - 1]
@@ -338,9 +353,9 @@ def test_stacked_lift_defect_state_matches_fresh_and_oracle(point, order, rescue
 def test_lift_makes_one_defect_call_per_order_and_no_full_exponential(sphere4_cc, monkeypatch):
     orders = []
 
-    def counting(cc, gen_jets, conj_jets, m, state=None):
+    def counting(cc, state, stack, m):
         orders.append(m)
-        return order_defect(cc, gen_jets, conj_jets, m, state)
+        return order_defect(cc, state, stack, m)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("lift re-exponentiated a whole series")
@@ -510,7 +525,7 @@ def test_stacked_lift_matches_single_lifts(point, order, chunk, seed, request):
     cc = request.getfixturevalue(point)
     basis = h1_basis(cc)
     stack = _stack_directions(point, cc, basis, np.random.default_rng(seed))
-    per_sample = len(cc.jet_bases) * (order + 1) ** 2 * cc.q
+    per_sample = DefectState.size(cc, order)
     limit = jets._STACK_CACHE_LIMIT if chunk is None else chunk * per_sample
     assert chunk is not None or limit >= len(stack) * per_sample
     with mock.patch.object(jets, "_STACK_CACHE_LIMIT", limit):

@@ -201,4 +201,4 @@ def test_product_coefficient_is_a_coefficient_of_the_product(order, n, seed, sca
     full = (a @ b).coeffs
     bound = cauchy_product(np.abs(a.coeffs), np.abs(b.coeffs))
     for m in range(order + 1):
-        assert_within(product_coefficient(a, b, m), full[m], bound[m])
+        assert_within(product_coefficient(a.coeffs, b.coeffs, m), full[m], bound[m])
