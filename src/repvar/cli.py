@@ -366,6 +366,9 @@ def run(argv) -> int:
     except (*_raised("numpy.linalg", "LinAlgError"), FloatingPointError) as exc:
         print(f"repvar: numerical error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's failed allocations included
+        print(f"repvar: out of memory: {exc}", file=sys.stderr)
+        return 2
     _emit({"verb": args.verb, "config": config, **body}, args.format)
     return code
 

@@ -200,7 +200,13 @@ def rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """a @ m for a stack of rows a (..., d), one vector-matrix product per
     row.  A single gemm over all rows would round each row according to the
     whole block, so a sample's result would depend on the samples stacked
-    with it."""
+    with it.
+
+    The rule for every stacked product: a factor that all stack rows share
+    on the right may be merged along the rows (M) of one gemm, since each
+    row then comes out bitwise as from one gemm per row (OpenBLAS 0.3.31,
+    SkylakeX kernels); a factor shared on the left, which would merge along
+    the columns, and a product of per-row vectors, as here, may not."""
     return (a[..., None, :] @ m)[..., 0, :]
 
 
@@ -519,24 +525,28 @@ class DefectState:
     them as (b, slots, order + 1, n, n), ``rows`` as
     (b, slots, (order + 1) n, n).  ``formed`` is the highest degree the slots
     hold; -1 before the first call, and no entry above it is read before it
-    is written."""
+    is written.  ``written`` is the lowest degree of the series the caller
+    may have changed since the last call (see
+    :meth:`~repvar.truncring.IncrementalExp.jets`); each call resets it to 1,
+    every degree."""
 
     def __init__(self, cc: ConeComplex, samples: int, order: int):
         n, plan = cc.rep.rank, cc.product_plan
-        self.count = len(cc.jet_bases)
-        self.exp = IncrementalExp(np.tile(cc.jet_bases, (samples, 1, 1)), order)
+        self.exp = IncrementalExp(cc.jet_bases, order, samples)
         self._view(np.empty((samples, plan.slots, 1 + (order + 1) * n * n), dtype=complex))
         self.buffer[:, :, 0] = 0.0
         if plan.identity is not None:
             self.coeffs[:, plan.identity] = np.eye(n) * (np.arange(order + 1) == 0)[:, None, None]
         self.formed = -1
+        self.written = 1
 
     @staticmethod
     def size(cc: ConeComplex, order: int) -> int:
         """The complex numbers one sample's state holds: its exponential's
-        bases, powers and coefficients, and its slot buffer."""
+        powers and coefficients, and its slot buffer.  The bases are
+        ``cc.jet_bases`` itself, shared by every sample."""
         n, k1 = cc.rep.rank, order + 1
-        per_series = n * n * (1 + k1 * (max(order, 1) + 1) + k1)
+        per_series = n * n * (k1 * (max(order, 1) + 1) + k1)
         return len(cc.jet_bases) * per_series + cc.product_plan.slots * (1 + k1 * n * n)
 
     def _view(self, buffer: np.ndarray) -> None:
@@ -549,7 +559,7 @@ class DefectState:
 
     def keep(self, mask: np.ndarray) -> None:
         """Keep only the samples where the boolean mask (b,) is set."""
-        self.exp.keep(np.repeat(mask, self.count))
+        self.exp.keep(mask)
         self._view(self.buffer[mask])
 
 
@@ -629,26 +639,32 @@ def order_defect(cc: ConeComplex, state: DefectState, jets: np.ndarray, m: int) 
     with k >= m: X_1..X_k per generator, then zeta_1..zeta_k per conjugator
     (the order of ``cc.jet_bases``); degrees past m are not read.  ``state``
     is the :class:`DefectState` of those b samples, of order at least m,
-    that the caller keeps across its orders.  Its exponential forms the
-    coefficients of the generator and conjugator jets (the generator
-    matrices, then the identity per conjugator, as bases) and reports the
-    lowest degree lo whose coefficients changed since the state's last call
-    (0 on a fresh state); the word products of ``cc.product_plan`` keep
-    their coefficients below lo and form only lo..m.  Per product depth, one
+    that the caller keeps across its orders; a caller that changed no
+    degree of the series below some d since its last call sets
+    ``state.written`` to d.  Its exponential forms the coefficients of the
+    generator and conjugator jets (the generator matrices, then the
+    identity per conjugator, as bases) and reports the lowest degree lo
+    whose coefficients changed since the state's last call (0 on a fresh
+    state); the word products of ``cc.product_plan`` keep their
+    coefficients below lo and form only lo..m.  Per product depth, one
     gather of the left factors' Toeplitz block rows lo..m over block columns
     0..m and one batched gemm serve every word; one batched
     :func:`~repvar.truncring.product_coefficient` then forms each word's
     top coefficient m alone: a relator's prefix times its last letter, a
-    peripheral's e^H times W e.  Each coefficient is the sum a full
-    truncated product of the words forms, over the same columns in the same
-    order; one formed at an earlier order m' < m lacks only the zero terms of
-    columns m'+1..m.  With OpenBLAS 0.3.31 at N >= 2 the defects are bitwise
-    those of full products (at N = 1 numpy forms the products by gemv or a
-    dot product, whose rounding moves).
+    peripheral's e^H times W e, and one gemm per word multiplies the tops
+    of all samples by the conjugate transpose of the word's base value.
+    Each coefficient is the sum a full truncated product of the words
+    forms, over the same columns in the same order; one formed at an
+    earlier order m' < m lacks only the zero terms of columns m'+1..m.
+    With OpenBLAS 0.3.31 at N >= 2 the defects are bitwise those of full
+    products (at N = 1 numpy forms the products by gemv or a dot product,
+    whose rounding moves).
     """
     # m stays the fourth positional argument: perfbench/tracer.py reads args[3]
     b, count, n = len(jets), len(cc.jet_bases), cc.rep.rank
-    exps = state.exp.jets(jets[:, :, :m].reshape(b * count, m, n, n)).reshape(b, count, -1, n, n)
+    written, state.written = state.written, 1
+    exps = state.exp.jets(jets[:, :, :m].reshape(b * count, m, n, n), written).reshape(
+        b, count, -1, n, n)
     lo = min(state.exp.low, state.formed + 1)
     state.formed = m
     plan, coeffs = cc.product_plan, state.coeffs
@@ -662,12 +678,17 @@ def order_defect(cc: ConeComplex, state: DefectState, jets: np.ndarray, m: int) 
         # and a sample's products do not depend on the samples stacked with it
         np.matmul(np.take(flat, left * width + rows, axis=1), state.rows[:, right, :(m + 1) * n],
                   out=state.rows[:, out, lo * n:(m + 1) * n])
-    tops = np.zeros((b, len(cc.word_values_h), n, n), dtype=complex)
+    # word-major: a word's base value is the right factor of every sample's
+    # top coefficient, so one gemm per word takes the samples as its rows
+    words = len(cc.word_values_h)
+    tops = np.zeros((words, b, n, n), dtype=complex)
     # an empty relator is the identity times the identity, top coefficient 0
     if plan.tops is not None:
-        words, left, right = plan.tops
-        tops[:, words] = product_coefficient(coeffs[:, left, :m + 1], coeffs[:, right, :m + 1], m)
-    return vec_skew(project_skew(tops @ cc.word_values_h)).reshape(b, -1)
+        targets, left, right = plan.tops
+        tops[targets] = product_coefficient(coeffs[:, left, :m + 1], coeffs[:, right, :m + 1],
+                                         m).swapaxes(0, 1)
+    ends = (tops.reshape(words, b * n, n) @ cc.word_values_h).reshape(words, b, n, n)
+    return vec_skew(project_skew(ends)).swapaxes(0, 1).reshape(b, -1)
 
 
 def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
@@ -696,13 +717,13 @@ def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
     flat_basis = skew_basis(n).transpose(0, 2, 1).reshape(cc.q, n * n)
     real_basis = np.stack([-flat_basis.real, flat_basis.imag], axis=2).reshape(cc.q, -1).T
     for w, (word, i) in enumerate(words):
-        t = np.array([sign * (prefix @ us[:, gen] @ prefix.conj().T)
+        t = np.array([sign * _conjugate(prefix, us[:, gen])
                       for gen, sign, prefix in word_transport_terms(cc.rep.matrices, word)],
                      dtype=complex).reshape(-1, b, n, n)
         left, right = [np.cumsum(t, axis=0) - t], [t]  # strict prefix sums of T_p
         if i is not None:
             a1, xi = t.sum(axis=0), xis[:, cc.group_of[i]]
-            xp = cc.periph_values[i] @ xi @ cc.periph_values[i].conj().T
+            xp = _conjugate(cc.periph_values[i], xi)
             left.append(np.array([-xi, a1]))
             right.append(np.array([a1 + xp, xp]))
         lf, rf = np.concatenate(left), np.concatenate(right)
@@ -714,6 +735,13 @@ def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
         form[:, :, w * cc.q:(w + 1) * cc.q] = coords + coords.transpose(1, 0, 2)
     form *= 0.5
     return form
+
+
+def _conjugate(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g x g^H for a stack x (b, n, n): g x per stack row, then one gemm of
+    all rows against g^H (see :func:`rowwise`)."""
+    b, n = x.shape[0], x.shape[-1]
+    return ((g @ x).reshape(b * n, n) @ g.conj().T).reshape(b, n, n)
 
 
 class QuadraticMap:

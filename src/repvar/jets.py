@@ -242,6 +242,8 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
                 moves[keep], fit[keep])
             state.keep(keep)
         jets[:, :, m - 1] = unvec_skew(x.reshape(-1, count, q), n)
+        # the series degrees this order wrote: m, and m - 1 where a rescue moved it
+        state.written = m - 1 if rescued.any() else m
     out.residuals[active], out.jets[active] = residuals, jets
 
 

@@ -360,7 +360,13 @@ def serialize_presentation(p: Presentation) -> str:
     for per in p.peripherals:
         angles = ", ".join(format_angle(a) for a in per.klass.angles)
         lines.append(f"peripheral {per.name} = {p.word_to_string(per.word)} : {angles}")
-    for members in p.groups:
-        if len(members) > 1:
-            lines.append("together " + " ".join(p.peripherals[i].name for i in members))
+    # parsing puts the 'together' groups first, then every other peripheral
+    # alone in index order: write the shortest run of leading groups after
+    # which the rest is that (a one-member group before a larger one too)
+    groups = list(p.groups)
+    lead = next(k for k in range(len(groups) + 1)
+                if groups[k:] == [(i,) for i in range(len(p.peripherals))
+                                  if all(i not in g for g in groups[:k])])
+    for members in groups[:lead]:
+        lines.append("together " + " ".join(p.peripherals[i].name for i in members))
     return "\n".join(lines) + "\n"

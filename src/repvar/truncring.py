@@ -134,8 +134,10 @@ def unitary_generator_jet(base: np.ndarray, jets, order: int) -> MatrixJet:
 
 
 class IncrementalExp:
-    """exp(S) @ base for a stack of series S = sum_(d >= 1) t^d S_d, one base
-    per series, kept across calls whose series share their low degrees.
+    """exp(S) @ base for a stack of series S = sum_(d >= 1) t^d S_d, kept
+    across calls whose series share their low degrees.  The stack holds
+    ``samples`` blocks of one series per base, sample-major: series i takes
+    base i % len(bases), and the bases are the caller's array, not a copy.
 
     For j >= 2 the degree-d coefficient of S^j involves S_1..S_(d-1) only:
     (S^j)_d = sum_(q=1..d-1) S_(d-q) (S^(j-1))_q.  The power coefficients
@@ -149,28 +151,36 @@ class IncrementalExp:
     (batch, order + 1, n, max(order, 1) + 1, n) coefficients.
     """
 
-    def __init__(self, bases: np.ndarray, order: int):
+    def __init__(self, bases: np.ndarray, order: int, samples: int = 1):
         self.bases = np.asarray(bases, dtype=complex)
-        batch, n = self.bases.shape[0], self.bases.shape[-1]
+        count, n = self.bases.shape[0], self.bases.shape[-1]
+        batch = samples * count
         # powers[:, d, :, j, :] = (S^j)_d; j = 1 holds the series as last seen,
         # so it is there at order 0 too
         self.powers = np.zeros((batch, order + 1, n, max(order, 1) + 1, n), dtype=complex)
         self.coeffs = np.zeros((batch, order + 1, n, n), dtype=complex)
-        self.coeffs[:, 0] = self.bases
+        self.coeffs[:, 0] = np.tile(self.bases, (samples, 1, 1))
         self.weights = np.array([1.0 / math.factorial(j) for j in range(order + 1)])
         self.formed = 0  # degrees 1..formed agree with the stored series
+        self.seen = 0  # the degree of the last call's series
         self.low = 0  # the bases, degree 0, are formed here
 
-    def jets(self, series: np.ndarray) -> np.ndarray:
+    def jets(self, series: np.ndarray, written: int = 1) -> np.ndarray:
         """Coefficients 0..m of exp(S) @ base for series (batch, m, n, n)
-        holding S_1..S_m; a view into the cache, valid until the next call."""
+        holding S_1..S_m; a view into the cache, valid until the next call.
+        ``written`` is the lowest degree the caller may have changed since
+        the last call: only degrees from there on (and those past the last
+        call's series) are compared with the stored series and stored.  The
+        default compares all."""
         batch, m, n = series.shape[:3]
         if m >= self.coeffs.shape[1]:
             raise ValueError(f"series of degree {m} past the cache order {self.coeffs.shape[1] - 1}")
-        stored = self.powers[:, 1:m + 1, :, 1, :]
-        changed = np.any(series != stored, axis=(0, 2, 3))
-        first = int(np.argmax(changed)) + 1 if changed.any() else m + 1
-        stored[...] = series
+        start = min(written, self.seen + 1)
+        stored = self.powers[:, start:m + 1, :, 1, :]
+        changed = np.any(series[:, start - 1:] != stored, axis=(0, 2, 3))
+        first = start + int(np.argmax(changed)) if changed.any() else m + 1
+        stored[...] = series[:, start - 1:]
+        self.seen = m
         self.low = min(first, self.formed + 1)
         if first <= min(self.formed, m):
             self._store(first)  # the powers of the first changed degree do not involve it
@@ -186,13 +196,21 @@ class IncrementalExp:
         return self.coeffs[:, :m + 1]
 
     def keep(self, rows: np.ndarray) -> None:
-        """Keep only the series at the given stack rows (indices or a mask)."""
-        self.bases, self.powers, self.coeffs = self.bases[rows], self.powers[rows], self.coeffs[rows]
+        """Keep only the samples at the given rows (indices or a mask)."""
+        count = len(self.bases)
+        self.powers, self.coeffs = (
+            a.reshape(-1, count, *a.shape[1:])[rows].reshape(-1, *a.shape[1:])
+            for a in (self.powers, self.coeffs))
 
     def _store(self, d: int) -> None:
-        """Jet coefficient d: E_d = sum_j (S^j)_d / j!, times the base."""
+        """Jet coefficient d: E_d = sum_j (S^j)_d / j!, times the base.  A
+        series' base is the right factor of every sample's E_d, so the
+        samples' E_d are stacked along the rows of one gemm per series."""
+        count, n = self.bases.shape[0], self.bases.shape[-1]
         e = self.powers[:, d, :, 1:d + 1, :].swapaxes(-1, -2) @ self.weights[1:d + 1]
-        self.coeffs[:, d] = e @ self.bases
+        e = e.reshape(-1, count, n, n).swapaxes(0, 1).reshape(count, -1, n)
+        self.coeffs[:, d] = (e @ self.bases).reshape(count, -1, n, n).swapaxes(0, 1).reshape(
+            -1, n, n)
 
 
 def product_coefficient(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:

@@ -70,8 +70,13 @@ def vec_skew(x: np.ndarray) -> np.ndarray:
 
 def unvec_skew(v: np.ndarray, n: int) -> np.ndarray:
     """Skew-Hermitian matrix with the given real B-coordinates; a stack of
-    coordinate vectors (..., n^2) gives a stack of matrices."""
-    return np.einsum("...a,aij->...ij", np.asarray(v, dtype=float), skew_basis(n))
+    coordinate vectors (..., n^2) gives a stack of matrices.  One real gemm
+    of all vectors against the basis with its entries' real and imaginary
+    parts interleaved: every part of an entry has one nonzero basis term, so
+    no summation order can move its rounding."""
+    real = skew_basis(n).reshape(n * n, n * n).view(float)  # a view of the cached basis
+    v = np.asarray(v, dtype=float)
+    return (v.reshape(-1, n * n) @ real).view(complex).reshape(v.shape[:-1] + (n, n))
 
 
 def project_skew(m: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ctypes
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,29 @@ import pytest
 from repvar import cohomology, corpus, presentation, repspace
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
+
+
+def blas_core() -> str:
+    """The core name of the OpenBLAS bundled with numpy (the library numpy
+    has loaded), read through ctypes, or "unknown".  The bitwise contracts of
+    stacked products are properties of that core's kernels."""
+    root = Path(np.__file__).resolve().parent
+    for path in sorted([*(root.parent / "numpy.libs").glob("*openblas*"),
+                        *(root / ".dylibs").glob("*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return "unknown"
+
+
+def pytest_report_header(config):
+    return f"numpy {np.__version__}, OpenBLAS core {blas_core()}"
 
 
 def corpus_files():

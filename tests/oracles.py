@@ -15,7 +15,11 @@ class at once (the dict that the lazily built pairing entries replaced),
 the Newton oracle writes out the characteristic polynomial recursion on
 0-d arrays (the scalar operations the library must keep, in their
 order), the basis oracle unstacks one h1 basis column at a time (the
-per-column loop that the one batched unstacking replaced), and the
+per-column loop that the one batched unstacking replaced), the einsum
+unstacking forms skew matrices from coordinates against the complex basis
+(the einsum that the one real gemm replaced), the per-cocycle cup form
+conjugates every Fox term and xi one cocycle at a time (the per-item
+products that the stacked right conjugation replaced), and the
 logarithm oracle reads the angles off a Schur form (scipy, which only
 the test extra installs).  The cone sampler is no oracle: it draws
 inputs, directions with Q = 0, from the pairing form the library
@@ -266,3 +270,44 @@ def newton_charpoly(g):
             acc = acc + s * e[k - j] * p[j]
         e.append(acc / k)
     return np.array([(-1) ** k * e[k] for k in range(1, n + 1)])
+
+
+def einsum_unvec_skew(v, n):
+    """Skew matrices from real B-coordinates (..., n^2) by one einsum
+    against the complex basis."""
+    return np.einsum("...a,aij->...ij", np.asarray(v, dtype=float), skew_basis(n))
+
+
+def per_cocycle_cup_form(cc, vectors):
+    """cohomology.cup_form with every conjugation g x g^H of a Fox term or a
+    conjugator part formed for one cocycle at a time."""
+    n, b = cc.rep.rank, len(vectors)
+    words = [(r, None) for r in cc.pres.relators] + \
+        [(p.word, i) for i, p in enumerate(cc.pres.peripherals)]
+    form = np.zeros((b, b, len(words) * cc.q))
+    if b == 0:
+        return form
+    us = np.array([list(u) for u, _ in vectors], dtype=complex).reshape(b, cc.n_gen, n, n)
+    xis = np.array([list(x) for _, x in vectors], dtype=complex).reshape(b, len(cc.groups), n, n)
+    flat_basis = skew_basis(n).transpose(0, 2, 1).reshape(cc.q, n * n)
+    real_basis = np.stack([-flat_basis.real, flat_basis.imag], axis=2).reshape(cc.q, -1).T
+    for w, (word, i) in enumerate(words):
+        t = np.array([[sign * (prefix @ u[gen] @ prefix.conj().T) for u in us]
+                      for gen, sign, prefix in word_transport_terms(cc.rep.matrices, word)],
+                     dtype=complex).reshape(-1, b, n, n)
+        left, right = [np.cumsum(t, axis=0) - t], [t]
+        if i is not None:
+            a1, xi = t.sum(axis=0), xis[:, cc.group_of[i]]
+            p = cc.periph_values[i]
+            xp = np.array([p @ x @ p.conj().T for x in xi])
+            left.append(np.array([-xi, a1]))
+            right.append(np.array([a1 + xp, xp]))
+        lf, rf = np.concatenate(left), np.concatenate(right)
+        k = lf.shape[0]
+        prod = lf.transpose(1, 2, 0, 3).reshape(b * n, k * n) \
+            @ rf.transpose(0, 2, 1, 3).reshape(k * n, b * n)
+        prod = prod.reshape(b, n, b, n).transpose(0, 2, 1, 3).reshape(b * b, n * n)
+        coords = (prod.view(float) @ real_basis).reshape(b, b, cc.q)
+        form[:, :, w * cc.q:(w + 1) * cc.q] = coords + coords.transpose(1, 0, 2)
+    form *= 0.5
+    return form

@@ -319,6 +319,21 @@ def test_numerical_error_exit_2(error, cli_files, monkeypatch, capsys):
     assert err.startswith("repvar: ") and str(error) in err
 
 
+def test_out_of_memory_exit_2(cli_files, monkeypatch, capsys):
+    # as numpy reports an allocation it cannot make (a find at rank 100000
+    # asks 74.5 GiB for its Haar start); nothing is allocated here
+    def fail(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(100000, 100000) and data type complex128")
+    monkeypatch.setitem(cli._VERBS, "find", cli._VERBS["find"]._replace(command=fail))
+    code = cli.run(["find", GENUS2, "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == ("repvar: out of memory: Unable to allocate 74.5 GiB for an array with "
+                   "shape (100000, 100000) and data type complex128\n")
+
+
 @pytest.mark.parametrize("verb", ["tangent", "pairing"])
 def test_ill_conditioned_exit_2(verb, cli_files, capsys):
     code = cli.run([verb, GENUS2, cli_files["ill_conditioned"]])

@@ -36,7 +36,7 @@ from repvar.unitary import (exponential, matrix_to_json, principal_log, random_s
 
 from conftest import random_cocycle
 from oracles import (eager_pairing_entries, fd_h1_par, jet_order2_defect,
-                     per_column_basis_vectors, random_word, sample_q)
+                     per_column_basis_vectors, per_cocycle_cup_form, random_word, sample_q)
 
 
 def test_transport_single_letter(genus2_irr):
@@ -492,6 +492,20 @@ def test_cup_form_matches_jet_oracle(name, seed, draw):
             shift = 2 * form[i, k] + form[k, k]
             scale = 1 + max(np.linalg.norm(raws[i]), np.linalg.norm(moved))
             assert np.linalg.norm(shift - (moved - raws[i])) <= 1e-12 * scale
+
+
+@point_cases
+@given(point_names, find_seeds, draw_seeds, st.integers(1, 13))
+def test_cup_form_is_bitwise_per_cocycle(name, seed, draw, count):
+    # the stacked right conjugations g x g^H (one gemm of all cocycles
+    # against g^H) against one conjugation per cocycle, on vectors that
+    # need not be cocycles
+    cc, _ = _point(name, seed)
+    rng = np.random.default_rng(draw)
+    n = cc.rep.rank
+    vectors = [([random_skew(rng, n) for _ in range(cc.n_gen)],
+                [random_skew(rng, n) for _ in cc.groups]) for _ in range(count)]
+    assert cup_form(cc, vectors).tobytes() == per_cocycle_cup_form(cc, vectors).tobytes()
 
 
 @point_cases

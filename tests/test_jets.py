@@ -304,14 +304,16 @@ def test_defect_state_on_edge_words(point, seed, order, scale, request):
 @pytest.mark.parametrize("order", [1, 2, 6, 30])
 def test_defect_state_size_is_its_allocation(point, order, request):
     # the memory rule that chunks a stacked lift counts every array a
-    # state holds, before and after samples leave it
+    # state holds, before and after samples leave it; the exponential's
+    # bases are the complex's own, shared by every sample
     cc = request.getfixturevalue(point)
     state = DefectState(cc, 3, order)
     for mask in (None, np.array([True, False, True])):
         if mask is not None:
             state.keep(mask)
         exp = state.exp
-        held = exp.bases.size + exp.powers.size + exp.coeffs.size + state.buffer.size
+        assert exp.bases is cc.jet_bases
+        held = exp.powers.size + exp.coeffs.size + state.buffer.size
         assert DefectState.size(cc, order) * len(state.buffer) == held
 
 

@@ -1,7 +1,9 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repvar import corpus
 from repvar.presentation import (
@@ -173,3 +175,50 @@ def test_round_trip_with_together_and_decimals():
 def test_presentation_rejects_bad_groups():
     with pytest.raises(ValueError):
         Presentation("g", 1, ["a"], peripherals=[], groups=[(0,)])
+
+
+_NAMES = ("a", "b", "x1", "g_2")
+
+
+@st.composite
+def presentation_texts(draw):
+    """Presentation texts: relators with inverse letters (some reducing to
+    the empty word), peripherals with fraction, integer and decimal angles,
+    and 'together' lines over a random subset of the peripherals in random
+    order, one-member lines included."""
+    rank = draw(st.integers(1, 3))
+    gens = _NAMES[:draw(st.integers(1, len(_NAMES)))]
+    letters = st.tuples(st.sampled_from(gens), st.booleans()).map(
+        lambda x: x[0] + ("'" if x[1] else ""))
+    fraction = st.tuples(st.integers(-20, 20), st.integers(1, 12)).map(lambda x: f"{x[0]}/{x[1]}")
+    decimal = st.tuples(st.integers(-999, 999), st.integers(1, 3)).map(
+        lambda x: str(Decimal(x[0]).scaleb(-x[1])))
+    angle = st.one_of(fraction, decimal, st.integers(-2, 2).map(str))
+    lines = [f"group g{draw(st.integers(0, 9))}", f"rank {rank}", "generators " + " ".join(gens)]
+    for word in draw(st.lists(st.lists(letters, max_size=6), max_size=3)):
+        lines.append(" ".join(["relator"] + word))
+    names = [f"P{i}" for i in range(draw(st.integers(0, 4)))]
+    for name in names:
+        # freely reduced, so nonempty: a letter next to its inverse is skipped
+        word = []
+        for x in draw(st.lists(letters, min_size=1, max_size=5)):
+            if not word or x == word[-1] or x.rstrip("'") != word[-1].rstrip("'"):
+                word.append(x)
+        angles = ", ".join(draw(angle) for _ in range(rank))
+        lines.append(f"peripheral {name} = {' '.join(word)} : {angles}")
+    order = draw(st.permutations(names))
+    grouped = order[:draw(st.integers(0, len(order)))]
+    while grouped:
+        size = draw(st.integers(1, len(grouped)))
+        lines.append("together " + " ".join(grouped[:size]))
+        grouped = grouped[size:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(presentation_texts())
+@example("group g\nrank 1\ngenerators a b\nperipheral P0 = a : 0\nperipheral P1 = b : 0\n"
+         "peripheral P2 = a b : 0\ntogether P1\ntogether P0 P2\n")
+def test_parse_serialize_round_trip(text):
+    first = parse_presentation(text)
+    assert parse_presentation(serialize_presentation(first)) == first

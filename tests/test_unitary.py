@@ -30,7 +30,7 @@ from repvar.unitary import (
     vec_skew,
 )
 
-from oracles import newton_charpoly, schur_log
+from oracles import einsum_unvec_skew, newton_charpoly, schur_log
 
 
 def test_exponential_zero_is_identity():
@@ -167,6 +167,21 @@ def test_vec_unvec_round_trip():
         vs = rng.standard_normal((3, n * n))
         assert np.array_equal(vec_skew(xs), np.array([vec_skew(m) for m in xs]))
         assert np.array_equal(unvec_skew(vs, n), np.array([unvec_skew(w, n) for w in vs]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_unvec_skew_is_bitwise_the_einsum(n):
+    # one real gemm against the interleaved basis, against the einsum on the
+    # complex basis: every part of an entry has one nonzero term, so both
+    # agree bitwise, zero signs included, for one vector, empty stacks and
+    # stacks with leading axes
+    rng = np.random.default_rng(n)
+    for shape in [(), (0,), (1,), (7,), (3, 4), (2, 0), (5, 1, 3)]:
+        v = rng.standard_normal(shape + (n * n,))
+        v[..., ::3] = 0.0
+        got, want = unvec_skew(v, n), einsum_unvec_skew(v, n)
+        assert got.shape == want.shape == shape + (n, n)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_ad_matrix_is_orthogonal():
