@@ -198,15 +198,17 @@ def check_tolerance(tolerance: float) -> None:
 
 def rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """a @ m for a stack of rows a (..., d), one vector-matrix product per
-    row.  A single gemm over all rows would round each row according to the
-    whole block, so a sample's result would depend on the samples stacked
-    with it.
+    row.  Merging these vector products into one gemm would swap each row's
+    gemv for a gemm kernel, which rounds differently, so a sample's result
+    would depend on whether samples are stacked with it.
 
     The rule for every stacked product: a factor that all stack rows share
     on the right may be merged along the rows (M) of one gemm, since each
     row then comes out bitwise as from one gemm per row (OpenBLAS 0.3.31,
-    SkylakeX kernels); a factor shared on the left, which would merge along
-    the columns, and a product of per-row vectors, as here, may not."""
+    SkylakeX kernels, main and tail rows alike; the tests check it on the
+    core the test header names); a factor shared on the left, which would
+    merge along the columns, and a product of per-row vectors, as here,
+    may not."""
     return (a[..., None, :] @ m)[..., 0, :]
 
 
@@ -525,10 +527,7 @@ class DefectState:
     them as (b, slots, order + 1, n, n), ``rows`` as
     (b, slots, (order + 1) n, n).  ``formed`` is the highest degree the slots
     hold; -1 before the first call, and no entry above it is read before it
-    is written.  ``written`` is the lowest degree of the series the caller
-    may have changed since the last call (see
-    :meth:`~repvar.truncring.IncrementalExp.jets`); each call resets it to 1,
-    every degree."""
+    is written."""
 
     def __init__(self, cc: ConeComplex, samples: int, order: int):
         n, plan = cc.rep.rank, cc.product_plan
@@ -538,7 +537,6 @@ class DefectState:
         if plan.identity is not None:
             self.coeffs[:, plan.identity] = np.eye(n) * (np.arange(order + 1) == 0)[:, None, None]
         self.formed = -1
-        self.written = 1
 
     @staticmethod
     def size(cc: ConeComplex, order: int) -> int:
@@ -639,14 +637,12 @@ def order_defect(cc: ConeComplex, state: DefectState, jets: np.ndarray, m: int) 
     with k >= m: X_1..X_k per generator, then zeta_1..zeta_k per conjugator
     (the order of ``cc.jet_bases``); degrees past m are not read.  ``state``
     is the :class:`DefectState` of those b samples, of order at least m,
-    that the caller keeps across its orders; a caller that changed no
-    degree of the series below some d since its last call sets
-    ``state.written`` to d.  Its exponential forms the coefficients of the
-    generator and conjugator jets (the generator matrices, then the
-    identity per conjugator, as bases) and reports the lowest degree lo
-    whose coefficients changed since the state's last call (0 on a fresh
-    state); the word products of ``cc.product_plan`` keep their
-    coefficients below lo and form only lo..m.  Per product depth, one
+    that the caller keeps across its orders.  Its exponential forms the
+    coefficients of the generator and conjugator jets (the generator
+    matrices, then the identity per conjugator, as bases) and reports the
+    lowest degree lo whose coefficients changed since the state's last call
+    (0 on a fresh state); the word products of ``cc.product_plan`` keep
+    their coefficients below lo and form only lo..m.  Per product depth, one
     gather of the left factors' Toeplitz block rows lo..m over block columns
     0..m and one batched gemm serve every word; one batched
     :func:`~repvar.truncring.product_coefficient` then forms each word's
@@ -662,9 +658,7 @@ def order_defect(cc: ConeComplex, state: DefectState, jets: np.ndarray, m: int) 
     """
     # m stays the fourth positional argument: perfbench/tracer.py reads args[3]
     b, count, n = len(jets), len(cc.jet_bases), cc.rep.rank
-    written, state.written = state.written, 1
-    exps = state.exp.jets(jets[:, :, :m].reshape(b * count, m, n, n), written).reshape(
-        b, count, -1, n, n)
+    exps = state.exp.jets(jets[:, :, :m].reshape(b * count, m, n, n)).reshape(b, count, -1, n, n)
     lo = min(state.exp.low, state.formed + 1)
     state.formed = m
     plan, coeffs = cc.product_plan, state.coeffs

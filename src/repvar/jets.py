@@ -188,9 +188,14 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
     samples, and one more solve for those in the cone-kernel rescue.  A
     sample's rescue moves 2 D(u, K) are its X_1 = (u, xi) times the cone's
     cached ``kernel_cup``.  A sample that fails leaves the active rows and
-    the shared defect state.  Every product that involves a sample is formed
-    per stack row (batched products, :func:`~repvar.cohomology.rowwise`),
-    so a sample's outcome does not depend on the samples lifted with it."""
+    the shared defect state.  Every product that involves a sample follows
+    the merge rule of :func:`~repvar.cohomology.rowwise`: a factor all
+    samples share on the right is one gemm with the samples as its rows,
+    everything else is formed per stack row.  So a sample's outcome does
+    not depend on the samples lifted with it wherever the BLAS rounds each
+    row of a gemm as a gemm of that row alone would (OpenBLAS 0.3.31 on
+    SkylakeX, which the tests check and whose core the test header
+    names)."""
     n, q, n_gen, count = cc.rep.rank, cc.q, cc.n_gen, len(cc.jet_bases)
     b = len(active)
     u = np.asarray(umats[active], dtype=complex)
@@ -242,8 +247,6 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
                 moves[keep], fit[keep])
             state.keep(keep)
         jets[:, :, m - 1] = unvec_skew(x.reshape(-1, count, q), n)
-        # the series degrees this order wrote: m, and m - 1 where a rescue moved it
-        state.written = m - 1 if rescued.any() else m
     out.residuals[active], out.jets[active] = residuals, jets
 
 

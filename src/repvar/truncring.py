@@ -162,25 +162,18 @@ class IncrementalExp:
         self.coeffs[:, 0] = np.tile(self.bases, (samples, 1, 1))
         self.weights = np.array([1.0 / math.factorial(j) for j in range(order + 1)])
         self.formed = 0  # degrees 1..formed agree with the stored series
-        self.seen = 0  # the degree of the last call's series
         self.low = 0  # the bases, degree 0, are formed here
 
-    def jets(self, series: np.ndarray, written: int = 1) -> np.ndarray:
+    def jets(self, series: np.ndarray) -> np.ndarray:
         """Coefficients 0..m of exp(S) @ base for series (batch, m, n, n)
-        holding S_1..S_m; a view into the cache, valid until the next call.
-        ``written`` is the lowest degree the caller may have changed since
-        the last call: only degrees from there on (and those past the last
-        call's series) are compared with the stored series and stored.  The
-        default compares all."""
+        holding S_1..S_m; a view into the cache, valid until the next call."""
         batch, m, n = series.shape[:3]
         if m >= self.coeffs.shape[1]:
             raise ValueError(f"series of degree {m} past the cache order {self.coeffs.shape[1] - 1}")
-        start = min(written, self.seen + 1)
-        stored = self.powers[:, start:m + 1, :, 1, :]
-        changed = np.any(series[:, start - 1:] != stored, axis=(0, 2, 3))
-        first = start + int(np.argmax(changed)) if changed.any() else m + 1
-        stored[...] = series[:, start - 1:]
-        self.seen = m
+        stored = self.powers[:, 1:m + 1, :, 1, :]
+        changed = np.any(series != stored, axis=(0, 2, 3))
+        first = int(np.argmax(changed)) + 1 if changed.any() else m + 1
+        stored[...] = series
         self.low = min(first, self.formed + 1)
         if first <= min(self.formed, m):
             self._store(first)  # the powers of the first changed degree do not involve it
