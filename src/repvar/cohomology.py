@@ -252,7 +252,7 @@ class _GroupData(_LstsqSolver):
     the joint image, left_null its B-orthogonal complement and nullspace the
     joint centralizer.  rows index the members' target rows in that order."""
 
-    def __init__(self, members: tuple[int, ...], n_rel: int, ad_per: list[np.ndarray],
+    def __init__(self, members: tuple[int, ...], n_rel: int, ad_per: np.ndarray,
                  rtol: float, context: str, gaps: dict | None, terms: int):
         q = len(ad_per[0])
         self.members = members
@@ -292,8 +292,8 @@ class ConeComplex:
         # bases of the stacked generator and conjugator jets of order_defect
         self.jet_bases = np.array(list(rep.matrices) + [np.eye(n)] * len(self.groups),
                                   dtype=complex).reshape(-1, n, n)
-        ad_gen = [ad_matrix(m) for m in rep.matrices]
-        ad_per = [ad_matrix(w) for w in self.periph_values]
+        ad_gen = ad_matrix(np.array(rep.matrices, dtype=complex).reshape(-1, n, n))
+        ad_per = ad_matrix(np.array(self.periph_values, dtype=complex).reshape(-1, n, n))
         eye = np.eye(q)
 
         self.d0_gen = np.vstack([eye - a for a in ad_gen]) if self.n_gen else np.zeros((0, q))
@@ -399,8 +399,7 @@ class ConeComplex:
 
     def unstack_target(self, v: np.ndarray) -> list[Cochain2]:
         """The degree-2 cochains whose target coordinates are the columns of v."""
-        blocks = np.einsum("bac,aij->cbij", v.reshape(-1, self.q, v.shape[1]),
-                           skew_basis(self.rep.rank))
+        blocks = unvec_skew(v.reshape(-1, self.q, v.shape[1]).transpose(2, 0, 1), self.rep.rank)
         return [Cochain2(tuple(c[:self.n_rel]), tuple(c[self.n_rel:])) for c in blocks]
 
     def project_peripheral(self, v: np.ndarray) -> np.ndarray:
@@ -711,9 +710,14 @@ def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
     flat_basis = skew_basis(n).transpose(0, 2, 1).reshape(cc.q, n * n)
     real_basis = np.stack([-flat_basis.real, flat_basis.imag], axis=2).reshape(cc.q, -1).T
     for w, (word, i) in enumerate(words):
-        t = np.array([sign * _conjugate(prefix, us[:, gen])
-                      for gen, sign, prefix in word_transport_terms(cc.rep.matrices, word)],
-                     dtype=complex).reshape(-1, b, n, n)
+        terms = list(word_transport_terms(cc.rep.matrices, word))
+        gens = [gen for gen, _, _ in terms]
+        signs = np.array([sign for _, sign, _ in terms])[:, None, None, None]
+        prefixes = np.array([prefix for _, _, prefix in terms], dtype=complex).reshape(-1, n, n)
+        # g x per term and cocycle, then one gemm per term of all cocycles
+        # against its g^H: the products of _conjugate, stacked over the terms
+        gx = prefixes[:, None] @ us[:, gens].swapaxes(0, 1)
+        t = signs * (gx.reshape(-1, b * n, n) @ prefixes.conj().swapaxes(1, 2)).reshape(-1, b, n, n)
         left, right = [np.cumsum(t, axis=0) - t], [t]  # strict prefix sums of T_p
         if i is not None:
             a1, xi = t.sum(axis=0), xis[:, cc.group_of[i]]

@@ -13,12 +13,13 @@ parametrization is the twisted (Fox calculus) transport implemented by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .presentation import Presentation, Word
 from .unitary import (
+    ad_basis,
     ad_matrix,
     charpoly_directions,
     class_gap,
@@ -27,7 +28,6 @@ from .unitary import (
     haar_from_rng,
     matrix_from_json,
     matrix_to_json,
-    skew_basis,
     unvec_skew,
 )
 
@@ -119,7 +119,9 @@ def word_transport_terms(matrices: Sequence[np.ndarray], word: Word):
     Yields (generator index, sign, prefix) such that the derivative of the
     word value W in direction (u_x) is  (sum_terms sign * Ad(prefix) u_gen) W.
     Encodes the cocycle rules u(vw) = u(v) + Ad(rho(v)) u(w) and
-    u(x') = -Ad(rho(x')) u(x).
+    u(x') = -Ad(rho(x')) u(x).  The prefixes are the partial products that
+    :func:`evaluate_word` forms, and the generator returns the last of
+    them, W itself (the value of ``yield from``).
     """
     n = matrices[0].shape[0]
     prefix = np.eye(n, dtype=complex)
@@ -130,23 +132,56 @@ def word_transport_terms(matrices: Sequence[np.ndarray], word: Word):
         else:
             prefix = prefix @ matrices[gen].conj().T
             yield gen, -1.0, prefix
+    return prefix
 
 
 def transport_matrix(rep: Representation, word: Word) -> np.ndarray:
-    """Real matrix (N^2, n_gen * N^2) of the word transport in B-coordinates."""
+    """Real matrix (N^2, n_gen * N^2) of the word transport in B-coordinates:
+    one :func:`~repvar.unitary.ad_matrix` call on the stack of the word's
+    prefixes, the terms added into their generator blocks in word order."""
     n = rep.rank
     q = n * n
     n_gen = len(rep.presentation.generators)
     out = np.zeros((q, n_gen * q))
-    for gen, sign, prefix in word_transport_terms(rep.matrices, word):
-        out[:, gen * q:(gen + 1) * q] += sign * ad_matrix(prefix)
+    terms = list(word_transport_terms(rep.matrices, word))
+    ads = ad_matrix(np.array([prefix for _, _, prefix in terms], dtype=complex).reshape(-1, n, n))
+    for (gen, sign, _), ad in zip(terms, ads):
+        out[:, gen * q:(gen + 1) * q] += sign * ad
     return out
 
 
-def _word_values(rep: Representation) -> list[np.ndarray]:
-    """The constraint word values at rep: relators, then peripheral words."""
+class _WordChain(NamedTuple):
+    """The constraint words of a representation walked once: their values
+    (relators, then peripheral words) and the Fox terms of all words in
+    word order, as index arrays over the terms and one stack of prefixes."""
+    values: list[np.ndarray]
+    word: np.ndarray      # (terms,) the word of each term
+    gen: np.ndarray       # (terms,) its generator
+    sign: np.ndarray      # (terms,) +1.0 or -1.0
+    prefixes: np.ndarray  # (terms, N, N)
+
+
+def _word_chain(rep: Representation) -> _WordChain:
+    """Each constraint word's partial products, formed once: a word's Fox
+    term prefixes and its value come from one :func:`word_transport_terms`
+    walk, the products :func:`evaluate_word` forms."""
     pres = rep.presentation
-    return [evaluate_word(rep, w) for w in (*pres.relators, *(p.word for p in pres.peripherals))]
+    words = (*pres.relators, *(p.word for p in pres.peripherals))
+    values = []
+
+    def walk():
+        for word in words:
+            values.append((yield from word_transport_terms(rep.matrices, word)))
+
+    terms = list(walk())
+    n = rep.rank
+    return _WordChain(
+        values,
+        np.repeat(np.arange(len(words)), [len(w) for w in words]),
+        np.array([gen for gen, _, _ in terms], dtype=np.intp),
+        np.array([sign for _, sign, _ in terms]),
+        np.array([prefix for _, _, prefix in terms], dtype=complex).reshape(-1, n, n),
+    )
 
 
 def _residual_blocks(rep: Representation,
@@ -155,7 +190,7 @@ def _residual_blocks(rep: Representation,
     already formed them): W - I per relator value W, then
     :func:`~repvar.unitary.class_gap` per peripheral value.  The residuals,
     validity and the Gauss-Newton objective are all read off these blocks."""
-    values = _word_values(rep) if values is None else values
+    values = _word_chain(rep).values if values is None else values
     n_rel = len(rep.presentation.relators)
     eye = np.eye(rep.rank)
     return [w - eye for w in values[:n_rel]] + \
@@ -189,37 +224,42 @@ def _residual_vector(rep: Representation,
     return np.concatenate([part for d in blocks for part in (d.real.ravel(), d.imag.ravel())])
 
 
-def _word_directions(rep: Representation, word: Word, w_val: np.ndarray) -> np.ndarray:
-    """dW/d(coordinates) for the word value W = w_val: array (n_gen * N^2, N, N).
+def _word_directions(rep: Representation, chain: _WordChain) -> np.ndarray:
+    """dW/d(coordinates) for every constraint word value W of the chain:
+    array (words, n_gen * N^2, N, N).
 
-    All Fox terms of the word are formed at once, sign * Ad(prefix)(basis) W
-    by two batched einsums over the stacked prefixes, then added into their
-    generator blocks in word order.  The batch axis only repeats einsum's
-    loop over the contracted indices, so each term is bitwise the one a
-    per-term einsum gives (numpy 2.4), and so are the sums and every
-    ``refine`` iterate."""
+    The Fox terms sign * Ad(prefix)(B_a) W of all words are formed at once:
+    one :func:`~repvar.unitary.ad_basis` call over all prefixes and one
+    einsum that multiplies each term by its word's value.  The terms are
+    then added into their word and generator blocks in term order, one
+    block add per term (``np.add.at`` makes the same adds but costs about
+    20 ns per element, 3x to 10x the loop at N >= 5).  Each term is bitwise
+    the one a per-term pair of einsums gives (numpy 2.4), and so are the
+    sums and every ``refine`` iterate."""
     n = rep.rank
     q = n * n
-    out = np.zeros((len(rep.presentation.generators) * q, n, n), dtype=complex)
-    terms = list(word_transport_terms(rep.matrices, word))
-    prefixes = np.array([prefix for _, _, prefix in terms]).reshape(-1, n, n)
-    moved = np.einsum("tij,ajk,tlk->tail", prefixes, skew_basis(n), prefixes.conj())
-    for (gen, sign, _), d in zip(terms, np.einsum("taij,jk->taik", moved, w_val)):
-        out[gen * q:(gen + 1) * q] += sign * d
-    return out
+    n_gen = len(rep.presentation.generators)
+    words = len(chain.values)
+    out = np.zeros((words, n_gen, q, n, n), dtype=complex)
+    values = np.array(chain.values, dtype=complex).reshape(-1, n, n)[chain.word]
+    moved = np.einsum("taij,tjk->taik", ad_basis(chain.prefixes), values)
+    for w, gen, d in zip(chain.word, chain.gen, chain.sign[:, None, None, None] * moved):
+        out[w, gen] += d
+    return out.reshape(words, n_gen * q, n, n)
 
 
-def _residual_jacobian(rep: Representation, values: Sequence[np.ndarray]) -> np.ndarray:
+def _residual_jacobian(rep: Representation, chain: _WordChain) -> np.ndarray:
     """Analytic Jacobian of `_residual_vector` in left-exponential coordinates
-    at the word ``values`` of :func:`_word_values`."""
+    at the word chain of :func:`_word_chain`."""
     n_rel = len(rep.presentation.relators)
     cols = len(rep.presentation.generators) * rep.rank ** 2
+    dirs = _word_directions(rep, chain)
     blocks = []
-    for word, w_val in zip(rep.presentation.relators, values[:n_rel]):
-        dw = _word_directions(rep, word, w_val).reshape(cols, -1)
+    for dw in dirs[:n_rel]:
+        dw = dw.reshape(cols, -1)
         blocks += [dw.real.T, dw.imag.T]
-    for p, w_val in zip(rep.presentation.peripherals, values[n_rel:]):
-        _, dc = charpoly_directions(w_val, _word_directions(rep, p.word, w_val))
+    for w_val, dw in zip(chain.values[n_rel:], dirs[n_rel:]):
+        _, dc = charpoly_directions(w_val, dw)
         blocks += [dc.real.T, dc.imag.T]
     if not blocks:
         return np.zeros((0, cols))
@@ -243,20 +283,20 @@ def refine(rep: Representation, max_iterations: int = 50, target_tolerance: floa
     skew-Hermitian tangent per generator, retracted via the left
     exponential.  Steps are minimal-norm least-squares solutions; a step is
     halved until the objective decreases, so accepted iterates never
-    increase it.  Each trial point evaluates its constraint words once, and
-    the Jacobian is formed once per iteration from the accepted point's word
-    values, all Fox terms of a word in one batched product; a retraction
-    moves all generators in one batched exponential.  Both batched forms
-    give bitwise the numbers of one product per term and one exponential
-    per generator, so the iterates do too.  ``trace`` receives the
-    objective of the start and of every accepted iterate.  Returns the
-    first iterate whose max residual is at or below the target; raises
-    :class:`NoConvergenceError` otherwise, with the best iterate and its
-    residuals attached.
+    increase it.  Each trial point walks its constraint words once
+    (:func:`_word_chain`), and the Jacobian is formed once per iteration
+    from the accepted point's chain, the Fox terms of all words in one
+    batched product; a retraction moves all generators in one batched
+    exponential.  Both batched forms give bitwise the numbers of one
+    product per term and one exponential per generator, so the iterates do
+    too.  ``trace`` receives the objective of the start and of every
+    accepted iterate.  Returns the first iterate whose max residual is at
+    or below the target; raises :class:`NoConvergenceError` otherwise, with
+    the best iterate and its residuals attached.
     """
     current = rep
-    values = _word_values(current)
-    blocks = _residual_blocks(current, values)
+    chain = _word_chain(current)
+    blocks = _residual_blocks(current, chain.values)
     r = _residual_vector(current, blocks)
     obj = float(r @ r)
     res = _block_residuals(current, blocks)
@@ -266,13 +306,13 @@ def refine(rep: Representation, max_iterations: int = 50, target_tolerance: floa
         return current
     best = (res, current)
     for _ in range(max_iterations):
-        jac = _residual_jacobian(current, values)
+        jac = _residual_jacobian(current, chain)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=rank_rtol)
         alpha = 1.0
         while alpha >= 1e-12:
             trial = _retract(current, alpha * step)
-            tvalues = _word_values(trial)
-            blocks = _residual_blocks(trial, tvalues)
+            tchain = _word_chain(trial)
+            blocks = _residual_blocks(trial, tchain.values)
             tr = _residual_vector(trial, blocks)
             tobj = float(tr @ tr)
             if tobj < obj:
@@ -283,7 +323,7 @@ def refine(rep: Representation, max_iterations: int = 50, target_tolerance: floa
                 f"no descent step found; best residual {best[0].max:.3e}",
                 best[1], best[0], max_iterations,
             )
-        current, values, r, obj = trial, tvalues, tr, tobj
+        current, chain, r, obj = trial, tchain, tr, tobj
         if trace is not None:
             trace.append(obj)
         res = _block_residuals(current, blocks)

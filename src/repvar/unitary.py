@@ -21,6 +21,7 @@ UNITARITY_TOL = 1e-10
 SKEW_TOL = 1e-12
 
 _BASIS_CACHE: dict[int, np.ndarray] = {}
+_TERMS_CACHE: dict[int, tuple] = {}
 _CLASS_COEFFICIENTS: dict[ConjugacyClassSpec, np.ndarray] = {}
 # numpy scalars, not 0-d arrays: the same values, but scalar arithmetic skips
 # the ufunc dispatch that an operation on a 0-d array goes through
@@ -61,11 +62,42 @@ def skew_basis(n: int) -> np.ndarray:
     return _BASIS_CACHE[n]
 
 
+def _basis_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of the :func:`skew_basis` matrices as (rows, cols,
+    vals), slot-major over 2 n^2: slot 0 of every basis matrix, then slot 1.
+    An off-diagonal direction has two nonzero entries; a diagonal one has
+    one, and its slot 1 repeats that position with the value 0.  Every
+    value is purely real or purely imaginary, so one of the two real
+    products in each part of a complex product with it is an exact zero,
+    and the product rounds alike fused or unfused."""
+    if n not in _TERMS_CACHE:
+        flat = skew_basis(n).reshape(n * n, n * n)
+        slots = np.zeros((2, n * n), dtype=np.intp)
+        vals = np.zeros((2, n * n), dtype=complex)
+        for a, m in enumerate(flat):
+            nonzero = np.flatnonzero(m)
+            slots[:, a] = nonzero[0], nonzero[-1]
+            vals[:len(nonzero), a] = m[nonzero]
+        rows, cols = np.divmod(slots.ravel(), n)
+        terms = (rows, cols, vals.ravel())
+        for t in terms:
+            t.setflags(write=False)
+        _TERMS_CACHE[n] = terms
+    return _TERMS_CACHE[n]
+
+
 def vec_skew(x: np.ndarray) -> np.ndarray:
     """Real B-coordinates of a skew-Hermitian matrix, or of each matrix of a
-    stack (..., n, n)."""
-    basis = skew_basis(x.shape[-1])
-    return -np.einsum("aij,...ji->...a", basis, x).real
+    stack (..., n, n).  Coordinate a is -Re tr(B_a x), read off the two
+    entries of x that meet the nonzero entries of B_a: the sum starts from
+    +0.0 and adds the two products, which are bitwise the nonzero terms of
+    the dense einsum "aij,...ji->...a" (a sum that also starts from +0.0,
+    and whose other terms are zeros), so the result is too, signed zeros
+    included."""
+    n = x.shape[-1]
+    rows, cols, vals = _basis_terms(n)
+    terms = (x[..., cols, rows] * vals).real.reshape(x.shape[:-2] + (2, n * n))
+    return -np.add.reduce(terms, axis=-2, initial=0.0)
 
 
 def unvec_skew(v: np.ndarray, n: int) -> np.ndarray:
@@ -130,11 +162,33 @@ def inner_product(x: np.ndarray, y: np.ndarray) -> float:
     return float(-np.trace(x @ y).real)
 
 
+def ad_basis(p: np.ndarray) -> np.ndarray:
+    """g B_a g^H for every matrix g of the stack p (t, n, n) and every basis
+    matrix B_a of :func:`skew_basis`, shape (t, n^2, n, n).
+
+    Each B_a has two entries (j, k) in :func:`_basis_terms`, and g B_a g^H
+    is the sum over them of (column j of g times the value) times (column k
+    of conj(g)) as an outer product.  The outer product is an einsum: its
+    unfused complex multiply is the one of the dense three-operand einsum
+    "tij,ajk,tlk->tail" (numpy's array multiply may fuse it), and it adds
+    each product into a zeroed output, as the dense einsum adds its terms,
+    so no term is -0 and the sum of the two slots carries the dense
+    einsum's zero signs too: every entry is bitwise the dense einsum's."""
+    t, n = p.shape[0], p.shape[-1]
+    rows, cols, vals = _basis_terms(n)
+    left = (p[:, :, rows] * vals).swapaxes(1, 2)
+    right = p.conj()[:, :, cols].swapaxes(1, 2)
+    terms = np.einsum("tsi,tsl->tsil", left, right).reshape(t, 2, n * n, n, n)
+    return terms[:, 0] + terms[:, 1]
+
+
 def ad_matrix(g: np.ndarray) -> np.ndarray:
-    """Real matrix of X -> g X g^{-1} in the coordinates of :func:`skew_basis`."""
-    basis = skew_basis(g.shape[0])
-    conj = np.einsum("ij,ajk,lk->ail", g, basis, g.conj())
-    return -np.einsum("mij,aji->ma", basis, conj).real
+    """Real matrix of X -> g X g^{-1} in the coordinates of :func:`skew_basis`;
+    a stack of matrices (..., n, n) gives a stack (..., n^2, n^2).  Column a
+    is vec_skew(g B_a g^H)."""
+    n = g.shape[-1]
+    coords = vec_skew(ad_basis(g.reshape(-1, n, n)))
+    return coords.swapaxes(-1, -2).reshape(g.shape[:-2] + (n * n, n * n))
 
 
 def class_of(g: np.ndarray) -> ConjugacyClassSpec:

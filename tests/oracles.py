@@ -7,8 +7,12 @@ random words, the ring oracle multiplies truncated jets by the naive
 Cauchy double loop over degrees, the order-2 defect oracle evaluates the
 relator and conjugated-peripheral words in degree-2 jet arithmetic
 instead of the closed-form cup product, the word-direction oracle forms
-one Fox term of a word at a time (the per-term loop that the batched
-repspace._word_directions replaced), the quadratic-map oracle evaluates
+one Fox term of one word at a time (the per-term loop that the batched
+repspace._word_directions over all words replaced), the dense basis
+oracles contract against every entry of the skew basis with einsums (the
+vec_skew, ad_matrix and unstack_target einsums, and the three-operand
+conjugation of every basis matrix, that the sparse basis kernels of
+repvar.unitary replaced), the quadratic-map oracle evaluates
 Q of one coefficient row at a time (the per-sample path that the stacked
 QuadraticMap replaced), the eager pairing oracle builds every pairing
 class at once (the dict that the lazily built pairing entries replaced),
@@ -270,6 +274,32 @@ def newton_charpoly(g):
             acc = acc + s * e[k - j] * p[j]
         e.append(acc / k)
     return np.array([(-1) ** k * e[k] for k in range(1, n + 1)])
+
+
+def einsum_vec_skew(x):
+    """Real B-coordinates of a skew matrix or a stack (..., n, n) by one
+    einsum against the dense complex basis."""
+    return -np.einsum("aij,...ji->...a", skew_basis(x.shape[-1]), x).real
+
+
+def einsum_ad_basis(p):
+    """g B_a g^H for every matrix g of the stack p (t, n, n) and every basis
+    matrix B_a, (t, n^2, n, n), by one three-operand einsum."""
+    return np.einsum("tij,ajk,tlk->tail", p, skew_basis(p.shape[-1]), p.conj())
+
+
+def einsum_ad_matrix(g):
+    """Real matrix of X -> g X g^H in basis coordinates by two einsums: the
+    conjugated basis, then its coordinates."""
+    basis = skew_basis(g.shape[0])
+    conj = np.einsum("ij,ajk,lk->ail", g, basis, g.conj())
+    return -np.einsum("mij,aji->ma", basis, conj).real
+
+
+def einsum_unstack_target(cc, v):
+    """The matrices of the degree-2 cochains whose target coordinates are the
+    columns of v, (cols, words, n, n), by one einsum against the basis."""
+    return np.einsum("bac,aij->cbij", v.reshape(-1, cc.q, v.shape[1]), skew_basis(cc.rep.rank))
 
 
 def einsum_unvec_skew(v, n):

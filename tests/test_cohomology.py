@@ -29,13 +29,13 @@ from repvar.cohomology import (
 )
 from repvar.jets import lift
 from repvar.presentation import parse_presentation
-from repvar.repspace import (Representation, commutant_dimension, evaluate_word,
+from repvar.repspace import (Representation, commutant_dimension, conjugate, evaluate_word,
                              find_representation, rep_to_json)
-from repvar.unitary import (exponential, matrix_to_json, principal_log, random_skew, unvec_skew,
-                            vec_skew)
+from repvar.unitary import (exponential, haar_from_rng, matrix_to_json, principal_log, random_skew,
+                            unvec_skew, vec_skew)
 
 from conftest import random_cocycle
-from oracles import (eager_pairing_entries, fd_h1_par, jet_order2_defect,
+from oracles import (eager_pairing_entries, einsum_unstack_target, fd_h1_par, jet_order2_defect,
                      per_column_basis_vectors, per_cocycle_cup_form, random_word, sample_q)
 
 
@@ -510,6 +510,19 @@ def test_cup_form_is_bitwise_per_cocycle(name, seed, draw, count):
 
 @point_cases
 @given(point_names, find_seeds, draw_seeds)
+def test_dims_and_verdict_invariant_under_conjugation(name, seed, draw):
+    # conjugating every generator by one Haar unitary moves the point along
+    # its orbit: the seven dimensions (Dims equality leaves out the gaps)
+    # and the pairing verdict stay
+    cc, basis = _point(name, seed)
+    moved = assemble_complex(conjugate(cc.rep, haar_from_rng(np.random.default_rng(draw),
+                                                             cc.rep.rank)))
+    assert h_dims(moved) == h_dims(cc)
+    assert pairing_tensor(moved, h1_basis(moved)).verdict == pairing_tensor(cc, basis).verdict
+
+
+@point_cases
+@given(point_names, find_seeds, draw_seeds)
 def test_pairing_symmetric_with_q_on_diagonal(name, seed, draw):
     cc, basis = _point(name, seed)
     if len(basis) == 0:
@@ -787,6 +800,31 @@ def test_h1_basis_vectors_match_per_column_oracle(corpus_points, degenerate_u3_c
             assert isinstance(got_v, tuple) and len(got_v) == len(want_v) == cc.n_gen
             assert all(_same_bits(x, y) for x, y in zip(got_v, want_v))
     assert 0 in sizes
+
+
+def test_unstack_target_is_bitwise_the_einsum(corpus_points):
+    # one real gemm of every column's coordinates against the basis, against
+    # the einsum on the complex basis, zero signs included, at U(1) .. U(6):
+    # the corpus points, then Haar points of a one-relator, one-peripheral
+    # presentation
+    cones = [assemble_complex(rep) for rep in corpus_points.values()]
+    rng = np.random.default_rng(81)
+    for n in range(3, 7):
+        angles = ", ".join(f"{k}/{2 * n + 1}" for k in range(n))
+        pres = parse_presentation(f"group free_u{n}\nrank {n}\ngenerators a b\n"
+                                  f"relator a b a' b' b\nperipheral P = a b : {angles}\n")
+        cones.append(assemble_complex(Representation(pres, [haar_from_rng(rng, n) for _ in "ab"])))
+    for cc in cones:
+        v = rng.standard_normal((cc.d1_cone.shape[0], 5))
+        v[rng.random(v.shape) < 0.3] = 0.0
+        v[rng.random(v.shape) < 0.2] = -0.0
+        got = cc.unstack_target(v)
+        want = einsum_unstack_target(cc, v)
+        assert len(got) == len(want) == 5
+        for cochain, blocks in zip(got, want):
+            assert len(cochain.relator_part) == cc.n_rel
+            assert _same_bits(np.array(cochain.relator_part + cochain.peripheral_part), blocks)
+    assert {cc.rep.rank for cc in cones} == set(range(1, 7))
 
 
 def _assert_rows_match_oracle(qmap, rows):

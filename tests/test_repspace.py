@@ -5,7 +5,8 @@ import pytest
 
 from repvar import repspace
 from repvar.cohomology import cocycle_transport
-from repvar.presentation import ConjugacyClassSpec, Peripheral, Presentation, parse_presentation
+from repvar.presentation import (ConjugacyClassSpec, Peripheral, Presentation, normalize_word,
+                                 parse_presentation)
 from repvar.repspace import (
     NoConvergenceError,
     NotFoundError,
@@ -148,26 +149,27 @@ def test_refine_forms_gaps_once_per_trial(genus2_irr, monkeypatch):
 
 
 def test_refine_evaluates_each_word_once_per_trial(corpus_points, monkeypatch):
-    # the Jacobian reads the word values of the accepted trial point
-    words = _count_calls(monkeypatch, "evaluate_word")
+    # one word chain per trial point and one at the start; the Jacobian
+    # reads the chain of the accepted trial point and forms no word product
+    chains = _count_calls(monkeypatch, "_word_chain")
+    walks = [_count_calls(monkeypatch, name) for name in ("evaluate_word", "word_transport_terms")]
     trials = _count_calls(monkeypatch, "_retract")
     jacobian = repspace._residual_jacobian
 
     def no_words(*args):
-        before = len(words)
+        before = [len(chains)] + [len(w) for w in walks]
         out = jacobian(*args)
-        assert len(words) == before
+        assert [len(chains)] + [len(w) for w in walks] == before
         return out
 
     monkeypatch.setattr(repspace, "_residual_jacobian", no_words)
     steps = {}
     for i, (name, rep) in enumerate(corpus_points.items()):
         pert = perturb(rep, np.random.default_rng(40 + i), 1e-3)
-        words.clear()
+        chains.clear()
         trials.clear()
         refine(pert, 8, 1e-12)
-        pres = rep.presentation
-        assert len(words) == (len(pres.relators) + len(pres.peripherals)) * (1 + len(trials))
+        assert len(chains) == 1 + len(trials)
         steps[name] = len(trials)
     assert steps["genus2_irr"] > 0 and steps["sphere4"] > 0
 
@@ -181,7 +183,7 @@ def test_residual_jacobian_matches_central_differences(genus2_irr, sphere4_rep):
     for rep in (genus2_irr, sphere4_rep, find_representation(u3, seed=1, target_tolerance=1e-11)):
         n = rep.rank
         basis = skew_basis(n)
-        jac = repspace._residual_jacobian(rep, repspace._word_values(rep))
+        jac = repspace._residual_jacobian(rep, repspace._word_chain(rep))
         for col in range(jac.shape[1]):
             i, a = divmod(col, n * n)
             ends = []
@@ -194,17 +196,26 @@ def test_residual_jacobian_matches_central_differences(genus2_irr, sphere4_rep):
 
 
 def test_word_directions_match_per_term_oracle():
+    # all words of a presentation in one batched form, relators then
+    # peripheral words, bitwise the per-term einsums word by word; the
+    # chain's word values are bitwise evaluate_word's
     rng = np.random.default_rng(41)
     for n in range(1, 6):
-        pres = Presentation("free3", n, ["a", "b", "c"])
-        rep = Representation(pres, [haar_from_rng(rng, n) for _ in range(3)])
         words = [(), ((1, -1),), ((0, 1), (0, 1), (2, -1), (0, -1), (2, -1))]
         words += [random_word(rng, 3, 12) for _ in range(10)]
-        for word in words:
-            w_val = evaluate_word(rep, word)
-            got = repspace._word_directions(rep, word, w_val)
-            want = word_directions_per_term(rep, word, w_val)
-            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        klass = ConjugacyClassSpec([Fraction(0)] * n)
+        peripherals = [Peripheral(f"P{i}", w, klass)
+                       for i, w in enumerate(words[1::2]) if normalize_word(w)]
+        pres = Presentation("free3", n, ["a", "b", "c"], relators=words[::2],
+                            peripherals=peripherals)
+        rep = Representation(pres, [haar_from_rng(rng, n) for _ in range(3)])
+        chain = repspace._word_chain(rep)
+        got = repspace._word_directions(rep, chain)
+        all_words = list(pres.relators) + [p.word for p in pres.peripherals]
+        assert len(got) == len(chain.values) == len(all_words)
+        for word, w_val, dirs in zip(all_words, chain.values, got):
+            assert w_val.tobytes() == evaluate_word(rep, word).tobytes()
+            assert np.array_equal(dirs, word_directions_per_term(rep, word, w_val))
 
 
 def test_refine_infeasible_raises():

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repvar.presentation import ConjugacyClassSpec
 from repvar.unitary import (
     BranchCutError,
+    _basis_terms,
+    ad_basis,
     ad_matrix,
     adjoint_action,
     charpoly_coefficients,
@@ -30,7 +32,8 @@ from repvar.unitary import (
     vec_skew,
 )
 
-from oracles import einsum_unvec_skew, newton_charpoly, schur_log
+from oracles import (einsum_ad_basis, einsum_ad_matrix, einsum_unvec_skew, einsum_vec_skew,
+                     newton_charpoly, schur_log)
 
 
 def test_exponential_zero_is_identity():
@@ -182,6 +185,71 @@ def test_unvec_skew_is_bitwise_the_einsum(n):
         got, want = unvec_skew(v, n), einsum_unvec_skew(v, n)
         assert got.shape == want.shape == shape + (n, n)
         assert got.tobytes() == want.tobytes()
+
+
+def test_skew_basis_matrices_have_two_pure_entries():
+    # the premise of the sparse basis kernels: at most two nonzero entries
+    # per basis matrix, each purely real or purely imaginary, and the term
+    # table lists exactly those entries (a diagonal direction's second slot
+    # repeats its position with the value 0)
+    for n in range(1, 9):
+        basis = skew_basis(n)
+        for m in basis:
+            nonzero = m[m != 0]
+            assert 1 <= len(nonzero) <= 2
+            assert np.all((nonzero.real == 0) | (nonzero.imag == 0))
+        rows, cols, vals = _basis_terms(n)
+        assert rows.shape == cols.shape == vals.shape == (2 * n * n,)
+        rebuilt = np.zeros_like(basis)
+        for s, (r, c, v) in enumerate(zip(rows, cols, vals)):
+            rebuilt[s % (n * n), r, c] += v
+        assert rebuilt.tobytes() == basis.tobytes()
+
+
+def _kernel_inputs(rng, shape):
+    """Complex arrays of the given shape (..., n, n) that stress rounding
+    and zero signs: Gaussian entries, exact and signed zeros mixed in,
+    small integers, subnormals and identities."""
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    zeros = z.copy()
+    zeros[rng.random(shape) < 0.4] = 0.0
+    zeros.real[rng.random(shape) < 0.3] = -0.0
+    zeros.imag[rng.random(shape) < 0.3] = -0.0
+    ints = np.round(2 * z)
+    ints.real[ints.real == 0] = -0.0
+    eye = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).copy()
+    return [z, zeros, ints, z * 1e-310, zeros * 5e-324, eye, -eye]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_vec_skew_is_bitwise_the_einsum(n):
+    # two gathered products per coordinate, summed from +0.0, against the
+    # einsum over the dense basis: one matrix and stacks with leading axes
+    rng = np.random.default_rng(60 + n)
+    for shape in [(), (0,), (3,), (2, 3)]:
+        for x in _kernel_inputs(rng, shape + (n, n)):
+            got, want = vec_skew(x), einsum_vec_skew(x)
+            assert got.shape == want.shape == shape + (n * n,)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ad_basis_and_ad_matrix_are_bitwise_the_einsums(n):
+    # the sparse conjugation of every basis matrix against the three-operand
+    # einsum, and ad_matrix against the two-einsum form, on unitaries and on
+    # non-unitary inputs; ad_matrix of a stack is the stack of ad_matrix
+    rng = np.random.default_rng(70 + n)
+    haar = np.array([haar_from_rng(rng, n) for _ in range(3)])
+    for p in [haar, np.eye(n, dtype=complex)[None]] + _kernel_inputs(rng, (3, n, n)):
+        got = ad_basis(p)
+        assert got.shape == (len(p), n * n, n, n)
+        assert got.tobytes() == einsum_ad_basis(p).tobytes()
+        for g in p:
+            assert ad_matrix(g).tobytes() == einsum_ad_matrix(g).tobytes()
+        stacked = ad_matrix(p[None])
+        assert stacked.shape == (1, len(p), n * n, n * n)
+        assert stacked.tobytes() == np.array([[einsum_ad_matrix(g) for g in p]]).tobytes()
+    assert ad_basis(np.zeros((0, n, n), dtype=complex)).shape == (0, n * n, n, n)
 
 
 def test_ad_matrix_is_orthogonal():
