@@ -20,9 +20,10 @@ cone complex once, wraps the command's report body in
 Reports are JSON by default (deterministic: sorted keys, no timestamps) and
 embed the full effective configuration.  Exit codes: 0 success, 1 input or
 usage errors, 2 constraint or verdict failures (NotFound, NoConvergence,
-failed lift, violated probe prediction, invalid representation, a stray
-numerical error from numpy, and an ill-conditioned rank decision, reported
-with its two candidate ranks).
+failed lift, violated probe prediction, invalid representation, a
+numerical error (a numpy LinAlgError, or an overflow or invalid value, which
+every verb but validate raises as a FloatingPointError), and an
+ill-conditioned rank decision, reported with its two candidate ranks).
 
 Only the parser is imported with this module.  Each stage imports the
 numeric modules it runs when it runs, so ``validate`` and ``--help`` load no
@@ -33,6 +34,7 @@ load :mod:`repvar.jets`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -154,13 +156,13 @@ def _render_text(value, indent: int = 0) -> list[str]:
             lines.append(f"{pad}{label}")
             lines.extend(_render_text(sub, indent + 1))
         else:
-            lines.append(f"{pad}{label} {json.dumps(sub)}")
+            lines.append(f"{pad}{label} {json.dumps(sub, allow_nan=False)}")
     return lines
 
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     else:
         sys.stdout.write("\n".join(_render_text(report)) + "\n")
 
@@ -344,13 +346,24 @@ def _raised(module: str, name: str) -> tuple:
     return (getattr(loaded, name),) if loaded else ()
 
 
+def _numeric_errors(verb: _Verb):
+    """The floating-point rules a verb runs under: an overflow or an invalid
+    value raises FloatingPointError, so no report carries an infinity or a
+    NaN.  validate runs no numeric stage and loads no numpy for this."""
+    if verb.command is _cmd_validate:
+        return contextlib.nullcontext()
+    import numpy as np
+    return np.errstate(over="raise", invalid="raise")
+
+
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
     verb = _VERBS[args.verb]
     config = {key: getattr(args, key) for key in verb.config}
     config.update(rank_threshold=args.rank_tol, format=args.format)
     try:
-        code, body = verb.command(args, *_load_inputs(args, verb.inputs))
+        with _numeric_errors(verb):
+            code, body = verb.command(args, *_load_inputs(args, verb.inputs))
     except InputError as exc:
         print(f"repvar: error: {exc}", file=sys.stderr)
         return 1

@@ -55,7 +55,6 @@ explicit ill-conditioning diagnostic.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -64,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from .presentation import Word
-from .repspace import (IllConditionedError, Representation, _rank_cut, evaluate_word,
+from .repspace import (IllConditionedError, Representation, _rank_cut, _word_chain,
                        transport_matrix, word_transport_terms)
 # exp_series, unitary_generator_jet and word_jet are bound here for
 # perfbench/tracer.py, which wraps each layer function in every module that
@@ -73,7 +72,7 @@ from .repspace import (IllConditionedError, Representation, _rank_cut, evaluate_
 # are thin calls of, and forms its word products in a DefectState)
 from .truncring import (IncrementalExp, exp_series, product_coefficient,  # noqa: F401
                         toeplitz_rows, unitary_generator_jet, word_jet)
-from .unitary import ad_matrix, project_skew, skew_basis, unvec_skew, vec_skew
+from .unitary import ad_matrix, check_tolerance, project_skew, skew_basis, unvec_skew, vec_skew
 
 
 class NotACocycleError(ValueError):
@@ -189,13 +188,6 @@ class PairingTensor:
         return max(self.entries.norms, default=0.0)
 
 
-def check_tolerance(tolerance: float) -> None:
-    """Reject a tolerance that is not a finite number > 0: against NaN every
-    comparison is false, so no defect would ever count as too large."""
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
-
-
 def rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """a @ m for a stack of rows a (..., d), one vector-matrix product per
     row.  Merging these vector products into one gemm would swap each row's
@@ -284,10 +276,11 @@ class ConeComplex:
         self.groups = pres.groups
         self.gaps: dict = {}
 
-        self.rel_values = [evaluate_word(rep, r) for r in pres.relators]
-        self.periph_values = [evaluate_word(rep, p.word) for p in pres.peripherals]
+        # every constraint word walked once: its value and its Fox terms
+        self.chain = _word_chain(rep)
+        self.periph_values = self.chain.values[self.n_rel:]
         # conjugate transposes of every word's base value, relators first
-        self.word_values_h = np.array(self.rel_values + self.periph_values,
+        self.word_values_h = np.array(self.chain.values,
                                       dtype=complex).reshape(-1, n, n).conj().swapaxes(1, 2)
         # bases of the stacked generator and conjugator jets of order_defect
         self.jet_bases = np.array(list(rep.matrices) + [np.eye(n)] * len(self.groups),
@@ -299,8 +292,11 @@ class ConeComplex:
         self.d0_gen = np.vstack([eye - a for a in ad_gen]) if self.n_gen else np.zeros((0, q))
         self.d0_full = np.vstack([self.d0_gen] + [eye] * len(self.groups))
 
-        self.rel_rows = [transport_matrix(rep, r) for r in pres.relators]
-        self.per_rows = [transport_matrix(rep, p.word) for p in pres.peripherals]
+        # d1 on generator parts: the transport rows of every word, relators first
+        rows = (self.n_rel + self.n_per) * q
+        transport = transport_matrix(rep, self.chain)
+        self.per_rows = transport[self.n_rel:]
+        unprojected = transport.reshape(rows, self.n_gen * q)
         self.group_of = {i: gi for gi, members in enumerate(self.groups) for i in members}
         # the rounding of an entry of d0, d1 or a group map, in units of eps:
         # each entry sums at most L + 1 unit terms (the Fox terms of a word
@@ -315,9 +311,6 @@ class ConeComplex:
                            for gi, members in enumerate(self.groups)]
 
         # cone differential on (generator parts, conjugator parts)
-        rows = (self.n_rel + self.n_per) * q
-        unprojected = np.vstack(self.rel_rows + self.per_rows) if rows \
-            else np.zeros((0, self.n_gen * q))
         d1_cone = np.zeros((rows, (self.n_gen + len(self.groups)) * q))
         d1_cone[:, :self.n_gen * q] = unprojected
         for gi, gd in enumerate(self.group_data):
@@ -689,7 +682,7 @@ def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
     vectors (u, xi), shape (b, b, target dim): D(v, v) is the raw order-2
     defect of X_1 = u with conjugator parts xi.
 
-    Per word, with T_p the Fox terms of word_transport_terms, the t^2
+    Per word, with T_p the Fox terms of the word chain ``cc.chain``, the t^2
     coefficient is sum_(q<p) T_q T_p + sum_p T_p^2 / 2; a peripheral word P
     conjugated by exp(t xi) adds xi^2/2 + xi'^2/2 - xi a_1 - xi xi' + a_1 xi',
     with a_1 = sum_p T_p and xi' = P xi P^H.  Squares and symmetrized products
@@ -697,10 +690,9 @@ def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
     the symmetrized sum_k L_k(a) R_k(c) over L = [sum_(q<p) T_q, -xi, a_1],
     R = [T_p, a_1 + xi', xi']: one gemm per word for every pair.
     """
-    n, b = cc.rep.rank, len(vectors)
-    words = [(r, None) for r in cc.pres.relators] + \
-        [(p.word, i) for i, p in enumerate(cc.pres.peripherals)]
-    form = np.zeros((b, b, len(words) * cc.q))
+    n, b, chain = cc.rep.rank, len(vectors), cc.chain
+    words = len(chain.values)
+    form = np.zeros((b, b, words * cc.q))
     if b == 0:
         return form
     us = np.array([list(u) for u, _ in vectors], dtype=complex).reshape(b, cc.n_gen, n, n)
@@ -709,19 +701,15 @@ def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
     # interleaved (re, im) entries of x
     flat_basis = skew_basis(n).transpose(0, 2, 1).reshape(cc.q, n * n)
     real_basis = np.stack([-flat_basis.real, flat_basis.imag], axis=2).reshape(cc.q, -1).T
-    for w, (word, i) in enumerate(words):
-        terms = list(word_transport_terms(cc.rep.matrices, word))
-        gens = [gen for gen, _, _ in terms]
-        signs = np.array([sign for _, sign, _ in terms])[:, None, None, None]
-        prefixes = np.array([prefix for _, _, prefix in terms], dtype=complex).reshape(-1, n, n)
-        # g x per term and cocycle, then one gemm per term of all cocycles
-        # against its g^H: the products of _conjugate, stacked over the terms
-        gx = prefixes[:, None] @ us[:, gens].swapaxes(0, 1)
-        t = signs * (gx.reshape(-1, b * n, n) @ prefixes.conj().swapaxes(1, 2)).reshape(-1, b, n, n)
+    bounds = np.searchsorted(chain.word, np.arange(words + 1))  # each word's terms
+    for w in range(words):
+        terms = slice(bounds[w], bounds[w + 1])
+        prefixes, signs = chain.prefixes[terms], chain.sign[terms, None, None, None]
+        t = signs * _conjugate(prefixes, us[:, chain.gen[terms]].swapaxes(0, 1))
         left, right = [np.cumsum(t, axis=0) - t], [t]  # strict prefix sums of T_p
-        if i is not None:
-            a1, xi = t.sum(axis=0), xis[:, cc.group_of[i]]
-            xp = _conjugate(cc.periph_values[i], xi)
+        if w >= cc.n_rel:
+            a1, xi = t.sum(axis=0), xis[:, cc.group_of[w - cc.n_rel]]
+            xp = _conjugate(chain.values[w], xi)
             left.append(np.array([-xi, a1]))
             right.append(np.array([a1 + xp, xp]))
         lf, rf = np.concatenate(left), np.concatenate(right)
@@ -736,10 +724,12 @@ def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
 
 
 def _conjugate(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """g x g^H for a stack x (b, n, n): g x per stack row, then one gemm of
-    all rows against g^H (see :func:`rowwise`)."""
-    b, n = x.shape[0], x.shape[-1]
-    return ((g @ x).reshape(b * n, n) @ g.conj().T).reshape(b, n, n)
+    """g x g^H for matrices g (..., n, n) and stacks x (..., b, n, n): g x
+    per stack row, then one gemm of the b rows against their g^H (see
+    :func:`rowwise`)."""
+    *lead, b, n, _ = x.shape
+    gx = (g[..., None, :, :] @ x).reshape(*lead, b * n, n)
+    return (gx @ g.conj().swapaxes(-1, -2)).reshape(x.shape)
 
 
 class QuadraticMap:

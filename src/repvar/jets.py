@@ -31,7 +31,6 @@ from .cohomology import (
     ObstructionClass,
     QuadraticMap,
     as_cone,
-    check_tolerance,
     obstruction_classes,
     order_defect,
     row_norms,
@@ -39,7 +38,7 @@ from .cohomology import (
 )
 from .repspace import Representation
 from .truncring import MatrixJet, log_series, unitary_generator_jet, word_jet
-from .unitary import project_skew, unvec_skew, vec_skew
+from .unitary import check_tolerance, project_skew, unvec_skew, vec_skew
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,9 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
     samples, and one more solve for those in the cone-kernel rescue.  A
     sample's rescue moves 2 D(u, K) are its X_1 = (u, xi) times the cone's
     cached ``kernel_cup``.  A sample that fails leaves the active rows and
-    the shared defect state.  Every product that involves a sample follows
+    the shared defect state.  A tolerance, defect or residual that is not
+    finite raises FloatingPointError once the chunk is lifted, naming the
+    first order it shows at.  Every product that involves a sample follows
     the merge rule of :func:`~repvar.cohomology.rowwise`: a factor all
     samples share on the right is one gemm with the samples as its rows,
     everything else is formed per stack row.  So a sample's outcome does
@@ -201,6 +202,7 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
     u = np.asarray(umats[active], dtype=complex)
     uvecs = vec_skew(u).reshape(b, -1)
     tol = tolerance * np.linalg.norm(uvecs, axis=1) ** 2
+    rows, limits = active, tol
     xis, xi_resid = cc.canonical_xi(u)
     rel = rowwise(uvecs, cc.d1_cone[:cc.n_rel * q, :n_gen * q].T).reshape(b, cc.n_rel, q)
     residuals = np.zeros((b, order))
@@ -248,6 +250,13 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
             state.keep(keep)
         jets[:, :, m - 1] = unvec_skew(x.reshape(-1, count, q), n)
     out.residuals[active], out.jets[active] = residuals, jets
+    # a NaN residual compares false against any tolerance and an inf tolerance
+    # passes every residual, so either would pass as solved; a defect that is
+    # not finite makes its residual so
+    finite = np.isfinite(out.residuals[rows]).all(axis=0) & np.isfinite(limits).all()
+    if not finite.all():
+        raise FloatingPointError(f"lift order {int(np.argmin(finite)) + 1}: a tolerance, "
+                                 "defect or residual is not finite")
 
 
 def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None,

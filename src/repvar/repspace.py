@@ -22,6 +22,7 @@ from .unitary import (
     ad_basis,
     ad_matrix,
     charpoly_directions,
+    check_tolerance,
     class_gap,
     diagonal_model,
     exponential,
@@ -135,21 +136,6 @@ def word_transport_terms(matrices: Sequence[np.ndarray], word: Word):
     return prefix
 
 
-def transport_matrix(rep: Representation, word: Word) -> np.ndarray:
-    """Real matrix (N^2, n_gen * N^2) of the word transport in B-coordinates:
-    one :func:`~repvar.unitary.ad_matrix` call on the stack of the word's
-    prefixes, the terms added into their generator blocks in word order."""
-    n = rep.rank
-    q = n * n
-    n_gen = len(rep.presentation.generators)
-    out = np.zeros((q, n_gen * q))
-    terms = list(word_transport_terms(rep.matrices, word))
-    ads = ad_matrix(np.array([prefix for _, _, prefix in terms], dtype=complex).reshape(-1, n, n))
-    for (gen, sign, _), ad in zip(terms, ads):
-        out[:, gen * q:(gen + 1) * q] += sign * ad
-    return out
-
-
 class _WordChain(NamedTuple):
     """The constraint words of a representation walked once: their values
     (relators, then peripheral words) and the Fox terms of all words in
@@ -182,6 +168,18 @@ def _word_chain(rep: Representation) -> _WordChain:
         np.array([sign for _, sign, _ in terms]),
         np.array([prefix for _, _, prefix in terms], dtype=complex).reshape(-1, n, n),
     )
+
+
+def transport_matrix(rep: Representation, chain: _WordChain) -> np.ndarray:
+    """Real matrices (words, N^2, n_gen * N^2) of the transports of the
+    chain's words in B-coordinates: one :func:`~repvar.unitary.ad_matrix`
+    call on all prefixes, each word's terms added into its generator blocks
+    in word order."""
+    q = rep.rank ** 2
+    out = np.zeros((len(chain.values), q, len(rep.presentation.generators) * q))
+    for w, gen, sign, ad in zip(chain.word, chain.gen, chain.sign, ad_matrix(chain.prefixes)):
+        out[w, :, gen * q:(gen + 1) * q] += sign * ad
+    return out
 
 
 def _residual_blocks(rep: Representation,
@@ -453,12 +451,18 @@ def rep_to_json(rep: Representation) -> dict:
     }
 
 
-def _json_number(data: dict, key: str, convert, default):
+def _json_number(data: dict, key: str, kind: type, default):
+    """data[key] (default when absent) as a JSON number of the kind: int
+    takes integers, float integers and floats.  A boolean is no number, and
+    an integer past the float range is no float."""
     value = data.get(key, default)
     try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key!r} must be a number, got {value!r}") from None
+        if isinstance(value, (int, kind)) and not isinstance(value, bool):
+            return kind(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, "
+                     f"got {value!r}")
 
 
 def rep_from_json(pres: Presentation, data: dict) -> Representation:
@@ -469,7 +473,7 @@ def rep_from_json(pres: Presentation, data: dict) -> Representation:
         raise ValueError(
             f"representation is for {data.get('presentation')!r}, presentation is {pres.name!r}"
         )
-    if _json_number(data, "N", int, -1) != pres.rank:
+    if _json_number(data, "N", int, None) != pres.rank:
         raise ValueError(f"representation rank {data.get('N')} != presentation rank {pres.rank}")
     gens = data.get("generators", {})
     if not isinstance(gens, dict):
@@ -479,4 +483,5 @@ def rep_from_json(pres: Presentation, data: dict) -> Representation:
         raise ValueError(f"missing generator matrices: {missing}")
     mats = [matrix_from_json(gens[g]) for g in pres.generators]
     tolerance = _json_number(data, "tolerance", float, default_tolerance(pres.rank))
+    check_tolerance(tolerance)
     return Representation(pres, mats, tolerance)

@@ -13,6 +13,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .presentation import ConjugacyClassSpec
@@ -31,6 +33,13 @@ _ZERO = np.complex128(0)
 
 class BranchCutError(ValueError):
     """An eigenvalue sits on the logarithm branch cut at -1."""
+
+
+def check_tolerance(tolerance: float) -> None:
+    """Reject a tolerance that is not a finite number > 0: against NaN every
+    comparison is false, so no defect would ever count as too large."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
 
 
 def skew_basis(n: int) -> np.ndarray:

@@ -8,7 +8,9 @@ Cauchy double loop over degrees, the order-2 defect oracle evaluates the
 relator and conjugated-peripheral words in degree-2 jet arithmetic
 instead of the closed-form cup product, the word-direction oracle forms
 one Fox term of one word at a time (the per-term loop that the batched
-repspace._word_directions over all words replaced), the dense basis
+repspace._word_directions over all words replaced), the per-word
+transport walks one word and makes one ad_matrix call on its prefixes (the
+walk per word that the one word chain of a complex replaced), the dense basis
 oracles contract against every entry of the skew basis with einsums (the
 vec_skew, ad_matrix and unstack_target einsums, and the three-operand
 conjugation of every basis matrix, that the sparse basis kernels of
@@ -38,7 +40,8 @@ import scipy.linalg
 from repvar.cohomology import (DefectState, ObstructionClass, QuadraticMap, obstruction_classes,
                                order_defect)
 from repvar.repspace import Representation, _residual_vector, evaluate_word, word_transport_terms
-from repvar.unitary import BranchCutError, exponential, project_skew, skew_basis, vec_skew
+from repvar.unitary import (BranchCutError, ad_matrix, exponential, project_skew, skew_basis,
+                            vec_skew)
 
 
 def random_word(rng, n_gens, max_length=20):
@@ -78,6 +81,21 @@ def word_directions_per_term(rep, word, w_val):
     for gen, sign, prefix in word_transport_terms(rep.matrices, word):
         moved = np.einsum("ij,ajk,lk->ail", prefix, basis, prefix.conj())
         out[gen * q:(gen + 1) * q] += sign * np.einsum("aij,jk->aik", moved, w_val)
+    return out
+
+
+def per_word_transport_matrix(rep, word):
+    """Real matrix (N^2, n_gen * N^2) of one word's transport in
+    B-coordinates: one walk of the word, one ad_matrix call on the stack of
+    its prefixes, the terms added into their generator blocks in word
+    order."""
+    n = rep.rank
+    q = n * n
+    out = np.zeros((q, len(rep.presentation.generators) * q))
+    terms = list(word_transport_terms(rep.matrices, word))
+    ads = ad_matrix(np.array([prefix for _, _, prefix in terms], dtype=complex).reshape(-1, n, n))
+    for (gen, sign, _), ad in zip(terms, ads):
+        out[:, gen * q:(gen + 1) * q] += sign * ad
     return out
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repvar import cli, cohomology, repspace
+from repvar import cli, cohomology, corpus, repspace
 from repvar.repspace import Representation, rep_to_json
 from repvar.unitary import exponential, matrix_to_json
 
@@ -26,7 +26,7 @@ def run_cli(*args):
 
 @pytest.fixture(scope="session")
 def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
-              genus2_irr_cc, genus2_red_cc):
+              genus2_irr_cc, genus2_red_cc, sphere4_cc):
     root = tmp_path_factory.mktemp("cli")
 
     def dump(name, payload):
@@ -94,6 +94,24 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
         "list_cochain": dump("list_cochain.json", {"generator_part": ["a", "b", "c", "d"]}),
         "string_cochain": dump("string_cochain.json", {"generator_part": "abcd"}),
         "nan_angle_grp": str(nan_angle),
+        **{f"cocycle_{scale:g}": dump(
+            f"cocycle_{scale:g}.json",
+            cochain([scale * m for m in cohomology.h1_basis(sphere4_cc).vectors[0]],
+                    sphere4_rep.presentation)) for scale in (1e150, 1e200)},
+        **{f"{key}_rep": dump(f"{key}_rep.json", {**rep_to_json(genus2_irr), field: value})
+           for key, field, value in (
+               ("nan_tolerance", "tolerance", float("nan")),
+               ("inf_tolerance", "tolerance", float("inf")),
+               ("zero_tolerance", "tolerance", 0),
+               ("negative_tolerance", "tolerance", -1),
+               ("string_tolerance", "tolerance", "1e-8"),
+               ("bool_tolerance", "tolerance", True),
+               ("huge_int_tolerance", "tolerance", 10 ** 400),
+               ("fractional_rank", "N", 2.7),
+               ("string_rank", "N", "2"))},
+        # true == 1, the rank of the punctured torus
+        "bool_rank_rep": dump("bool_rank_rep.json",
+                              {**rep_to_json(corpus.torus_puncture_representation()), "N": True}),
     }
 
 
@@ -279,6 +297,12 @@ BAD_INPUTS = {
     "rep_json_list": ("check", GENUS2, "list_rep"),
     "rep_rank_null": ("check", GENUS2, "null_rank_rep"),
     "rep_tolerance_null": ("check", GENUS2, "null_tolerance_rep"),
+    # a representation file's tolerance is a finite JSON number > 0, its N an integer
+    **{f"rep_{key}": ("check", GENUS2, f"{key}_rep") for key in (
+        "nan_tolerance", "inf_tolerance", "zero_tolerance", "negative_tolerance",
+        "string_tolerance", "bool_tolerance", "huge_int_tolerance", "fractional_rank",
+        "string_rank")},
+    "rep_bool_rank": ("check", TORUS, "bool_rank_rep"),
     "find_out_unwritable": ("find", SPHERE4, "--seed", "1", "--out", "unwritable_out"),
 }
 
@@ -317,6 +341,20 @@ def test_numerical_error_exit_2(error, cli_files, monkeypatch, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("repvar: ") and str(error) in err
+
+
+@pytest.mark.parametrize("scale", ["1e+150", "1e+200"])
+@pytest.mark.parametrize("verb", [("lift", "--order", "4"), ("obstruct",)])
+def test_non_finite_result_exit_2(verb, scale, cli_files, capsys):
+    # a cocycle this large overflows the defects: unchecked, lift reports
+    # success on NaN residuals and obstruct an obstruction of norm Infinity
+    code = cli.run([verb[0], SPHERE4, cli_files["sphere4"], cli_files[f"cocycle_{scale}"],
+                    *verb[1:]])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("repvar: numerical error: ")
 
 
 def test_out_of_memory_exit_2(cli_files, monkeypatch, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repvar import cli, cohomology, corpus
+from repvar import cli, cohomology, corpus, repspace
 from repvar.cohomology import (
     IllConditionedError,
     NotACocycleError,
@@ -27,7 +27,7 @@ from repvar.cohomology import (
     obstruction_classes,
     pairing_tensor,
 )
-from repvar.jets import lift
+from repvar.jets import lift, probe_cone
 from repvar.presentation import parse_presentation
 from repvar.repspace import (Representation, commutant_dimension, conjugate, evaluate_word,
                              find_representation, rep_to_json)
@@ -36,7 +36,8 @@ from repvar.unitary import (exponential, haar_from_rng, matrix_to_json, principa
 
 from conftest import random_cocycle
 from oracles import (eager_pairing_entries, einsum_unstack_target, fd_h1_par, jet_order2_defect,
-                     per_column_basis_vectors, per_cocycle_cup_form, random_word, sample_q)
+                     per_column_basis_vectors, per_cocycle_cup_form, per_word_transport_matrix,
+                     random_word, sample_q)
 
 
 def test_transport_single_letter(genus2_irr):
@@ -887,3 +888,77 @@ def test_relator_that_reduces_to_nothing(genus2_irr, genus2_irr_cc):
     assert not form[:, :, cc.q:].any()
     assert pairing_tensor(cc, basis).verdict == pairing_tensor(
         genus2_irr_cc, h1_basis(genus2_irr_cc)).verdict
+
+
+# Presentations around the word chain's edge cases: inverse letters, a
+# generator four times in one word (so that the order of its terms' adds
+# shows), a multi-letter peripheral and a together group; no words at all;
+# a relator that reduces to the empty word; a one-letter relator beside a
+# two-member together group.
+_CHAIN_TEXTS = {
+    "mixed": "generators a b c\nrelator a b a' b' c\nrelator c c a'\nrelator a b a c a b' a' c\n"
+             "peripheral Pa = a : {angles}\nperipheral Pbc = b c' : {angles}\n"
+             "peripheral Pc = c : {angles}\ntogether Pa Pbc\n",
+    "free": "generators a b\n",
+    "empty_relator": "generators a b\nrelator a a'\nperipheral Pa = a : {angles}\n",
+    "one_letter": "generators a b c\nrelator c\nperipheral Pa = a : {angles}\n"
+                  "peripheral Pb = b : {angles}\ntogether Pa Pb\n",
+}
+
+
+def _chain_point(name, n, rng):
+    angles = ", ".join(f"{k}/{2 * n + 1}" for k in range(n))
+    pres = parse_presentation(f"group {name}\nrank {n}\n"
+                              + _CHAIN_TEXTS[name].format(angles=angles))
+    return Representation(pres, [haar_from_rng(rng, n) for _ in pres.generators])
+
+
+@pytest.mark.parametrize("name", sorted(_CHAIN_TEXTS))
+def test_complex_word_data_is_bitwise_the_per_word_walks(name):
+    # the d1 rows and the word values that a complex reads off its one word
+    # chain are bitwise those of one walk per word: one per-word transport
+    # matrix and one evaluate_word each, at Haar points of U(1) .. U(5)
+    rng = np.random.default_rng(97)
+    for n in range(1, 6):
+        rep = _chain_point(name, n, rng)
+        cc = assemble_complex(rep)
+        words = list(rep.presentation.relators) + [p.word for p in rep.presentation.peripherals]
+        rows = [per_word_transport_matrix(rep, w) for w in words]
+        unprojected = np.vstack(rows) if rows else np.zeros((0, cc.n_gen * cc.q))
+        assert cc.d1_cone[:, :cc.n_gen * cc.q].tobytes() == unprojected.tobytes()
+        assert cc.d1_par.tobytes() == cc.project_peripheral(unprojected).tobytes()
+        assert len(cc.per_rows) == cc.n_per
+        for got, want in zip(cc.per_rows, rows[cc.n_rel:]):
+            assert got.tobytes() == want.tobytes()
+        values = np.array([evaluate_word(rep, w) for w in words], dtype=complex).reshape(-1, n, n)
+        assert cc.word_values_h.tobytes() == values.conj().swapaxes(1, 2).tobytes()
+        assert np.array(cc.periph_values).tobytes() == values[cc.n_rel:].tobytes()
+
+
+def test_complex_walks_each_word_once(sphere4_rep, monkeypatch):
+    # assembling a complex walks every constraint word once, in one word
+    # chain, and makes one transport_matrix call; Q, the pairing, the probe
+    # and the cone-kernel cup form then read that chain and walk no word
+    calls = {}
+    for module, name in ((cohomology, "_word_chain"), (repspace, "_word_chain"),
+                         (cohomology, "word_transport_terms"),
+                         (repspace, "word_transport_terms"), (repspace, "evaluate_word"),
+                         (cohomology, "transport_matrix")):
+        seen = calls.setdefault(name, [])
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, seen=seen, original=original:
+                            seen.append(1) or original(*args))
+    cc = assemble_complex(sphere4_rep)
+    words = len(sphere4_rep.presentation.relators) + len(sphere4_rep.presentation.peripherals)
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "_word_chain": 1, "word_transport_terms": words, "evaluate_word": 0,
+        "transport_matrix": 1}
+    for seen in calls.values():
+        seen.clear()
+    basis = h1_basis(cc)
+    pairing_tensor(cc, basis)
+    probe_cone(cc, basis, samples=10, order=4)
+    obstruction(cc, basis.vectors[0])
+    assert cc.kernel_cup.shape[1] == cc.cone_kernel.shape[1] > 0
+    assert all(not seen for seen in calls.values())

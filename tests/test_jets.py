@@ -145,6 +145,15 @@ def test_bad_lift_order_rejected(genus2_red_cc, order):
     assert lift(genus2_red_cc, basis.vectors[0], 1).achieved_order == 1
 
 
+def test_lift_of_non_finite_defects_raises(sphere4_cc):
+    # at 1e200 the tolerance 1e-7 |u|^2 is inf and the defects NaN, which
+    # compares false against any tolerance: unchecked, the lift would pass
+    u = [1e200 * m for m in h1_basis(sphere4_cc).vectors[0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="lift order 1: "):
+            lift(sphere4_cc, u, 4)
+
+
 def test_order2_equivalence_sampled(corpus_points):
     # lift succeeds at order 2 iff the obstruction norm is below the threshold
     rng = np.random.default_rng(73)
