@@ -79,6 +79,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _read_json(path: str):
@@ -87,6 +89,10 @@ def _read_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON ({exc.msg})") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise InputError(f"{path}: unreadable JSON ({exc})") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_presentation(path: str):

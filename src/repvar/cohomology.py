@@ -32,8 +32,9 @@ in one batched evaluation, since the canonical xi is linear in u;
 cached quotient basis, :attr:`ConeComplex.obstruction_quotient`, and is the
 one class reduction.  :func:`obstruction`, :func:`common_obstruction`,
 :func:`pairing_tensor`, the failure path of :func:`repvar.jets.lift`, Q in
-:func:`repvar.jets.probe_cone` (one map over the basis per call, evaluated
-once on all samples) and the cone-kernel moves of both
+:func:`repvar.jets.probe_cone` (the map over the basis, its form kept with
+the complex per basis by :meth:`ConeComplex.basis_map`, evaluated once on all
+samples) and the cone-kernel moves of both
 (:attr:`ConeComplex.kernel_cup`, one form per complex) all go through these
 functions.
 
@@ -339,7 +340,14 @@ class ConeComplex:
         self.cone_solver = _LstsqSolver(self.d1_cone, self.rank_rtol, "d1_cone", self.gaps,
                                         terms)
         self.cone_kernel = self.cone_solver.nullspace
-        self.complex_defect = float(np.linalg.norm(self.d1_cone @ self.d0_full))
+        # (key, form) of the latest basis_map build
+        self._basis_form: tuple | None = None
+
+    @cached_property
+    def complex_defect(self) -> float:
+        """|d1_cone d0_full|, zero up to rounding on a complex: a diagnostic
+        that no computation reads."""
+        return float(np.linalg.norm(self.d1_cone @ self.d0_full))
 
     @cached_property
     def obstruction_quotient(self) -> np.ndarray:
@@ -377,6 +385,28 @@ class ConeComplex:
             chunk = units[a:a + step]
             cup[a:a + step] = cup_form(self, chunk + parts)[:len(chunk), len(chunk):]
         return cup
+
+    def basis_map(self, basis: CohomologyBasis) -> QuadraticMap:
+        """The :class:`QuadraticMap` over the vectors of an H^1 basis.
+
+        The complex keeps the form of the latest basis, read-only, under the
+        basis's content (the bytes of its vectors as one complex array), and a
+        later call with a basis of equal content reads it instead of walking
+        every word again.  The (key, form) pair is replaced by one assignment,
+        so a concurrent reader sees the old pair or the new one; two threads
+        on a cold complex may both build a form, bitwise the same.  The form,
+        not the map, is kept: a map refers to its complex, and a complex that
+        referred back would be freed by the cycle collector alone.
+        """
+        vectors = np.asarray(basis.vectors, dtype=complex)
+        key = vectors.tobytes()
+        held = self._basis_form
+        if held is not None and held[0] == key:
+            return QuadraticMap(self, vectors, form=held[1])
+        qmap = QuadraticMap(self, vectors)
+        qmap.form.setflags(write=False)
+        self._basis_form = (key, qmap.form)
+        return qmap
 
     # -- coordinate helpers ------------------------------------------------
 
@@ -743,12 +773,16 @@ class QuadraticMap:
     :func:`rowwise`), so a row's class is bitwise the one it gets alone.
     """
 
-    def __init__(self, cc: ConeComplex, cocycles: Sequence[Sequence[np.ndarray]]):
+    def __init__(self, cc: ConeComplex, cocycles: Sequence[Sequence[np.ndarray]],
+                 form: np.ndarray | None = None):
+        """form, when given, is the form these cocycles already have."""
         self.cc = cc
         self.h = h = len(cocycles)
         n = cc.rep.rank
-        xis = cc.canonical_xi(np.asarray(cocycles, dtype=complex).reshape(h, cc.n_gen, n, n))[0]
-        self.form = cup_form(cc, list(zip(cocycles, xis)))
+        if form is None:
+            umats = np.asarray(cocycles, dtype=complex).reshape(h, cc.n_gen, n, n)
+            form = cup_form(cc, list(zip(cocycles, cc.canonical_xi(umats)[0])))
+        self.form = form
         # the blocks a coefficient row multiplies, one row per cocycle
         self._pairs = self.form.reshape(h, h * self.form.shape[-1])
 
@@ -815,8 +849,9 @@ def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
                    rank_rtol: float = 1e-8) -> PairingTensor:
     """Polarized quadratic map on a cohomology basis, in a common quotient.
 
-    B(u, v) = (Q(u + v) - Q(u) - Q(v)) / 2 = D(u, v), read off one
-    :func:`cup_form` over the basis, symmetric by construction.  The
+    B(u, v) = (Q(u + v) - Q(u) - Q(v)) / 2 = D(u, v), read off the
+    :func:`cup_form` over the basis that the complex keeps
+    (:meth:`ConeComplex.basis_map`), symmetric by construction.  The
     verdict is True iff every entry norm is at most the tolerance, which is
     the cup-product smoothness criterion.  The verdict and
     :meth:`PairingTensor.max_norm` read the norms alone; an entry's
@@ -825,7 +860,7 @@ def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
     check_tolerance(tolerance)
     cc = as_cone(rep_or_cone, rank_rtol)
     h = len(basis)
-    qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
+    qmap = cc.basis_map(basis)
     keys = [(i, i) for i in range(h)] + [(i, j) for i in range(h) for j in range(i + 1, h)]
     rows, cols = np.array(keys, dtype=int).reshape(-1, 2).T
     coords, norms, projected = _class_parts(cc, qmap.form[rows, cols].T[None])

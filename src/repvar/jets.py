@@ -317,9 +317,11 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     The quadraticity prediction is an empty off-diagonal contingency: cone
     directions (Q at most tolerance * |u|^2) never fail at order 2 and
     non-cone directions never lift past order 2.  Every direction
-    u = sum c_i b_i takes |Q| from one :class:`~repvar.cohomology.QuadraticMap`
-    over the basis, built once per call and read once for its norms alone, on
-    the stack of all sample coefficients, in the one quotient of the complex;
+    u = sum c_i b_i takes |Q| from the :class:`~repvar.cohomology.QuadraticMap`
+    over the basis, whose form the complex keeps per basis
+    (:meth:`~repvar.cohomology.ConeComplex.basis_map`), read once for its
+    norms alone, on the stack of all sample coefficients, in the one quotient
+    of the complex;
     each sample's norm is bitwise its own class's.  All samples are lifted as
     one stack (in chunks of bounded memory) by the code that :func:`lift`
     runs on one: each order makes one defect evaluation and one cone solve
@@ -342,7 +344,7 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
                                budget=budget, seed=seed, rigid=True)
     counts = dict(cone_success=0, cone_fail_order2=0, cone_fail_later=0,
                   noncone_fail_order2=0, noncone_past_order2=0, budget_exceeded=0)
-    qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
+    qmap = cc.basis_map(basis)
     draws = np.array([np.random.default_rng(child).standard_normal(len(basis))
                       for child in np.random.SeedSequence(seed).spawn(samples)])
     coeffs = draws / row_norms(draws)[:, None]

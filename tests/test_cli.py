@@ -65,6 +65,15 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
     nan_angle = root / "nan_angle.grp"
     nan_angle.write_text(Path(SPHERE4).read_text().replace("1/5", "nan"))
 
+    def write(name, data: bytes):
+        path = root / name
+        path.write_bytes(data)
+        return str(path)
+
+    # an N past Python's 4,300-digit limit on integer literals
+    long_rank = json.dumps({**rep_to_json(genus2_irr), "N": "N"}).replace('"N": "N"',
+                                                                         '"N": ' + "9" * 5000)
+
     return {
         "genus2_irr": dump("genus2_irr.json", rep_to_json(genus2_irr)),
         "list_rep": dump("list_rep.json", [rep_to_json(genus2_irr)]),
@@ -94,6 +103,10 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
         "list_cochain": dump("list_cochain.json", {"generator_part": ["a", "b", "c", "d"]}),
         "string_cochain": dump("string_cochain.json", {"generator_part": "abcd"}),
         "nan_angle_grp": str(nan_angle),
+        "non_utf8_grp": write("non_utf8.grp", b"\xff\xfe bad"),
+        "non_utf8_rep": write("non_utf8_rep.json", b"\xff\xfe{}"),
+        "long_int_rank_rep": write("long_int_rank_rep.json", long_rank.encode()),
+        "deep_json_rep": write("deep_json_rep.json", b"[" * 100000),
         **{f"cocycle_{scale:g}": dump(
             f"cocycle_{scale:g}.json",
             cochain([scale * m for m in cohomology.h1_basis(sphere4_cc).vectors[0]],
@@ -303,6 +316,12 @@ BAD_INPUTS = {
         "string_tolerance", "bool_tolerance", "huge_int_tolerance", "fractional_rank",
         "string_rank")},
     "rep_bool_rank": ("check", TORUS, "bool_rank_rep"),
+    # files the readers cannot decode: not UTF-8, an integer literal past the
+    # digit limit, arrays nested past the recursion limit
+    "grp_not_utf8": ("validate", "non_utf8_grp"),
+    "rep_not_utf8": ("check", GENUS2, "non_utf8_rep"),
+    "rep_long_int_rank": ("check", GENUS2, "long_int_rank_rep"),
+    "rep_deep_json": ("check", GENUS2, "deep_json_rep"),
     "find_out_unwritable": ("find", SPHERE4, "--seed", "1", "--out", "unwritable_out"),
 }
 

@@ -1,6 +1,8 @@
+import gc
 import json
 import sys
 import threading
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -962,3 +964,30 @@ def test_complex_walks_each_word_once(sphere4_rep, monkeypatch):
     obstruction(cc, basis.vectors[0])
     assert cc.kernel_cup.shape[1] == cc.cone_kernel.shape[1] > 0
     assert all(not seen for seen in calls.values())
+
+
+def test_kept_basis_form_is_read_only(genus2_irr):
+    # the form a complex keeps for its basis is what the next call reads, so
+    # no caller may write into it; a map built directly keeps its own form
+    cc = assemble_complex(genus2_irr)
+    basis = h1_basis(cc)
+    for qmap in (cc.basis_map(basis), cc.basis_map(basis)):
+        with pytest.raises(ValueError):
+            qmap.form[0, 0, 0] = 1.0
+    QuadraticMap(cc, basis.vectors).form[0, 0, 0] = 1.0
+
+
+def test_kept_basis_form_leaves_complex_acyclic(genus2_red):
+    # the complex keeps the form, not the map that refers back to it, so a
+    # dropped complex is freed at once, not by the cycle collector
+    cc = assemble_complex(genus2_red)
+    basis = h1_basis(cc)
+    pairing_tensor(cc, basis)
+    probe_cone(cc, basis, samples=4, order=3, seed=1)
+    gone = weakref.ref(cc)
+    gc.disable()
+    try:
+        del cc
+        assert gone() is None
+    finally:
+        gc.enable()

@@ -1,3 +1,5 @@
+import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -625,3 +627,102 @@ def test_probe_deterministic(genus2_red_cc):
     a = probe_cone(genus2_red_cc, basis, samples=10, order=3, seed=9)
     b = probe_cone(genus2_red_cc, basis, samples=10, order=3, seed=9)
     assert a == b
+
+
+def _reordered(basis, order):
+    return cohomology.CohomologyBasis(vectors=tuple(basis.vectors[i] for i in order),
+                                      matrix=basis.matrix[:, order], dims=basis.dims)
+
+
+def test_probe_reads_the_kept_form_per_basis(genus2_red, monkeypatch):
+    # the complex keeps the form of a basis under its content: a pairing and
+    # two probes walk the words once, a copy of equal content not again, a
+    # reordered or changed basis once more, and what the reordered basis
+    # reads is what a fresh complex computes for it
+    cc = cohomology.assemble_complex(genus2_red)
+    cc.kernel_cup  # the rescue's own cup forms, formed once per complex
+    calls = []
+    real = cohomology.cup_form
+    monkeypatch.setattr(cohomology, "cup_form",
+                        lambda *args: calls.append(1) or real(*args))
+    basis = h1_basis(cc)
+    cohomology.pairing_tensor(cc, basis)
+    first = probe_cone(cc, basis, samples=12, order=4, seed=1)
+    probe_cone(cc, basis, samples=12, order=4, seed=2)
+    assert len(calls) == 1
+    copy = cohomology.CohomologyBasis(
+        vectors=tuple(tuple(m.copy() for m in v) for v in basis.vectors),
+        matrix=basis.matrix.copy(), dims=basis.dims)
+    assert probe_cone(cc, copy, samples=12, order=4, seed=1) == first
+    assert len(calls) == 1
+
+    moved = _reordered(basis, np.roll(np.arange(len(basis)), 1))
+    got = probe_cone(cc, moved, samples=12, order=4, seed=1)
+    assert len(calls) == 2
+    fresh = cohomology.assemble_complex(genus2_red)
+    assert got == probe_cone(fresh, moved, samples=12, order=4, seed=1)
+    rows = np.random.default_rng(83).standard_normal((20, len(basis)))
+    assert (cc.basis_map(moved).norms(rows).tobytes()
+            == fresh.basis_map(moved).norms(rows).tobytes())
+    a, b = (cohomology.pairing_tensor(c, moved).entries for c in (cc, fresh))
+    assert np.array(a.norms).tobytes() == np.array(b.norms).tobytes()
+    assert all(a[k].coordinates.tobytes() == b[k].coordinates.tobytes() for k in a)
+    assert len(calls) == 3  # the fresh complex's one walk
+
+    copy.vectors[0][0][0, 1] *= 2.0  # a basis changed in place is another basis
+    cc.basis_map(copy)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("point", ["sphere4_cc", "genus2_red_cc"])
+def test_warm_complex_is_bitwise_a_fresh_one(point, request):
+    warm = request.getfixturevalue(point)
+    basis = h1_basis(warm)
+    cohomology.pairing_tensor(warm, basis)
+    probe_cone(warm, basis, samples=5, order=3, seed=30)
+    fresh = cohomology.assemble_complex(warm.rep)
+    fresh_basis = h1_basis(fresh)
+    for seed in (31, 32):
+        assert (repr(probe_cone(warm, basis, samples=25, order=4, seed=seed))
+                == repr(probe_cone(fresh, fresh_basis, samples=25, order=4, seed=seed)))
+    a, b = (cohomology.pairing_tensor(c, bs).entries
+            for c, bs in ((warm, basis), (fresh, fresh_basis)))
+    assert np.array(a.norms).tobytes() == np.array(b.norms).tobytes()
+    assert all(a[k].coordinates.tobytes() == b[k].coordinates.tobytes() for k in a)
+
+
+def test_probes_on_one_cold_complex_from_threads(genus2_red):
+    # threads on a cold complex may each build a form, and two bases that
+    # alternate replace the kept pair again and again; each reader takes a
+    # whole (key, form) pair, so every probe returns the serial report and
+    # every Q read the norms of its own basis
+    serial = cohomology.assemble_complex(genus2_red)
+    basis = h1_basis(serial)
+    moved = _reordered(basis, np.roll(np.arange(len(basis)), 1))
+    rows = np.random.default_rng(84).standard_normal((10, len(basis)))
+    seeds = (40, 41, 42, 43)
+    want = [probe_cone(serial, basis, samples=15, order=4, seed=s) for s in seeds]
+    want_norms = [serial.basis_map(b).norms(rows).tobytes() for b in (basis, moved)]
+    cc = cohomology.assemble_complex(genus2_red)
+    start = threading.Barrier(len(seeds), timeout=60)
+    got, norms = {}, {}
+
+    def probe(seed):
+        start.wait()
+        got[seed] = probe_cone(cc, basis, samples=15, order=4, seed=seed)
+        norms[seed] = [cc.basis_map(b).norms(rows).tobytes()
+                       for _ in range(10) for b in (basis, moved)]
+
+    workers = [threading.Thread(target=probe, args=(s,)) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert [got.get(s) for s in seeds] == want
+    assert all(norms[s] == want_norms * 10 for s in seeds)
