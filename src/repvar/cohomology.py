@@ -218,12 +218,12 @@ def row_norms(a: np.ndarray) -> np.ndarray:
 
 
 class _LstsqSolver:
-    """Cached SVD factorization for minimal-norm least squares against one matrix."""
+    """Cached SVD factorization for minimal-norm least squares against one
+    matrix, with the rank and gap of its cut (see :func:`_rank_cut`)."""
 
-    def __init__(self, a: np.ndarray, rtol: float, context: str, gaps: dict | None = None,
-                 terms: int = 1):
+    def __init__(self, a: np.ndarray, rtol: float, context: str, terms: int = 1):
         u, s, vt = np.linalg.svd(a, full_matrices=True)
-        self.rank = _rank_cut(s, rtol, context, gaps, size=max(a.shape), terms=terms)
+        self.rank, self.gap = _rank_cut(s, rtol, context, size=max(a.shape), terms=terms)
         self.u_r = u[:, :self.rank]
         self.s_r = s[:self.rank]
         self.vt_r = vt[:self.rank]
@@ -246,12 +246,12 @@ class _GroupData(_LstsqSolver):
     joint centralizer.  rows index the members' target rows in that order."""
 
     def __init__(self, members: tuple[int, ...], n_rel: int, ad_per: np.ndarray,
-                 rtol: float, context: str, gaps: dict | None, terms: int):
+                 rtol: float, context: str, terms: int):
         q = len(ad_per[0])
         self.members = members
         self.rows = ((n_rel + np.array(members))[:, None] * q + np.arange(q)).ravel()
         self.map = np.vstack([np.eye(q) - ad_per[i] for i in members])  # (|S| q, q)
-        super().__init__(self.map, rtol, context, gaps, terms)
+        super().__init__(self.map, rtol, context, terms)
         self.pinv = self.vt_r.T @ ((1.0 / self.s_r)[:, None] * self.u_r.T)
 
 
@@ -275,7 +275,6 @@ class ConeComplex:
         self.n_rel = len(pres.relators)
         self.n_per = len(pres.peripherals)
         self.groups = pres.groups
-        self.gaps: dict = {}
 
         # every constraint word walked once: its value and its Fox terms
         self.chain = _word_chain(rep)
@@ -288,10 +287,7 @@ class ConeComplex:
                                   dtype=complex).reshape(-1, n, n)
         ad_gen = ad_matrix(np.array(rep.matrices, dtype=complex).reshape(-1, n, n))
         ad_per = ad_matrix(np.array(self.periph_values, dtype=complex).reshape(-1, n, n))
-        eye = np.eye(q)
-
-        self.d0_gen = np.vstack([eye - a for a in ad_gen]) if self.n_gen else np.zeros((0, q))
-        self.d0_full = np.vstack([self.d0_gen] + [eye] * len(self.groups))
+        self.d0_gen = (np.eye(q) - ad_gen).reshape(-1, q)
 
         # d1 on generator parts: the transport rows of every word, relators first
         rows = (self.n_rel + self.n_per) * q
@@ -308,7 +304,7 @@ class ConeComplex:
                       default=0)
         terms = (longest + 1) ** 2
         self.group_data = [_GroupData(members, self.n_rel, ad_per, self.rank_rtol,
-                                      f"group_{gi}", self.gaps, terms)
+                                      f"group_{gi}", terms)
                            for gi, members in enumerate(self.groups)]
 
         # cone differential on (generator parts, conjugator parts)
@@ -321,9 +317,6 @@ class ConeComplex:
         # parabolic differential on generator parts, peripheral rows projected
         self.d1_par = self.project_peripheral(unprojected)
 
-        self.par_target_dim = self.n_rel * q + sum(
-            len(gd.members) * q - gd.rank for gd in self.group_data
-        )
         # orthonormal basis of the parabolic degree-2 target inside the big space
         pt_cols = [np.eye(rows, self.n_rel * q)]
         for gd in self.group_data:
@@ -332,22 +325,12 @@ class ConeComplex:
             pt_cols.append(block)
         self.pt_basis = np.hstack(pt_cols)
 
-        self._svd_d0_gen = _LstsqSolver(self.d0_gen, self.rank_rtol, "d0_generator", self.gaps,
-                                        terms)
-        self._svd_d0_full = _LstsqSolver(self.d0_full, self.rank_rtol, "d0_cone", self.gaps,
-                                         terms)
-        self._svd_d1_par = _LstsqSolver(self.d1_par, self.rank_rtol, "d1_par", self.gaps, terms)
-        self.cone_solver = _LstsqSolver(self.d1_cone, self.rank_rtol, "d1_cone", self.gaps,
-                                        terms)
+        self._svd_d0_gen = _LstsqSolver(self.d0_gen, self.rank_rtol, "d0_generator", terms)
+        self._svd_d1_par = _LstsqSolver(self.d1_par, self.rank_rtol, "d1_par", terms)
+        self.cone_solver = _LstsqSolver(self.d1_cone, self.rank_rtol, "d1_cone", terms)
         self.cone_kernel = self.cone_solver.nullspace
         # (key, form) of the latest basis_map build
         self._basis_form: tuple | None = None
-
-    @cached_property
-    def complex_defect(self) -> float:
-        """|d1_cone d0_full|, zero up to rounding on a complex: a diagnostic
-        that no computation reads."""
-        return float(np.linalg.norm(self.d1_cone @ self.d0_full))
 
     @cached_property
     def obstruction_quotient(self) -> np.ndarray:
@@ -360,7 +343,7 @@ class ConeComplex:
             if keep.any():
                 return _LstsqSolver(a[:, keep] / norms[keep], self.rank_rtol,
                                     "obstruction quotient").left_null
-        return np.eye(self.par_target_dim)
+        return np.eye(self.pt_basis.shape[1])
 
     @cached_property
     def product_plan(self) -> ProductPlan:
@@ -613,16 +596,16 @@ def coboundary(rep: Representation, x: np.ndarray) -> Cochain1:
 def h_dims(rep_or_cone, rank_rtol: float = 1e-8) -> Dims:
     """Dimension record of both complexes, via rank-revealing factorizations."""
     cc = as_cone(rep_or_cone, rank_rtol)
-    q = cc.q
-    c0 = q - cc._svd_d0_gen.rank if cc.n_gen else q
-    b1 = cc._svd_d0_gen.rank
-    h0 = q - cc._svd_d0_full.rank
-    z1_par = cc.n_gen * q - cc._svd_d1_par.rank
-    h1_par = z1_par - b1
-    h1_cone = cc.d1_cone.shape[1] - cc.cone_solver.rank - cc._svd_d0_full.rank
-    o2 = cc.par_target_dim - cc._svd_d1_par.rank
-    return Dims(h0=h0, c0=c0, z1_par=z1_par, b1=b1, h1_par=h1_par,
-                h1_cone=h1_cone, o2=o2, gaps=dict(cc.gaps))
+    q, gen, par, cone = cc.q, cc._svd_d0_gen, cc._svd_d1_par, cc.cone_solver
+    # d0 on the cone is the identity into each group's conjugator slot: it is
+    # injective with a group, and d0 on the generators without one
+    d0_rank, d0_gap = (q, None) if cc.groups else (gen.rank, gen.gap)
+    z1_par = cc.n_gen * q - par.rank
+    gaps = {f"group_{gi}": gd.gap for gi, gd in enumerate(cc.group_data)}
+    gaps.update(d0_generator=gen.gap, d0_cone=d0_gap, d1_par=par.gap, d1_cone=cone.gap)
+    return Dims(h0=q - d0_rank, c0=q - gen.rank, z1_par=z1_par, b1=gen.rank,
+                h1_par=z1_par - gen.rank, h1_cone=cc.d1_cone.shape[1] - cone.rank - d0_rank,
+                o2=cc.pt_basis.shape[1] - par.rank, gaps=gaps)
 
 
 def h1_basis(rep_or_cone, rank_rtol: float = 1e-8) -> CohomologyBasis:

@@ -371,9 +371,10 @@ def find_representation(pres: Presentation, seed: int = 0, attempts: int = 50,
     raise NotFoundError(f"no representation of {pres.name!r} found in {attempts} attempts")
 
 
-def _rank_cut(s: np.ndarray, rtol: float, context: str, gaps: dict | None = None,
-              size: int | None = None, terms: int = 1) -> int:
-    """Rank at the relative threshold, with an ambiguity band of a factor 10.
+def _rank_cut(s: np.ndarray, rtol: float, context: str, size: int | None = None,
+              terms: int = 1) -> tuple[int, float | None]:
+    """Rank at the relative threshold, with an ambiguity band of a factor 10,
+    and its gap s[r-1]/s[r] (None at rank 0, at full rank and when s[r] is 0).
     A threshold below the rounding floor eps * size * terms * s[0] cannot
     tell rank from noise; its candidates are the ranks at the floor and at
     the threshold.  size is the larger dimension of the factored matrix
@@ -384,9 +385,7 @@ def _rank_cut(s: np.ndarray, rtol: float, context: str, gaps: dict | None = None
     s = np.asarray(s)
     eps_size = np.finfo(float).eps * (s.size if size is None else size) * terms
     if s.size == 0 or s[0] <= eps_size:
-        if gaps is not None:
-            gaps[context] = None
-        return 0
+        return 0, None
     tau = rtol * s[0]
     floor = eps_size * s[0]
     if tau < floor:
@@ -400,9 +399,7 @@ def _rank_cut(s: np.ndarray, rtol: float, context: str, gaps: dict | None = None
     gap = None
     if 0 < r < s.size and s[r] > 0.0:
         gap = float(s[r - 1] / s[r])
-    if gaps is not None:
-        gaps[context] = gap
-    return r
+    return r, gap
 
 
 def commutant_dimension(rep: Representation, rank_rtol: float = 1e-8) -> int:
@@ -419,7 +416,7 @@ def commutant_dimension(rep: Representation, rank_rtol: float = 1e-8) -> int:
         return n * n
     stack = np.vstack(blocks)
     s = np.linalg.svd(stack, compute_uv=False)
-    return n * n - _rank_cut(s, rank_rtol, "commutant", size=max(stack.shape))
+    return n * n - _rank_cut(s, rank_rtol, "commutant", size=max(stack.shape))[0]
 
 
 def conjugate(rep: Representation, g: np.ndarray) -> Representation:

@@ -25,8 +25,11 @@ per-column loop that the one batched unstacking replaced), the einsum
 unstacking forms skew matrices from coordinates against the complex basis
 (the einsum that the one real gemm replaced), the per-cocycle cup form
 conjugates every Fox term and xi one cocycle at a time (the per-item
-products that the stacked right conjugation replaced), and the
-logarithm oracle reads the angles off a Schur form (scipy, which only
+products that the stacked right conjugation replaced), the SVD dimension
+oracle factors d0 on the cone, d0 on the generators stacked over one
+identity per simultaneity group, and every other differential by its own
+SVD (the factorization whose rank the closed form of h_dims replaced), and
+the logarithm oracle reads the angles off a Schur form (scipy, which only
 the test extra installs).  The cone sampler is no oracle: it draws
 inputs, directions with Q = 0, from the pairing form the library
 computes.
@@ -37,9 +40,10 @@ from math import factorial
 import numpy as np
 import scipy.linalg
 
-from repvar.cohomology import (DefectState, ObstructionClass, QuadraticMap, obstruction_classes,
-                               order_defect)
-from repvar.repspace import Representation, _residual_vector, evaluate_word, word_transport_terms
+from repvar.cohomology import (DefectState, Dims, ObstructionClass, QuadraticMap,
+                               obstruction_classes, order_defect)
+from repvar.repspace import (Representation, _rank_cut, _residual_vector, evaluate_word,
+                             word_transport_terms)
 from repvar.unitary import (BranchCutError, ad_matrix, exponential, project_skew, skew_basis,
                             vec_skew)
 
@@ -359,3 +363,39 @@ def per_cocycle_cup_form(cc, vectors):
         form[:, :, w * cc.q:(w + 1) * cc.q] = coords + coords.transpose(1, 0, 2)
     form *= 0.5
     return form
+
+
+def d0_cone(cc):
+    """d0 on the cone: d0 on the generators over one identity per
+    simultaneity group (its conjugator slot)."""
+    return np.vstack([cc.d0_gen] + [np.eye(cc.q)] * len(cc.groups))
+
+
+def complex_defect(cc):
+    """|d1_cone d0_cone|, zero up to rounding on a complex."""
+    return float(np.linalg.norm(cc.d1_cone @ d0_cone(cc)))
+
+
+def svd_dims(cc):
+    """The dimension record of cc with every rank, d0 on the cone included,
+    cut by _rank_cut from a full SVD of its matrix at the complex's
+    threshold and rounding terms, and the gaps of those cuts in assembly
+    order."""
+    q = cc.q
+    words = list(cc.pres.relators) + [p.word for p in cc.pres.peripherals]
+    terms = (max(map(len, words), default=0) + 1) ** 2
+    ranks, gaps = {}, {}
+    matrices = [(f"group_{gi}", gd.map) for gi, gd in enumerate(cc.group_data)]
+    matrices += [("d0_generator", cc.d0_gen), ("d0_cone", d0_cone(cc)),
+                 ("d1_par", cc.d1_par), ("d1_cone", cc.d1_cone)]
+    for name, a in matrices:
+        s = np.linalg.svd(a, full_matrices=True)[1]
+        ranks[name], gaps[name] = _rank_cut(s, cc.rank_rtol, name, size=max(a.shape),
+                                            terms=terms)
+    z1_par = cc.n_gen * q - ranks["d1_par"]
+    target = cc.n_rel * q + sum(len(members) * q - ranks[f"group_{gi}"]
+                                for gi, members in enumerate(cc.groups))
+    return Dims(h0=q - ranks["d0_cone"], c0=q - ranks["d0_generator"] if cc.n_gen else q,
+                z1_par=z1_par, b1=ranks["d0_generator"], h1_par=z1_par - ranks["d0_generator"],
+                h1_cone=cc.d1_cone.shape[1] - ranks["d1_cone"] - ranks["d0_cone"],
+                o2=target - ranks["d1_par"], gaps=gaps)

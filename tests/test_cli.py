@@ -415,6 +415,24 @@ def test_rank_tol_below_rounding_floor_exit_2(verb, cli_files, capsys):
     assert len(report["candidates"]) == 2
 
 
+@pytest.mark.parametrize("rank_tol", ["0.5", "1e-20"])
+def test_torus_h0_needs_no_rank_cut(rank_tol, tmp_path, capsys):
+    # d0 on the cone is injective with a simultaneity group, so h0 = 0 at
+    # the punctured torus is no rank decision, even at a --rank-tol that
+    # would make a cut of it ambiguous; its other matrices are zero or clean
+    rep_path = str(tmp_path / "torus.json")
+    assert cli.run(["find", TORUS, "--seed", "2", "--out", rep_path]) == 0
+    capsys.readouterr()
+    for verb in ("tangent", "pairing", "probe"):
+        code = cli.run([verb, TORUS, rep_path, "--rank-tol", rank_tol])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0, (verb, report)
+        assert "error" not in report, verb
+        if verb == "tangent":
+            assert report["dims"]["h0"] == 0
+            assert report["dims"]["rank_gaps"]["d0_cone"] is None
+
+
 def test_find_unreachable_tol_exit_2(capsys):
     # a tiny tolerance is valid input: the search runs and finds nothing
     assert cli.run(["find", SPHERE4, "--tol", "1e-30", "--attempts", "2"]) == 2

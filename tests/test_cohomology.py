@@ -30,16 +30,16 @@ from repvar.cohomology import (
     pairing_tensor,
 )
 from repvar.jets import lift, probe_cone
-from repvar.presentation import parse_presentation
+from repvar.presentation import Presentation, parse_presentation
 from repvar.repspace import (Representation, commutant_dimension, conjugate, evaluate_word,
                              find_representation, rep_to_json)
 from repvar.unitary import (exponential, haar_from_rng, matrix_to_json, principal_log, random_skew,
                             unvec_skew, vec_skew)
 
 from conftest import random_cocycle
-from oracles import (eager_pairing_entries, einsum_unstack_target, fd_h1_par, jet_order2_defect,
-                     per_column_basis_vectors, per_cocycle_cup_form, per_word_transport_matrix,
-                     random_word, sample_q)
+from oracles import (complex_defect, d0_cone, eager_pairing_entries, einsum_unstack_target,
+                     fd_h1_par, jet_order2_defect, per_column_basis_vectors, per_cocycle_cup_form,
+                     per_word_transport_matrix, random_word, sample_q, svd_dims)
 
 
 def test_transport_single_letter(genus2_irr):
@@ -99,7 +99,7 @@ def test_coboundary_killed_by_d1_cone(corpus_points):
 def test_complex_property_on_corpus(corpus_points):
     for name, rep in corpus_points.items():
         cc = assemble_complex(rep)
-        assert cc.complex_defect <= 1e-10, name
+        assert complex_defect(cc) <= 1e-10, name
         par_of_gen = cc.d1_par @ cc.d0_gen
         assert np.linalg.norm(par_of_gen) <= 1e-10, name
 
@@ -107,11 +107,13 @@ def test_complex_property_on_corpus(corpus_points):
 def test_assemble_torus_structure(torus_cc):
     assert np.linalg.norm(torus_cc.d1_cone) <= 1e-14
     assert np.linalg.norm(torus_cc.d1_par) <= 1e-14
-    assert torus_cc._svd_d0_full.rank == 1
+    assert np.linalg.matrix_rank(d0_cone(torus_cc)) == 1
+    assert h_dims(torus_cc).h0 == 0
 
 
 def test_assemble_genus2_d0_rank(genus2_irr_cc):
-    assert genus2_irr_cc._svd_d0_full.rank == 3
+    assert np.linalg.matrix_rank(d0_cone(genus2_irr_cc)) == 3
+    assert h_dims(genus2_irr_cc).h0 == 1
 
 
 def test_h_dims_torus(torus_cc):
@@ -142,6 +144,24 @@ def test_h_dims_sphere4(sphere4_cc, sphere4_rep):
 def test_h_dims_reducible(genus2_red_cc):
     d = h_dims(genus2_red_cc)
     assert (d.h1_par, d.o2, d.c0) == (12, 2, 2)
+
+
+def test_h_dims_matches_svd_oracle(corpus_points, degenerate_u3_cc, sphere4_rep):
+    # h_dims reads the rank of d0 on the cone off the groups (q with one,
+    # d0 on the generators without); the oracle factors it by its own SVD
+    together = parse_presentation(corpus.SPHERE4 + "together Pa Pc\n")
+    free = Presentation("free1", 2, ["a"])
+    points = {**corpus_points, "degenerate_u3": degenerate_u3_cc,
+              "together_pa_pc": Representation(together, sphere4_rep.matrices,
+                                               sphere4_rep.tolerance),
+              "no_generators": Representation(Presentation("empty", 2, []), []),
+              "no_relators": Representation(free, [haar_from_rng(np.random.default_rng(3), 2)])}
+    for name, point in points.items():
+        cc = cohomology.as_cone(point)
+        got, want = h_dims(cc), svd_dims(cc)
+        assert got == want, name  # the integers
+        assert list(got.gaps.items()) == list(want.gaps.items()), name
+        assert got.to_json() == want.to_json(), name
 
 
 def test_o2_is_the_obstruction_quotient_width(genus2_red_cc):
@@ -319,7 +339,7 @@ def test_joint_simultaneity_group(sphere4_rep):
     # generic pair: the joint centralizer is the center alone
     assert joint.nullspace.shape[1] == 1
     assert joint.rank == 3
-    assert cc.complex_defect <= 1e-10
+    assert complex_defect(cc) <= 1e-10
     d = h_dims(cc)
     # one tangent dimension of the separate-constraints problem is cut
     assert d.h1_par == h_dims(sphere4_rep).h1_par - 1 == 1
@@ -347,7 +367,7 @@ def test_group_listed_out_of_order(sphere4_rep):
     assert h_dims(listed) == h_dims(ascending)  # the integers; gaps do not compare
     assert [pairing_tensor(cc, h1_basis(cc)).verdict for cc in cones] == [True, True]
     for cc in cones:
-        assert cc.complex_defect <= 1e-10
+        assert complex_defect(cc) <= 1e-10
     # Q vanishes at this smooth point, so its norms compare at the scale |u|^2 = 1
     for v in h1_basis(ascending).vectors:
         a, b = (obstruction(cc, v).norm for cc in cones)
@@ -365,20 +385,20 @@ def test_group_listed_out_of_order(sphere4_rep):
 
 
 def test_rank_cut_diagnostics():
-    gaps = {}
-    assert _rank_cut(np.array([1.0, 0.5, 1e-12]), 1e-8, "clean", gaps) == 2
-    assert gaps["clean"] > 1e10
+    rank, gap = _rank_cut(np.array([1.0, 0.5, 1e-12]), 1e-8, "clean")
+    assert rank == 2
+    assert gap > 1e10
     with pytest.raises(IllConditionedError) as err:
         _rank_cut(np.array([1.0, 3e-8, 1e-12]), 1e-8, "fuzzy")
     assert err.value.candidates == (1, 2)
-    assert _rank_cut(np.zeros(0), 1e-8, "empty") == 0
+    assert _rank_cut(np.zeros(0), 1e-8, "empty") == (0, None)
 
 
 def test_rank_cut_below_rounding_floor(sphere4_rep, sphere4_cc):
     # a threshold under eps * 3 * s[0] would count rounding noise as rank,
     # even on a spectrum whose default cut is clean
     s = np.array([1.0, 0.5, 1e-17])
-    assert _rank_cut(s, 1e-8, "clean") == 2
+    assert _rank_cut(s, 1e-8, "clean") == (2, 0.5 / 1e-17)
     with pytest.raises(IllConditionedError) as err:
         _rank_cut(s, 1e-20, "below floor")
     assert err.value.candidates == (2, 3)
@@ -387,7 +407,9 @@ def test_rank_cut_below_rounding_floor(sphere4_rep, sphere4_cc):
     q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((200, 3)))
     tall = q * s
     assert _LstsqSolver(tall, 1e-8, "clean").rank == 2
-    assert _rank_cut(np.linalg.svd(tall, compute_uv=False), 1e-14, "square floor") == 2
+    rank, gap = _rank_cut(np.linalg.svd(tall, compute_uv=False), 1e-14, "square floor")
+    assert rank == 2
+    assert gap > 1e10
     with pytest.raises(IllConditionedError, match="ambiguous rank"):
         _LstsqSolver(tall, 1e-14, "tall floor")
     # tangent, pairing and probe all assemble the complex first; check
