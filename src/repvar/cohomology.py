@@ -580,7 +580,7 @@ def cocycle_transport(rep: Representation, u, word: Word) -> np.ndarray:
     """Twisted derivative of the word map at rho in direction u (generator part)."""
     parts = u.generator_part if isinstance(u, Cochain1) else u
     out = np.zeros((rep.rank, rep.rank), dtype=complex)
-    for gen, sign, prefix in word_transport_terms(rep.matrices, word):
+    for gen, sign, prefix in word_transport_terms(rep.matrices, word, rep.rank):
         out = out + sign * (prefix @ parts[gen] @ prefix.conj().T)
     return out
 

@@ -314,6 +314,11 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
                rank_rtol: float = 1e-8) -> ConeProbeReport:
     """Sample random tangent directions, compare Q(u) with lifting behavior.
 
+    The directions are the normalized rows of one
+    ``numpy.random.default_rng(seed).standard_normal((samples, len(basis)))``,
+    sample i being row i, so a probe's first k samples are those of a
+    k-sample probe at the same seed.
+
     The quadraticity prediction is an empty off-diagonal contingency: cone
     directions (Q at most tolerance * |u|^2) never fail at order 2 and
     non-cone directions never lift past order 2.  Every direction
@@ -345,8 +350,7 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     counts = dict(cone_success=0, cone_fail_order2=0, cone_fail_later=0,
                   noncone_fail_order2=0, noncone_past_order2=0, budget_exceeded=0)
     qmap = cc.basis_map(basis)
-    draws = np.array([np.random.default_rng(child).standard_normal(len(basis))
-                      for child in np.random.SeedSequence(seed).spawn(samples)])
+    draws = np.random.default_rng(seed).standard_normal((samples, len(basis)))
     coeffs = draws / row_norms(draws)[:, None]
     uvecs = rowwise(coeffs, basis.matrix.T)
     umats = unvec_skew(uvecs.reshape(samples, cc.n_gen, cc.q), cc.rep.rank)

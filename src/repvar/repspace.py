@@ -114,7 +114,7 @@ def evaluate_word(rep: Representation, word: Word) -> np.ndarray:
     return out
 
 
-def word_transport_terms(matrices: Sequence[np.ndarray], word: Word):
+def word_transport_terms(matrices: Sequence[np.ndarray], word: Word, rank: int):
     """Fox-calculus terms of the left-log derivative of the word map.
 
     Yields (generator index, sign, prefix) such that the derivative of the
@@ -122,10 +122,10 @@ def word_transport_terms(matrices: Sequence[np.ndarray], word: Word):
     Encodes the cocycle rules u(vw) = u(v) + Ad(rho(v)) u(w) and
     u(x') = -Ad(rho(x')) u(x).  The prefixes are the partial products that
     :func:`evaluate_word` forms, and the generator returns the last of
-    them, W itself (the value of ``yield from``).
+    them, W itself (the value of ``yield from``).  rank is N, which a
+    presentation without generators cannot read off its matrices.
     """
-    n = matrices[0].shape[0]
-    prefix = np.eye(n, dtype=complex)
+    prefix = np.eye(rank, dtype=complex)
     for gen, sign in word:
         if sign > 0:
             yield gen, 1.0, prefix
@@ -157,7 +157,7 @@ def _word_chain(rep: Representation) -> _WordChain:
 
     def walk():
         for word in words:
-            values.append((yield from word_transport_terms(rep.matrices, word)))
+            values.append((yield from word_transport_terms(rep.matrices, word, rep.rank)))
 
     terms = list(walk())
     n = rep.rank

@@ -171,7 +171,8 @@ class IncrementalExp:
         if m >= self.coeffs.shape[1]:
             raise ValueError(f"series of degree {m} past the cache order {self.coeffs.shape[1] - 1}")
         stored = self.powers[:, 1:m + 1, :, 1, :]
-        changed = np.any(series != stored, axis=(0, 2, 3))
+        # degree-major, so each degree's flags are one contiguous run
+        changed = (series != stored).swapaxes(0, 1).reshape(m, batch * n * n).any(axis=1)
         first = int(np.argmax(changed)) + 1 if changed.any() else m + 1
         stored[...] = series
         self.low = min(first, self.formed + 1)

@@ -31,8 +31,9 @@ from repvar.cohomology import (
 )
 from repvar.jets import lift, probe_cone
 from repvar.presentation import Presentation, parse_presentation
-from repvar.repspace import (Representation, commutant_dimension, conjugate, evaluate_word,
-                             find_representation, rep_to_json)
+from repvar.repspace import (Representation, commutant_dimension, conjugate,
+                             constraint_residual, evaluate_word, find_representation,
+                             rep_to_json)
 from repvar.unitary import (exponential, haar_from_rng, matrix_to_json, principal_log, random_skew,
                             unvec_skew, vec_skew)
 
@@ -155,6 +156,7 @@ def test_h_dims_matches_svd_oracle(corpus_points, degenerate_u3_cc, sphere4_rep)
               "together_pa_pc": Representation(together, sphere4_rep.matrices,
                                                sphere4_rep.tolerance),
               "no_generators": Representation(Presentation("empty", 2, []), []),
+              "empty_relator": Representation(Presentation("none", 2, [], relators=[()]), []),
               "no_relators": Representation(free, [haar_from_rng(np.random.default_rng(3), 2)])}
     for name, point in points.items():
         cc = cohomology.as_cone(point)
@@ -162,6 +164,7 @@ def test_h_dims_matches_svd_oracle(corpus_points, degenerate_u3_cc, sphere4_rep)
         assert got == want, name  # the integers
         assert list(got.gaps.items()) == list(want.gaps.items()), name
         assert got.to_json() == want.to_json(), name
+    assert constraint_residual(points["empty_relator"]).max == 0
 
 
 def test_o2_is_the_obstruction_quotient_width(genus2_red_cc):

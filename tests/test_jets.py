@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -627,6 +628,44 @@ def test_probe_deterministic(genus2_red_cc):
     a = probe_cone(genus2_red_cc, basis, samples=10, order=3, seed=9)
     b = probe_cone(genus2_red_cc, basis, samples=10, order=3, seed=9)
     assert a == b
+
+
+def _row_probe(cc, basis, rows, order, seed, tolerance=1e-7):
+    """The probe report of the directions rows (samples, h), one at a time:
+    each row normalized, lifted alone by lift() and classed by the norm of
+    its Q over the basis against tolerance * |u|^2."""
+    counts = dict(cone_success=0, cone_fail_order2=0, cone_fail_later=0,
+                  noncone_fail_order2=0, noncone_past_order2=0, budget_exceeded=0)
+    qmap = cc.basis_map(basis)
+    for row in rows:
+        coeffs = row / np.linalg.norm(row)
+        uvec = coeffs @ basis.matrix.T
+        got = lift(cc, cc.unstack_gen(uvec), order).achieved_order
+        counts["budget_exceeded"] += 1 < got < order
+        if qmap.norms(coeffs[None])[0] <= tolerance * np.linalg.norm(uvec) ** 2:
+            counts["cone_success" if got == order else
+                   "cone_fail_order2" if got == 1 else "cone_fail_later"] += 1
+        else:
+            counts["noncone_past_order2" if got >= 2 else "noncone_fail_order2"] += 1
+    return jets.ConeProbeReport(samples=len(rows), order=order, tolerance=tolerance, budget=3,
+                                seed=seed, rigid=False, **counts)
+
+
+def test_probe_draws_row_i_of_one_generator_as_sample_i(degenerate_u3_cc):
+    # a probe at seed s samples the rows of default_rng(s).standard_normal
+    # ((samples, h)) in order, so a smaller probe samples a prefix of a
+    # larger one's directions.  At the degenerate U(3) point outcomes depend
+    # on the direction, so the seeds' reports differ and tell draws apart
+    cc = degenerate_u3_cc
+    basis = h1_basis(cc)
+    wants = []
+    for seed in (1, 2, 3):
+        rows = np.random.default_rng(seed).standard_normal((12, len(basis)))
+        wants.append(_row_probe(cc, basis, rows, 5, seed))
+        assert probe_cone(cc, basis, samples=12, order=5, seed=seed) == wants[-1]
+        assert probe_cone(cc, basis, samples=5, order=5, seed=seed) == \
+            _row_probe(cc, basis, rows[:5], 5, seed)
+    assert len({replace(want, seed=0) for want in wants}) > 1
 
 
 def _reordered(basis, order):

@@ -171,26 +171,40 @@ def test_word_jet_constant_when_jets_vanish():
 
 
 @kernel_cases
-@given(st.integers(1, 12), ranks, seeds, st.sampled_from([1e-3, 0.5, 2.0]), st.integers(1, 3))
-def test_incremental_exp_matches_stacked_generator_jets(order, n, seed, scale, count):
+@given(st.integers(1, 12), ranks, seeds, st.sampled_from([1e-3, 0.5, 2.0]), st.integers(1, 3),
+       st.integers(1, 3))
+def test_incremental_exp_matches_stacked_generator_jets(order, n, seed, scale, count, samples):
     # calls of every degree up to the cache order, each after an edit of one
-    # random degree: the cached powers must follow the series exactly, as a
-    # fresh state (the exponential test_exp_matches_power_series_oracle checks)
+    # random degree, of the whole stack or of one series of one sample, and of
+    # every entry or of one: the cached powers must follow the series exactly,
+    # as a fresh state (the exponential test_exp_matches_power_series_oracle
+    # checks), and low must be the lowest degree edited since a call last
+    # read it, or the first degree the state never formed if that is lower
     rng = np.random.default_rng(seed)
     bases = np.array([haar_from_rng(rng, n) for _ in range(count)])
-    series = scale * (rng.standard_normal((count, order, n, n))
-                      + 1j * rng.standard_normal((count, order, n, n)))
-    state = IncrementalExp(bases, order)
+    batch = samples * count
+    series = scale * (rng.standard_normal((batch, order, n, n))
+                      + 1j * rng.standard_normal((batch, order, n, n)))
+    state = IncrementalExp(bases, order, samples)
+    unread = set(range(1, order + 1))  # the state starts from zero series
+    formed = 0
     for _ in range(3 * order):
         m = int(rng.integers(1, order + 1))
         d = int(rng.integers(0, order))
-        series[:, d] += scale * rng.standard_normal((count, n, n))
+        rows = slice(None) if rng.random() < 0.5 else int(rng.integers(batch))
+        entry = (slice(None),) * 2 if rng.random() < 0.5 else tuple(rng.integers(n, size=2))
+        series[(rows, d) + entry] += scale * rng.standard_normal(series[(rows, d) + entry].shape)
+        unread.add(d + 1)
         got = state.jets(series[:, :m])
-        want = IncrementalExp(bases, m).jets(series[:, :m])
-        bound = np.abs(IncrementalExp(np.abs(bases), m).jets(np.abs(series[:, :m])))
+        first = min((e for e in unread if e <= m), default=m + 1)
+        assert state.low == min(first, formed + 1)
+        unread -= set(range(1, m + 1))
+        formed = max(min(formed, first - 1), m)
+        want = IncrementalExp(bases, m, samples).jets(series[:, :m])
+        bound = np.abs(IncrementalExp(np.abs(bases), m, samples).jets(np.abs(series[:, :m])))
         assert_within(got, want, bound)
     with pytest.raises(ValueError):
-        state.jets(np.zeros((count, order + 1, n, n)))
+        state.jets(np.zeros((batch, order + 1, n, n)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
