@@ -143,11 +143,15 @@ class IncrementalExp:
     (S^j)_d = sum_(q=1..d-1) S_(d-q) (S^(j-1))_q.  The power coefficients
     (S^j)_d of every formed degree are cached, so forming degree d is one
     gemm per series for all j = 2..d, and E_d = sum_j (S^j)_d / j!.  A call
-    re-forms from the lowest degree whose series changed: there only E_d
-    (its powers do not involve S_d), the powers from the next degree on.
-    ``low`` is the lowest degree the last call re-formed (m + 1 when it
-    re-formed none), so a caller that keeps products of the coefficients
-    re-forms them from there.  The cache holds
+    re-forms from the lowest degree whose series changed, found by comparing
+    all m degrees with the stored series (a per-call flag array, one flag
+    per entry): there only E_d (its powers do not involve S_d), the powers
+    from the next degree on.  ``low`` is the lowest degree the last call
+    re-formed (m + 1 when it re-formed none), so a caller that keeps
+    products of the coefficients re-forms them from there.  The call stores
+    E_low..E_m in one sum over j = 1..m, whose terms j > d are zeros that
+    the cache was allocated with and nothing writes ((S^j)_d = 0), and one
+    gemm per series (at n = 1, one store per degree).  The cache holds
     (batch, order + 1, n, max(order, 1) + 1, n) coefficients.
     """
 
@@ -171,13 +175,13 @@ class IncrementalExp:
         if m >= self.coeffs.shape[1]:
             raise ValueError(f"series of degree {m} past the cache order {self.coeffs.shape[1] - 1}")
         stored = self.powers[:, 1:m + 1, :, 1, :]
-        # degree-major, so each degree's flags are one contiguous run
-        changed = (series != stored).swapaxes(0, 1).reshape(m, batch * n * n).any(axis=1)
-        first = int(np.argmax(changed)) + 1 if changed.any() else m + 1
+        # degree-major flags, so the first one set lies in the lowest changed degree
+        flags = np.empty((m, batch, n, n), dtype=bool)
+        np.not_equal(series.swapaxes(0, 1), stored.swapaxes(0, 1), out=flags)
+        at = int(flags.reshape(-1).argmax()) if flags.size else 0
+        first = at // flags[0].size + 1 if flags.size and flags.flat[at] else m + 1
         stored[...] = series
         self.low = min(first, self.formed + 1)
-        if first <= min(self.formed, m):
-            self._store(first)  # the powers of the first changed degree do not involve it
         for d in range(min(self.formed, first) + 1, m + 1):
             # (S^j)_d for j = 2..d: S_(d-q) against (S^(j-1))_q, q = 1..d-1;
             # the right factor is a strided view, so this is one gemm per series
@@ -185,7 +189,8 @@ class IncrementalExp:
                 batch, n, (d - 1) * n)
             right = self.powers[:, 1:d, :, 1:d, :].reshape(batch, (d - 1) * n, (d - 1) * n)
             self.powers[:, d, :, 2:d + 1, :] = (left @ right).reshape(batch, n, d - 1, n)
-            self._store(d)
+        if self.low <= m:
+            self._store(self.low, m)
         self.formed = max(min(self.formed, first - 1), m)
         return self.coeffs[:, :m + 1]
 
@@ -196,15 +201,23 @@ class IncrementalExp:
             a.reshape(-1, count, *a.shape[1:])[rows].reshape(-1, *a.shape[1:])
             for a in (self.powers, self.coeffs))
 
-    def _store(self, d: int) -> None:
-        """Jet coefficient d: E_d = sum_j (S^j)_d / j!, times the base.  A
-        series' base is the right factor of every sample's E_d, so the
-        samples' E_d are stacked along the rows of one gemm per series."""
-        count, n = self.bases.shape[0], self.bases.shape[-1]
-        e = self.powers[:, d, :, 1:d + 1, :].swapaxes(-1, -2) @ self.weights[1:d + 1]
-        e = e.reshape(-1, count, n, n).swapaxes(0, 1).reshape(count, -1, n)
-        self.coeffs[:, d] = (e @ self.bases).reshape(count, -1, n, n).swapaxes(0, 1).reshape(
-            -1, n, n)
+    def _store(self, lo: int, m: int) -> None:
+        """Jet coefficients lo..m: E_d = sum_(j=1..m) (S^j)_d / j!, times the
+        base; the terms j > d are the cache's zeros.  A series' base is the
+        right factor of every sample's E_d, so the samples' E_lo..E_m are
+        stacked along the rows of one gemm per series."""
+        count, n, span = self.bases.shape[0], self.bases.shape[-1], m + 1 - lo
+        if n == 1 and span > 1:
+            # at n = 1 numpy sums a coefficient as a dot product, whose SIMD
+            # blocks follow the sum's length, so the zero terms j > d would
+            # move its rounding: there each degree is stored alone
+            for d in range(lo, m + 1):
+                self._store(d, d)
+            return
+        e = self.powers[:, lo:m + 1, :, 1:m + 1, :].swapaxes(-1, -2) @ self.weights[1:m + 1]
+        e = e.reshape(-1, count, span * n, n).swapaxes(0, 1).reshape(count, -1, n)
+        self.coeffs[:, lo:m + 1] = (e @ self.bases).reshape(count, -1, span, n, n).swapaxes(
+            0, 1).reshape(-1, span, n, n)
 
 
 def product_coefficient(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:

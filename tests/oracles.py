@@ -23,7 +23,10 @@ the Newton oracle writes out the characteristic polynomial recursion on
 order), the basis oracle unstacks one h1 basis column at a time (the
 per-column loop that the one batched unstacking replaced), the einsum
 unstacking forms skew matrices from coordinates against the complex basis
-(the einsum that the one real gemm replaced), the per-cocycle cup form
+(the einsum that the one real gemm replaced), the per-degree exponential
+stores each coefficient it re-forms by its own sum over j <= d and its own
+gemm per series (the loop that the one store over degrees lo..m of
+IncrementalExp replaced), the per-cocycle cup form
 conjugates every Fox term and xi one cocycle at a time (the per-item
 products that the stacked right conjugation replaced), the SVD dimension
 oracle factors d0 on the cone, d0 on the generators stacked over one
@@ -44,6 +47,7 @@ from repvar.cohomology import (DefectState, Dims, ObstructionClass, QuadraticMap
                                obstruction_classes, order_defect)
 from repvar.repspace import (Representation, _rank_cut, _residual_vector, evaluate_word,
                              word_transport_terms)
+from repvar.truncring import IncrementalExp
 from repvar.unitary import (BranchCutError, ad_matrix, exponential, project_skew, skew_basis,
                             vec_skew)
 
@@ -181,6 +185,20 @@ def exp_weights(order):
 def log_weights(order):
     """log(1 + m) = sum_(d >= 1) (-1)^(d+1) m^d / d."""
     return [0.0] + [(-1.0) ** (d + 1) / d for d in range(1, order + 1)]
+
+
+class PerDegreeExp(IncrementalExp):
+    """IncrementalExp whose store forms one coefficient at a time:
+    E_d = sum_(j=1..d) (S^j)_d / j!, then one gemm per series against its
+    base, for each degree d = lo..m."""
+
+    def _store(self, lo, m):
+        count, n = self.bases.shape[0], self.bases.shape[-1]
+        for d in range(lo, m + 1):
+            e = self.powers[:, d, :, 1:d + 1, :].swapaxes(-1, -2) @ self.weights[1:d + 1]
+            e = e.reshape(-1, count, n, n).swapaxes(0, 1).reshape(count, -1, n)
+            self.coeffs[:, d] = (e @ self.bases).reshape(count, -1, n, n).swapaxes(
+                0, 1).reshape(-1, n, n)
 
 
 def oracle_defect_profile(cc, gen_jets, conj_jets, order):

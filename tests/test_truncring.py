@@ -14,7 +14,7 @@ from repvar.truncring import (
 )
 from repvar.unitary import haar_from_rng, random_skew
 
-from oracles import cauchy_product, exp_weights, log_weights, power_series
+from oracles import PerDegreeExp, cauchy_product, exp_weights, log_weights, power_series
 
 # Kernel properties against the naive ring oracle.  Each entry must agree
 # within KERNEL_RTOL of the same computation on absolute values, which
@@ -234,6 +234,38 @@ def test_stacked_exponential_is_bitwise_per_sample(n, samples):
                 if d == m + 1 or rng.random() < 0.5:
                     series[:, :, d - 1] += rng.standard_normal((samples, count, n, n)) \
                         + 1j * rng.standard_normal((samples, count, n, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("samples", [1, 2, 17, 64])
+def test_one_store_per_call_is_bitwise_the_per_degree_store(n, samples):
+    # the store of degrees lo..m in one sum over j = 1..m and one gemm per
+    # series, against one sum over j = 1..d and one gemm per degree d, driven
+    # as a lift drives it: every call adds a degree, and between calls the
+    # last degree, the last two or the one before the last (the cone-kernel
+    # rescue's edit) change, in every sample or in some.  Bitwise at every
+    # degree of every call, at cache orders 0, 1, 2 and 30, and the same low
+    rng = np.random.default_rng(20 + n)
+    count = 3
+    bases = np.array([haar_from_rng(rng, n) for _ in range(count)])
+    batch = samples * count
+    for order in (0, 1, 2, 30):
+        ours, oracle = IncrementalExp(bases, order, samples), PerDegreeExp(bases, order, samples)
+        series = np.zeros((batch, order, n, n), dtype=complex)
+        for m in range(order + 1):
+            got, want = ours.jets(series[:, :m]), oracle.jets(series[:, :m])
+            assert got.tobytes() == want.tobytes()
+            assert ours.low == oracle.low
+            if m == order:
+                break
+            # series[:, d] is degree d + 1; degree m + 1 is new to the next call
+            edited = ([m - 1], [m - 2, m - 1], [m - 2])[int(rng.integers(3))] if m > 1 else [0]
+            if rng.random() < 0.25:
+                edited.append(m)
+            rows = slice(None) if rng.random() < 0.5 else rng.random(batch) < 0.5
+            for d in edited:
+                series[rows, d] += rng.standard_normal(series[rows, d].shape) \
+                    + 1j * rng.standard_normal(series[rows, d].shape)
 
 
 @kernel_cases
