@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -466,10 +466,9 @@ class ProductPlan:
     relator has one letter, and the products, depth by depth: each relator
     prefix r[:-1] and each peripheral word followed by its conjugator,
     formed from its first letter on, a prefix shared by two words formed
-    once.  ``lefts`` holds, per product depth, the slots of the left
-    factors (a tuple, the key of :func:`_gather_index`), and ``depths`` the
-    slots of the right factors (letters) and the slot range of the
-    products; ``tops`` the target rows of the words with a top coefficient
+    once.  ``depths`` holds, per product depth, the slots of the left
+    factors (an array), of the right factors (letters) and the slot range
+    of the products; ``tops`` the target rows of the words with a top coefficient
     (every word but an empty relator) and the slots of its two factors: a
     relator's prefix and last letter, a peripheral's conjugator dagger e^H
     and product W e (None when no word has one).  Other consecutive slots
@@ -508,8 +507,8 @@ class ProductPlan:
         slot = {key: i for i, key in enumerate(keys)}
         self.slots = len(keys)
         self.identity = slot.get(())
-        self.lefts = tuple(tuple(slot[key[:-1]] for key in keys[a:b]) for a, b in ranges)
-        self.depths = [(_slots([slot[key[-1:]] for key in keys[a:b]]), slice(a, b))
+        self.depths = [(np.array([slot[key[:-1]] for key in keys[a:b]]),
+                        _slots([slot[key[-1:]] for key in keys[a:b]]), slice(a, b))
                        for a, b in ranges]
         self.tops = [_slots(list(col)) for col in zip(
             *[(row, slot[left], slot[right]) for row, left, right in tops])] if tops else None
@@ -650,9 +649,10 @@ def order_defect(cc: ConeComplex, state: DefectState, jets: np.ndarray, m: int) 
     (0 on a fresh state); the word products of ``cc.product_plan`` keep
     their coefficients below lo and form only lo..m.  Per product depth, one
     gather of the left factors' Toeplitz block rows lo..m over block columns
-    0..m and one batched gemm serve every word; the gather's indices are
-    built once per plan, lo, m and state order and kept read-only in a
-    bounded cache (:func:`_gather_index`, 256 entries).  One batched
+    0..m and one batched gemm serve every word; the gather takes the left
+    factors' slots, then their Toeplitz positions
+    (:func:`~repvar.truncring.toeplitz_rows`, cached per lo, m and n), so
+    it builds no index of its own.  One batched
     :func:`~repvar.truncring.product_coefficient` then forms each word's
     top coefficient m alone: a relator's prefix times its last letter, a
     peripheral's e^H times W e, and one gemm per word multiplies the tops
@@ -673,12 +673,12 @@ def order_defect(cc: ConeComplex, state: DefectState, jets: np.ndarray, m: int) 
     coeffs[:, :count, lo:m + 1] = exps[:, :, lo:]
     inverted = exps[:, plan.inverted, lo:]  # their daggers follow the series
     np.conjugate(inverted, out=coeffs[:, count:count + inverted.shape[1], lo:m + 1].swapaxes(-1, -2))
-    flat = state.buffer.reshape(b, -1)
-    gathers = _gather_index(plan.lefts, lo, m, n, state.buffer.shape[-1])
-    for index, (right, out) in zip(gathers, plan.depths):
+    rows = toeplitz_rows(lo, m, n)
+    for left, right, out in plan.depths:
         # a C-contiguous gather, so that numpy passes every stack row to BLAS
         # and a sample's products do not depend on the samples stacked with it
-        np.matmul(flat.take(index, axis=1), state.rows[:, right, :(m + 1) * n],
+        np.matmul(state.buffer.take(left, axis=1).take(rows, axis=2),
+                  state.rows[:, right, :(m + 1) * n],
                   out=state.rows[:, out, lo * n:(m + 1) * n])
     # word-major: a word's base value is the right factor of every sample's
     # top coefficient, so one gemm per word takes the samples as its rows
@@ -691,21 +691,6 @@ def order_defect(cc: ConeComplex, state: DefectState, jets: np.ndarray, m: int) 
                                          m).swapaxes(0, 1)
     ends = (tops.reshape(words, b * n, n) @ cc.word_values_h).reshape(words, b, n, n)
     return vec_skew(project_skew(ends)).swapaxes(0, 1).reshape(b, -1)
-
-
-@lru_cache(maxsize=256)
-def _gather_index(lefts: tuple, lo: int, m: int, n: int, width: int) -> tuple:
-    """Per product depth of a :class:`ProductPlan`, given by its ``lefts``,
-    the positions of its left factors' Toeplitz block rows lo..m over block
-    columns 0..m (:func:`~repvar.truncring.toeplitz_rows`) in a sample's
-    flattened :class:`DefectState` buffer, slots of ``width`` entries each:
-    (J, (m + 1 - lo) n, (m + 1) n) per depth of J products.  Each array is
-    built whole, then made read-only, before the cache shares it."""
-    rows = toeplitz_rows(lo, m, n)
-    gathers = tuple(np.array(left)[:, None, None] * width + rows for left in lefts)
-    for index in gathers:
-        index.setflags(write=False)
-    return gathers
 
 
 def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:

@@ -149,9 +149,9 @@ class IncrementalExp:
     from the next degree on.  ``low`` is the lowest degree the last call
     re-formed (m + 1 when it re-formed none), so a caller that keeps
     products of the coefficients re-forms them from there.  The call stores
-    E_low..E_m in one sum over j = 1..m, whose terms j > d are zeros that
-    the cache was allocated with and nothing writes ((S^j)_d = 0), and one
-    gemm per series (at n = 1, one store per degree).  The cache holds
+    E_low..E_m at once: one sum per degree, then one gemm per series with
+    the rows of every sample and degree (the ``cohomology.rowwise`` merge
+    rule).  The cache holds
     (batch, order + 1, n, max(order, 1) + 1, n) coefficients.
     """
 
@@ -202,19 +202,14 @@ class IncrementalExp:
             for a in (self.powers, self.coeffs))
 
     def _store(self, lo: int, m: int) -> None:
-        """Jet coefficients lo..m: E_d = sum_(j=1..m) (S^j)_d / j!, times the
-        base; the terms j > d are the cache's zeros.  A series' base is the
-        right factor of every sample's E_d, so the samples' E_lo..E_m are
-        stacked along the rows of one gemm per series."""
+        """Jet coefficients lo..m: E_d = sum_(j=1..d) (S^j)_d / j!, one sum
+        per degree, times the base.  A series' base is the right factor of
+        every sample's E_lo..E_m, so they are stacked along the rows of one
+        gemm per series."""
         count, n, span = self.bases.shape[0], self.bases.shape[-1], m + 1 - lo
-        if n == 1 and span > 1:
-            # at n = 1 numpy sums a coefficient as a dot product, whose SIMD
-            # blocks follow the sum's length, so the zero terms j > d would
-            # move its rounding: there each degree is stored alone
-            for d in range(lo, m + 1):
-                self._store(d, d)
-            return
-        e = self.powers[:, lo:m + 1, :, 1:m + 1, :].swapaxes(-1, -2) @ self.weights[1:m + 1]
+        e = np.empty((len(self.powers), span, n, n), dtype=complex)
+        for d in range(lo, m + 1):
+            e[:, d - lo] = self.powers[:, d, :, 1:d + 1, :].swapaxes(-1, -2) @ self.weights[1:d + 1]
         e = e.reshape(-1, count, span * n, n).swapaxes(0, 1).reshape(count, -1, n)
         self.coeffs[:, lo:m + 1] = (e @ self.bases).reshape(count, -1, span, n, n).swapaxes(
             0, 1).reshape(-1, span, n, n)

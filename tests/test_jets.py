@@ -773,11 +773,10 @@ def _lift_bytes(report):
     return repr(report.to_json()), np.array(c.generator_jets + c.conjugator_jets).tobytes()
 
 
-def test_cached_gather_indices_are_bitwise_fresh_ones(sphere4_rep, sphere4_cc, genus2_red_cc):
-    # order_defect reads its Toeplitz gather indices from a bounded cache
-    # shared by every complex of one plan: lifts at interleaved orders on a
-    # warm complex, and a stack that the cone-kernel rescue moves, give the
-    # bytes of the same lifts on a fresh complex with the cache emptied
+def test_lifts_on_a_warm_complex_are_bitwise_fresh_ones(sphere4_rep, sphere4_cc, genus2_red_cc):
+    # lifts at interleaved orders on a warm complex, and a stack that the
+    # cone-kernel rescue moves, give the bytes of the same lifts on a fresh
+    # complex: nothing a lift leaves behind changes the next one
     u = h1_basis(sphere4_cc).vectors[0]
     warm = [_lift_bytes(lift(sphere4_cc, u, k)) for k in (30, 10, 20, 30)]
     stack = np.array(_stack_directions("genus2_red_cc", genus2_red_cc, h1_basis(genus2_red_cc),
@@ -793,43 +792,21 @@ def test_cached_gather_indices_are_bitwise_fresh_ones(sphere4_rep, sphere4_cc, g
         warm_stack = jets._lift_stack(genus2_red_cc, stack, 6, 1e-7)
     assert max(moved[1:]) == 2
     for k, want in zip((30, 10, 20, 30), warm):
-        cohomology._gather_index.cache_clear()
         fresh = cohomology.assemble_complex(sphere4_rep)
         assert _lift_bytes(lift(fresh, h1_basis(fresh).vectors[0], k)) == want
-    cohomology._gather_index.cache_clear()
     fresh_stack = jets._lift_stack(cohomology.assemble_complex(genus2_red_cc.rep), stack, 6, 1e-7)
     for field in ("achieved", "residuals", "defects", "jets"):
         assert getattr(fresh_stack, field).tobytes() == getattr(warm_stack, field).tobytes()
 
 
-def test_gather_index_cache_is_read_only_and_bounded(sphere4_cc):
-    u = h1_basis(sphere4_cc).vectors[0]
-    cohomology._gather_index.cache_clear()
-    for k in range(2, 61):
-        lift(sphere4_cc, u, k)
-    info = cohomology._gather_index.cache_info()
-    assert info.misses > info.maxsize  # lifts to orders 2..60 ask for 1,770 keys
-    assert info.currsize <= info.maxsize
-    n, plan = sphere4_cc.rep.rank, sphere4_cc.product_plan
-    width = DefectState(sphere4_cc, 1, 60).buffer.shape[-1]
-    gathers = cohomology._gather_index(plan.lefts, 58, 60, n, width)
-    assert len(gathers) == len(plan.depths)
-    for index, left in zip(gathers, plan.lefts):
-        assert index.shape == (len(left), 3 * n, 61 * n)
-        assert not index.flags.writeable
-        with pytest.raises(ValueError):
-            index[0, 0, 0] = 0
-
-
 def test_lifts_on_one_cold_complex_from_threads(sphere4_rep):
-    # four threads lift at orders 10, 20 and 30 on one cold complex with the
-    # gather cache emptied, each in its own order: every index array is built
-    # whole before the cache shares it, so every lift is the serial one
+    # four threads lift at orders 10, 20 and 30 on one cold complex, each in
+    # its own order: what the complex builds on first use is built whole
+    # before it is shared, so every lift is the serial one
     serial = cohomology.assemble_complex(sphere4_rep)
     u = h1_basis(serial).vectors[0]
     want = {k: _lift_bytes(lift(serial, u, k)) for k in (10, 20, 30)}
     cc = cohomology.assemble_complex(sphere4_rep)
-    cohomology._gather_index.cache_clear()
     orders = [(10, 20, 30), (30, 20, 10), (20, 30, 10), (10, 30, 20)]
     start = threading.Barrier(len(orders), timeout=60)
     got = {}

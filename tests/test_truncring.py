@@ -239,9 +239,9 @@ def test_stacked_exponential_is_bitwise_per_sample(n, samples):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("samples", [1, 2, 17, 64])
 def test_one_store_per_call_is_bitwise_the_per_degree_store(n, samples):
-    # the store of degrees lo..m in one sum over j = 1..m and one gemm per
-    # series, against one sum over j = 1..d and one gemm per degree d, driven
-    # as a lift drives it: every call adds a degree, and between calls the
+    # the store of degrees lo..m in one gemm per series, the rows of every
+    # degree merged, against one gemm per series and degree d, driven as a
+    # lift drives it: every call adds a degree, and between calls the
     # last degree, the last two or the one before the last (the cone-kernel
     # rescue's edit) change, in every sample or in some.  Bitwise at every
     # degree of every call, at cache orders 0, 1, 2 and 30, and the same low
