@@ -24,17 +24,18 @@ peripheral projection removes: the canonical minimal-norm xi moves no class.
 Q has a single, closed-form implementation: the order-2 defect of
 X_1 = u with conjugator parts xi is a symmetric bilinear form D in (u, xi),
 the second-order Fox-calculus term (the cup product H^1 x H^1 -> H^2).
-:func:`cup_form` evaluates it on all pairs of given vectors: raw defects
-and polarized pairing in one.  :class:`QuadraticMap` holds that form over
-fixed cocycles and reads off Q of any stack of linear combinations of them
-in one batched evaluation, since the canonical xi is linear in u;
-:func:`obstruction_classes` reduces a stack of defect sets in the one
-cached quotient basis, :attr:`ConeComplex.obstruction_quotient`, and is the
-one class reduction.  :func:`obstruction`, :func:`common_obstruction`,
-:func:`pairing_tensor`, the failure path of :func:`repvar.jets.lift`, Q in
-:func:`repvar.jets.probe_cone` (the map over the basis, its form kept with
-the complex per basis by :meth:`ConeComplex.basis_map`, evaluated once on all
-samples) and the cone-kernel moves of both
+:func:`cup_form` evaluates it, as a plain array, on all pairs of given
+vectors: raw defects and polarized pairing in one.  :func:`cocycle_form` is
+that form over parabolic cocycles with their canonical conjugator parts;
+since the canonical xi is linear in u, Q of u = sum c_i u_i is read off it
+as c^T D c, and :func:`q_norms` reads |Q| of a stack of coefficient rows in
+one batched evaluation.  :func:`obstruction_classes` reduces a set of defects
+in the one cached quotient basis, :attr:`ConeComplex.obstruction_quotient`,
+and is the one class reduction.  :func:`obstruction`,
+:func:`common_obstruction`, :func:`pairing_tensor`, the failure path of
+:func:`repvar.jets.lift`, Q in :func:`repvar.jets.probe_cone` (the form over
+the basis, kept with the complex per basis by :meth:`ConeComplex.basis_form`,
+read once for all samples) and the cone-kernel moves of both
 (:attr:`ConeComplex.kernel_cup`, one form per complex) all go through these
 functions.
 
@@ -329,7 +330,7 @@ class ConeComplex:
         self._svd_d1_par = _LstsqSolver(self.d1_par, self.rank_rtol, "d1_par", terms)
         self.cone_solver = _LstsqSolver(self.d1_cone, self.rank_rtol, "d1_cone", terms)
         self.cone_kernel = self.cone_solver.nullspace
-        # (key, form) of the latest basis_map build
+        # (key, form) of the latest basis_form build
         self._basis_form: tuple | None = None
 
     @cached_property
@@ -360,36 +361,39 @@ class ConeComplex:
         many units as there are kernel columns: one form over all units
         would also hold every pair of units (7 MB at a U(3) four-punctured
         sphere)."""
-        parts = [self.unstack_cone(col) for col in self.cone_kernel.T]
-        units = [self.unstack_cone(e) for e in np.eye(self.d1_cone.shape[1])]
-        cup = np.empty((len(units), len(parts), self.d1_cone.shape[0]))
-        step = max(len(parts), 1)
-        for a in range(0, len(units), step):
+        n, count = self.rep.rank, len(self.jet_bases)
+        cols, kernel = self.cone_kernel.shape
+        parts = unvec_skew(self.cone_kernel.T.reshape(kernel, count, self.q), n)
+        units = unvec_skew(np.eye(cols).reshape(cols, count, self.q), n)
+        cup = np.empty((cols, kernel, self.d1_cone.shape[0]))
+        step = max(kernel, 1)
+        for a in range(0, cols, step):
             chunk = units[a:a + step]
-            cup[a:a + step] = cup_form(self, chunk + parts)[:len(chunk), len(chunk):]
+            both = np.concatenate([chunk, parts])
+            cup[a:a + step] = cup_form(self, both[:, :self.n_gen],
+                                       both[:, self.n_gen:])[:len(chunk), len(chunk):]
         return cup
 
-    def basis_map(self, basis: CohomologyBasis) -> QuadraticMap:
-        """The :class:`QuadraticMap` over the vectors of an H^1 basis.
+    def basis_form(self, basis: CohomologyBasis) -> np.ndarray:
+        """The :func:`cocycle_form` over the vectors of an H^1 basis,
+        read-only.
 
-        The complex keeps the form of the latest basis, read-only, under the
-        basis's content (the bytes of its vectors as one complex array), and a
-        later call with a basis of equal content reads it instead of walking
-        every word again.  The (key, form) pair is replaced by one assignment,
-        so a concurrent reader sees the old pair or the new one; two threads
-        on a cold complex may both build a form, bitwise the same.  The form,
-        not the map, is kept: a map refers to its complex, and a complex that
-        referred back would be freed by the cycle collector alone.
+        The complex keeps the form of the latest basis under the basis's
+        content (the bytes of its vectors as one complex array), and a later
+        call with a basis of equal content reads it instead of walking every
+        word again.  The (key, form) pair is replaced by one assignment, so a
+        concurrent reader sees the old pair or the new one; two threads on a
+        cold complex may both build a form, bitwise the same.
         """
         vectors = np.asarray(basis.vectors, dtype=complex)
         key = vectors.tobytes()
         held = self._basis_form
         if held is not None and held[0] == key:
-            return QuadraticMap(self, vectors, form=held[1])
-        qmap = QuadraticMap(self, vectors)
-        qmap.form.setflags(write=False)
-        self._basis_form = (key, qmap.form)
-        return qmap
+            return held[1]
+        form = cocycle_form(self, vectors)
+        form.setflags(write=False)
+        self._basis_form = (key, form)
+        return form
 
     # -- coordinate helpers ------------------------------------------------
 
@@ -398,10 +402,6 @@ class ConeComplex:
 
     def unstack_gen(self, v: np.ndarray) -> list[np.ndarray]:
         return list(unvec_skew(v[:self.n_gen * self.q].reshape(-1, self.q), self.rep.rank))
-
-    def unstack_cone(self, v: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        mats = list(unvec_skew(v.reshape(-1, self.q), self.rep.rank))
-        return mats[:self.n_gen], mats[self.n_gen:]
 
     def unstack_target(self, v: np.ndarray) -> list[Cochain2]:
         """The degree-2 cochains whose target coordinates are the columns of v."""
@@ -693,10 +693,11 @@ def order_defect(cc: ConeComplex, state: DefectState, jets: np.ndarray, m: int) 
     return vec_skew(project_skew(ends)).swapaxes(0, 1).reshape(b, -1)
 
 
-def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
+def cup_form(cc: ConeComplex, us: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """The order-2 defect as a symmetric bilinear form D on all pairs of b
-    vectors (u, xi), shape (b, b, target dim): D(v, v) is the raw order-2
-    defect of X_1 = u with conjugator parts xi.
+    vectors (u, xi), shape (b, b, target dim), from their generator parts us
+    (b, n_gen, n, n) and conjugator parts xis (b, groups, n, n): D(v, v) is
+    the raw order-2 defect of X_1 = u with conjugator parts xi.
 
     Per word, with T_p the Fox terms of the word chain ``cc.chain``, the t^2
     coefficient is sum_(q<p) T_q T_p + sum_p T_p^2 / 2; a peripheral word P
@@ -706,13 +707,11 @@ def cup_form(cc: ConeComplex, vectors: Sequence) -> np.ndarray:
     the symmetrized sum_k L_k(a) R_k(c) over L = [sum_(q<p) T_q, -xi, a_1],
     R = [T_p, a_1 + xi', xi']: one gemm per word for every pair.
     """
-    n, b, chain = cc.rep.rank, len(vectors), cc.chain
+    n, b, chain = cc.rep.rank, len(us), cc.chain
     words = len(chain.values)
     form = np.zeros((b, b, words * cc.q))
     if b == 0:
         return form
-    us = np.array([list(u) for u, _ in vectors], dtype=complex).reshape(b, cc.n_gen, n, n)
-    xis = np.array([list(x) for _, x in vectors], dtype=complex).reshape(b, len(cc.groups), n, n)
     # vec_skew(x) = -Re(flat(x) . flat_basis) as one real gemm on the
     # interleaved (re, im) entries of x
     flat_basis = skew_basis(n).transpose(0, 2, 1).reshape(cc.q, n * n)
@@ -748,56 +747,36 @@ def _conjugate(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (gx @ g.conj().swapaxes(-1, -2)).reshape(x.shape)
 
 
-class QuadraticMap:
-    """Q on the span of fixed parabolic cocycles u_1..u_h, read off one
-    :func:`cup_form` over the cocycles with their canonical conjugator parts.
+def cocycle_form(cc: ConeComplex, cocycles) -> np.ndarray:
+    """The :func:`cup_form` over parabolic cocycles u_1..u_h (each one
+    matrix per generator) with their canonical conjugator parts, (h, h,
+    target dim).  The canonical xi is linear in u, so for u = sum c_i u_i the
+    raw defect D(u, u) is c^T D c."""
+    n = cc.rep.rank
+    umats = np.asarray(cocycles, dtype=complex).reshape(len(cocycles), cc.n_gen, n, n)
+    return cup_form(cc, umats, cc.canonical_xi(umats)[0])
 
-    The canonical xi is linear in u, so for u = sum c_i u_i the raw defect
-    D(u, u) is c^T D c.  Calling the map takes a stack of coefficient rows c,
-    (s, h), and evaluates all of them at once: the raw defects and the
+
+def q_norms(cc: ConeComplex, form: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|Q(u)| for u = sum c_i u_i of every row of c (s, h), where form is the
+    :func:`cocycle_form` over u_1..u_h: the raw defects c^T D c and their
     peripheral projections are batched products, one product per row (see
-    :func:`rowwise`), so a row's class is bitwise the one it gets alone.
-    """
-
-    def __init__(self, cc: ConeComplex, cocycles: Sequence[Sequence[np.ndarray]],
-                 form: np.ndarray | None = None):
-        """form, when given, is the form these cocycles already have."""
-        self.cc = cc
-        self.h = h = len(cocycles)
-        n = cc.rep.rank
-        if form is None:
-            umats = np.asarray(cocycles, dtype=complex).reshape(h, cc.n_gen, n, n)
-            form = cup_form(cc, list(zip(cocycles, cc.canonical_xi(umats)[0])))
-        self.form = form
-        # the blocks a coefficient row multiplies, one row per cocycle
-        self._pairs = self.form.reshape(h, h * self.form.shape[-1])
-
-    def __call__(self, c: np.ndarray) -> list[ObstructionClass]:
-        """Q(u) for u = sum c_i u_i of every row of c (s, h), each in its own
-        products, all in ``cc.obstruction_quotient``."""
-        return [cls for (cls,) in obstruction_classes(self.cc, self._raw(c))]
-
-    def norms(self, c: np.ndarray) -> np.ndarray:
-        """|Q(u)| of every row of c (s,): the norms of the classes a call
-        returns, bitwise, with no class built."""
-        return _class_parts(self.cc, self._raw(c))[1][:, 0]
-
-    def _raw(self, c: np.ndarray) -> np.ndarray:
-        """The raw defect sets (s, dim, 1) of the rows of c, one product per row."""
-        return rowwise(c, rowwise(c, self._pairs).reshape(len(c), self.h, -1))[..., None]
+    :func:`rowwise`), so each norm is bitwise that of the class
+    :func:`obstruction_classes` gives the row's raw defect alone, and no
+    class is built."""
+    h = len(form)
+    raw = rowwise(c, rowwise(c, form.reshape(h, h * form.shape[-1])).reshape(len(c), h, -1))
+    return _class_parts(cc, raw[..., None])[1][:, 0]
 
 
-def obstruction_classes(cc: ConeComplex, defects: np.ndarray) -> list[list[ObstructionClass]]:
-    """Classes of a stack of raw defect sets, defects (s, dim, cols): one
-    class per column, each set reduced by its own products, all in one
-    common quotient O^2 (the parabolic target modulo Im(d1_par)) by one
-    batched projection onto ``cc.obstruction_quotient``, so that their
-    coordinates are directly comparable."""
-    coords, norms, projected = _class_parts(cc, defects)
-    return [[ObstructionClass(coordinates=x, norm=size, cone=cc, defect=p)
-             for x, size, p in zip(xs, sizes, ps)]
-            for xs, sizes, ps in zip(coords.swapaxes(1, 2), norms.tolist(),
-                                     projected.swapaxes(1, 2))]
+def obstruction_classes(cc: ConeComplex, defects: np.ndarray) -> list[ObstructionClass]:
+    """Classes of a set of raw defects, defects (dim, cols): one class per
+    column, all in one common quotient O^2 (the parabolic target modulo
+    Im(d1_par)) by one projection onto ``cc.obstruction_quotient``, so that
+    their coordinates are directly comparable."""
+    coords, norms, projected = _class_parts(cc, defects[None])
+    return [ObstructionClass(coordinates=x, norm=size, cone=cc, defect=p)
+            for x, size, p in zip(coords[0].T, norms[0].tolist(), projected[0].T)]
 
 
 def _class_parts(cc: ConeComplex, defects: np.ndarray):
@@ -826,9 +805,9 @@ def common_obstruction(rep_or_cone, us: Sequence, pre_tolerance: float = 1e-6,
     """Obstruction classes of several cocycles reduced in one common quotient,
     so their coordinate vectors are directly comparable."""
     cc = as_cone(rep_or_cone, rank_rtol)
-    form = QuadraticMap(cc, [cc.cocycle_parts(u, pre_tolerance) for u in us]).form
+    form = cocycle_form(cc, [cc.cocycle_parts(u, pre_tolerance) for u in us])
     d = np.arange(len(form))
-    return obstruction_classes(cc, form[d, d].T[None])[0]
+    return obstruction_classes(cc, form[d, d].T)
 
 
 def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
@@ -837,7 +816,7 @@ def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
 
     B(u, v) = (Q(u + v) - Q(u) - Q(v)) / 2 = D(u, v), read off the
     :func:`cup_form` over the basis that the complex keeps
-    (:meth:`ConeComplex.basis_map`), symmetric by construction.  The
+    (:meth:`ConeComplex.basis_form`), symmetric by construction.  The
     verdict is True iff every entry norm is at most the tolerance, which is
     the cup-product smoothness criterion.  The verdict and
     :meth:`PairingTensor.max_norm` read the norms alone; an entry's
@@ -846,10 +825,10 @@ def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
     check_tolerance(tolerance)
     cc = as_cone(rep_or_cone, rank_rtol)
     h = len(basis)
-    qmap = cc.basis_map(basis)
+    form = cc.basis_form(basis)
     keys = [(i, i) for i in range(h)] + [(i, j) for i in range(h) for j in range(i + 1, h)]
     rows, cols = np.array(keys, dtype=int).reshape(-1, 2).T
-    coords, norms, projected = _class_parts(cc, qmap.form[rows, cols].T[None])
+    coords, norms, projected = _class_parts(cc, form[rows, cols].T[None])
     entries = _PairingEntries(cc, keys, coords[0], norms[0], projected[0])
     verdict = all(size <= tolerance for size in entries.norms)
     return PairingTensor(entries=entries, verdict=verdict, tolerance=tolerance)

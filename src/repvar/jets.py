@@ -14,7 +14,8 @@ there: past order 2, a correction can move inside the cone kernel, which
 shifts the next defect linearly through the cup form, and :func:`lift`
 makes that choice by one deterministic least-squares solve per order.
 :func:`probe_cone` lifts all its samples as one stack, order by order, and
-reads Q of all of them off one stacked evaluation.
+reads |Q| of all of them off the cup form over the basis in one stacked
+evaluation.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from .cohomology import (
     CohomologyBasis,
     DefectState,
     ObstructionClass,
-    QuadraticMap,
     as_cone,
+    cocycle_form,
     obstruction_classes,
     order_defect,
+    q_norms,
     row_norms,
     rowwise,
 )
@@ -298,8 +300,8 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None,
     obs = None
     if got < order:
         # an order-2 failure is classed by Q itself; a later one by its own defect
-        defect = QuadraticMap(cc, [umats]).form[0, 0] if got == 1 else lifts.defects[0]
-        obs = obstruction_classes(cc, defect[None, :, None])[0][0]
+        defect = cocycle_form(cc, [umats])[0, 0] if got == 1 else lifts.defects[0]
+        obs = obstruction_classes(cc, defect[:, None])[0]
     return LiftReport(
         achieved_order=got,
         residuals=tuple(lifts.residuals[0, :got + (got < order)].tolist()),
@@ -322,21 +324,20 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     The quadraticity prediction is an empty off-diagonal contingency: cone
     directions (Q at most tolerance * |u|^2) never fail at order 2 and
     non-cone directions never lift past order 2.  Every direction
-    u = sum c_i b_i takes |Q| from the :class:`~repvar.cohomology.QuadraticMap`
-    over the basis, whose form the complex keeps per basis
-    (:meth:`~repvar.cohomology.ConeComplex.basis_map`), read once for its
-    norms alone, on the stack of all sample coefficients, in the one quotient
-    of the complex;
-    each sample's norm is bitwise its own class's.  All samples are lifted as
-    one stack (in chunks of bounded memory) by the code that :func:`lift`
-    runs on one: each order makes one defect evaluation and one cone solve
-    for the samples still lifting, the cone-kernel rescue reads every
-    sample's moves off one cup form of the complex, and a failed sample
-    leaves the stack, its outcome that of its own lift.  budget is echoed in
-    the report and changes no lift; budget_exceeded counts the lifts that
-    failed past order 2.  rank_rtol is the rank threshold of the complex
-    assembled from a bare representation; a
-    :class:`~repvar.cohomology.ConeComplex` passed in keeps its own.
+    u = sum c_i b_i takes |Q| from the cup form over the basis, which the
+    complex keeps per basis (:meth:`~repvar.cohomology.ConeComplex.basis_form`),
+    read once by :func:`~repvar.cohomology.q_norms` on the stack of all sample
+    coefficients, in the one quotient of the complex; each sample's norm is
+    bitwise its own class's.  All samples are lifted as one stack (in chunks
+    of bounded memory) by the code that :func:`lift` runs on one: each order
+    makes one defect evaluation and one cone solve for the samples still
+    lifting, the cone-kernel rescue reads every sample's moves off one cup
+    form of the complex, and a failed sample leaves the stack, its outcome
+    that of its own lift.  budget is echoed in the report and changes no
+    lift; budget_exceeded counts the lifts that failed past order 2.
+    rank_rtol is the rank threshold of the complex assembled from a bare
+    representation; a :class:`~repvar.cohomology.ConeComplex` passed in
+    keeps its own.
     """
     check_tolerance(tolerance)
     if samples < 1:
@@ -349,14 +350,14 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
                                budget=budget, seed=seed, rigid=True)
     counts = dict(cone_success=0, cone_fail_order2=0, cone_fail_later=0,
                   noncone_fail_order2=0, noncone_past_order2=0, budget_exceeded=0)
-    qmap = cc.basis_map(basis)
+    form = cc.basis_form(basis)
     draws = np.random.default_rng(seed).standard_normal((samples, len(basis)))
     coeffs = draws / row_norms(draws)[:, None]
     uvecs = rowwise(coeffs, basis.matrix.T)
     umats = unvec_skew(uvecs.reshape(samples, cc.n_gen, cc.q), cc.rep.rank)
     lifts = _lift_stack(cc, umats, order, tolerance)
     norms = row_norms(uvecs).tolist()
-    qnorms = qmap.norms(coeffs).tolist()
+    qnorms = q_norms(cc, form, coeffs).tolist()
     for qnorm, unorm, got in zip(qnorms, norms, lifts.achieved.tolist()):
         is_cone = qnorm <= tolerance * unorm ** 2
         counts["budget_exceeded"] += 1 < got < order

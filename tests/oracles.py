@@ -16,7 +16,7 @@ vec_skew, ad_matrix and unstack_target einsums, and the three-operand
 conjugation of every basis matrix, that the sparse basis kernels of
 repvar.unitary replaced), the quadratic-map oracle evaluates
 Q of one coefficient row at a time (the per-sample path that the stacked
-QuadraticMap replaced), the eager pairing oracle builds every pairing
+cohomology.q_norms replaced), the eager pairing oracle builds every pairing
 class at once (the dict that the lazily built pairing entries replaced),
 the Newton oracle writes out the characteristic polynomial recursion on
 0-d arrays (the scalar operations the library must keep, in their
@@ -28,10 +28,13 @@ stores each coefficient it re-forms by its own sum over j <= d and its own
 gemm per series (the loop that the one store over degrees lo..m of
 IncrementalExp replaced), the per-cocycle cup form
 conjugates every Fox term and xi one cocycle at a time (the per-item
-products that the stacked right conjugation replaced), the SVD dimension
-oracle factors d0 on the cone, d0 on the generators stacked over one
-identity per simultaneity group, and every other differential by its own
-SVD (the factorization whose rank the closed form of h_dims replaced), and
+products that the stacked right conjugation replaced), the list-based
+kernel cup form builds one (u, xi) pair of matrix lists per unit and kernel
+cochain and converts each column chunk of them to arrays (the round trip
+that the one unstacking of all units and kernel columns replaced), the SVD
+dimension oracle factors d0 on the cone, d0 on the generators stacked over
+one identity per simultaneity group, and every other differential by its
+own SVD (the factorization whose rank the closed form of h_dims replaced), and
 the logarithm oracle reads the angles off a Schur form (scipy, which only
 the test extra installs).  The cone sampler is no oracle: it draws
 inputs, directions with Q = 0, from the pairing form the library
@@ -43,13 +46,13 @@ from math import factorial
 import numpy as np
 import scipy.linalg
 
-from repvar.cohomology import (DefectState, Dims, ObstructionClass, QuadraticMap,
+from repvar.cohomology import (DefectState, Dims, ObstructionClass, cocycle_form, cup_form,
                                obstruction_classes, order_defect)
 from repvar.repspace import (Representation, _rank_cut, _residual_vector, evaluate_word,
                              word_transport_terms)
 from repvar.truncring import IncrementalExp
 from repvar.unitary import (BranchCutError, ad_matrix, exponential, project_skew, skew_basis,
-                            vec_skew)
+                            unvec_skew, vec_skew)
 
 
 def random_word(rng, n_gens, max_length=20):
@@ -267,11 +270,10 @@ def cone_direction(pairing, rng, steps=60):
     return c, float(np.linalg.norm(c @ np.tensordot(c, form, 1)))
 
 
-def sample_q(qmap, c):
-    """Q of one coefficient row c (h,) of a QuadraticMap, formed for this
-    row alone."""
-    cc = qmap.cc
-    raw = c @ np.tensordot(c, qmap.form, 1)
+def sample_q(cc, form, c):
+    """Q of one coefficient row c (h,) over the cocycles whose
+    cohomology.cocycle_form is form, formed for this row alone."""
+    raw = c @ np.tensordot(c, form, 1)
     projected = cc.project_peripheral(np.column_stack([raw]))
     coords = cc.obstruction_quotient.T @ (cc.pt_basis.T @ projected)
     return ObstructionClass(coordinates=coords[:, 0],
@@ -284,10 +286,10 @@ def eager_pairing_entries(cc, basis):
     order, every class built at once: one obstruction_classes call on the
     pair blocks of the cup form, diagonal pairs first."""
     h = len(basis)
-    form = QuadraticMap(cc, [list(v) for v in basis.vectors]).form
+    form = cocycle_form(cc, [list(v) for v in basis.vectors])
     keys = [(i, i) for i in range(h)] + [(i, j) for i in range(h) for j in range(i + 1, h)]
     rows, cols = np.array(keys, dtype=int).reshape(-1, 2).T
-    classes = obstruction_classes(cc, form[rows, cols].T[None])[0]
+    classes = obstruction_classes(cc, form[rows, cols].T)
     return dict(sorted(zip(keys, classes)))
 
 
@@ -348,6 +350,35 @@ def einsum_unvec_skew(v, n):
     return np.einsum("...a,aij->...ij", np.asarray(v, dtype=float), skew_basis(n))
 
 
+def pair_arrays(cc, vectors):
+    """The generator parts (b, n_gen, n, n) and conjugator parts
+    (b, groups, n, n) of a list of b pairs (u, xi) of matrix lists, the
+    arrays cohomology.cup_form takes."""
+    n, b = cc.rep.rank, len(vectors)
+    us = np.array([list(u) for u, _ in vectors], dtype=complex).reshape(b, cc.n_gen, n, n)
+    xis = np.array([list(x) for _, x in vectors], dtype=complex).reshape(b, len(cc.groups), n, n)
+    return us, xis
+
+
+def list_kernel_cup(cc):
+    """ConeComplex.kernel_cup from one (generator parts, conjugator parts)
+    pair of matrix lists per cone-kernel column and per unit cone cochain,
+    each unstacked on its own, and one cup_form per chunk of as many units
+    as there are kernel columns, its pairs converted to arrays."""
+    def unstack(v):
+        mats = list(unvec_skew(v.reshape(-1, cc.q), cc.rep.rank))
+        return mats[:cc.n_gen], mats[cc.n_gen:]
+
+    parts = [unstack(col) for col in cc.cone_kernel.T]
+    units = [unstack(e) for e in np.eye(cc.d1_cone.shape[1])]
+    cup = np.empty((len(units), len(parts), cc.d1_cone.shape[0]))
+    step = max(len(parts), 1)
+    for a in range(0, len(units), step):
+        chunk = units[a:a + step]
+        cup[a:a + step] = cup_form(cc, *pair_arrays(cc, chunk + parts))[:len(chunk), len(chunk):]
+    return cup
+
+
 def per_cocycle_cup_form(cc, vectors):
     """cohomology.cup_form with every conjugation g x g^H of a Fox term or a
     conjugator part formed for one cocycle at a time."""
@@ -357,8 +388,7 @@ def per_cocycle_cup_form(cc, vectors):
     form = np.zeros((b, b, len(words) * cc.q))
     if b == 0:
         return form
-    us = np.array([list(u) for u, _ in vectors], dtype=complex).reshape(b, cc.n_gen, n, n)
-    xis = np.array([list(x) for _, x in vectors], dtype=complex).reshape(b, len(cc.groups), n, n)
+    us, xis = pair_arrays(cc, vectors)
     flat_basis = skew_basis(n).transpose(0, 2, 1).reshape(cc.q, n * n)
     real_basis = np.stack([-flat_basis.real, flat_basis.imag], axis=2).reshape(cc.q, -1).T
     for w, (word, i) in enumerate(words):

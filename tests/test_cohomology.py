@@ -15,11 +15,11 @@ from repvar.cohomology import (
     IllConditionedError,
     NotACocycleError,
     ObstructionClass,
-    QuadraticMap,
     _LstsqSolver,
     _rank_cut,
     assemble_complex,
     coboundary,
+    cocycle_form,
     cocycle_transport,
     common_obstruction,
     cup_form,
@@ -28,6 +28,7 @@ from repvar.cohomology import (
     obstruction,
     obstruction_classes,
     pairing_tensor,
+    q_norms,
 )
 from repvar.jets import lift, probe_cone
 from repvar.presentation import Presentation, parse_presentation
@@ -39,8 +40,9 @@ from repvar.unitary import (exponential, haar_from_rng, matrix_to_json, principa
 
 from conftest import random_cocycle
 from oracles import (complex_defect, d0_cone, eager_pairing_entries, einsum_unstack_target,
-                     fd_h1_par, jet_order2_defect, per_column_basis_vectors, per_cocycle_cup_form,
-                     per_word_transport_matrix, random_word, sample_q, svd_dims)
+                     fd_h1_par, jet_order2_defect, list_kernel_cup, pair_arrays,
+                     per_column_basis_vectors, per_cocycle_cup_form, per_word_transport_matrix,
+                     random_word, sample_q, svd_dims)
 
 
 def test_transport_single_letter(genus2_irr):
@@ -378,7 +380,7 @@ def test_group_listed_out_of_order(sphere4_rep):
     # the classes of arbitrary degree-2 cochains, and the projection itself
     rng = np.random.default_rng(16)
     v = rng.standard_normal((listed.d1_cone.shape[0], 4))
-    a, b = (np.array([c.norm for c in obstruction_classes(cc, v[None])[0]]) for cc in cones)
+    a, b = (np.array([c.norm for c in obstruction_classes(cc, v)]) for cc in cones)
     assert np.all(a > 1e-3)
     assert np.all(np.abs(a - b) <= 1e-12 * a)
     once = [cc.project_peripheral(v) for cc in cones]
@@ -504,7 +506,7 @@ def test_cup_form_matches_jet_oracle(name, seed, draw):
     arbitrary = ([random_skew(rng, n) for _ in range(cc.n_gen)],
                  [random_skew(rng, n) for _ in cc.groups])
     vectors = cocycles + kernel + [arbitrary]
-    form = cup_form(cc, vectors)
+    form = cup_form(cc, *pair_arrays(cc, vectors))
     raws = [jet_order2_defect(cc, u, xi) for u, xi in vectors]
     for i, (u, xi) in enumerate(vectors):
         assert np.linalg.norm(form[i, i] - raws[i]) <= 1e-12 * (1 + np.linalg.norm(raws[i]))
@@ -533,7 +535,8 @@ def test_cup_form_is_bitwise_per_cocycle(name, seed, draw, count):
     n = cc.rep.rank
     vectors = [([random_skew(rng, n) for _ in range(cc.n_gen)],
                 [random_skew(rng, n) for _ in cc.groups]) for _ in range(count)]
-    assert cup_form(cc, vectors).tobytes() == per_cocycle_cup_form(cc, vectors).tobytes()
+    assert (cup_form(cc, *pair_arrays(cc, vectors)).tobytes()
+            == per_cocycle_cup_form(cc, vectors).tobytes())
 
 
 @point_cases
@@ -557,7 +560,7 @@ def test_pairing_symmetric_with_q_on_diagonal(name, seed, draw):
         return
     rng = np.random.default_rng(draw)
     u, v = (random_cocycle(cc, basis, rng) for _ in range(2))
-    form = cup_form(cc, [_with_xi(cc, w) for w in (u, v, _add(u, v))])
+    form = cup_form(cc, *pair_arrays(cc, [_with_xi(cc, w) for w in (u, v, _add(u, v))]))
     assert np.array_equal(form, form.transpose(1, 0, 2))
     polarized = form[2, 2] - form[0, 0] - form[1, 1] - 2 * form[0, 1]
     assert np.linalg.norm(polarized) <= 1e-12 * (1 + np.linalg.norm(form[2, 2]))
@@ -649,7 +652,7 @@ def _projected_kernel_moves(cc, u):
     kernel = _kernel_vectors(cc)
     assert kernel
     u, xi = _with_xi(cc, u)
-    form = cup_form(cc, [(u, xi)] + kernel)
+    form = cup_form(cc, *pair_arrays(cc, [(u, xi)] + kernel))
     moves = [np.linalg.norm(cc.project_peripheral(2.0 * form[0, k] + form[k, k]))
              for k in range(1, len(form))]
     floor = 1e-12 * (1.0 + np.linalg.norm(cc.stack_gen(u)) + max(np.linalg.norm(x) for x in xi))
@@ -855,36 +858,68 @@ def test_unstack_target_is_bitwise_the_einsum(corpus_points):
     assert {cc.rep.rank for cc in cones} == set(range(1, 7))
 
 
-def _assert_rows_match_oracle(qmap, rows):
-    """Every row's stacked class is bitwise the per-row oracle's, and the
-    norms-only read is bitwise the classes' norms."""
-    classes = qmap(rows)
-    assert len(classes) == len(rows)
-    assert qmap.norms(rows).tolist() == [got.norm for got in classes]
-    for c, got in zip(rows, classes):
-        want = sample_q(qmap, c)
-        assert got.norm == want.norm
-        assert got.coordinates.shape == want.coordinates.shape
-        assert np.array_equal(got.coordinates, want.coordinates)
-        assert np.array_equal(got.defect, want.defect)
+def _assert_rows_match_oracle(cc, form, rows):
+    """Every row's stacked norm is bitwise the per-row oracle's class norm."""
+    norms = q_norms(cc, form, rows).tolist()
+    assert len(norms) == len(rows)
+    for c, got in zip(rows, norms):
+        assert got == sample_q(cc, form, c).norm
 
 
 @pytest.mark.parametrize("point", ["sphere4_cc", "genus2_irr_cc", "genus2_red_cc",
                                    "degenerate_u3_cc"])
 def test_stacked_q_matches_per_sample_oracle(point, request):
-    # Q of a stack of coefficient rows is one batched evaluation with one
-    # product per row, so each row's class is bitwise the one the row gets
-    # alone, whatever it is stacked with
+    # |Q| of a stack of coefficient rows is one batched evaluation with one
+    # product per row, so each row's norm is bitwise that of the class the
+    # row gets alone, whatever it is stacked with
     cc = request.getfixturevalue(point)
     basis = h1_basis(cc)
-    qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
+    form = cocycle_form(cc, [list(v) for v in basis.vectors])
     rng = np.random.default_rng(81)
     for size in (1, 7, 40):
         rows = rng.standard_normal((size, len(basis)))
-        _assert_rows_match_oracle(qmap, rows / np.linalg.norm(rows, axis=1)[:, None])
+        _assert_rows_match_oracle(cc, form, rows / np.linalg.norm(rows, axis=1)[:, None])
     c = rng.standard_normal(len(basis))
     for lam in (-3.0, 0.25, 2.0):
-        _assert_rows_match_oracle(qmap, np.array([c, lam * c]))
+        _assert_rows_match_oracle(cc, form, np.array([c, lam * c]))
+
+
+def test_q_norm_invariant_under_centralizer(genus2_red_cc):
+    # Z(rho) at the reducible genus-2 point is the diagonal torus: Ad_k for
+    # k = diag(1, e^(i theta)) fixes rho, maps cocycles and coboundaries to
+    # themselves isometrically, so it keeps the span of the H^1 basis and
+    # |Q|, both through obstruction() and through q_norms on the kept form
+    cc = genus2_red_cc
+    basis = h1_basis(cc)
+    form = cc.basis_form(basis)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        c = rng.standard_normal(len(basis))
+        c /= np.linalg.norm(c)
+        k = np.diag([1.0, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))])
+        u = cc.unstack_gen(basis.matrix @ c)
+        moved = [k @ x @ k.conj().T for x in u]
+        c_moved = basis.matrix.T @ cc.stack_gen(moved)
+        assert np.linalg.norm(basis.matrix @ c_moved - cc.stack_gen(moved)) <= 1e-12
+        a, b = (obstruction(cc, v).norm for v in (u, moved))
+        assert a > 1e-3 and abs(a - b) <= 1e-12 * max(a, b)
+        qa, qb = q_norms(cc, form, np.array([c, c_moved])).tolist()
+        assert abs(qa - qb) <= 1e-12 * max(qa, qb)
+    # the negative control: a Haar unitary does not commute with rho, and
+    # moves u off the cocycles
+    g = haar_from_rng(rng, 2)
+    with pytest.raises(NotACocycleError):
+        obstruction(cc, [g @ x @ g.conj().T for x in u])
+
+
+@pytest.mark.parametrize("point", ["genus2_red_cc", "degenerate_u3_cc", "sphere4_cc", "torus_cc"])
+def test_kernel_cup_is_bitwise_the_list_oracle(point, request):
+    # the unit and kernel cochains unstacked in one go each, against one
+    # (u, xi) pair of matrix lists per cochain converted to arrays per chunk
+    cc = request.getfixturevalue(point)
+    want = list_kernel_cup(cc)
+    assert want.shape[1] > 0
+    assert _same_bits(cc.kernel_cup, want)
 
 
 def test_representative_built_on_first_access(sphere4_cc):
@@ -911,7 +946,7 @@ def test_relator_that_reduces_to_nothing(genus2_irr, genus2_irr_cc):
     assert pres.relators[1] == ()
     cc = assemble_complex(Representation(pres, genus2_irr.matrices, genus2_irr.tolerance))
     basis = h1_basis(cc)
-    form = cup_form(cc, [_with_xi(cc, list(v)) for v in basis.vectors])
+    form = cup_form(cc, *pair_arrays(cc, [_with_xi(cc, list(v)) for v in basis.vectors]))
     assert not form[:, :, cc.q:].any()
     assert pairing_tensor(cc, basis).verdict == pairing_tensor(
         genus2_irr_cc, h1_basis(genus2_irr_cc)).verdict
@@ -993,18 +1028,19 @@ def test_complex_walks_each_word_once(sphere4_rep, monkeypatch):
 
 def test_kept_basis_form_is_read_only(genus2_irr):
     # the form a complex keeps for its basis is what the next call reads, so
-    # no caller may write into it; a map built directly keeps its own form
+    # no caller may write into it; a form built directly is the caller's own
     cc = assemble_complex(genus2_irr)
     basis = h1_basis(cc)
-    for qmap in (cc.basis_map(basis), cc.basis_map(basis)):
+    for form in (cc.basis_form(basis), cc.basis_form(basis)):
         with pytest.raises(ValueError):
-            qmap.form[0, 0, 0] = 1.0
-    QuadraticMap(cc, basis.vectors).form[0, 0, 0] = 1.0
+            form[0, 0, 0] = 1.0
+    cocycle_form(cc, basis.vectors)[0, 0, 0] = 1.0
 
 
 def test_kept_basis_form_leaves_complex_acyclic(genus2_red):
-    # the complex keeps the form, not the map that refers back to it, so a
-    # dropped complex is freed at once, not by the cycle collector
+    # the complex keeps its basis form as a plain array, which holds no
+    # reference back to it, so a dropped complex is freed at once, not by
+    # the cycle collector
     cc = assemble_complex(genus2_red)
     basis = h1_basis(cc)
     pairing_tensor(cc, basis)

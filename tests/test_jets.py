@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repvar import cohomology, jets, truncring
-from repvar.cohomology import (DefectState, IllConditionedError, QuadraticMap, coboundary,
-                               cocycle_transport, h1_basis, obstruction, order_defect)
+from repvar.cohomology import (DefectState, IllConditionedError, coboundary, cocycle_form,
+                               cocycle_transport, h1_basis, obstruction, order_defect, q_norms)
 from repvar.jets import (
     JetRepresentation,
     LiftOptions,
@@ -595,15 +595,15 @@ def test_probe_smooth_point_with_peripherals(sphere4_cc):
 @pytest.mark.parametrize("point", ["sphere4_cc", "genus2_irr_cc", "genus2_red_cc"])
 def test_probe_q_matches_obstruction(point, request):
     # probe_cone reads |Q| of every direction, failing ones included, off one
-    # stacked norms read of a QuadraticMap over the basis; it must agree with
+    # stacked norms read of the cup form over the basis; it must agree with
     # obstruction()
     cc = request.getfixturevalue(point)
     basis = h1_basis(cc)
-    qmap = QuadraticMap(cc, [list(v) for v in basis.vectors])
+    form = cocycle_form(cc, [list(v) for v in basis.vectors])
     rng = np.random.default_rng(78)
     rows = rng.standard_normal((50, len(basis)))
     rows /= np.linalg.norm(rows, axis=1)[:, None]
-    for coeffs, qnorm in zip(rows, qmap.norms(rows).tolist()):
+    for coeffs, qnorm in zip(rows, q_norms(cc, form, rows).tolist()):
         want = obstruction(cc, cc.unstack_gen(basis.matrix @ coeffs)).norm
         assert abs(qnorm - want) <= 1e-12 * max(1.0, want)
 
@@ -636,13 +636,13 @@ def _row_probe(cc, basis, rows, order, seed, tolerance=1e-7):
     its Q over the basis against tolerance * |u|^2."""
     counts = dict(cone_success=0, cone_fail_order2=0, cone_fail_later=0,
                   noncone_fail_order2=0, noncone_past_order2=0, budget_exceeded=0)
-    qmap = cc.basis_map(basis)
+    form = cc.basis_form(basis)
     for row in rows:
         coeffs = row / np.linalg.norm(row)
         uvec = coeffs @ basis.matrix.T
         got = lift(cc, cc.unstack_gen(uvec), order).achieved_order
         counts["budget_exceeded"] += 1 < got < order
-        if qmap.norms(coeffs[None])[0] <= tolerance * np.linalg.norm(uvec) ** 2:
+        if q_norms(cc, form, coeffs[None])[0] <= tolerance * np.linalg.norm(uvec) ** 2:
             counts["cone_success" if got == order else
                    "cone_fail_order2" if got == 1 else "cone_fail_later"] += 1
         else:
@@ -701,15 +701,15 @@ def test_probe_reads_the_kept_form_per_basis(genus2_red, monkeypatch):
     fresh = cohomology.assemble_complex(genus2_red)
     assert got == probe_cone(fresh, moved, samples=12, order=4, seed=1)
     rows = np.random.default_rng(83).standard_normal((20, len(basis)))
-    assert (cc.basis_map(moved).norms(rows).tobytes()
-            == fresh.basis_map(moved).norms(rows).tobytes())
+    assert (q_norms(cc, cc.basis_form(moved), rows).tobytes()
+            == q_norms(fresh, fresh.basis_form(moved), rows).tobytes())
     a, b = (cohomology.pairing_tensor(c, moved).entries for c in (cc, fresh))
     assert np.array(a.norms).tobytes() == np.array(b.norms).tobytes()
     assert all(a[k].coordinates.tobytes() == b[k].coordinates.tobytes() for k in a)
     assert len(calls) == 3  # the fresh complex's one walk
 
     copy.vectors[0][0][0, 1] *= 2.0  # a basis changed in place is another basis
-    cc.basis_map(copy)
+    cc.basis_form(copy)
     assert len(calls) == 4
 
 
@@ -741,7 +741,7 @@ def test_probes_on_one_cold_complex_from_threads(genus2_red):
     rows = np.random.default_rng(84).standard_normal((10, len(basis)))
     seeds = (40, 41, 42, 43)
     want = [probe_cone(serial, basis, samples=15, order=4, seed=s) for s in seeds]
-    want_norms = [serial.basis_map(b).norms(rows).tobytes() for b in (basis, moved)]
+    want_norms = [q_norms(serial, serial.basis_form(b), rows).tobytes() for b in (basis, moved)]
     cc = cohomology.assemble_complex(genus2_red)
     start = threading.Barrier(len(seeds), timeout=60)
     got, norms = {}, {}
@@ -749,7 +749,7 @@ def test_probes_on_one_cold_complex_from_threads(genus2_red):
     def probe(seed):
         start.wait()
         got[seed] = probe_cone(cc, basis, samples=15, order=4, seed=seed)
-        norms[seed] = [cc.basis_map(b).norms(rows).tobytes()
+        norms[seed] = [q_norms(cc, cc.basis_form(b), rows).tobytes()
                        for _ in range(10) for b in (basis, moved)]
 
     workers = [threading.Thread(target=probe, args=(s,)) for s in seeds]
