@@ -202,7 +202,15 @@ def rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     SkylakeX kernels, main and tail rows alike; the tests check it on the
     core the test header names); a factor shared on the left, which would
     merge along the columns, and a product of per-row vectors, as here,
-    may not."""
+    may not.
+
+    The rule holds for the complex gemm, which every row-merged product
+    here is, over blocks of two rows or more.  OpenBLAS's real dgemm does
+    not keep row subsets bitwise: (4096, 2q) @ (2q, q) against the real skew
+    basis of :func:`cup_form`'s coordinates differed in blocks of up to 1,
+    49 and 2 rows at q = 25, 36 and 100 (one thread).  So a real gemm is
+    row-merged only where each output entry has one nonzero term
+    (:func:`~repvar.unitary.unvec_skew`), and the cup form's stays whole."""
     return (a[..., None, :] @ m)[..., 0, :]
 
 
@@ -357,21 +365,20 @@ class ConeComplex:
         (coordinates of the generator parts, then of the conjugator parts)
         against the cone-kernel columns kappa_j, (cols, kernel dim, target
         dim).  D is bilinear, so D(v, kappa_j) of any cone cochain v is
-        v @ this, one row per cochain.  Each :func:`cup_form` call takes as
-        many units as there are kernel columns: one form over all units
-        would also hold every pair of units (7 MB at a U(3) four-punctured
-        sphere)."""
+        v @ this, one row per cochain.  Units go in chunks of as many as
+        there are kernel columns, each chunk with the kernel columns through
+        :func:`cup_form`'s gemms, of which only the cross block is stored
+        (:func:`_cross_block`)."""
         n, count = self.rep.rank, len(self.jet_bases)
         cols, kernel = self.cone_kernel.shape
+        cup = np.empty((cols, kernel, self.d1_cone.shape[0]))
+        if kernel == 0:
+            return cup
         parts = unvec_skew(self.cone_kernel.T.reshape(kernel, count, self.q), n)
         units = unvec_skew(np.eye(cols).reshape(cols, count, self.q), n)
-        cup = np.empty((cols, kernel, self.d1_cone.shape[0]))
-        step = max(kernel, 1)
-        for a in range(0, cols, step):
-            chunk = units[a:a + step]
-            both = np.concatenate([chunk, parts])
-            cup[a:a + step] = cup_form(self, both[:, :self.n_gen],
-                                       both[:, self.n_gen:])[:len(chunk), len(chunk):]
+        for a in range(0, cols, kernel):
+            _cross_block(self, np.concatenate([units[a:a + kernel], parts]), cup[a:a + kernel])
+        cup *= 0.5
         return cup
 
     def basis_form(self, basis: CohomologyBasis) -> np.ndarray:
@@ -521,6 +528,12 @@ def _slots(slots: list):
     if slots == list(range(first, first + len(slots))):
         return slice(first, first + len(slots))
     return np.array(slots, dtype=int)
+
+
+# Working arrays are split so that each holds at most this many complex
+# numbers (4 MB): the chunks of a stacked lift, by DefectState.size per
+# sample, and the row blocks of a cup form's pair products (_row_block).
+_STACK_CACHE_LIMIT = 2 ** 18
 
 
 class DefectState:
@@ -705,37 +718,93 @@ def cup_form(cc: ConeComplex, us: np.ndarray, xis: np.ndarray) -> np.ndarray:
     with a_1 = sum_p T_p and xi' = P xi P^H.  Squares and symmetrized products
     of skew matrices are Hermitian and drop out of the skew part, so D(a, c) is
     the symmetrized sum_k L_k(a) R_k(c) over L = [sum_(q<p) T_q, -xi, a_1],
-    R = [T_p, a_1 + xi', xi']: one gemm per word for every pair.
+    R = [T_p, a_1 + xi', xi']: one complex gemm per word for every pair, in
+    row blocks (:func:`_word_pairs`), and one real gemm of all pairs into the
+    form's word slice, symmetrized in place block pair by block pair.  Besides
+    the form, a call holds one (b, b, n, n) complex pair array, one row block
+    and the word's stacks of Fox terms.
     """
-    n, b, chain = cc.rep.rank, len(us), cc.chain
-    words = len(chain.values)
-    form = np.zeros((b, b, words * cc.q))
+    b, q = len(us), cc.q
+    words = len(cc.chain.values)
+    form = np.zeros((b, b, words * q))
     if b == 0:
         return form
-    # vec_skew(x) = -Re(flat(x) . flat_basis) as one real gemm on the
-    # interleaved (re, im) entries of x
-    flat_basis = skew_basis(n).transpose(0, 2, 1).reshape(cc.q, n * n)
-    real_basis = np.stack([-flat_basis.real, flat_basis.imag], axis=2).reshape(cc.q, -1).T
-    bounds = np.searchsorted(chain.word, np.arange(words + 1))  # each word's terms
-    for w in range(words):
-        terms = slice(bounds[w], bounds[w + 1])
-        prefixes, signs = chain.prefixes[terms], chain.sign[terms, None, None, None]
-        t = signs * _conjugate(prefixes, us[:, chain.gen[terms]].swapaxes(0, 1))
-        left, right = [np.cumsum(t, axis=0) - t], [t]  # strict prefix sums of T_p
-        if w >= cc.n_rel:
-            a1, xi = t.sum(axis=0), xis[:, cc.group_of[w - cc.n_rel]]
-            xp = _conjugate(chain.values[w], xi)
-            left.append(np.array([-xi, a1]))
-            right.append(np.array([a1 + xp, xp]))
-        lf, rf = np.concatenate(left), np.concatenate(right)
-        k = lf.shape[0]
-        prod = lf.transpose(1, 2, 0, 3).reshape(b * n, k * n) \
-            @ rf.transpose(0, 2, 1, 3).reshape(k * n, b * n)
-        prod = prod.reshape(b, n, b, n).transpose(0, 2, 1, 3).reshape(b * b, n * n)
-        coords = (prod.view(float) @ real_basis).reshape(b, b, cc.q)
-        form[:, :, w * cc.q:(w + 1) * cc.q] = coords + coords.transpose(1, 0, 2)
+    basis, flat = _real_basis(cc.rep.rank), form.reshape(b * b, words * q)
+    step = _row_block(b, cc.rep.rank)
+    blocks = [slice(a, a + step) for a in range(0, b, step)]
+    for w, pairs in _word_pairs(cc, us, xis):
+        cols = slice(w * q, (w + 1) * q)
+        np.matmul(pairs, basis, out=flat[:, cols])
+        for i, rows in enumerate(blocks):
+            for other in blocks[i:]:
+                both = form[rows, other, cols] + form[other, rows, cols].swapaxes(0, 1)
+                form[rows, other, cols] = both
+                form[other, rows, cols] = both.swapaxes(0, 1)
     form *= 0.5
     return form
+
+
+def _cross_block(cc: ConeComplex, vectors: np.ndarray, out: np.ndarray) -> None:
+    """Write 2 D(v_a, v_(c+j)) of the cone cochains vectors (b, count, n, n),
+    the first c = len(out) against the other k, into out (c, k, target dim):
+    C[a, c+j] + C[c+j, a] of each word's coordinates C over all b^2 pairs.
+    The gemms stay over all pairs, since subsets of them round differently."""
+    b, c, q = len(vectors), len(out), cc.q
+    basis, coords = _real_basis(cc.rep.rank), np.empty((b, b, q))
+    for w, pairs in _word_pairs(cc, vectors[:, :cc.n_gen], vectors[:, cc.n_gen:]):
+        np.matmul(pairs, basis, out=coords.reshape(-1, q))
+        np.add(coords[:c, c:], coords[c:, :c].swapaxes(0, 1), out=out[:, :, w * q:(w + 1) * q])
+
+
+def _real_basis(n: int) -> np.ndarray:
+    """The skew basis as a real (2 n^2, n^2) matrix: vec_skew(x) =
+    -Re(flat(x) . flat_basis) is one real gemm on the interleaved (re, im)
+    entries of x."""
+    flat_basis = skew_basis(n).transpose(0, 2, 1).reshape(n * n, n * n)
+    return np.stack([-flat_basis.real, flat_basis.imag], axis=2).reshape(n * n, -1).T
+
+
+def _row_block(b: int, n: int) -> int:
+    """Vectors per row block of pair products over b vectors, at most
+    _STACK_CACHE_LIMIT complex numbers a block; one block at n = 1, where a
+    one-row block would be a gemv, which rounds differently."""
+    return b if n == 1 else min(b, max(1, _STACK_CACHE_LIMIT // (b * n * n)))
+
+
+def _word_pairs(cc: ConeComplex, us: np.ndarray, xis: np.ndarray) -> Iterator:
+    """Per word w of ``cc.chain``, (w, pairs): sum_k L_k(a) R_k(c) of
+    :func:`cup_form` for all pairs of the b vectors, the real view (b b,
+    2 n^2) of one complex (b, b, n, n) array that every word refills, row
+    block by row block (L[rows] @ R, bitwise the whole gemm; :func:`rowwise`)."""
+    n, b, chain = cc.rep.rank, len(us), cc.chain
+    step = _row_block(b, n)
+    pairs = np.empty((b, b, n, n), dtype=complex)
+    bounds = np.searchsorted(chain.word, np.arange(len(chain.values) + 1))  # each word's terms
+    for w in range(len(chain.values)):
+        lf, rf = _word_factors(cc, us, xis, w, slice(bounds[w], bounds[w + 1]))
+        for a in range(0, b, step):
+            pairs[a:a + step] = (lf[a * n:(a + step) * n] @ rf).reshape(-1, n, b, n).swapaxes(1, 2)
+        del lf, rf  # released before the caller's coordinate gemm
+        yield w, pairs.reshape(b * b, n * n).view(float)
+
+
+def _word_factors(cc: ConeComplex, us: np.ndarray, xis: np.ndarray, w: int,
+                  terms: slice) -> tuple[np.ndarray, np.ndarray]:
+    """L (b n, k n) and R (k n, b n) of word w (:func:`cup_form`), from its
+    Fox terms ``terms`` in ``cc.chain``."""
+    n, b, chain = cc.rep.rank, len(us), cc.chain
+    prefixes, signs = chain.prefixes[terms], chain.sign[terms, None, None, None]
+    t = signs * _conjugate(prefixes, us[:, chain.gen[terms]].swapaxes(0, 1))
+    left, right = [np.cumsum(t, axis=0) - t], [t]  # strict prefix sums of T_p
+    if w >= cc.n_rel:
+        a1, xi = t.sum(axis=0), xis[:, cc.group_of[w - cc.n_rel]]
+        xp = _conjugate(chain.values[w], xi)
+        left.append(np.array([-xi, a1]))
+        right.append(np.array([a1 + xp, xp]))
+    lf, rf = np.concatenate(left), np.concatenate(right)
+    k = lf.shape[0]
+    return (lf.transpose(1, 2, 0, 3).reshape(b * n, k * n),
+            rf.transpose(0, 2, 1, 3).reshape(k * n, b * n))
 
 
 def _conjugate(g: np.ndarray, x: np.ndarray) -> np.ndarray:

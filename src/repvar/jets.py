@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .cohomology import (
+    _STACK_CACHE_LIMIT,
     ConeComplex,
     CohomologyBasis,
     DefectState,
@@ -146,11 +147,6 @@ def _freeze(base, jets: np.ndarray, n_gen: int) -> JetRepresentation:
     series = tuple(map(tuple, jets.copy()))  # one copy, one view per coefficient
     return JetRepresentation(base=base, order=jets.shape[1], generator_jets=series[:n_gen],
                              conjugator_jets=series[n_gen:])
-
-
-# A stack of lifts is split into chunks whose defect states hold at most
-# this many complex numbers (4 MB; DefectState.size per sample).
-_STACK_CACHE_LIMIT = 2 ** 18
 
 
 @dataclass

@@ -129,6 +129,15 @@ def degenerate_u3_cc():
 
 
 @pytest.fixture(scope="session")
+def genus2_u8_cc():
+    """A genus-2 U(8) point (find seed 1), h1 = 6 * 8^2 + 2 = 130: the
+    first rank whose basis form splits its pair products into row blocks."""
+    pres = presentation.parse_presentation(
+        "group genus2_u8\nrank 8\ngenerators a b c d\nrelator a b a' b' c d c' d'\n")
+    return cohomology.assemble_complex(repspace.find_representation(pres, seed=1))
+
+
+@pytest.fixture(scope="session")
 def corpus_points(torus_rep, genus2_irr, genus2_red, sphere3_rep, sphere4_rep):
     """Named (representation, cone complex) pairs covering the whole corpus."""
     return {

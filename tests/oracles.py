@@ -28,10 +28,15 @@ stores each coefficient it re-forms by its own sum over j <= d and its own
 gemm per series (the loop that the one store over degrees lo..m of
 IncrementalExp replaced), the per-cocycle cup form
 conjugates every Fox term and xi one cocycle at a time (the per-item
-products that the stacked right conjugation replaced), the list-based
+products that the stacked right conjugation replaced), the whole cup
+form forms each word's pair products by one gemm over all vectors and one
+full transposed copy, and symmetrizes all pairs in one sum (the full-size
+temporaries that the row-blocked pair products replaced), the list-based
 kernel cup form builds one (u, xi) pair of matrix lists per unit and kernel
-cochain and converts each column chunk of them to arrays (the round trip
-that the one unstacking of all units and kernel columns replaced), the SVD
+cochain, converts each column chunk of them to arrays and keeps the cross
+block of the whole cup form over the chunk (the round trip that the one
+unstacking of all units and kernel columns replaced, and the full chunk
+forms that the cross-block writes replaced), the SVD
 dimension oracle factors d0 on the cone, d0 on the generators stacked over
 one identity per simultaneity group, and every other differential by its
 own SVD (the factorization whose rank the closed form of h_dims replaced), and
@@ -46,7 +51,7 @@ from math import factorial
 import numpy as np
 import scipy.linalg
 
-from repvar.cohomology import (DefectState, Dims, ObstructionClass, cocycle_form, cup_form,
+from repvar.cohomology import (DefectState, Dims, ObstructionClass, _conjugate, cocycle_form,
                                obstruction_classes, order_defect)
 from repvar.repspace import (Representation, _rank_cut, _residual_vector, evaluate_word,
                              word_transport_terms)
@@ -360,11 +365,44 @@ def pair_arrays(cc, vectors):
     return us, xis
 
 
+def whole_cup_form(cc, us, xis):
+    """cohomology.cup_form with each word's pair products formed by one
+    gemm over all vectors, then one full transposed copy, one real gemm to
+    coordinates and one full symmetrized sum."""
+    n, b, chain = cc.rep.rank, len(us), cc.chain
+    words = len(chain.values)
+    form = np.zeros((b, b, words * cc.q))
+    if b == 0:
+        return form
+    flat_basis = skew_basis(n).transpose(0, 2, 1).reshape(cc.q, n * n)
+    real_basis = np.stack([-flat_basis.real, flat_basis.imag], axis=2).reshape(cc.q, -1).T
+    bounds = np.searchsorted(chain.word, np.arange(words + 1))
+    for w in range(words):
+        terms = slice(bounds[w], bounds[w + 1])
+        prefixes, signs = chain.prefixes[terms], chain.sign[terms, None, None, None]
+        t = signs * _conjugate(prefixes, us[:, chain.gen[terms]].swapaxes(0, 1))
+        left, right = [np.cumsum(t, axis=0) - t], [t]
+        if w >= cc.n_rel:
+            a1, xi = t.sum(axis=0), xis[:, cc.group_of[w - cc.n_rel]]
+            xp = _conjugate(chain.values[w], xi)
+            left.append(np.array([-xi, a1]))
+            right.append(np.array([a1 + xp, xp]))
+        lf, rf = np.concatenate(left), np.concatenate(right)
+        k = lf.shape[0]
+        prod = lf.transpose(1, 2, 0, 3).reshape(b * n, k * n) \
+            @ rf.transpose(0, 2, 1, 3).reshape(k * n, b * n)
+        prod = prod.reshape(b, n, b, n).transpose(0, 2, 1, 3).reshape(b * b, n * n)
+        coords = (prod.view(float) @ real_basis).reshape(b, b, cc.q)
+        form[:, :, w * cc.q:(w + 1) * cc.q] = coords + coords.transpose(1, 0, 2)
+    form *= 0.5
+    return form
+
+
 def list_kernel_cup(cc):
     """ConeComplex.kernel_cup from one (generator parts, conjugator parts)
     pair of matrix lists per cone-kernel column and per unit cone cochain,
-    each unstacked on its own, and one cup_form per chunk of as many units
-    as there are kernel columns, its pairs converted to arrays."""
+    each unstacked on its own, and one whole cup form per chunk of as many
+    units as there are kernel columns, its pairs converted to arrays."""
     def unstack(v):
         mats = list(unvec_skew(v.reshape(-1, cc.q), cc.rep.rank))
         return mats[:cc.n_gen], mats[cc.n_gen:]
@@ -375,7 +413,8 @@ def list_kernel_cup(cc):
     step = max(len(parts), 1)
     for a in range(0, len(units), step):
         chunk = units[a:a + step]
-        cup[a:a + step] = cup_form(cc, *pair_arrays(cc, chunk + parts))[:len(chunk), len(chunk):]
+        form = whole_cup_form(cc, *pair_arrays(cc, chunk + parts))
+        cup[a:a + step] = form[:len(chunk), len(chunk):]
     return cup
 
 

@@ -2,9 +2,11 @@ import gc
 import json
 import sys
 import threading
+import tracemalloc
 import weakref
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ from conftest import random_cocycle
 from oracles import (complex_defect, d0_cone, eager_pairing_entries, einsum_unstack_target,
                      fd_h1_par, jet_order2_defect, list_kernel_cup, pair_arrays,
                      per_column_basis_vectors, per_cocycle_cup_form, per_word_transport_matrix,
-                     random_word, sample_q, svd_dims)
+                     random_word, sample_q, svd_dims, whole_cup_form)
 
 
 def test_transport_single_letter(genus2_irr):
@@ -920,6 +922,105 @@ def test_kernel_cup_is_bitwise_the_list_oracle(point, request):
     want = list_kernel_cup(cc)
     assert want.shape[1] > 0
     assert _same_bits(cc.kernel_cup, want)
+
+
+@pytest.mark.parametrize("vectors_per_block", [1, 3, None], ids=["block1", "block3", "rule"])
+@pytest.mark.parametrize("point", ["sphere4_cc", "degenerate_u3_cc", "genus2_red_cc", "torus_cc"])
+def test_cup_form_row_blocks_are_bitwise_the_whole_form(point, vectors_per_block, request):
+    # pair products formed in row blocks of vectors, the coordinates written
+    # into each word's slice of the form and the block pairs symmetrized in
+    # place, against one gemm, one transposed copy and one sum per word; at
+    # U(1) (the torus) there is one block whatever the limit
+    cc = request.getfixturevalue(point)
+    rng = np.random.default_rng(31)
+    n, b = cc.rep.rank, 13
+    vectors = [([random_skew(rng, n) for _ in range(cc.n_gen)],
+                [random_skew(rng, n) for _ in cc.groups]) for _ in range(b)]
+    limit = (cohomology._STACK_CACHE_LIMIT if vectors_per_block is None
+             else vectors_per_block * b * n * n)
+    with mock.patch.object(cohomology, "_STACK_CACHE_LIMIT", limit):
+        step = cohomology._row_block(b, n)
+        got = cup_form(cc, *pair_arrays(cc, vectors))
+    assert step == (b if n == 1 or vectors_per_block is None else vectors_per_block)
+    assert _same_bits(got, whole_cup_form(cc, *pair_arrays(cc, vectors)))
+
+
+@pytest.mark.parametrize("point, blocks", [("genus2_u8_cc", 5), ("torus_cc", 1)])
+def test_basis_forms_are_bitwise_the_whole_cup_form(point, blocks, request):
+    # the kept form and a cocycle form over the basis, at genus-2 U(8),
+    # whose 130 vectors take at least five row blocks under the memory rule,
+    # and at the U(1) torus, one block
+    cc = request.getfixturevalue(point)
+    basis = h1_basis(cc)
+    h = len(basis)
+    count = -(-h // cohomology._row_block(h, cc.rep.rank))
+    assert (count >= blocks) if blocks > 1 else (count == 1)
+    umats = np.asarray(basis.vectors, dtype=complex)
+    want = whole_cup_form(cc, umats, cc.canonical_xi(umats)[0])
+    assert _same_bits(cocycle_form(cc, basis.vectors), want)
+    assert _same_bits(cc.basis_form(basis), want)
+
+
+def test_kernel_cup_without_cone_kernel():
+    # one generator pinned by a one-letter relator: the cone differential is
+    # injective, so there is no kernel column to pair a unit with
+    pres = parse_presentation("group pinned\nrank 2\ngenerators a\nrelator a\n")
+    cc = assemble_complex(Representation(pres, [np.eye(2, dtype=complex)]))
+    cols = cc.d1_cone.shape[1]
+    assert cols > 0 and cc.cone_kernel.shape == (cols, 0)
+    assert cc.kernel_cup.shape == (cols, 0, cc.d1_cone.shape[0])
+
+
+def _cup_working_bytes(cc, b):
+    """The bytes a cup form over b vectors works in besides its result and
+    its coordinates, by design: the complex pair array (b, b, n, n), one row
+    block of pair products, six word stacks (b, k, n, n) at the word of most
+    factors k (its Fox terms, their strict prefix sums, the concatenated
+    left and right factors and their transposed copies, held at once while
+    the factors are built) and the ufunc buffers of numpy (three operands of
+    np.getbufsize() doubles)."""
+    n = cc.rep.rank
+    terms = np.bincount(cc.chain.word, minlength=len(cc.chain.values))
+    k = max(terms + 2 * (np.arange(len(terms)) >= cc.n_rel))
+    block = cohomology._row_block(b, n) * n * b * n
+    return 16 * (b * b * n * n + block + 6 * b * k * n * n) + 3 * 8 * np.getbufsize()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_cup_holds_its_cross_blocks_alone(degenerate_u3_cc):
+    # the rescue's cup forms hold the result, one chunk's coordinates of all
+    # (2k)^2 pairs and the working arrays of one cup form over the chunk,
+    # besides the unit and kernel cochains; a (2k, 2k, target dim) chunk form
+    # (1.13 MB here, against a 0.73 MB result) is not among them
+    cc = assemble_complex(degenerate_u3_cc.rep)
+    cols, kernel = cc.cone_kernel.shape
+    b, dim, count = 2 * kernel, cc.d1_cone.shape[0], len(cc.jet_bases)
+    cochains = 16 * (cols + kernel + b) * count * cc.q
+    bound = 8 * (cols * kernel * dim + b * b * cc.q) + _cup_working_bytes(cc, b) + cochains
+    assert _traced_peak(lambda: cc.kernel_cup) <= bound
+
+
+def test_basis_form_holds_its_working_arrays_alone(genus2_u8_cc):
+    # a basis form at genus-2 U(8) (130 vectors, five row blocks) holds the
+    # form, into whose word slices the coordinates go, and the working
+    # arrays of one cup form, besides two copies of the basis vectors (the
+    # stacked vectors and the key the complex keeps the form under); the
+    # whole (b n, b n) product of all pairs and its transposed copy are not
+    # among them
+    cc = assemble_complex(genus2_u8_cc.rep)
+    basis = h1_basis(cc)
+    h = len(basis)
+    vectors = 16 * h * cc.n_gen * cc.q
+    bound = 8 * h * h * cc.d1_cone.shape[0] + _cup_working_bytes(cc, h) + 2 * vectors
+    assert _traced_peak(lambda: cc.basis_form(basis)) <= bound
 
 
 def test_representative_built_on_first_access(sphere4_cc):
