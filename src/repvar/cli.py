@@ -210,7 +210,7 @@ def _cmd_find(args, pres) -> tuple[int, dict]:
 def _cmd_check(args, pres, rep) -> tuple[int, dict]:
     from . import repspace
     res = repspace.constraint_residual(rep)
-    dim = repspace.commutant_dimension(rep, rank_rtol=args.rank_tol)
+    dim = repspace.commutant_dimension(rep, rank_rtol=args.rank_threshold)
     tol = rep.tolerance if args.tol is None else args.tol
     valid = res.max <= tol
     return (0 if valid else 2), {
@@ -247,16 +247,14 @@ def _cmd_obstruct(args, pres, cc, umats) -> tuple[int, dict]:
 
 def _cmd_lift(args, pres, cc, umats) -> tuple[int, dict]:
     from . import jets
-    opts = jets.LiftOptions(tolerance=args.tol, budget=args.budget)
-    result = jets.lift(cc, umats, args.order, opts)
+    result = jets.lift(cc, umats, args.order, jets.LiftOptions(tolerance=args.tol))
     return (0 if result.succeeded else 2), {"report": result.to_json()}
 
 
 def _cmd_probe(args, pres, cc) -> tuple[int, dict]:
     from . import cohomology, jets
     result = jets.probe_cone(cc, cohomology.h1_basis(cc), samples=args.samples,
-                             order=args.order, seed=args.seed, tolerance=args.tol,
-                             budget=args.budget)
+                             order=args.order, seed=args.seed, tolerance=args.tol)
     return (0 if result.prediction_holds else 2), {"report": result.to_json()}
 
 
@@ -278,42 +276,44 @@ def _tol(default):
 _SEED = "--seed", {"type": int, "default": 0}
 _ATTEMPTS = "--attempts", {"type": _int_from(1), "default": 50}
 _SAMPLES = "--samples", {"type": _int_from(1), "default": 50}
-_BUDGET = "--budget", {"type": _int_from(0), "default": 3}
 _ORDER_1, _ORDER_2 = (("--order", {"type": _int_from(low), "default": 4}) for low in (1, 2))
 _OUT = "--out", {"default": None, "help": "also write the bare representation JSON here"}
-_COMMON = (
-    ("--rank-tol", {"default": 1e-8,
+_FORMAT = "--format", {"choices": ("json", "text"), "default": "json"}
+# the flags of the verbs that make rank decisions (validate and find make none)
+_RANKED = (
+    ("--rank-tol", {"dest": "rank_threshold", "metavar": "RANK_TOL", "default": 1e-8,
                     "type": _ranged(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
                     "help": "relative singular-value threshold for rank decisions"}),
-    ("--format", {"choices": ("json", "text"), "default": "json"}),
+    _FORMAT,
 )
 
 
 class _Verb(NamedTuple):
     help: str
     flags: tuple     # (flag, add_argument keywords), in --help order
-    config: tuple    # argument names echoed in the report's config, in report order
+    config: tuple    # argument names echoed in the report's config before format, in order
     command: Callable[..., tuple[int, dict]]
     inputs: int      # _PRES, _REP, _CC or _COCHAIN
 
 
 _VERBS = {
-    "validate": _Verb("parse and echo a presentation", _COMMON, (), _cmd_validate, _PRES),
+    "validate": _Verb("parse and echo a presentation", (_FORMAT,), (), _cmd_validate, _PRES),
     "find": _Verb("search for a valid representation",
-                  (_tol(1e-10), _SEED, _ATTEMPTS, _OUT, *_COMMON),
+                  (_tol(1e-10), _SEED, _ATTEMPTS, _OUT, _FORMAT),
                   ("seed", "attempts", "tol"), _cmd_find, _PRES),
-    "check": _Verb("residuals and commutant dimension", (*_COMMON, _tol(None)),
-                   ("tol",), _cmd_check, _REP),
-    "tangent": _Verb("cohomology dimensions and basis", _COMMON, (), _cmd_tangent, _CC),
-    "pairing": _Verb("cup-product pairing tensor and verdict", (_tol(1e-8), *_COMMON),
-                     ("tol",), _cmd_pairing, _CC),
-    "obstruct": _Verb("obstruction class of a cocycle", _COMMON, (), _cmd_obstruct, _COCHAIN),
-    "lift": _Verb("order-by-order jet lifting of a cocycle",
-                  (_tol(1e-7), _SEED, _ORDER_1, _BUDGET, *_COMMON),
-                  ("order", "tol", "seed", "budget"), _cmd_lift, _COCHAIN),
+    "check": _Verb("residuals and commutant dimension", (*_RANKED, _tol(None)),
+                   ("tol", "rank_threshold"), _cmd_check, _REP),
+    "tangent": _Verb("cohomology dimensions and basis", _RANKED, ("rank_threshold",),
+                     _cmd_tangent, _CC),
+    "pairing": _Verb("cup-product pairing tensor and verdict", (_tol(1e-8), *_RANKED),
+                     ("tol", "rank_threshold"), _cmd_pairing, _CC),
+    "obstruct": _Verb("obstruction class of a cocycle", _RANKED, ("rank_threshold",),
+                      _cmd_obstruct, _COCHAIN),
+    "lift": _Verb("order-by-order jet lifting of a cocycle", (_tol(1e-7), _ORDER_1, *_RANKED),
+                  ("order", "tol", "rank_threshold"), _cmd_lift, _COCHAIN),
     "probe": _Verb("random cone probe of quadraticity",
-                   (_tol(1e-7), _SEED, _ORDER_2, _SAMPLES, _BUDGET, *_COMMON),
-                   ("samples", "order", "seed", "tol", "budget"), _cmd_probe, _CC),
+                   (_tol(1e-7), _SEED, _ORDER_2, _SAMPLES, *_RANKED),
+                   ("samples", "order", "seed", "tol", "rank_threshold"), _cmd_probe, _CC),
 }
 
 
@@ -341,7 +341,7 @@ def _load_inputs(args, inputs: int) -> list:
         return [pres, rep]
     umats = [_load_cochain(pres, args.cochain)] if inputs == _COCHAIN else []
     from . import cohomology
-    return [pres, cohomology.assemble_complex(rep, rank_rtol=args.rank_tol), *umats]
+    return [pres, cohomology.assemble_complex(rep, rank_rtol=args.rank_threshold), *umats]
 
 
 def _raised(module: str, name: str) -> tuple:
@@ -365,8 +365,7 @@ def _numeric_errors(verb: _Verb):
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
     verb = _VERBS[args.verb]
-    config = {key: getattr(args, key) for key in verb.config}
-    config.update(rank_threshold=args.rank_tol, format=args.format)
+    config = {key: getattr(args, key) for key in (*verb.config, "format")}
     try:
         with _numeric_errors(verb):
             code, body = verb.command(args, *_load_inputs(args, verb.inputs))

@@ -96,7 +96,6 @@ class ConeProbeReport:
     samples: int
     order: int
     tolerance: float
-    budget: int
     seed: int
     rigid: bool
     cone_success: int = 0
@@ -125,7 +124,6 @@ class ConeProbeReport:
             "samples": self.samples,
             "order": self.order,
             "tolerance": self.tolerance,
-            "budget": self.budget,
             "seed": self.seed,
             "rigid": self.rigid,
             "contingency": self.contingency(),
@@ -194,7 +192,10 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
     not depend on the samples lifted with it wherever the BLAS rounds each
     row of a gemm as a gemm of that row alone would (OpenBLAS 0.3.31 on
     SkylakeX, which the tests check and whose core the test header
-    names)."""
+    names).  The rescue's fit drops singular values below rank_rtol times
+    each sample's largest: numpy's default cut, 1e-15, would invert rounding
+    where the fit is rank-deficient (a U(2)+U(2) point) and stop cone
+    directions there at order 2 or 3."""
     n, q, n_gen, count = cc.rep.rank, cc.q, cc.n_gen, len(cc.jet_bases)
     b = len(active)
     u = np.asarray(umats[active], dtype=complex)
@@ -227,7 +228,7 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
                 first = vec_skew(jets[new, :, 0]).reshape(-1, len(cup))  # (u, xi) of X_1
                 moves[new] = 2.0 * rowwise(first, cup.reshape(len(cup), -1)).reshape(
                     -1, *cup.shape[1:]).swapaxes(1, 2)
-                fit[new] = -np.linalg.pinv(coker @ moves[new]) @ coker
+                fit[new] = -np.linalg.pinv(coker @ moves[new], rcond=cc.rank_rtol) @ coker
                 rescued |= new
             if rescued.any():
                 c = fit[rescued] @ defect[rescued, :, None]
@@ -308,8 +309,7 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None,
 
 
 def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: int = 4,
-               seed: int = 0, tolerance: float = 1e-7, budget: int = 3,
-               rank_rtol: float = 1e-8) -> ConeProbeReport:
+               seed: int = 0, tolerance: float = 1e-7, rank_rtol: float = 1e-8) -> ConeProbeReport:
     """Sample random tangent directions, compare Q(u) with lifting behavior.
 
     The directions are the normalized rows of one
@@ -329,8 +329,8 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     makes one defect evaluation and one cone solve for the samples still
     lifting, the cone-kernel rescue reads every sample's moves off one cup
     form of the complex, and a failed sample leaves the stack, its outcome
-    that of its own lift.  budget is echoed in the report and changes no
-    lift; budget_exceeded counts the lifts that failed past order 2.
+    that of its own lift.  budget_exceeded counts the lifts that failed past
+    order 2.
     rank_rtol is the rank threshold of the complex assembled from a bare
     representation; a :class:`~repvar.cohomology.ConeComplex` passed in
     keeps its own.
@@ -342,8 +342,8 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
         raise ValueError(f"order must be at least 2, got {order}")
     cc = as_cone(rep_or_cone, rank_rtol)
     if len(basis) == 0:
-        return ConeProbeReport(samples=0, order=order, tolerance=tolerance,
-                               budget=budget, seed=seed, rigid=True)
+        return ConeProbeReport(samples=0, order=order, tolerance=tolerance, seed=seed,
+                               rigid=True)
     counts = dict(cone_success=0, cone_fail_order2=0, cone_fail_later=0,
                   noncone_fail_order2=0, noncone_past_order2=0, budget_exceeded=0)
     form = cc.basis_form(basis)
@@ -362,8 +362,8 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
                    "cone_fail_order2" if got == 1 else "cone_fail_later"] += 1
         else:
             counts["noncone_past_order2" if got >= 2 else "noncone_fail_order2"] += 1
-    return ConeProbeReport(samples=samples, order=order, tolerance=tolerance,
-                           budget=budget, seed=seed, rigid=False, **counts)
+    return ConeProbeReport(samples=samples, order=order, tolerance=tolerance, seed=seed,
+                           rigid=False, **counts)
 
 
 def jet_residual_profile(jrep: JetRepresentation, cone: ConeComplex | None = None,

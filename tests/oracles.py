@@ -43,7 +43,8 @@ own SVD (the factorization whose rank the closed form of h_dims replaced), and
 the logarithm oracle reads the angles off a Schur form (scipy, which only
 the test extra installs).  The cone sampler is no oracle: it draws
 inputs, directions with Q = 0, from the pairing form the library
-computes.
+computes.  Nor is the direct-sum builder: it makes inputs, reducible
+points whose dimensions have closed forms, from the points `find` returns.
 """
 
 from math import factorial
@@ -53,8 +54,9 @@ import scipy.linalg
 
 from repvar.cohomology import (DefectState, Dims, ObstructionClass, _conjugate, cocycle_form,
                                obstruction_classes, order_defect)
-from repvar.repspace import (Representation, _rank_cut, _residual_vector, evaluate_word,
-                             word_transport_terms)
+from repvar.presentation import parse_presentation
+from repvar.repspace import (Representation, _rank_cut, _residual_vector, commutant_dimension,
+                             evaluate_word, find_representation, word_transport_terms)
 from repvar.truncring import IncrementalExp
 from repvar.unitary import (BranchCutError, ad_matrix, exponential, project_skew, skew_basis,
                             unvec_skew, vec_skew)
@@ -273,6 +275,27 @@ def cone_direction(pairing, rng, steps=60):
         c = c - np.linalg.lstsq(2.0 * half_jac.T, q, rcond=None)[0]
         c /= np.linalg.norm(c)
     return c, float(np.linalg.norm(c @ np.tensordot(c, form, 1)))
+
+
+def genus2_surface(n):
+    """The closed genus-2 surface group, presented at rank n."""
+    return parse_presentation(f"group genus2_u{n}\nrank {n}\ngenerators a b c d\n"
+                              "relator a b a' b' c d c' d'\n")
+
+
+def genus2_direct_sum(blocks):
+    """The block-diagonal sum of genus-2 `find` points, one block per
+    (rank, seed) pair, the seeds distinct.  Each block must be irreducible
+    (commutant 1).  For k pairwise non-isomorphic blocks of total rank N the
+    sum has c0 = o2 = k and h1_par = 2 N^2 + 2k."""
+    seeds = [seed for _, seed in blocks]
+    assert len(set(seeds)) == len(seeds), f"seeds {seeds} repeat"
+    reps = [find_representation(genus2_surface(n), seed=seed) for n, seed in blocks]
+    for (n, seed), rep in zip(blocks, reps):
+        assert commutant_dimension(rep) == 1, f"the U({n}) block at seed {seed} is reducible"
+    mats = [scipy.linalg.block_diag(*parts) for parts in zip(*(rep.matrices for rep in reps))]
+    return Representation(genus2_surface(sum(n for n, _ in blocks)), mats,
+                          max(rep.tolerance for rep in reps))
 
 
 def sample_q(cc, form, c):

@@ -107,7 +107,7 @@ def test_c04_obstruction_oracle_equivalence(corpus_points):
 
 def test_c05_quadraticity_probe(genus2_red_cc):
     basis = h1_basis(genus2_red_cc)
-    probe = probe_cone(genus2_red_cc, basis, samples=100, order=4, seed=7, budget=3)
+    probe = probe_cone(genus2_red_cc, basis, samples=100, order=4, seed=7)
     assert probe.cone_fail_order2 == 0
     assert probe.noncone_past_order2 == 0
     assert probe.prediction_holds

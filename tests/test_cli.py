@@ -299,7 +299,12 @@ BAD_INPUTS = {
     "attempts_zero": ("find", SPHERE4, "--attempts", "0"),
     "order_zero": ("lift", GENUS2, "genus2_irr", "cocycle_irr", "--order", "0"),
     "probe_order_one": ("probe", GENUS2, "genus2_red", "--samples", "2", "--order", "1"),
-    "budget_negative": ("lift", GENUS2, "genus2_irr", "cocycle_irr", "--budget", "-1"),
+    # flags that changed no result and are gone: each is an unknown flag now
+    "removed_lift_budget": ("lift", GENUS2, "genus2_irr", "cocycle_irr", "--budget", "3"),
+    "removed_probe_budget": ("probe", GENUS2, "genus2_red", "--samples", "2", "--budget", "3"),
+    "removed_lift_seed": ("lift", GENUS2, "genus2_irr", "cocycle_irr", "--seed", "1"),
+    "removed_validate_rank_tol": ("validate", SPHERE4, "--rank-tol", "1e-8"),
+    "removed_find_rank_tol": ("find", SPHERE4, "--seed", "1", "--rank-tol", "1e-8"),
     "rank_tol_nan": ("tangent", GENUS2, "genus2_irr", "--rank-tol", "nan"),
     "rank_tol_one": ("tangent", GENUS2, "genus2_irr", "--rank-tol", "1"),
     "tol_nan_lift": ("lift", GENUS2, "genus2_red", "cocycle_red", "--order", "3", "--tol", "nan"),
@@ -338,6 +343,8 @@ def test_bad_input_exit_1(case, cli_files, capsys):
     assert code == 1
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    if case.startswith("removed_"):
+        assert err.startswith("repvar: error: unrecognized arguments: ")
 
 
 def test_find_out_unwritable_fails_before_search(cli_files, monkeypatch, capsys):
@@ -557,12 +564,27 @@ def test_probe_reducible(cli_files):
     assert report["budget_exceeded"] == 0
 
 
-def test_reports_embed_configuration(cli_files):
-    out = run_cli("probe", GENUS2, cli_files["genus2_red"],
-                  "--samples", "5", "--order", "3", "--seed", "2")
-    cfg = json.loads(out.stdout)["config"]
-    for key in ("samples", "order", "seed", "tol", "budget", "rank_threshold", "format"):
-        assert key in cfg
+CONFIG_KEYS = {  # argv after the verb, the exact keys of the report's config
+    "validate": ([SPHERE4], {"format"}),
+    "find": ([SPHERE4, "--seed", "1"], {"seed", "attempts", "tol", "format"}),
+    "check": ([GENUS2, "genus2_irr"], {"tol", "rank_threshold", "format"}),
+    "tangent": ([GENUS2, "genus2_irr"], {"rank_threshold", "format"}),
+    "pairing": ([GENUS2, "genus2_red"], {"tol", "rank_threshold", "format"}),
+    "obstruct": ([GENUS2, "genus2_red", "cocycle_red"], {"rank_threshold", "format"}),
+    "lift": ([GENUS2, "genus2_irr", "cocycle_irr", "--order", "3"],
+             {"order", "tol", "rank_threshold", "format"}),
+    "probe": ([GENUS2, "genus2_red", "--samples", "5", "--order", "3", "--seed", "2"],
+              {"samples", "order", "seed", "tol", "rank_threshold", "format"}),
+}
+
+
+def test_reports_embed_configuration(cli_files, capsys):
+    # every verb echoes exactly the flags that can change its report
+    assert set(CONFIG_KEYS) == set(cli._VERBS)
+    for verb, (argv, keys) in CONFIG_KEYS.items():
+        assert cli.run([verb, *(cli_files.get(a, a) for a in argv)]) == 0, verb
+        report = json.loads(capsys.readouterr().out)
+        assert set(report["config"]) == keys, verb
 
 
 def test_text_format(cli_files):

@@ -25,7 +25,7 @@ from repvar.repspace import evaluate_word, find_representation
 from repvar.unitary import random_skew, vec_skew
 
 from conftest import random_cocycle
-from oracles import cone_direction, oracle_defect_profile
+from oracles import cone_direction, genus2_direct_sum, oracle_defect_profile
 
 
 def _jet_rep(rep, gen_jets, conj_jets, order):
@@ -464,6 +464,33 @@ def test_lift_budget_exceeded_reported(sphere4_cc, monkeypatch):
     assert calls["n"] == 3  # order 2, order 3, and the rescue's solve
 
 
+@pytest.mark.parametrize("blocks", [((2, 1), (1, 2)), ((2, 1), (2, 2))], ids=["u2+u1", "u2+u2"])
+def test_cone_directions_lift_at_direct_sums(blocks):
+    # directions with Q = 0 at a reducible point are tangents of curves, so
+    # they lift; a rescue fit at numpy's default cut inverts rounding here
+    # and stops them at order 2 or 3.  A direction off the cone stops at
+    # order 1
+    cc = cohomology.assemble_complex(genus2_direct_sum(blocks))
+    basis = h1_basis(cc)
+    pairing = cohomology.pairing_tensor(cc, basis)
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        c, q = cone_direction(pairing, rng)
+        assert q <= 1e-15
+        report = lift(cc, cc.unstack_gen(basis.matrix @ c), 8)
+        assert report.achieved_order == 8, report.residuals
+    c = rng.standard_normal(len(basis))
+    assert lift(cc, cc.unstack_gen(basis.matrix @ c / np.linalg.norm(c)), 8).achieved_order == 1
+
+
+def test_probe_takes_no_budget(genus2_red_cc):
+    # budget changed no lift: it is no option of probe_cone or field of its report
+    with pytest.raises(TypeError):
+        probe_cone(genus2_red_cc, h1_basis(genus2_red_cc), samples=2, budget=3)
+    report = jets.ConeProbeReport(samples=0, order=4, tolerance=1e-7, seed=0, rigid=True)
+    assert "budget" not in report.to_json()
+
+
 def test_gauge_action_preserves_profile(sphere4_cc, sphere4_rep):
     basis = h1_basis(sphere4_cc)
     rng = np.random.default_rng(74)
@@ -647,7 +674,7 @@ def _row_probe(cc, basis, rows, order, seed, tolerance=1e-7):
                    "cone_fail_order2" if got == 1 else "cone_fail_later"] += 1
         else:
             counts["noncone_past_order2" if got >= 2 else "noncone_fail_order2"] += 1
-    return jets.ConeProbeReport(samples=len(rows), order=order, tolerance=tolerance, budget=3,
+    return jets.ConeProbeReport(samples=len(rows), order=order, tolerance=tolerance,
                                 seed=seed, rigid=False, **counts)
 
 
