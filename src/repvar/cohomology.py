@@ -77,6 +77,11 @@ from .truncring import (IncrementalExp, exp_series, product_coefficient,  # noqa
 from .unitary import ad_matrix, check_tolerance, project_skew, skew_basis, unvec_skew, vec_skew
 
 
+# the cocycle precondition of obstruction, common_obstruction and lift,
+# relative to max(1, |u|)
+COCYCLE_TOL = 1e-6
+
+
 class NotACocycleError(ValueError):
     """The input generator part is not a parabolic cocycle within tolerance."""
 
@@ -428,15 +433,24 @@ class ConeComplex:
             out[..., gd.rows, :] = stacked - gd.u_r @ (gd.u_r.T @ stacked)
         return out
 
-    def cocycle_parts(self, u, pre_tolerance: float) -> list[np.ndarray]:
-        """Generator parts of u (a Cochain1 or one matrix per generator),
-        checked to be a parabolic cocycle within pre_tolerance * max(1, |u|)."""
+    def cocycle_parts(self, u) -> list[np.ndarray]:
+        """Generator parts of u (a Cochain1 or one N x N matrix per generator),
+        checked to be a parabolic cocycle within COCYCLE_TOL * max(1, |u|).
+        The residual is hypot(|d1_par u|, |(u + u^H) / 2|): the coordinates
+        of u drop its Hermitian part, which therefore counts against the
+        same bound."""
         parts = list(u.generator_part) if isinstance(u, Cochain1) else list(u)
         if len(parts) != self.n_gen:
             raise ValueError(f"{len(parts)} generator parts for {self.n_gen} generators")
-        uvec = self.stack_gen(parts)
-        resid = float(np.linalg.norm(self.d1_par @ uvec))
-        bound = pre_tolerance * max(1.0, float(np.linalg.norm(uvec)))
+        n = self.rep.rank
+        shapes = [np.shape(m) for m in parts]
+        if any(shape != (n, n) for shape in shapes):
+            raise ValueError(f"generator parts of shapes {shapes}, expected {(n, n)} each")
+        mats = np.asarray(parts)
+        uvec = self.stack_gen(mats)
+        hermitian = float(np.linalg.norm(mats + mats.conj().swapaxes(-1, -2))) / 2
+        resid = float(np.hypot(np.linalg.norm(self.d1_par @ uvec), hermitian))
+        bound = COCYCLE_TOL * max(1.0, float(np.linalg.norm(uvec)))
         if resid > bound:
             raise NotACocycleError(resid, bound)
         return parts
@@ -580,13 +594,9 @@ class DefectState:
 
 
 def assemble_complex(rep: Representation, rank_rtol: float = 1e-8) -> ConeComplex:
+    """The complexes at rep; rank_rtol is the one rank threshold of every
+    cohomology and jet call that takes them."""
     return ConeComplex(rep, rank_rtol)
-
-
-def as_cone(rep_or_cone, rank_rtol: float = 1e-8) -> ConeComplex:
-    if isinstance(rep_or_cone, ConeComplex):
-        return rep_or_cone
-    return ConeComplex(rep_or_cone, rank_rtol)
 
 
 def cocycle_transport(rep: Representation, u, word: Word) -> np.ndarray:
@@ -606,9 +616,8 @@ def coboundary(rep: Representation, x: np.ndarray) -> Cochain1:
     return Cochain1(gen, conj)
 
 
-def h_dims(rep_or_cone, rank_rtol: float = 1e-8) -> Dims:
+def h_dims(cc: ConeComplex) -> Dims:
     """Dimension record of both complexes, via rank-revealing factorizations."""
-    cc = as_cone(rep_or_cone, rank_rtol)
     q, gen, par, cone = cc.q, cc._svd_d0_gen, cc._svd_d1_par, cc.cone_solver
     # d0 on the cone is the identity into each group's conjugator slot: it is
     # injective with a group, and d0 on the generators without one
@@ -621,9 +630,8 @@ def h_dims(rep_or_cone, rank_rtol: float = 1e-8) -> Dims:
                 o2=cc.pt_basis.shape[1] - par.rank, gaps=gaps)
 
 
-def h1_basis(rep_or_cone, rank_rtol: float = 1e-8) -> CohomologyBasis:
+def h1_basis(cc: ConeComplex) -> CohomologyBasis:
     """B-orthonormal basis of the parabolic cocycles modulo coboundaries."""
-    cc = as_cone(rep_or_cone, rank_rtol)
     dims = h_dims(cc)
     z = cc._svd_d1_par.nullspace      # (n_gen q, z1_par)
     cb = cc._svd_d0_gen.u_r           # image of the generator part of d0
@@ -856,8 +864,7 @@ def _class_parts(cc: ConeComplex, defects: np.ndarray):
     return coords, np.linalg.norm(coords, axis=1), projected
 
 
-def obstruction(rep_or_cone, u, pre_tolerance: float = 1e-6,
-                rank_rtol: float = 1e-8) -> ObstructionClass:
+def obstruction(cc: ConeComplex, u) -> ObstructionClass:
     """The quadratic map Q at a parabolic cocycle generator part.
 
     Solves the canonical minimal-norm conjugator parts, evaluates the exact
@@ -866,21 +873,19 @@ def obstruction(rep_or_cone, u, pre_tolerance: float = 1e-6,
     the projected defect in O^2 (:func:`obstruction_classes`).  Q(l u) equals
     l^2 Q(u) and Q vanishes on coboundary directions.
     """
-    return common_obstruction(rep_or_cone, [u], pre_tolerance, rank_rtol)[0]
+    return common_obstruction(cc, [u])[0]
 
 
-def common_obstruction(rep_or_cone, us: Sequence, pre_tolerance: float = 1e-6,
-                       rank_rtol: float = 1e-8) -> list[ObstructionClass]:
+def common_obstruction(cc: ConeComplex, us: Sequence) -> list[ObstructionClass]:
     """Obstruction classes of several cocycles reduced in one common quotient,
     so their coordinate vectors are directly comparable."""
-    cc = as_cone(rep_or_cone, rank_rtol)
-    form = cocycle_form(cc, [cc.cocycle_parts(u, pre_tolerance) for u in us])
+    form = cocycle_form(cc, [cc.cocycle_parts(u) for u in us])
     d = np.arange(len(form))
     return obstruction_classes(cc, form[d, d].T)
 
 
-def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
-                   rank_rtol: float = 1e-8) -> PairingTensor:
+def pairing_tensor(cc: ConeComplex, basis: CohomologyBasis,
+                   tolerance: float = 1e-8) -> PairingTensor:
     """Polarized quadratic map on a cohomology basis, in a common quotient.
 
     B(u, v) = (Q(u + v) - Q(u) - Q(v)) / 2 = D(u, v), read off the
@@ -892,7 +897,6 @@ def pairing_tensor(rep_or_cone, basis: CohomologyBasis, tolerance: float = 1e-8,
     :class:`ObstructionClass` is built when it is first looked up.
     """
     check_tolerance(tolerance)
-    cc = as_cone(rep_or_cone, rank_rtol)
     h = len(basis)
     form = cc.basis_form(basis)
     keys = [(i, i) for i in range(h)] + [(i, j) for i in range(h) for j in range(i + 1, h)]

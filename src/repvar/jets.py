@@ -31,7 +31,6 @@ from .cohomology import (
     CohomologyBasis,
     DefectState,
     ObstructionClass,
-    as_cone,
     cocycle_form,
     obstruction_classes,
     order_defect,
@@ -48,7 +47,6 @@ from .unitary import check_tolerance, project_skew, unvec_skew, vec_skew
 class LiftOptions:
     tolerance: float = 1e-7      # relative to |u|^2, the scale of the defects
     budget: int = 3              # kept for perfbench's audit op; read by nothing
-    pre_tolerance: float = 1e-6  # cocycle precondition
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,7 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
     not depend on the samples lifted with it wherever the BLAS rounds each
     row of a gemm as a gemm of that row alone would (OpenBLAS 0.3.31 on
     SkylakeX, which the tests check and whose core the test header
-    names).  The rescue's fit drops singular values below rank_rtol times
+    names).  The rescue's fit drops singular values below cc.rank_rtol times
     each sample's largest: numpy's default cut, 1e-15, would invert rounding
     where the fit is rank-deficient (a U(2)+U(2) point) and stop cone
     directions there at order 2 or 3."""
@@ -258,8 +256,7 @@ def _lift_chunk(cc: ConeComplex, umats: np.ndarray, order: int, tolerance: float
                                  "defect or residual is not finite")
 
 
-def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None,
-         rank_rtol: float = 1e-8) -> LiftReport:
+def lift(cc: ConeComplex, u, order: int, options: LiftOptions | None = None) -> LiftReport:
     """Lift a parabolic cocycle to a jet representation of the given order.
 
     Sets X_1 = u and the minimal-norm conjugator jets, then solves the exact
@@ -281,17 +278,12 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None,
     runs over all its samples at once, where each order forms the defects
     and the cone solves of the whole stack and a failed sample leaves it;
     a sample's outcome there is that of its own lift.
-
-    rank_rtol is the rank threshold of the complex assembled from a bare
-    representation; a :class:`~repvar.cohomology.ConeComplex` passed in keeps
-    its own.
     """
     opts = options or LiftOptions()
     check_tolerance(opts.tolerance)
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    cc = as_cone(rep_or_cone, rank_rtol)
-    umats = cc.cocycle_parts(u, opts.pre_tolerance)
+    umats = cc.cocycle_parts(u)
     lifts = _lift_stack(cc, np.asarray(umats, dtype=complex)[None], order, opts.tolerance)
     got = int(lifts.achieved[0])
     obs = None
@@ -308,8 +300,8 @@ def lift(rep_or_cone, u, order: int, options: LiftOptions | None = None,
     )
 
 
-def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: int = 4,
-               seed: int = 0, tolerance: float = 1e-7, rank_rtol: float = 1e-8) -> ConeProbeReport:
+def probe_cone(cc: ConeComplex, basis: CohomologyBasis, samples: int = 50, order: int = 4,
+               seed: int = 0, tolerance: float = 1e-7) -> ConeProbeReport:
     """Sample random tangent directions, compare Q(u) with lifting behavior.
 
     The directions are the normalized rows of one
@@ -331,16 +323,12 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
     form of the complex, and a failed sample leaves the stack, its outcome
     that of its own lift.  budget_exceeded counts the lifts that failed past
     order 2.
-    rank_rtol is the rank threshold of the complex assembled from a bare
-    representation; a :class:`~repvar.cohomology.ConeComplex` passed in
-    keeps its own.
     """
     check_tolerance(tolerance)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if order < 2:
         raise ValueError(f"order must be at least 2, got {order}")
-    cc = as_cone(rep_or_cone, rank_rtol)
     if len(basis) == 0:
         return ConeProbeReport(samples=0, order=order, tolerance=tolerance, seed=seed,
                                rigid=True)
@@ -366,13 +354,11 @@ def probe_cone(rep_or_cone, basis: CohomologyBasis, samples: int = 50, order: in
                            rigid=False, **counts)
 
 
-def jet_residual_profile(jrep: JetRepresentation, cone: ConeComplex | None = None,
-                         rank_rtol: float = 1e-8) -> list[float]:
-    """Per-order closure residuals of a jet representation: the norms of the
-    relator and conjugated-peripheral defects at each order 1..k, from one
-    :class:`~repvar.cohomology.DefectState` shared by the orders.  rank_rtol
-    is the rank threshold of the complex assembled when no cone is given."""
-    cc = cone if cone is not None else ConeComplex(jrep.base, rank_rtol)
+def jet_residual_profile(cc: ConeComplex, jrep: JetRepresentation) -> list[float]:
+    """Per-order closure residuals of a jet representation over the complex
+    at its base: the norms of the relator and conjugated-peripheral defects
+    at each order 1..k, from one :class:`~repvar.cohomology.DefectState`
+    shared by the orders."""
     n, k = cc.rep.rank, jrep.order
     # every series zero-padded to the order, as a stack of one sample
     series = np.zeros((1, len(cc.jet_bases), k, n, n), dtype=complex)

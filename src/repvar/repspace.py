@@ -274,12 +274,13 @@ def _retract(rep: Representation, step: np.ndarray) -> Representation:
 
 
 def refine(rep: Representation, max_iterations: int = 50, target_tolerance: float = 1e-10,
-           rank_rtol: float = 1e-8, trace: list | None = None) -> Representation:
+           trace: list | None = None) -> Representation:
     """Gauss-Newton refinement onto the constraint variety.
 
     Minimizes the sum of squared relator and class residuals over one
     skew-Hermitian tangent per generator, retracted via the left
-    exponential.  Steps are minimal-norm least-squares solutions; a step is
+    exponential.  Steps are minimal-norm least-squares solutions, cut at a
+    fixed 1e-8 times the largest singular value; a step is
     halved until the objective decreases, so accepted iterates never
     increase it.  Each trial point walks its constraint words once
     (:func:`_word_chain`), and the Jacobian is formed once per iteration
@@ -305,7 +306,7 @@ def refine(rep: Representation, max_iterations: int = 50, target_tolerance: floa
     best = (res, current)
     for _ in range(max_iterations):
         jac = _residual_jacobian(current, chain)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=rank_rtol)
+        step, *_ = np.linalg.lstsq(jac, -r, rcond=1e-8)
         alpha = 1.0
         while alpha >= 1e-12:
             trial = _retract(current, alpha * step)

@@ -58,7 +58,7 @@ def test_c02_dimension_oracle_agreement(genus2_irr, sphere3_rep, sphere4_rep):
                 "3-punctured sphere": (sphere3_rep, 0),
                 "4-punctured sphere": (sphere4_rep, 2)}
     for name, (rep, want) in expected.items():
-        fox = h_dims(rep).h1_par
+        fox = h_dims(assemble_complex(rep)).h1_par
         fd = fd_h1_par(rep, eps=1e-6, threshold=1e-5)
         assert fox == fd == want, (name, fox, fd, want)
     report("C2 dimension oracle agreement (Fox = finite-difference = 10, 0, 2)")
@@ -217,8 +217,23 @@ def test_c10_parity_check(corpus_points):
     for name, rep in corpus_points.items():
         if commutant_dimension(rep) != 1:
             continue
-        h1 = h_dims(rep).h1_par
+        h1 = h_dims(assemble_complex(rep)).h1_par
         assert h1 % 2 == 0, (name, h1)
         checked.append((name, h1))
     assert checked
     report(f"C10 parity check (h1_par even at irreducible points: {sorted(checked)})")
+
+
+def test_readme_sketch_runs():
+    # the one documented library path: the README's python block, run as
+    # written, prints what its comments state
+    readme = (CORPUS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    source = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", source],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    dims, verdict, lifted = run.stdout.splitlines()
+    assert "h1_par=10," in dims and "o2=1," in dims, dims
+    assert verdict == "True"
+    assert lifted.split()[0] == "6", lifted
+    report("README sketch (h1_par=10, o2=1, smooth verdict, lift to order 6)")

@@ -156,14 +156,14 @@ def test_h_dims_matches_svd_oracle(corpus_points, degenerate_u3_cc, sphere4_rep)
     # d0 on the generators without); the oracle factors it by its own SVD
     together = parse_presentation(corpus.SPHERE4 + "together Pa Pc\n")
     free = Presentation("free1", 2, ["a"])
-    points = {**corpus_points, "degenerate_u3": degenerate_u3_cc,
+    points = {**corpus_points, "degenerate_u3": degenerate_u3_cc.rep,
               "together_pa_pc": Representation(together, sphere4_rep.matrices,
                                                sphere4_rep.tolerance),
               "no_generators": Representation(Presentation("empty", 2, []), []),
               "empty_relator": Representation(Presentation("none", 2, [], relators=[()]), []),
               "no_relators": Representation(free, [haar_from_rng(np.random.default_rng(3), 2)])}
     for name, point in points.items():
-        cc = cohomology.as_cone(point)
+        cc = assemble_complex(point)
         got, want = h_dims(cc), svd_dims(cc)
         assert got == want, name  # the integers
         assert list(got.gaps.items()) == list(want.gaps.items()), name
@@ -201,7 +201,7 @@ def test_h1_parity_at_irreducible_points(corpus_points):
     for name, rep in corpus_points.items():
         if commutant_dimension(rep) != 1:
             continue
-        assert h_dims(rep).h1_par % 2 == 0, name
+        assert h_dims(assemble_complex(rep)).h1_par % 2 == 0, name
 
 
 def test_h1_basis_rigid_empty(sphere3_cc):
@@ -262,6 +262,22 @@ def test_obstruction_rejects_non_cocycle(genus2_irr_cc):
     u = [random_skew(rng, 2) for _ in range(4)]
     with pytest.raises(NotACocycleError):
         obstruction(genus2_irr_cc, u)
+
+
+def test_cocycle_check_rejects_misshapen_and_non_skew_parts(sphere4_cc):
+    # the coordinates of a part drop its Hermitian half and a reshape of its
+    # entries, so the cocycle check reads both off the parts themselves
+    u = h1_basis(sphere4_cc).vectors[0]
+    flat = [m.reshape(1, 4) for m in u]
+    for call in (obstruction, lambda cc, parts: lift(cc, parts, 3)):
+        with pytest.raises(ValueError, match=r"shapes \[\(1, 4\)"):
+            call(sphere4_cc, flat)
+    shifted = [m + np.eye(2) for m in u]
+    with pytest.raises(NotACocycleError):
+        obstruction(sphere4_cc, shifted)
+    with pytest.raises(NotACocycleError):
+        lift(sphere4_cc, shifted, 3)
+    assert lift(sphere4_cc, u, 3).achieved_order == 3
 
 
 def test_obstruction_scaling_law(genus2_red_cc):
@@ -366,7 +382,7 @@ def test_joint_simultaneity_group(sphere4_rep):
     assert complex_defect(cc) <= 1e-10
     d = h_dims(cc)
     # one tangent dimension of the separate-constraints problem is cut
-    assert d.h1_par == h_dims(sphere4_rep).h1_par - 1 == 1
+    assert d.h1_par == h_dims(assemble_complex(sphere4_rep)).h1_par - 1 == 1
     basis = h1_basis(cc)
     xi, solve_residual = cc.canonical_xi(basis.vectors[0])
     assert len(xi) == 3
@@ -418,7 +434,7 @@ def test_rank_cut_diagnostics():
     assert _rank_cut(np.zeros(0), 1e-8, "empty") == (0, None)
 
 
-def test_rank_cut_below_rounding_floor(sphere4_rep, sphere4_cc):
+def test_rank_cut_below_rounding_floor(sphere4_rep):
     # a threshold under eps * 3 * s[0] would count rounding noise as rank,
     # even on a spectrum whose default cut is clean
     s = np.array([1.0, 0.5, 1e-17])
@@ -438,10 +454,7 @@ def test_rank_cut_below_rounding_floor(sphere4_rep, sphere4_cc):
         _LstsqSolver(tall, 1e-14, "tall floor")
     # tangent, pairing and probe all assemble the complex first; check
     # counts the commutant, which the scalars keep at least 1-dimensional
-    basis = h1_basis(sphere4_cc)
-    for call in (lambda: h_dims(sphere4_rep, 1e-20),
-                 lambda: pairing_tensor(sphere4_rep, basis, rank_rtol=1e-20),
-                 lambda: assemble_complex(sphere4_rep, 1e-20),
+    for call in (lambda: assemble_complex(sphere4_rep, 1e-20),
                  lambda: commutant_dimension(sphere4_rep, rank_rtol=1e-20)):
         with pytest.raises(IllConditionedError, match="ambiguous rank"):
             call()
@@ -744,7 +757,7 @@ def test_abelian_point_from_find_has_no_coboundaries():
     # at U(1), Id - Ad rho(x) is zero up to the rounding of |rho(x)|^2 = 1,
     # so d0 has rank 0 and h1_par = 2 at every point, as at the exact one
     rep = find_representation(corpus.load("torus_puncture"), seed=1, target_tolerance=1e-10)
-    dims = h_dims(rep)
+    dims = h_dims(assemble_complex(rep))
     assert (dims.b1, dims.c0, dims.h1_par) == (0, 1, 2)
 
 

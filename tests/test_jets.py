@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repvar import cohomology, jets, truncring
-from repvar.cohomology import (DefectState, IllConditionedError, coboundary, cocycle_form,
-                               cocycle_transport, h1_basis, obstruction, order_defect, q_norms)
+from repvar.cohomology import (DefectState, coboundary, cocycle_form, cocycle_transport,
+                               h1_basis, obstruction, order_defect, q_norms)
 from repvar.jets import (
     JetRepresentation,
     LiftOptions,
@@ -186,7 +186,7 @@ def test_lift_report_invariant(genus2_red_cc, genus2_irr_cc):
 def test_lift_profile_matches_reported_residuals(genus2_irr_cc):
     basis = h1_basis(genus2_irr_cc)
     report = lift(genus2_irr_cc, basis.vectors[0], 5)
-    profile = jet_residual_profile(report.corrections, genus2_irr_cc)
+    profile = jet_residual_profile(genus2_irr_cc, report.corrections)
     for m in range(2, 6):
         assert profile[m - 1] == pytest.approx(report.residuals[m - 1], abs=1e-10)
 
@@ -200,8 +200,8 @@ def test_jet_residual_profile_pads_short_series(sphere4_cc):
     conj = [[random_skew(rng, n, 0.3) for _ in range(k)] for k in (0, 3, 4, 1)]
     zero = np.zeros((n, n), dtype=complex)
     gen_full, conj_full = ([s + [zero] * (order - len(s)) for s in x] for x in (gen, conj))
-    short = jet_residual_profile(_jet_rep(cc.rep, gen, conj, order), cc)
-    padded = jet_residual_profile(_jet_rep(cc.rep, gen_full, conj_full, order), cc)
+    short = jet_residual_profile(cc, _jet_rep(cc.rep, gen, conj, order))
+    padded = jet_residual_profile(cc, _jet_rep(cc.rep, gen_full, conj_full, order))
     assert short == padded
     assert min(padded) > 1e-3
 
@@ -218,7 +218,7 @@ def test_lift_order30_profile_matches_oracle_ring(point, order, request):
     report = lift(cc, u, order)
     assert report.achieved_order == order
     jrep = report.corrections
-    profile = jet_residual_profile(jrep, cc)
+    profile = jet_residual_profile(cc, jrep)
     oracle = oracle_defect_profile(cc, jrep.generator_jets, jrep.conjugator_jets, order)
     assert max(oracle) <= 1e-11
     assert np.allclose(profile, oracle, rtol=0, atol=1e-12)
@@ -227,7 +227,7 @@ def test_lift_order30_profile_matches_oracle_ring(point, order, request):
     n = cc.rep.rank
     gen = [[x + random_skew(rng, n, 1e-3) for x in jets] for jets in jrep.generator_jets]
     conj = [[x + random_skew(rng, n, 1e-3) for x in jets] for jets in jrep.conjugator_jets]
-    moved = jet_residual_profile(_jet_rep(jrep.base, gen, conj, order), cc)
+    moved = jet_residual_profile(cc, _jet_rep(jrep.base, gen, conj, order))
     oracle = oracle_defect_profile(cc, gen, conj, order)
     assert min(oracle) >= 1e-5
     assert np.allclose(moved, oracle, rtol=1e-10, atol=0)
@@ -410,17 +410,27 @@ def test_benchmark_tracer_covers_lift_and_probe(sphere4_cc, monkeypatch):
     assert totals["cohomology.order_defect.calls"] == 4 + 3
 
 
-def test_lift_and_probe_pass_rank_rtol(sphere4_rep, sphere4_cc):
-    # below the rounding floor, as h1_basis; a cone passed in keeps its own threshold
+def test_removed_keywords_raise_type_error(sphere4_rep, sphere4_cc):
+    # the rank threshold is set once, where the complex is assembled, and the
+    # cocycle precondition is the constant cohomology.COCYCLE_TOL
+    from repvar.repspace import refine
     basis = h1_basis(sphere4_cc)
-    with pytest.raises(IllConditionedError):
-        lift(sphere4_rep, basis.vectors[0], 4, rank_rtol=1e-20)
-    with pytest.raises(IllConditionedError):
-        probe_cone(sphere4_rep, basis, samples=2, rank_rtol=1e-20)
-    with pytest.raises(IllConditionedError):
-        h1_basis(sphere4_rep, 1e-20)
-    assert lift(sphere4_cc, basis.vectors[0], 4, rank_rtol=1e-20).succeeded
-    assert probe_cone(sphere4_cc, basis, samples=2, rank_rtol=1e-20).prediction_holds
+    u = basis.vectors[0]
+    jrep = lift(sphere4_cc, u, 2).corrections
+    calls = [lambda: lift(sphere4_cc, u, 4, rank_rtol=1e-8),
+             lambda: probe_cone(sphere4_cc, basis, samples=2, rank_rtol=1e-8),
+             lambda: cohomology.pairing_tensor(sphere4_cc, basis, rank_rtol=1e-8),
+             lambda: refine(sphere4_rep, rank_rtol=1e-8),
+             lambda: jet_residual_profile(sphere4_cc, jrep, rank_rtol=1e-8),
+             lambda: h1_basis(sphere4_cc, 1e-8),
+             lambda: cohomology.h_dims(sphere4_cc, 1e-8),
+             lambda: obstruction(sphere4_cc, u, pre_tolerance=1e-6),
+             lambda: cohomology.common_obstruction(sphere4_cc, [u], pre_tolerance=1e-6),
+             lambda: LiftOptions(pre_tolerance=1e-6)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    assert not hasattr(cohomology, "as_cone")
 
 
 def test_lift_shares_one_factorization(genus2_irr_cc, monkeypatch):
@@ -497,10 +507,10 @@ def test_gauge_action_preserves_profile(sphere4_cc, sphere4_rep):
     for order, scale in ((5, 0.4), (30, 0.1)):
         report = lift(sphere4_cc, basis.vectors[0], order)
         assert report.succeeded
-        before = jet_residual_profile(report.corrections, sphere4_cc)
+        before = jet_residual_profile(sphere4_cc, report.corrections)
         gauge = [random_skew(rng, 2, scale) for _ in range(order)]
         moved = gauge_transform(report.corrections, gauge)
-        after = jet_residual_profile(moved, sphere4_cc)
+        after = jet_residual_profile(sphere4_cc, moved)
         assert max(abs(a - b) for a, b in zip(before, after)) <= 1e-10
 
 
@@ -522,7 +532,7 @@ def test_cone_directions_lift_at_singular_point(genus2_red_cc):
         assert report.succeeded and report.achieved_order == 12
         assert not report.budget_exceeded
         assert max(report.residuals) <= 1e-12
-        assert max(jet_residual_profile(report.corrections, genus2_red_cc)) <= 1e-12
+        assert max(jet_residual_profile(genus2_red_cc, report.corrections)) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -534,7 +544,7 @@ def test_cone_directions_lift_property(genus2_red_cc, seed, scale):
     assert report.succeeded
     bound = 1e-12 * max(1.0, scale) ** 8
     assert max(report.residuals) <= bound
-    assert max(jet_residual_profile(report.corrections, genus2_red_cc)) <= bound
+    assert max(jet_residual_profile(genus2_red_cc, report.corrections)) <= bound
 
 
 def _stack_directions(point, cc, basis, rng):
