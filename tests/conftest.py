@@ -1,10 +1,13 @@
 import ctypes
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repvar import cohomology, corpus, presentation, repspace
+
+from oracles import genus2_direct_sum
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -61,15 +64,43 @@ def torus_rep():
     return corpus.torus_puncture_representation()
 
 
-@pytest.fixture(scope="session")
-def genus2_irr(genus2_pres):
-    # generic Haar starts at a closed-surface group give irreducible points
+def genus2_irreducible(genus2_pres):
+    """The first irreducible genus-2 `find` point over seeds 2..7: generic
+    Haar starts at a closed-surface group give irreducible points."""
     for seed in range(2, 8):
         rep = repspace.find_representation(genus2_pres, seed=seed, attempts=20,
                                            target_tolerance=1e-12)
         if repspace.commutant_dimension(rep) == 1:
             return rep
     raise RuntimeError("no irreducible genus-2 representation found")
+
+
+def sphere_point(pres):
+    """The `find` point (seed 1) of a punctured-sphere presentation."""
+    return repspace.find_representation(pres, seed=1, attempts=50, target_tolerance=1e-11)
+
+
+def degenerate_u3():
+    """A U(3) four-punctured sphere whose classes (1/q, 2/q, -3/q) repeat an
+    eigenvalue at q = 5.  Find seed 1 returns the repeated angle split by
+    about 1e-6; lifts there fail at order 2 or 3, decided by rounding."""
+    lines = ["group sphere4_u3_degenerate", "rank 3", "generators x0 x1 x2 x3",
+             "relator x0 x1 x2 x3"]
+    lines += [f"peripheral Px{i} = x{i} : 1/{q}, 2/{q}, -3/{q}"
+              for i, q in enumerate((5, 7, 11, 13))]
+    pres = presentation.parse_presentation("\n".join(lines) + "\n")
+    return repspace.find_representation(pres, seed=1, target_tolerance=1e-11)
+
+
+# genus-2 direct sums by name: the (rank, find seed) of each block, and
+# h1_par = (2g - 2) N^2 + 2k at g = 2, k = 2
+DIRECT_SUMS = {"u1+u1": (((1, 1), (1, 2)), 12), "u2+u1": (((2, 1), (1, 2)), 22),
+               "u2+u2": (((2, 1), (2, 2)), 36)}
+
+
+@pytest.fixture(scope="session")
+def genus2_irr(genus2_pres):
+    return genus2_irreducible(genus2_pres)
 
 
 @pytest.fixture(scope="session")
@@ -79,14 +110,12 @@ def genus2_red():
 
 @pytest.fixture(scope="session")
 def sphere3_rep(sphere3_pres):
-    return repspace.find_representation(sphere3_pres, seed=1, attempts=50,
-                                        target_tolerance=1e-11)
+    return sphere_point(sphere3_pres)
 
 
 @pytest.fixture(scope="session")
 def sphere4_rep(sphere4_pres):
-    return repspace.find_representation(sphere4_pres, seed=1, attempts=50,
-                                        target_tolerance=1e-11)
+    return sphere_point(sphere4_pres)
 
 
 @pytest.fixture(scope="session")
@@ -116,16 +145,14 @@ def sphere4_cc(sphere4_rep):
 
 @pytest.fixture(scope="session")
 def degenerate_u3_cc():
-    """A U(3) four-punctured sphere whose classes (1/q, 2/q, -3/q) repeat an
-    eigenvalue at q = 5.  Find seed 1 returns the repeated angle split by
-    about 1e-6; lifts there fail at order 2 or 3, decided by rounding."""
-    lines = ["group sphere4_u3_degenerate", "rank 3", "generators x0 x1 x2 x3",
-             "relator x0 x1 x2 x3"]
-    lines += [f"peripheral Px{i} = x{i} : 1/{q}, 2/{q}, -3/{q}"
-              for i, q in enumerate((5, 7, 11, 13))]
-    pres = presentation.parse_presentation("\n".join(lines) + "\n")
-    rep = repspace.find_representation(pres, seed=1, target_tolerance=1e-11)
-    return cohomology.assemble_complex(rep)
+    """The complex at :func:`degenerate_u3`."""
+    return cohomology.assemble_complex(degenerate_u3())
+
+
+@pytest.fixture(scope="session")
+def direct_sum_cc():
+    """The complex of a DIRECT_SUMS point by name, each assembled once."""
+    return cache(lambda name: cohomology.assemble_complex(genus2_direct_sum(DIRECT_SUMS[name][0])))
 
 
 @pytest.fixture(scope="session")

@@ -40,9 +40,9 @@ from repvar.repspace import (Representation, commutant_dimension, conjugate,
 from repvar.unitary import (exponential, haar_from_rng, matrix_to_json, principal_log, random_skew,
                             unvec_skew, vec_skew)
 
-from conftest import random_cocycle
+from conftest import DIRECT_SUMS, random_cocycle
 from oracles import (complex_defect, d0_cone, eager_pairing_entries, einsum_unstack_target,
-                     fd_h1_par, genus2_direct_sum, jet_order2_defect, list_kernel_cup, pair_arrays,
+                     fd_h1_par, jet_order2_defect, list_kernel_cup, pair_arrays,
                      per_column_basis_vectors, per_cocycle_cup_form, per_word_transport_matrix,
                      random_word, sample_q, svd_dims, whole_cup_form)
 
@@ -322,18 +322,13 @@ def test_pairing_genus2_red_not_smooth(genus2_red_cc):
     assert tensor.max_norm() > 1e-3
 
 
-# (rank, find seed) of each block, and h1_par = (2g - 2) N^2 + 2k at g = 2, k = 2
-DIRECT_SUMS = {"u1+u1": (((1, 1), (1, 2)), 12), "u2+u1": (((2, 1), (1, 2)), 22),
-               "u2+u2": (((2, 1), (2, 2)), 36)}
-
-
 @pytest.mark.parametrize("name", sorted(DIRECT_SUMS))
-def test_direct_sum_closed_forms(name):
+def test_direct_sum_closed_forms(name, direct_sum_cc):
     # two non-isomorphic irreducible blocks: the commutant and H^2 are
     # 2-dimensional (the centre of each block), and the point is singular
     blocks, h1 = DIRECT_SUMS[name]
     assert h1 == 2 * sum(n for n, _ in blocks) ** 2 + 2 * len(blocks)
-    cc = assemble_complex(genus2_direct_sum(blocks))
+    cc = direct_sum_cc(name)
     basis = h1_basis(cc)
     assert (basis.dims.c0, basis.dims.o2, basis.dims.h1_par) == (2, 2, h1)
     assert not pairing_tensor(cc, basis).verdict
