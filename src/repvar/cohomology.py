@@ -29,15 +29,14 @@ vectors: raw defects and polarized pairing in one.  :func:`cocycle_form` is
 that form over parabolic cocycles with their canonical conjugator parts;
 since the canonical xi is linear in u, Q of u = sum c_i u_i is read off it
 as c^T D c, and :func:`q_norms` reads |Q| of a stack of coefficient rows in
-one batched evaluation.  :func:`obstruction_classes` reduces a set of defects
-in the one cached quotient basis, :attr:`ConeComplex.obstruction_quotient`,
-and is the one class reduction.  :func:`obstruction`,
-:func:`common_obstruction`, :func:`pairing_tensor`, the failure path of
+one batched evaluation.  A raw defect's O^2 coordinates are one product
+with one functional, :attr:`ConeComplex.o2_map`, in :func:`q_norms`,
+:func:`pairing_tensor` and :func:`obstruction_classes` alike.
+:func:`obstruction`, :func:`common_obstruction`, the failure path of
 :func:`repvar.jets.lift`, Q in :func:`repvar.jets.probe_cone` (the form over
-the basis, kept with the complex per basis by :meth:`ConeComplex.basis_form`,
-read once for all samples) and the cone-kernel moves of both
-(:attr:`ConeComplex.kernel_cup`, one form per complex) all go through these
-functions.
+the basis, kept per basis by :meth:`ConeComplex.basis_form`) and the
+cone-kernel moves of both (:attr:`ConeComplex.kernel_cup`) all go through
+these functions.
 
 :func:`order_defect` evaluates the higher-order defects of a stack of jet
 representations in truncated-ring arithmetic, on a :class:`DefectState`
@@ -134,14 +133,20 @@ class CohomologyBasis:
 
 @dataclass(frozen=True)
 class ObstructionClass:
+    """The O^2 class of a raw defect; its peripheral projection ``defect``
+    and that as a Cochain2, ``representative``, are built when first read."""
+
     coordinates: np.ndarray
     norm: float
     cone: ConeComplex = field(repr=False, compare=False)
-    defect: np.ndarray = field(repr=False, compare=False)  # projected, target coordinates
+    raw: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def defect(self) -> np.ndarray:
+        return self.cone.project_peripheral(self.raw)
 
     @cached_property
     def representative(self) -> Cochain2:
-        """The projected defect as a degree-2 cochain, built on first access."""
         return self.cone.unstack_target(self.defect[:, None])[0]
 
     def to_json(self) -> dict:
@@ -149,37 +154,35 @@ class ObstructionClass:
 
 
 class _PairingEntries(Mapping):
-    """Read-only mapping (i, j) with i <= j -> ObstructionClass, in sorted
-    key order, over the columns of one batched class reduction: each class
-    is built on first access and kept, and ``norms`` (in key order) needs
-    none."""
+    """Read-only mapping (i, j), 0 <= i <= j < h, in sorted key order ->
+    ObstructionClass of the pair's raw defect in a basis form (h, h, dim):
+    the (h, h) ``norms`` need no class, and each is built on first access."""
 
-    def __init__(self, cc: ConeComplex, keys: list, coords: np.ndarray, norms: np.ndarray,
-                 projected: np.ndarray):
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        self._index = {keys[c]: i for i, c in enumerate(order)}
-        self._cc = cc
-        self._coords = coords[:, order]
-        self._projected = projected[:, order]
-        self.norms = norms[order].tolist()
-        self._built: dict = {}
+    def __init__(self, cc: ConeComplex, form: np.ndarray):
+        self._cc, self._form, self._built = cc, form, {}
+        self._coords = rowwise(form, cc.o2_map.T)
+        self.norms = row_norms(self._coords)
 
     def __getitem__(self, key) -> ObstructionClass:
         cls = self._built.get(key)
         if cls is None:
-            i = self._index[key]
+            k = np.asarray(key)
+            if (k.shape != (2,) or k.dtype.kind not in "iu"
+                    or not 0 <= k[0] <= k[1] < len(self._form)):
+                raise KeyError(key)
             # setdefault: of two threads that build the same class, both
             # return the one stored first
             cls = self._built.setdefault(key, ObstructionClass(
-                coordinates=self._coords[:, i], norm=self.norms[i], cone=self._cc,
-                defect=self._projected[:, i]))
+                coordinates=self._coords[key], norm=float(self.norms[key]), cone=self._cc,
+                raw=self._form[key]))
         return cls
 
     def __iter__(self) -> Iterator:
-        return iter(self._index)
+        h = len(self._form)
+        return ((i, j) for i in range(h) for j in range(i, h))
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._form) * (len(self._form) + 1) // 2
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -192,7 +195,7 @@ class PairingTensor:
     tolerance: float
 
     def max_norm(self) -> float:
-        return max(self.entries.norms, default=0.0)
+        return float(self.entries.norms.max(initial=0.0))
 
 
 def rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -360,6 +363,14 @@ class ConeComplex:
         return np.eye(self.pt_basis.shape[1])
 
     @cached_property
+    def o2_map(self) -> np.ndarray:
+        """O^2 coordinates as one functional on target coordinates, (o2,
+        dim).  pt_basis spans the range of the orthogonal projection
+        P = pt_basis pt_basis^T of :meth:`project_peripheral`, so
+        pt_basis^T P = pt_basis^T: a raw defect needs no projection."""
+        return self.obstruction_quotient.T @ self.pt_basis.T
+
+    @cached_property
     def product_plan(self) -> ProductPlan:
         """The word products of :func:`order_defect` (see :class:`ProductPlan`)."""
         return ProductPlan(self)
@@ -423,14 +434,13 @@ class ConeComplex:
     def project_peripheral(self, v: np.ndarray) -> np.ndarray:
         """Project the peripheral blocks onto the complements of the joint
         images.  v holds target coordinates along its first axis, (dim,) or
-        (dim, cols), or is a stack (..., dim, cols) of such matrices, each
-        projected by its own products (see :func:`rowwise`)."""
+        (dim, cols)."""
         if v.ndim == 1:
             return self.project_peripheral(v[:, None])[:, 0]
         out = v.copy()
         for gd in self.group_data:
-            stacked = v[..., gd.rows, :]
-            out[..., gd.rows, :] = stacked - gd.u_r @ (gd.u_r.T @ stacked)
+            stacked = v[gd.rows]
+            out[gd.rows] = stacked - gd.u_r @ (gd.u_r.T @ stacked)
         return out
 
     def cocycle_parts(self, u) -> list[np.ndarray]:
@@ -837,31 +847,24 @@ def cocycle_form(cc: ConeComplex, cocycles) -> np.ndarray:
 def q_norms(cc: ConeComplex, form: np.ndarray, c: np.ndarray) -> np.ndarray:
     """|Q(u)| for u = sum c_i u_i of every row of c (s, h), where form is the
     :func:`cocycle_form` over u_1..u_h: the raw defects c^T D c and their
-    peripheral projections are batched products, one product per row (see
-    :func:`rowwise`), so each norm is bitwise that of the class
+    coordinates through ``cc.o2_map`` are batched products, one product per
+    row (see :func:`rowwise`), so each norm is bitwise that of the class
     :func:`obstruction_classes` gives the row's raw defect alone, and no
     class is built."""
     h = len(form)
     raw = rowwise(c, rowwise(c, form.reshape(h, h * form.shape[-1])).reshape(len(c), h, -1))
-    return _class_parts(cc, raw[..., None])[1][:, 0]
+    return row_norms(rowwise(raw, cc.o2_map.T))
 
 
 def obstruction_classes(cc: ConeComplex, defects: np.ndarray) -> list[ObstructionClass]:
     """Classes of a set of raw defects, defects (dim, cols): one class per
     column, all in one common quotient O^2 (the parabolic target modulo
-    Im(d1_par)) by one projection onto ``cc.obstruction_quotient``, so that
-    their coordinates are directly comparable."""
-    coords, norms, projected = _class_parts(cc, defects[None])
-    return [ObstructionClass(coordinates=x, norm=size, cone=cc, defect=p)
-            for x, size, p in zip(coords[0].T, norms[0].tolist(), projected[0].T)]
-
-
-def _class_parts(cc: ConeComplex, defects: np.ndarray):
-    """Quotient coordinates (s, o2, cols), their norms (s, cols) and the
-    projected defects (s, dim, cols) of a stack of raw defect sets."""
-    projected = cc.project_peripheral(defects)
-    coords = cc.obstruction_quotient.T @ (cc.pt_basis.T @ projected)
-    return coords, np.linalg.norm(coords, axis=1), projected
+    Im(d1_par)), each column's coordinates one product with ``cc.o2_map``,
+    so that they are directly comparable."""
+    raws = defects.T
+    coords = rowwise(raws, cc.o2_map.T)
+    return [ObstructionClass(coordinates=x, norm=size, cone=cc, raw=r)
+            for x, size, r in zip(coords, row_norms(coords).tolist(), raws)]
 
 
 def obstruction(cc: ConeComplex, u) -> ObstructionClass:
@@ -890,18 +893,14 @@ def pairing_tensor(cc: ConeComplex, basis: CohomologyBasis,
 
     B(u, v) = (Q(u + v) - Q(u) - Q(v)) / 2 = D(u, v), read off the
     :func:`cup_form` over the basis that the complex keeps
-    (:meth:`ConeComplex.basis_form`), symmetric by construction.  The
+    (:meth:`ConeComplex.basis_form`), symmetric by construction: each pair's
+    O^2 coordinates are one product of its slice with ``cc.o2_map``.  The
     verdict is True iff every entry norm is at most the tolerance, which is
     the cup-product smoothness criterion.  The verdict and
     :meth:`PairingTensor.max_norm` read the norms alone; an entry's
     :class:`ObstructionClass` is built when it is first looked up.
     """
     check_tolerance(tolerance)
-    h = len(basis)
-    form = cc.basis_form(basis)
-    keys = [(i, i) for i in range(h)] + [(i, j) for i in range(h) for j in range(i + 1, h)]
-    rows, cols = np.array(keys, dtype=int).reshape(-1, 2).T
-    coords, norms, projected = _class_parts(cc, form[rows, cols].T[None])
-    entries = _PairingEntries(cc, keys, coords[0], norms[0], projected[0])
-    verdict = all(size <= tolerance for size in entries.norms)
-    return PairingTensor(entries=entries, verdict=verdict, tolerance=tolerance)
+    entries = _PairingEntries(cc, cc.basis_form(basis))
+    return PairingTensor(entries=entries, verdict=bool(np.all(entries.norms <= tolerance)),
+                         tolerance=tolerance)

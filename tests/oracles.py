@@ -15,9 +15,10 @@ oracles contract against every entry of the skew basis with einsums (the
 vec_skew, ad_matrix and unstack_target einsums, and the three-operand
 conjugation of every basis matrix, that the sparse basis kernels of
 repvar.unitary replaced), the quadratic-map oracle evaluates
-Q of one coefficient row at a time (the per-sample path that the stacked
-cohomology.q_norms replaced), the eager pairing oracle builds every pairing
-class at once (the dict that the lazily built pairing entries replaced),
+Q of one coefficient row at a time, classing its one raw defect (the
+per-sample path that the stacked cohomology.q_norms replaced), the eager
+pairing oracle builds every pairing class at once (the dict that the
+lazily built pairing entries replaced),
 the Newton oracle writes out the characteristic polynomial recursion on
 0-d arrays (the scalar operations the library must keep, in their
 order), the basis oracle unstacks one h1 basis column at a time (the
@@ -52,8 +53,8 @@ from math import factorial
 import numpy as np
 import scipy.linalg
 
-from repvar.cohomology import (DefectState, Dims, ObstructionClass, _conjugate, cocycle_form,
-                               obstruction_classes, order_defect)
+from repvar.cohomology import (DefectState, Dims, _conjugate, cocycle_form, obstruction_classes,
+                               order_defect)
 from repvar.presentation import parse_presentation
 from repvar.repspace import (Representation, _rank_cut, _residual_vector, commutant_dimension,
                              evaluate_word, find_representation, word_transport_terms)
@@ -300,13 +301,10 @@ def genus2_direct_sum(blocks):
 
 def sample_q(cc, form, c):
     """Q of one coefficient row c (h,) over the cocycles whose
-    cohomology.cocycle_form is form, formed for this row alone."""
+    cohomology.cocycle_form is form, formed for this row alone: its raw
+    defect, then the class of that one defect."""
     raw = c @ np.tensordot(c, form, 1)
-    projected = cc.project_peripheral(np.column_stack([raw]))
-    coords = cc.obstruction_quotient.T @ (cc.pt_basis.T @ projected)
-    return ObstructionClass(coordinates=coords[:, 0],
-                            norm=float(np.linalg.norm(coords, axis=0)[0]), cone=cc,
-                            defect=projected[:, 0])
+    return obstruction_classes(cc, raw[:, None])[0]
 
 
 def eager_pairing_entries(cc, basis):

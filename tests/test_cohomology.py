@@ -331,7 +331,22 @@ def test_direct_sum_closed_forms(name, direct_sum_cc):
     cc = direct_sum_cc(name)
     basis = h1_basis(cc)
     assert (basis.dims.c0, basis.dims.o2, basis.dims.h1_par) == (2, 2, h1)
-    assert not pairing_tensor(cc, basis).verdict
+    tensor = pairing_tensor(cc, basis)
+    assert not tensor.verdict
+    # Q has rank k - 1 = 1 in O^2, and its one nonzero functional has
+    # signature ((2g - 2) n1 n2, (2g - 2) n1 n2), read off the pairing
+    # coordinates.  Both cuts sit inside the measured gaps: nonzero singular
+    # values and eigenvalues were at least 0.34 of the largest, zero ones at
+    # most 4e-15 of it
+    coords = np.zeros((h1, h1, 2))
+    for (i, j), entry in tensor.entries.items():
+        coords[i, j] = coords[j, i] = entry.coordinates
+    _, s, vt = np.linalg.svd(coords.reshape(h1 * h1, 2), full_matrices=False)
+    assert np.sum(s > 1e-7 * s[0]) == 1
+    eig = np.linalg.eigvalsh(coords @ vt[0])
+    cut = 1e-7 * np.abs(eig).max()
+    half = 2 * blocks[0][0] * blocks[1][0]
+    assert (np.sum(eig > cut), np.sum(eig < -cut)) == (half, half)
 
 
 def test_pairing_polarization_symmetric(genus2_red_cc):
@@ -408,6 +423,8 @@ def test_group_listed_out_of_order(sphere4_rep):
         a, b = (obstruction(cc, v).norm for cc in cones)
         assert abs(a - b) <= 1e-12 * max(a, b, 1.0)
     # the classes of arbitrary degree-2 cochains, and the projection itself
+    for cc in cones:
+        _assert_o2_map_is_the_quotient_chain(cc)
     rng = np.random.default_rng(16)
     v = rng.standard_normal((listed.d1_cone.shape[0], 4))
     a, b = (np.array([c.norm for c in obstruction_classes(cc, v)]) for cc in cones)
@@ -417,6 +434,33 @@ def test_group_listed_out_of_order(sphere4_rep):
     assert np.abs(once[0] - once[1]).max() <= 1e-12
     for cc, p in zip(cones, once):
         assert np.abs(cc.project_peripheral(p) - p).max() <= 1e-12
+
+
+def _assert_o2_map_is_the_quotient_chain(cc):
+    """o2_map @ raw is the chain it replaced, the quotient coordinates of the
+    projected raw defect, and pt_basis pt_basis^T is project_peripheral,
+    within fixed tolerances (measured: 1.7e-16 * max(1, |raw|) and 1e-15),
+    on random defects and on the raw pairing defects of the h1 basis."""
+    dim = cc.d1_cone.shape[0]
+    raw = np.random.default_rng(17).standard_normal((dim, 6))
+    basis = h1_basis(cc)
+    if len(basis):
+        raw = np.hstack([raw, cc.basis_form(basis).reshape(-1, dim).T])
+    chain = cc.obstruction_quotient.T @ (cc.pt_basis.T @ cc.project_peripheral(raw))
+    gap = np.abs(cc.o2_map @ raw - chain).max(axis=0)
+    assert np.all(gap <= 1e-14 * np.maximum(1.0, np.linalg.norm(raw, axis=0)))
+    assert np.abs(cc.pt_basis @ cc.pt_basis.T - cc.project_peripheral(np.eye(dim))).max() <= 1e-14
+
+
+@pytest.mark.parametrize("point", ["torus_cc", "genus2_irr_cc", "genus2_red_cc", "sphere3_cc",
+                                   "sphere4_cc", "degenerate_u3_cc", "genus2_u8_cc", "u2+u1",
+                                   "u2+u2"])
+def test_o2_map_is_the_quotient_chain(point, request, direct_sum_cc):
+    # the one functional the classes read, at every fixture point; the
+    # multi-member group is checked in test_group_listed_out_of_order
+    cc = direct_sum_cc(point) if point in DIRECT_SUMS else request.getfixturevalue(point)
+    assert cc.o2_map.shape == (h_dims(cc).o2, cc.d1_cone.shape[0])
+    _assert_o2_map_is_the_quotient_chain(cc)
 
 
 def test_rank_cut_diagnostics():
@@ -1046,6 +1090,17 @@ def test_basis_form_holds_its_working_arrays_alone(genus2_u8_cc):
     vectors = 16 * h * cc.n_gen * cc.q
     bound = 8 * h * h * cc.d1_cone.shape[0] + _cup_working_bytes(cc, h) + 2 * vectors
     assert _traced_peak(lambda: cc.basis_form(basis)) <= bound
+
+
+def test_pairing_tensor_holds_no_copy_of_the_pair_defects(genus2_u8_cc):
+    # on a warm complex (basis form and o2_map built), the pairing reads
+    # every pair's O^2 coordinates off the kept form: it peaks under one
+    # (target dim, h (h + 1) / 2) float64 set of pair defects (4.4 MB here)
+    cc = genus2_u8_cc
+    basis = h1_basis(cc)
+    pairing_tensor(cc, basis)
+    h, dim = len(basis), cc.d1_cone.shape[0]
+    assert _traced_peak(lambda: pairing_tensor(cc, basis)) < 8 * dim * h * (h + 1) // 2
 
 
 def test_representative_built_on_first_access(sphere4_cc):
