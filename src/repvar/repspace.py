@@ -21,12 +21,12 @@ from .presentation import Presentation, Word
 from .unitary import (
     ad_basis,
     ad_matrix,
-    charpoly_directions,
+    charpoly_stack,
     check_tolerance,
-    class_gap,
+    class_coefficients,
     diagonal_model,
     exponential,
-    haar_from_rng,
+    haar_stack,
     matrix_from_json,
     matrix_to_json,
     unvec_skew,
@@ -139,35 +139,46 @@ def word_transport_terms(matrices: Sequence[np.ndarray], word: Word, rank: int):
 class _WordChain(NamedTuple):
     """The constraint words of a representation walked once: their values
     (relators, then peripheral words) and the Fox terms of all words in
-    word order, as index arrays over the terms and one stack of prefixes."""
-    values: list[np.ndarray]
+    word order, as index arrays over the terms and one stack of prefixes.
+    The index arrays are read-only, as chains of one presentation share
+    them."""
+    values: np.ndarray    # (words, N, N)
     word: np.ndarray      # (terms,) the word of each term
     gen: np.ndarray       # (terms,) its generator
     sign: np.ndarray      # (terms,) +1.0 or -1.0
     prefixes: np.ndarray  # (terms, N, N)
 
 
-def _word_chain(rep: Representation) -> _WordChain:
+def _word_chain(rep: Representation, layout: _WordChain | None = None) -> _WordChain:
     """Each constraint word's partial products, formed once: a word's Fox
     term prefixes and its value come from one :func:`word_transport_terms`
-    walk, the products :func:`evaluate_word` forms."""
+    walk, the products :func:`evaluate_word` forms, written into arrays
+    allocated before the walk.  ``layout`` is a chain at a point of the same
+    presentation (``refine`` passes its start's), whose index arrays this
+    chain shares; without it they are built from this walk's terms."""
     pres = rep.presentation
+    n = rep.rank
     words = (*pres.relators, *(p.word for p in pres.peripherals))
-    values = []
+    values = np.empty((len(words), n, n), dtype=complex)
+    prefixes = np.empty((sum(map(len, words)), n, n), dtype=complex)
 
     def walk():
-        for word in words:
-            values.append((yield from word_transport_terms(rep.matrices, word, rep.rank)))
+        for w, word in enumerate(words):
+            values[w] = yield from word_transport_terms(rep.matrices, word, n)
 
-    terms = list(walk())
-    n = rep.rank
-    return _WordChain(
-        values,
-        np.repeat(np.arange(len(words)), [len(w) for w in words]),
-        np.array([gen for gen, _, _ in terms], dtype=np.intp),
-        np.array([sign for _, sign, _ in terms]),
-        np.array([prefix for _, _, prefix in terms], dtype=complex).reshape(-1, n, n),
-    )
+    letters = []
+    for t, (gen, sign, prefix) in enumerate(walk()):
+        prefixes[t] = prefix
+        if layout is None:
+            letters.append((gen, sign))
+    if layout is not None:
+        return layout._replace(values=values, prefixes=prefixes)
+    chain = _WordChain(values, np.repeat(np.arange(len(words)), [len(w) for w in words]),
+                       np.array([gen for gen, _ in letters], dtype=np.intp),
+                       np.array([sign for _, sign in letters], dtype=float), prefixes)
+    for index in (chain.word, chain.gen, chain.sign):
+        index.setflags(write=False)
+    return chain
 
 
 def transport_matrix(rep: Representation, chain: _WordChain) -> np.ndarray:
@@ -182,17 +193,21 @@ def transport_matrix(rep: Representation, chain: _WordChain) -> np.ndarray:
     return out
 
 
-def _residual_blocks(rep: Representation,
-                     values: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
-    """The constraint gaps at rep (from its word ``values``, when the caller
-    already formed them): W - I per relator value W, then
-    :func:`~repvar.unitary.class_gap` per peripheral value.  The residuals,
-    validity and the Gauss-Newton objective are all read off these blocks."""
+def _residual_blocks(rep: Representation, values: np.ndarray | None = None,
+                     targets: np.ndarray | None = None) -> list[np.ndarray]:
+    """The constraint gaps at rep (from its word ``values`` and the class
+    ``targets`` of :func:`~repvar.unitary.class_coefficients`, when the
+    caller already formed them): W - I per relator value W, then per
+    peripheral value the difference of its characteristic polynomial
+    coefficients from its class's, all peripherals in one
+    :func:`~repvar.unitary.charpoly_stack` call.  The residuals, validity
+    and the Gauss-Newton objective are all read off these blocks."""
+    pres = rep.presentation
     values = _word_chain(rep).values if values is None else values
-    n_rel = len(rep.presentation.relators)
-    eye = np.eye(rep.rank)
-    return [w - eye for w in values[:n_rel]] + \
-        [class_gap(w, p.klass) for w, p in zip(values[n_rel:], rep.presentation.peripherals)]
+    if targets is None:
+        targets = class_coefficients([p.klass for p in pres.peripherals], rep.rank)
+    n_rel = len(pres.relators)
+    return [*(values[:n_rel] - np.eye(rep.rank)), *(charpoly_stack(values[n_rel:]) - targets)]
 
 
 def _block_residuals(rep: Representation, blocks: Sequence[np.ndarray]) -> Residuals:
@@ -239,8 +254,7 @@ def _word_directions(rep: Representation, chain: _WordChain) -> np.ndarray:
     n_gen = len(rep.presentation.generators)
     words = len(chain.values)
     out = np.zeros((words, n_gen, q, n, n), dtype=complex)
-    values = np.array(chain.values, dtype=complex).reshape(-1, n, n)[chain.word]
-    moved = np.einsum("taij,tjk->taik", ad_basis(chain.prefixes), values)
+    moved = np.einsum("taij,tjk->taik", ad_basis(chain.prefixes), chain.values[chain.word])
     for w, gen, d in zip(chain.word, chain.gen, chain.sign[:, None, None, None] * moved):
         out[w, gen] += d
     return out.reshape(words, n_gen * q, n, n)
@@ -248,20 +262,20 @@ def _word_directions(rep: Representation, chain: _WordChain) -> np.ndarray:
 
 def _residual_jacobian(rep: Representation, chain: _WordChain) -> np.ndarray:
     """Analytic Jacobian of `_residual_vector` in left-exponential coordinates
-    at the word chain of :func:`_word_chain`."""
+    at the word chain of :func:`_word_chain`: the relator rows are the real
+    and imaginary parts of the word directions, the class rows those of the
+    coefficient derivatives of all peripherals, one
+    :func:`~repvar.unitary.charpoly_stack` call on their values and
+    directions."""
+    n = rep.rank
     n_rel = len(rep.presentation.relators)
-    cols = len(rep.presentation.generators) * rep.rank ** 2
+    cols = len(rep.presentation.generators) * n * n
     dirs = _word_directions(rep, chain)
-    blocks = []
-    for dw in dirs[:n_rel]:
-        dw = dw.reshape(cols, -1)
-        blocks += [dw.real.T, dw.imag.T]
-    for w_val, dw in zip(chain.values[n_rel:], dirs[n_rel:]):
-        _, dc = charpoly_directions(w_val, dw)
-        blocks += [dc.real.T, dc.imag.T]
-    if not blocks:
-        return np.zeros((0, cols))
-    return np.vstack(blocks)
+    _, dc = charpoly_stack(chain.values[n_rel:], dirs[n_rel:])
+    # each word's k real-part rows, then its k imaginary-part rows
+    return np.concatenate([
+        np.stack([d.real, d.imag], axis=1).swapaxes(2, 3).reshape(len(d) * 2 * k, cols)
+        for d, k in ((dirs[:n_rel].reshape(n_rel, cols, n * n), n * n), (dc, n))])
 
 
 def _retract(rep: Representation, step: np.ndarray) -> Representation:
@@ -283,19 +297,24 @@ def refine(rep: Representation, max_iterations: int = 50, target_tolerance: floa
     fixed 1e-8 times the largest singular value; a step is
     halved until the objective decreases, so accepted iterates never
     increase it.  Each trial point walks its constraint words once
-    (:func:`_word_chain`), and the Jacobian is formed once per iteration
-    from the accepted point's chain, the Fox terms of all words in one
-    batched product; a retraction moves all generators in one batched
-    exponential.  Both batched forms give bitwise the numbers of one
-    product per term and one exponential per generator, so the iterates do
-    too.  ``trace`` receives the objective of the start and of every
+    (:func:`_word_chain`) into arrays that share the start chain's index
+    arrays, and its class gaps are one stacked
+    :func:`~repvar.unitary.charpoly_stack` call against class targets
+    looked up once per call.  The Jacobian is formed once per iteration
+    from the accepted point's chain: the Fox terms of all words in one
+    batched product, the class rows of all peripherals in one stacked call;
+    a retraction moves all generators in one batched exponential.  Every
+    batched and stacked form gives bitwise the numbers of one product per
+    term, one kernel call per peripheral and one exponential per generator,
+    so the iterates do too.  ``trace`` receives the objective of the start and of every
     accepted iterate.  Returns the first iterate whose max residual is at
     or below the target; raises :class:`NoConvergenceError` otherwise, with
     the best iterate and its residuals attached.
     """
     current = rep
     chain = _word_chain(current)
-    blocks = _residual_blocks(current, chain.values)
+    targets = class_coefficients([p.klass for p in rep.presentation.peripherals], rep.rank)
+    blocks = _residual_blocks(current, chain.values, targets)
     r = _residual_vector(current, blocks)
     obj = float(r @ r)
     res = _block_residuals(current, blocks)
@@ -310,8 +329,8 @@ def refine(rep: Representation, max_iterations: int = 50, target_tolerance: floa
         alpha = 1.0
         while alpha >= 1e-12:
             trial = _retract(current, alpha * step)
-            tchain = _word_chain(trial)
-            blocks = _residual_blocks(trial, tchain.values)
+            tchain = _word_chain(trial, chain)
+            blocks = _residual_blocks(trial, tchain.values, targets)
             tr = _residual_vector(trial, blocks)
             tobj = float(tr @ tr)
             if tobj < obj:
@@ -342,10 +361,12 @@ def find_representation(pres: Presentation, seed: int = 0, attempts: int = 50,
     """Search for a valid representation by seeded random starts plus refinement.
 
     Generators that appear as single-letter peripheral words start as random
-    conjugates of the class's diagonal model, everything else starts Haar.
-    Deterministic in the seed: attempt seeds are spawned from the master seed
-    one at a time, the children one spawn of all of them gives, and tried in
-    order; the first refined success is returned.
+    conjugates of the class's diagonal model, everything else starts Haar;
+    an attempt draws the Haar factors of all generators in one
+    :func:`~repvar.unitary.haar_stack` call.  Deterministic in the seed:
+    attempt seeds are spawned from the master seed one at a time, the
+    children one spawn of all of them gives, and tried in order; the first
+    refined success is returned.
     """
     single: dict[int, tuple] = {}
     for p in pres.peripherals:
@@ -355,15 +376,10 @@ def find_representation(pres: Presentation, seed: int = 0, attempts: int = 50,
     master = np.random.SeedSequence(seed)
     for _ in range(attempts):
         rng = np.random.default_rng(master.spawn(1)[0])
-        mats = []
-        for i in range(len(pres.generators)):
-            if i in single:
-                spec, sign = single[i]
-                h = haar_from_rng(rng, pres.rank)
-                v = h @ diagonal_model(spec) @ h.conj().T
-                mats.append(v if sign > 0 else v.conj().T)
-            else:
-                mats.append(haar_from_rng(rng, pres.rank))
+        mats = list(haar_stack(rng, len(pres.generators), pres.rank))
+        for i, (spec, sign) in single.items():
+            v = mats[i] @ diagonal_model(spec) @ mats[i].conj().T
+            mats[i] = v if sign > 0 else v.conj().T
         start = Representation(pres, mats, target_tolerance)
         try:
             return refine(start, max_iterations, target_tolerance)

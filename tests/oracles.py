@@ -21,7 +21,9 @@ pairing oracle builds every pairing class at once (the dict that the
 lazily built pairing entries replaced),
 the Newton oracle writes out the characteristic polynomial recursion on
 0-d arrays (the scalar operations the library must keep, in their
-order), the basis oracle unstacks one h1 basis column at a time (the
+order), the Newton directions oracle differentiates it for one matrix
+with one einsum per power (the per-peripheral path that the stacked
+unitary.charpoly_stack replaced), the basis oracle unstacks one h1 basis column at a time (the
 per-column loop that the one batched unstacking replaced), the einsum
 unstacking forms skew matrices from coordinates against the complex basis
 (the einsum that the one real gemm replaced), the per-degree exponential
@@ -342,6 +344,37 @@ def newton_charpoly(g):
             acc = acc + s * e[k - j] * p[j]
         e.append(acc / k)
     return np.array([(-1) ** k * e[k] for k in range(1, n + 1)])
+
+
+def newton_charpoly_directions(g, dgs):
+    """Coefficients c_1 .. c_N of det(tI - g) and their derivatives along
+    the directions dgs (M, N, N), (c, dc) of shapes (N,) and (M, N), for the
+    one matrix g: Newton's identities on the traces of its powers, each
+    power the previous times g, differentiated through dp_k = k tr(g^(k-1)
+    dg) with one "ij,aji->a" einsum per power."""
+    n, m = len(g), len(dgs)
+    powers = [np.eye(n, dtype=complex)]
+    for _ in range(n):
+        powers.append(powers[-1] @ g)
+    p = [np.trace(power) for power in powers]
+    e = [np.ones((), dtype=complex)]
+    for k in range(1, n + 1):
+        acc = np.zeros((), dtype=complex)
+        for j in range(1, k + 1):
+            acc = acc + (-1) ** (j - 1) * e[k - j] * p[j]
+        e.append(acc / k)
+    dp = [np.zeros(m, dtype=complex)]
+    for k in range(1, n + 1):
+        dp.append(k * np.einsum("ij,aji->a", powers[k - 1], dgs))
+    de = [np.zeros(m, dtype=complex)]
+    for k in range(1, n + 1):
+        dacc = np.zeros(m, dtype=complex)
+        for j in range(1, k + 1):
+            dacc = dacc + (-1) ** (j - 1) * (de[k - j] * p[j] + e[k - j] * dp[j])
+        de.append(dacc / k)
+    c = np.array([(-1) ** k * e[k] for k in range(1, n + 1)])
+    dc = np.stack([(-1) ** k * de[k] for k in range(1, n + 1)], axis=1)
+    return c, dc
 
 
 def einsum_vec_skew(x):

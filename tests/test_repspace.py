@@ -21,6 +21,7 @@ from repvar.repspace import (
     refine,
     rep_from_json,
     rep_to_json,
+    word_transport_terms,
 )
 from repvar.unitary import (
     class_distance,
@@ -148,6 +149,47 @@ def test_refine_forms_gaps_once_per_trial(genus2_irr, monkeypatch):
     assert len(gaps) == 1 + len(trials)
 
 
+def test_refine_builds_its_layout_and_class_targets_once(corpus_points, monkeypatch):
+    # one refine call builds one chain layout (its start's chain) and looks
+    # its class targets up once, whatever its number of trial points; every
+    # trial chain shares the start's index arrays, and the counts above
+    # hold: one gap evaluation and one chain per trial point and at the
+    # start, one Jacobian per iteration
+    chains, layouts = [], []
+    word_chain = repspace._word_chain
+
+    def counted_chain(*args):
+        layouts.append(len(args) == 1 or args[1] is None)
+        chains.append(word_chain(*args))
+        return chains[-1]
+
+    monkeypatch.setattr(repspace, "_word_chain", counted_chain)
+    targets = _count_calls(monkeypatch, "class_coefficients")
+    gaps = _count_calls(monkeypatch, "_residual_blocks")
+    trials = _count_calls(monkeypatch, "_retract")
+    jacobians = _count_calls(monkeypatch, "_residual_jacobian")
+    rng = np.random.default_rng(44)
+    starts = [(perturb(rep, rng, 1e-2), 8, 1e-12) for rep in corpus_points.values()]
+    # every step rejected: about 40 trial points in one iteration
+    mats = [np.array([[np.exp(0.4j)]]), np.array([[np.exp(1.1j)]])]
+    starts.append((Representation(infeasible_n1(), mats), 3, 1e-30))
+    for start, iterations, target in starts:
+        for calls in (chains, layouts, targets, gaps, trials, jacobians):
+            calls.clear()
+        trace = []
+        try:
+            refine(start, iterations, target, trace=trace)
+        except NoConvergenceError:
+            assert len(jacobians) == 1 and len(trials) > 30
+        else:
+            assert len(jacobians) == len(trials) == len(trace) - 1
+        assert layouts[0] and sum(layouts) == 1
+        assert len(targets) == 1
+        assert len(chains) == len(gaps) == 1 + len(trials)
+        for chain in chains:
+            assert all(a is b for a, b in zip(chain[1:4], chains[0][1:4]))  # word, gen, sign
+
+
 def test_refine_evaluates_each_word_once_per_trial(corpus_points, monkeypatch):
     # one word chain per trial point and one at the start; the Jacobian
     # reads the chain of the accepted trial point and forms no word product
@@ -216,6 +258,37 @@ def test_word_directions_match_per_term_oracle():
         for word, w_val, dirs in zip(all_words, chain.values, got):
             assert w_val.tobytes() == evaluate_word(rep, word).tobytes()
             assert np.array_equal(dirs, word_directions_per_term(rep, word, w_val))
+
+
+def test_word_chain_on_a_shared_layout_is_bitwise_the_per_word_walks(corpus_points):
+    # a chain on another point's layout, as refine's trial points are, holds
+    # bitwise the word values of evaluate_word and the prefixes, generators
+    # and signs of one word_transport_terms walk per word: the corpus
+    # (inverse letters at genus2, a multi-letter peripheral at
+    # torus_puncture), an empty relator, and a presentation with no
+    # generators; the shared index arrays are read-only
+    rng = np.random.default_rng(45)
+    free = Presentation("free2", 2, ["a", "b"], relators=[(), ((0, 1), (1, -1), (0, 1))],
+                        peripherals=[Peripheral("P", ((1, -1), (0, -1)),
+                                                ConjugacyClassSpec([Fraction(1, 3)] * 2))])
+    none = Presentation("none", 2, [], relators=[()])
+    reps = [*corpus_points.values(), Representation(free, [haar_from_rng(rng, 2) for _ in "ab"])]
+    for rep in reps + [Representation(none, [])]:
+        layout = repspace._word_chain(perturb(rep, rng, 0.1) if rep.matrices else rep)
+        chain = repspace._word_chain(rep, layout)
+        pres, n = rep.presentation, rep.rank
+        words = [*pres.relators, *(p.word for p in pres.peripherals)]
+        terms = [(w, *term) for w, word in enumerate(words)
+                 for term in word_transport_terms(rep.matrices, word, n)]
+        values = [evaluate_word(rep, word) for word in words]
+        assert chain.values.tobytes() == np.array(values, dtype=complex).tobytes()
+        assert chain.prefixes.tobytes() == np.array([t[3] for t in terms], dtype=complex).tobytes()
+        for index, k, dtype in ((chain.word, 0, np.intp), (chain.gen, 1, np.intp),
+                                (chain.sign, 2, float)):
+            assert index.tobytes() == np.array([t[k] for t in terms], dtype=dtype).tobytes()
+            assert index.dtype == dtype and not index.flags.writeable
+        assert all(a is b for a, b in zip(chain[1:4], layout[1:4]))  # word, gen, sign
+        assert len(chain.values) == len(words) and len(chain.prefixes) == len(terms)
 
 
 def test_refine_infeasible_raises():

@@ -13,6 +13,7 @@ from repvar.unitary import (
     adjoint_action,
     charpoly_coefficients,
     charpoly_directions,
+    charpoly_stack,
     class_distance,
     class_of,
     class_residual,
@@ -20,6 +21,7 @@ from repvar.unitary import (
     exponential,
     haar_from_rng,
     haar_sample,
+    haar_stack,
     inner_product,
     is_skew_hermitian,
     is_unitary,
@@ -33,7 +35,7 @@ from repvar.unitary import (
 )
 
 from oracles import (einsum_ad_basis, einsum_ad_matrix, einsum_unvec_skew, einsum_vec_skew,
-                     newton_charpoly, schur_log)
+                     newton_charpoly, newton_charpoly_directions, schur_log)
 
 
 def test_exponential_zero_is_identity():
@@ -317,6 +319,35 @@ def test_charpoly_coefficients_match_directions_bitwise():
         assert np.max(np.abs(c - np.poly(np.linalg.eigvals(g))[1:])) <= 1e-12
 
 
+def test_charpoly_stack_rows_are_bitwise_the_per_matrix_recursion():
+    # random stacks of 1-9 unitaries at N = 1..5, with 1-59 directions each:
+    # every row of the stacked coefficients and derivatives is bitwise the
+    # one-matrix recursion (its own "ij,aji->a" einsum per power and its own
+    # scalar Newton recursion), and class_residual, which reads one row, is
+    # bitwise the norm of the oracle's gap.  The stacked einsum and the
+    # Newton recursion on arrays are not bitwise; the kernel's docstring
+    # keeps the counts that showed it
+    assert "pij,paji->pa" in charpoly_stack.__doc__ and "(P,) arrays" in charpoly_stack.__doc__
+    rng = np.random.default_rng(34)
+    for n in range(1, 6):
+        for size in (1, 9, *rng.integers(1, 10, size=6)):
+            m = int(rng.integers(1, 60))
+            gs = np.array([haar_from_rng(rng, n) for _ in range(size)])
+            dgs = np.array([[random_skew(rng, n) @ g for _ in range(m)] for g in gs])
+            c, dc = charpoly_stack(gs, dgs)
+            assert c.shape == (size, n) and dc.shape == (size, m, n)
+            assert charpoly_stack(gs).tobytes() == c.tobytes()
+            for g, dg, row, drow in zip(gs, dgs, c, dc):
+                want, dwant = newton_charpoly_directions(g, dg)
+                assert row.tobytes() == want.tobytes() == newton_charpoly(g).tobytes()
+                assert drow.tobytes() == dwant.tobytes()
+            spec = ConjugacyClassSpec([Fraction(int(k), 12) for k in rng.integers(0, 12, n)])
+            gap = newton_charpoly(gs[0]) - newton_charpoly(diagonal_model(spec))
+            assert class_residual(gs[0], spec) == float(np.linalg.norm(gap))
+    c, dc = charpoly_stack(np.zeros((0, 3, 3), complex), np.zeros((0, 7, 3, 3), complex))
+    assert c.shape == (0, 3) and dc.shape == (0, 7, 3)
+
+
 def test_class_residual_conjugation_invariant():
     rng = np.random.default_rng(18)
     spec = ConjugacyClassSpec([0.1, 0.4, 0.8])
@@ -333,6 +364,28 @@ def test_haar_determinism_and_unitarity():
     rng = np.random.default_rng(19)
     for _ in range(1000):
         assert is_unitary(haar_from_rng(rng, 2))
+
+
+def test_haar_stack_is_bitwise_one_draw_and_qr_per_sample():
+    # find draws the Haar factors of all its generators in one stack:
+    # sample i is bitwise the i-th of consecutive one-matrix draws (real
+    # part, imaginary part, one QR, the R-diagonal phases), and the
+    # generator is left in the same state
+    def one_sample(rng, n):
+        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+
+    for n in range(1, 6):
+        for count in (0, 1, 4, 9):
+            loop, stacked = np.random.default_rng(n), np.random.default_rng(n)
+            want = np.array([one_sample(loop, n) for _ in range(count)], dtype=complex)
+            got = haar_stack(stacked, count, n)
+            assert got.tobytes() == want.reshape(count, n, n).tobytes()
+            assert loop.standard_normal() == stacked.standard_normal()
+        rng = np.random.default_rng(n)
+        assert haar_from_rng(rng, n).tobytes() == one_sample(np.random.default_rng(n), n).tobytes()
 
 
 def test_haar_mean_is_zero():
