@@ -613,7 +613,8 @@ def cocycle_transport(rep: Representation, u, word: Word) -> np.ndarray:
     """Twisted derivative of the word map at rho in direction u (generator part)."""
     parts = u.generator_part if isinstance(u, Cochain1) else u
     out = np.zeros((rep.rank, rep.rank), dtype=complex)
-    for gen, sign, prefix in word_transport_terms(rep.matrices, word, rep.rank):
+    _, prefixes = word_transport_terms(rep.matrices, word, rep.rank)
+    for (gen, sign), prefix in zip(word, prefixes):
         out = out + sign * (prefix @ parts[gen] @ prefix.conj().T)
     return out
 

@@ -90,6 +90,19 @@ class Representation:
             self, "tolerance", default_tolerance(n) if tolerance is None else float(tolerance)
         )
 
+    @classmethod
+    def _of_stack(cls, presentation: Presentation, stack: np.ndarray,
+                  tolerance: float) -> "Representation":
+        """The representation whose matrices are the rows of a complex stack
+        (generators, N, N) that the caller formed and hands over: the stack
+        is frozen in place, not copied or checked."""
+        stack.setflags(write=False)
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "presentation", presentation)
+        object.__setattr__(rep, "matrices", tuple(stack))
+        object.__setattr__(rep, "tolerance", tolerance)
+        return rep
+
     @property
     def rank(self) -> int:
         return self.presentation.rank
@@ -114,39 +127,47 @@ def evaluate_word(rep: Representation, word: Word) -> np.ndarray:
     return out
 
 
-def word_transport_terms(matrices: Sequence[np.ndarray], word: Word, rank: int):
+def word_transport_terms(matrices: Sequence[np.ndarray], word: Word, rank: int,
+                         prefixes: np.ndarray | None = None):
     """Fox-calculus terms of the left-log derivative of the word map.
 
-    Yields (generator index, sign, prefix) such that the derivative of the
-    word value W in direction (u_x) is  (sum_terms sign * Ad(prefix) u_gen) W.
-    Encodes the cocycle rules u(vw) = u(v) + Ad(rho(v)) u(w) and
-    u(x') = -Ad(rho(x')) u(x).  The prefixes are the partial products that
-    :func:`evaluate_word` forms, and the generator returns the last of
-    them, W itself (the value of ``yield from``).  rank is N, which a
-    presentation without generators cannot read off its matrices.
+    Term t belongs to the word's t-th letter (gen_t, sign_t): the
+    derivative of the word value W in direction (u_x) is
+    (sum_t sign_t * Ad(prefixes[t]) u_(gen_t)) W.  Encodes the cocycle
+    rules u(vw) = u(v) + Ad(rho(v)) u(w) and u(x') = -Ad(rho(x')) u(x): a
+    letter's prefix is the product of the letters before it, an inverse
+    letter's includes its own factor.  The prefixes are the partial
+    products that :func:`evaluate_word` forms, written into ``prefixes``
+    (len(word), N, N), a new array when None; returns (W, prefixes).  rank
+    is N, which a presentation without generators cannot read off its
+    matrices.
     """
+    if prefixes is None:
+        prefixes = np.empty((len(word), rank, rank), dtype=complex)
     prefix = np.eye(rank, dtype=complex)
-    for gen, sign in word:
+    for t, (gen, sign) in enumerate(word):
         if sign > 0:
-            yield gen, 1.0, prefix
+            prefixes[t] = prefix
             prefix = prefix @ matrices[gen]
         else:
             prefix = prefix @ matrices[gen].conj().T
-            yield gen, -1.0, prefix
-    return prefix
+            prefixes[t] = prefix
+    return prefix, prefixes
 
 
 class _WordChain(NamedTuple):
     """The constraint words of a representation walked once: their values
     (relators, then peripheral words) and the Fox terms of all words in
     word order, as index arrays over the terms and one stack of prefixes.
-    The index arrays are read-only, as chains of one presentation share
-    them."""
+    A round holds the r-th term of every (word, generator) block, so one
+    fancy-index add per round adds each block's terms in term order.  The
+    index arrays are read-only, as chains of one presentation share them."""
     values: np.ndarray    # (words, N, N)
     word: np.ndarray      # (terms,) the word of each term
     gen: np.ndarray       # (terms,) its generator
     sign: np.ndarray      # (terms,) +1.0 or -1.0
     prefixes: np.ndarray  # (terms, N, N)
+    rounds: tuple         # the term indices of each round
 
 
 def _word_chain(rep: Representation, layout: _WordChain | None = None) -> _WordChain:
@@ -154,29 +175,31 @@ def _word_chain(rep: Representation, layout: _WordChain | None = None) -> _WordC
     term prefixes and its value come from one :func:`word_transport_terms`
     walk, the products :func:`evaluate_word` forms, written into arrays
     allocated before the walk.  ``layout`` is a chain at a point of the same
-    presentation (``refine`` passes its start's), whose index arrays this
-    chain shares; without it they are built from this walk's terms."""
+    presentation (``refine`` passes its start's), whose index arrays and
+    rounds this chain shares; without it they are built from this walk's
+    terms."""
     pres = rep.presentation
     n = rep.rank
     words = (*pres.relators, *(p.word for p in pres.peripherals))
     values = np.empty((len(words), n, n), dtype=complex)
     prefixes = np.empty((sum(map(len, words)), n, n), dtype=complex)
-
-    def walk():
-        for w, word in enumerate(words):
-            values[w] = yield from word_transport_terms(rep.matrices, word, n)
-
-    letters = []
-    for t, (gen, sign, prefix) in enumerate(walk()):
-        prefixes[t] = prefix
-        if layout is None:
-            letters.append((gen, sign))
+    t = 0
+    for w, word in enumerate(words):
+        values[w], _ = word_transport_terms(rep.matrices, word, n, prefixes[t:t + len(word)])
+        t += len(word)
     if layout is not None:
         return layout._replace(values=values, prefixes=prefixes)
-    chain = _WordChain(values, np.repeat(np.arange(len(words)), [len(w) for w in words]),
-                       np.array([gen for gen, _ in letters], dtype=np.intp),
-                       np.array([sign for _, sign in letters], dtype=float), prefixes)
-    for index in (chain.word, chain.gen, chain.sign):
+    letters = [letter for word in words for letter in word]
+    word_of = np.repeat(np.arange(len(words)), [len(word) for word in words])
+    gen_of = np.array([gen for gen, _ in letters], dtype=np.intp)
+    block_terms: dict = {}  # each (word, generator) block's terms in term order
+    for t, block in enumerate(zip(word_of.tolist(), gen_of.tolist())):
+        block_terms.setdefault(block, []).append(t)
+    rounds = [np.array([ts[r] for ts in block_terms.values() if r < len(ts)], dtype=np.intp)
+              for r in range(max(map(len, block_terms.values()), default=0))]
+    sign_of = np.array([sign for _, sign in letters], dtype=float)
+    chain = _WordChain(values, word_of, gen_of, sign_of, prefixes, tuple(rounds))
+    for index in (chain.word, chain.gen, chain.sign, *chain.rounds):
         index.setflags(write=False)
     return chain
 
@@ -185,12 +208,14 @@ def transport_matrix(rep: Representation, chain: _WordChain) -> np.ndarray:
     """Real matrices (words, N^2, n_gen * N^2) of the transports of the
     chain's words in B-coordinates: one :func:`~repvar.unitary.ad_matrix`
     call on all prefixes, each word's terms added into its generator blocks
-    in word order."""
+    in word order, one add per round of the chain."""
     q = rep.rank ** 2
-    out = np.zeros((len(chain.values), q, len(rep.presentation.generators) * q))
-    for w, gen, sign, ad in zip(chain.word, chain.gen, chain.sign, ad_matrix(chain.prefixes)):
-        out[w, :, gen * q:(gen + 1) * q] += sign * ad
-    return out
+    n_gen = len(rep.presentation.generators)
+    out = np.zeros((len(chain.values), q, n_gen, q))
+    signed = chain.sign[:, None, None] * ad_matrix(chain.prefixes)
+    for terms in chain.rounds:
+        out[chain.word[terms], :, chain.gen[terms]] += signed[terms]
+    return out.reshape(len(chain.values), q, n_gen * q)
 
 
 def _residual_blocks(rep: Representation, values: np.ndarray | None = None,
@@ -245,18 +270,21 @@ def _word_directions(rep: Representation, chain: _WordChain) -> np.ndarray:
     one :func:`~repvar.unitary.ad_basis` call over all prefixes and one
     einsum that multiplies each term by its word's value.  The terms are
     then added into their word and generator blocks in term order, one
-    block add per term (``np.add.at`` makes the same adds but costs about
-    20 ns per element, 3x to 10x the loop at N >= 5).  Each term is bitwise
-    the one a per-term pair of einsums gives (numpy 2.4), and so are the
-    sums and every ``refine`` iterate."""
+    fancy-index add per round of the chain: a round meets each block at
+    most once, so every block sums its terms one at a time in term order,
+    as one add per term would (``np.add.at`` makes the same adds but costs
+    about 20 ns per element, 3x to 10x a loop at N >= 5).  Each term is
+    bitwise the one a per-term pair of einsums gives (numpy 2.4), and so
+    are the sums and every ``refine`` iterate."""
     n = rep.rank
     q = n * n
     n_gen = len(rep.presentation.generators)
     words = len(chain.values)
     out = np.zeros((words, n_gen, q, n, n), dtype=complex)
     moved = np.einsum("taij,tjk->taik", ad_basis(chain.prefixes), chain.values[chain.word])
-    for w, gen, d in zip(chain.word, chain.gen, chain.sign[:, None, None, None] * moved):
-        out[w, gen] += d
+    signed = chain.sign[:, None, None, None] * moved
+    for terms in chain.rounds:
+        out[chain.word[terms], chain.gen[terms]] += signed[terms]
     return out.reshape(words, n_gen * q, n, n)
 
 
@@ -280,11 +308,12 @@ def _residual_jacobian(rep: Representation, chain: _WordChain) -> np.ndarray:
 
 def _retract(rep: Representation, step: np.ndarray) -> Representation:
     """Left-exponential update of every generator by the stacked coordinate
-    step, all generators in one batched exponential."""
+    step, all generators in one batched exponential, whose result stack
+    the trial point holds without a copy."""
     n = rep.rank
     x = unvec_skew(step.reshape(len(rep.matrices), n * n), n)
-    return Representation(rep.presentation, exponential(x) @ np.array(rep.matrices),
-                          rep.tolerance)
+    return Representation._of_stack(rep.presentation, exponential(x) @ np.array(rep.matrices),
+                                    rep.tolerance)
 
 
 def refine(rep: Representation, max_iterations: int = 50, target_tolerance: float = 1e-10,

@@ -279,13 +279,6 @@ def charpoly_coefficients(g: np.ndarray) -> np.ndarray:
     return charpoly_stack(g[None])[0]
 
 
-def charpoly_directions(g: np.ndarray, dgs: np.ndarray):
-    """:func:`charpoly_stack` of the one matrix g along the directions dgs
-    (M, n, n): (c, dc) of shapes (n,) and (M, n)."""
-    c, dc = charpoly_stack(g[None], dgs[None])
-    return c[0], dc[0]
-
-
 def class_coefficients(specs, rank: int) -> np.ndarray:
     """Characteristic polynomial coefficients of the diagonal models of the
     class specs, shape (len(specs), rank): the targets of the class gaps.

@@ -99,7 +99,8 @@ def word_directions_per_term(rep, word, w_val):
     q = n * n
     basis = skew_basis(n)
     out = np.zeros((len(rep.presentation.generators) * q, n, n), dtype=complex)
-    for gen, sign, prefix in word_transport_terms(rep.matrices, word, rep.rank):
+    _, prefixes = word_transport_terms(rep.matrices, word, rep.rank)
+    for (gen, sign), prefix in zip(word, prefixes):
         moved = np.einsum("ij,ajk,lk->ail", prefix, basis, prefix.conj())
         out[gen * q:(gen + 1) * q] += sign * np.einsum("aij,jk->aik", moved, w_val)
     return out
@@ -113,9 +114,8 @@ def per_word_transport_matrix(rep, word):
     n = rep.rank
     q = n * n
     out = np.zeros((q, len(rep.presentation.generators) * q))
-    terms = list(word_transport_terms(rep.matrices, word, rep.rank))
-    ads = ad_matrix(np.array([prefix for _, _, prefix in terms], dtype=complex).reshape(-1, n, n))
-    for (gen, sign, _), ad in zip(terms, ads):
+    _, prefixes = word_transport_terms(rep.matrices, word, rep.rank)
+    for (gen, sign), ad in zip(word, ad_matrix(prefixes)):
         out[:, gen * q:(gen + 1) * q] += sign * ad
     return out
 
@@ -485,9 +485,10 @@ def per_cocycle_cup_form(cc, vectors):
     flat_basis = skew_basis(n).transpose(0, 2, 1).reshape(cc.q, n * n)
     real_basis = np.stack([-flat_basis.real, flat_basis.imag], axis=2).reshape(cc.q, -1).T
     for w, (word, i) in enumerate(words):
-        terms = word_transport_terms(cc.rep.matrices, word, n)
+        _, prefixes = word_transport_terms(cc.rep.matrices, word, n)
         t = np.array([[sign * (prefix @ u[gen] @ prefix.conj().T) for u in us]
-                      for gen, sign, prefix in terms], dtype=complex).reshape(-1, b, n, n)
+                      for (gen, sign), prefix in zip(word, prefixes)],
+                     dtype=complex).reshape(-1, b, n, n)
         left, right = [np.cumsum(t, axis=0) - t], [t]
         if i is not None:
             a1, xi = t.sum(axis=0), xis[:, cc.group_of[i]]

@@ -188,6 +188,7 @@ def test_refine_builds_its_layout_and_class_targets_once(corpus_points, monkeypa
         assert len(chains) == len(gaps) == 1 + len(trials)
         for chain in chains:
             assert all(a is b for a, b in zip(chain[1:4], chains[0][1:4]))  # word, gen, sign
+            assert chain.rounds is chains[0].rounds
 
 
 def test_refine_evaluates_each_word_once_per_trial(corpus_points, monkeypatch):
@@ -266,7 +267,9 @@ def test_word_chain_on_a_shared_layout_is_bitwise_the_per_word_walks(corpus_poin
     # and signs of one word_transport_terms walk per word: the corpus
     # (inverse letters at genus2, a multi-letter peripheral at
     # torus_puncture), an empty relator, and a presentation with no
-    # generators; the shared index arrays are read-only
+    # generators; the shared index arrays are read-only, and round r holds
+    # the r-th term of every (word, generator) block, so one add per round
+    # adds each block's terms in term order
     rng = np.random.default_rng(45)
     free = Presentation("free2", 2, ["a", "b"], relators=[(), ((0, 1), (1, -1), (0, 1))],
                         peripherals=[Peripheral("P", ((1, -1), (0, -1)),
@@ -278,8 +281,9 @@ def test_word_chain_on_a_shared_layout_is_bitwise_the_per_word_walks(corpus_poin
         chain = repspace._word_chain(rep, layout)
         pres, n = rep.presentation, rep.rank
         words = [*pres.relators, *(p.word for p in pres.peripherals)]
-        terms = [(w, *term) for w, word in enumerate(words)
-                 for term in word_transport_terms(rep.matrices, word, n)]
+        walks = [word_transport_terms(rep.matrices, word, n)[1] for word in words]
+        terms = [(w, gen, float(sign), prefix) for w, (word, walk) in enumerate(zip(words, walks))
+                 for (gen, sign), prefix in zip(word, walk)]
         values = [evaluate_word(rep, word) for word in words]
         assert chain.values.tobytes() == np.array(values, dtype=complex).tobytes()
         assert chain.prefixes.tobytes() == np.array([t[3] for t in terms], dtype=complex).tobytes()
@@ -288,7 +292,37 @@ def test_word_chain_on_a_shared_layout_is_bitwise_the_per_word_walks(corpus_poin
             assert index.tobytes() == np.array([t[k] for t in terms], dtype=dtype).tobytes()
             assert index.dtype == dtype and not index.flags.writeable
         assert all(a is b for a, b in zip(chain[1:4], layout[1:4]))  # word, gen, sign
+        assert chain.rounds is layout.rounds
         assert len(chain.values) == len(words) and len(chain.prefixes) == len(terms)
+        block_terms = {}
+        for t, (w, gen, *_) in enumerate(terms):
+            block_terms.setdefault((w, gen), []).append(t)
+        rounds = [[ts[r] for ts in block_terms.values() if r < len(ts)]
+                  for r in range(max(map(len, block_terms.values()), default=0))]
+        assert [sorted(r.tolist()) for r in chain.rounds] == [sorted(r) for r in rounds]
+        assert all(r.dtype == np.intp and not r.flags.writeable for r in chain.rounds)
+
+
+def test_retract_holds_its_exponential_stack_read_only(corpus_points):
+    # a trial point holds the rows of the batched exponential's product as
+    # they are, read-only: bitwise what the checked, copying constructor
+    # gives, with the same presentation and tolerance
+    rng = np.random.default_rng(46)
+    for rep in corpus_points.values():
+        n, n_gen = rep.rank, len(rep.matrices)
+        step = 1e-2 * rng.standard_normal(n_gen * n * n)
+        trial = repspace._retract(rep, step)
+        x = [exponential(sum(c * b for c, b in zip(s, skew_basis(n))))
+             for s in step.reshape(n_gen, n * n)]
+        want = Representation(rep.presentation, trial.matrices, rep.tolerance)
+        assert trial.presentation is rep.presentation and trial.tolerance == rep.tolerance
+        assert len(trial.matrices) == n_gen
+        for got, copy, ex, m in zip(trial.matrices, want.matrices, x, rep.matrices):
+            assert got.tobytes() == copy.tobytes() and got.shape == (n, n)
+            assert got.dtype == complex and not got.flags.writeable
+            assert np.allclose(got, ex @ m, atol=1e-14)
+            with pytest.raises(ValueError):
+                got[0, 0] = 0.0
 
 
 def test_refine_infeasible_raises():
