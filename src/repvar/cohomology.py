@@ -223,15 +223,10 @@ def rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
-    """The norm of every row of a (..., d), each equal to the 1-D
+    """The norm of every row of a real array (..., d), each equal to the 1-D
     ``np.linalg.norm`` of that row: the square root of one dot product per
-    row (of the real and imaginary parts for complex rows).  The ``axis=``
-    form of ``np.linalg.norm`` sums in another order."""
-    def dots(x):
-        return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
-    if np.iscomplexobj(a):
-        return np.sqrt(dots(a.real) + dots(a.imag))
-    return np.sqrt(dots(a))
+    row.  The ``axis=`` form of ``np.linalg.norm`` sums in another order."""
+    return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
 
 
 class _LstsqSolver:

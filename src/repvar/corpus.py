@@ -62,10 +62,10 @@ def load(name: str) -> Presentation:
     return parse_presentation(TEXTS[name])
 
 
-def diagonal_representation(pres: Presentation, angle_rows, tolerance: float = 1e-12) -> Representation:
-    """Diagonal representation from one row of angles (in turns) per generator."""
+def diagonal_representation(pres: Presentation, angle_rows) -> Representation:
+    """Diagonal representation, tolerance 1e-12, from one row of angles (in turns) per generator."""
     mats = [np.diag(np.exp(2j * np.pi * np.asarray(row, dtype=float))) for row in angle_rows]
-    return Representation(pres, mats, tolerance)
+    return Representation(pres, mats, 1e-12)
 
 
 def torus_puncture_representation(alpha: float = 0.3, beta: float = 0.45) -> Representation:

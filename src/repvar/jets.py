@@ -31,7 +31,7 @@ from .cohomology import (
     CohomologyBasis,
     DefectState,
     ObstructionClass,
-    cocycle_form,
+    obstruction,
     obstruction_classes,
     order_defect,
     q_norms,
@@ -273,6 +273,13 @@ def lift(cc: ConeComplex, u, order: int, options: LiftOptions | None = None) -> 
     square of K c lands at order 2m - 2 > m).  c is the least-squares choice
     that brings the defect into the image of the cone differential.  A later
     order that is still unsolvable is reported with budget_exceeded set.
+    Its obstruction is the O^2 class of that order's raw defect, with no
+    scale beside it, and can be as small as that defect's rounding
+    eps |raw|: at the U(3) sphere with classes (1/q, 2/q, -3/q), q = 5, 7,
+    11, 13 (``find`` seed 1, tolerance 1e-11), lifts of tangent basis
+    vectors 0, 2, 3, 5 and 7 to order 6 fail at order 3 with |raw| of
+    2.5e10 to 4.2e12 and coordinates of 8.6e-5 to 2.5e-3, against eps |raw|
+    of 5.5e-6 to 9.2e-4.
 
     This is the one-sample case of the stacked lift that :func:`probe_cone`
     runs over all its samples at once, where each order forms the defects
@@ -289,8 +296,8 @@ def lift(cc: ConeComplex, u, order: int, options: LiftOptions | None = None) -> 
     obs = None
     if got < order:
         # an order-2 failure is classed by Q itself; a later one by its own defect
-        defect = cocycle_form(cc, [umats])[0, 0] if got == 1 else lifts.defects[0]
-        obs = obstruction_classes(cc, defect[:, None])[0]
+        obs = (obstruction(cc, umats) if got == 1
+               else obstruction_classes(cc, lifts.defects[0][:, None])[0])
     return LiftReport(
         achieved_order=got,
         residuals=tuple(lifts.residuals[0, :got + (got < order)].tolist()),

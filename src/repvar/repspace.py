@@ -27,6 +27,7 @@ from .unitary import (
     diagonal_model,
     exponential,
     haar_stack,
+    json_number,
     matrix_from_json,
     matrix_to_json,
     unvec_skew,
@@ -120,11 +121,7 @@ class Residuals:
 
 def evaluate_word(rep: Representation, word: Word) -> np.ndarray:
     """Ordered product of generator matrices and inverses; empty word is the identity."""
-    out = np.eye(rep.rank, dtype=complex)
-    for gen, sign in word:
-        m = rep.matrices[gen]
-        out = out @ (m if sign > 0 else m.conj().T)
-    return out
+    return word_transport_terms(rep.matrices, word, rep.rank)[0]
 
 
 def word_transport_terms(matrices: Sequence[np.ndarray], word: Word, rank: int,
@@ -137,7 +134,7 @@ def word_transport_terms(matrices: Sequence[np.ndarray], word: Word, rank: int,
     rules u(vw) = u(v) + Ad(rho(v)) u(w) and u(x') = -Ad(rho(x')) u(x): a
     letter's prefix is the product of the letters before it, an inverse
     letter's includes its own factor.  The prefixes are the partial
-    products that :func:`evaluate_word` forms, written into ``prefixes``
+    products of the word, left to right, written into ``prefixes``
     (len(word), N, N), a new array when None; returns (W, prefixes).  rank
     is N, which a presentation without generators cannot read off its
     matrices.
@@ -173,11 +170,10 @@ class _WordChain(NamedTuple):
 def _word_chain(rep: Representation, layout: _WordChain | None = None) -> _WordChain:
     """Each constraint word's partial products, formed once: a word's Fox
     term prefixes and its value come from one :func:`word_transport_terms`
-    walk, the products :func:`evaluate_word` forms, written into arrays
-    allocated before the walk.  ``layout`` is a chain at a point of the same
-    presentation (``refine`` passes its start's), whose index arrays and
-    rounds this chain shares; without it they are built from this walk's
-    terms."""
+    walk, written into arrays allocated before the walk.  ``layout`` is a
+    chain at a point of the same presentation (``refine`` passes its
+    start's), whose index arrays and rounds this chain shares; without it
+    they are built from this walk's terms."""
     pres = rep.presentation
     n = rep.rank
     words = (*pres.relators, *(p.word for p in pres.peripherals))
@@ -252,11 +248,9 @@ def is_valid(rep: Representation, tolerance: float | None = None) -> bool:
     return constraint_residual(rep).max <= tol
 
 
-def _residual_vector(rep: Representation,
-                     blocks: Sequence[np.ndarray] | None = None) -> np.ndarray:
+def _residual_vector(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Smooth residual components: the real and imaginary parts of each
-    constraint gap (of ``blocks``, when the caller already formed them)."""
-    blocks = _residual_blocks(rep) if blocks is None else blocks
+    constraint gap of :func:`_residual_blocks`."""
     if not blocks:
         return np.zeros(0)
     return np.concatenate([part for d in blocks for part in (d.real.ravel(), d.imag.ravel())])
@@ -316,7 +310,7 @@ def _retract(rep: Representation, step: np.ndarray) -> Representation:
                                     rep.tolerance)
 
 
-def refine(rep: Representation, max_iterations: int = 50, target_tolerance: float = 1e-10,
+def refine(rep: Representation, max_iterations: int = 80, target_tolerance: float = 1e-10,
            trace: list | None = None) -> Representation:
     """Gauss-Newton refinement onto the constraint variety.
 
@@ -344,7 +338,7 @@ def refine(rep: Representation, max_iterations: int = 50, target_tolerance: floa
     chain = _word_chain(current)
     targets = class_coefficients([p.klass for p in rep.presentation.peripherals], rep.rank)
     blocks = _residual_blocks(current, chain.values, targets)
-    r = _residual_vector(current, blocks)
+    r = _residual_vector(blocks)
     obj = float(r @ r)
     res = _block_residuals(current, blocks)
     if trace is not None:
@@ -360,7 +354,7 @@ def refine(rep: Representation, max_iterations: int = 50, target_tolerance: floa
             trial = _retract(current, alpha * step)
             tchain = _word_chain(trial, chain)
             blocks = _residual_blocks(trial, tchain.values, targets)
-            tr = _residual_vector(trial, blocks)
+            tr = _residual_vector(blocks)
             tobj = float(tr @ tr)
             if tobj < obj:
                 break
@@ -385,8 +379,7 @@ def refine(rep: Representation, max_iterations: int = 50, target_tolerance: floa
 
 
 def find_representation(pres: Presentation, seed: int = 0, attempts: int = 50,
-                        target_tolerance: float = 1e-10,
-                        max_iterations: int = 80) -> Representation:
+                        target_tolerance: float = 1e-10) -> Representation:
     """Search for a valid representation by seeded random starts plus refinement.
 
     Generators that appear as single-letter peripheral words start as random
@@ -394,8 +387,9 @@ def find_representation(pres: Presentation, seed: int = 0, attempts: int = 50,
     an attempt draws the Haar factors of all generators in one
     :func:`~repvar.unitary.haar_stack` call.  Deterministic in the seed:
     attempt seeds are spawned from the master seed one at a time, the
-    children one spawn of all of them gives, and tried in order; the first
-    refined success is returned.
+    children one spawn of all of them gives, and tried in order, each refined
+    by :func:`refine` within its default iteration count; the first success
+    is returned.
     """
     single: dict[int, tuple] = {}
     for p in pres.peripherals:
@@ -411,7 +405,7 @@ def find_representation(pres: Presentation, seed: int = 0, attempts: int = 50,
             mats[i] = v if sign > 0 else v.conj().T
         start = Representation(pres, mats, target_tolerance)
         try:
-            return refine(start, max_iterations, target_tolerance)
+            return refine(start, target_tolerance=target_tolerance)
         except NoConvergenceError:
             continue
     raise NotFoundError(f"no representation of {pres.name!r} found in {attempts} attempts")
@@ -494,20 +488,6 @@ def rep_to_json(rep: Representation) -> dict:
     }
 
 
-def _json_number(data: dict, key: str, kind: type, default):
-    """data[key] (default when absent) as a JSON number of the kind: int
-    takes integers, float integers and floats.  A boolean is no number, and
-    an integer past the float range is no float."""
-    value = data.get(key, default)
-    try:
-        if isinstance(value, (int, kind)) and not isinstance(value, bool):
-            return kind(value)
-    except OverflowError:
-        pass
-    raise ValueError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, "
-                     f"got {value!r}")
-
-
 def rep_from_json(pres: Presentation, data: dict) -> Representation:
     """The representation a JSON object describes; malformed data raises ValueError."""
     if not isinstance(data, dict):
@@ -516,7 +496,7 @@ def rep_from_json(pres: Presentation, data: dict) -> Representation:
         raise ValueError(
             f"representation is for {data.get('presentation')!r}, presentation is {pres.name!r}"
         )
-    if _json_number(data, "N", int, None) != pres.rank:
+    if json_number(data.get("N"), "'N'", int) != pres.rank:
         raise ValueError(f"representation rank {data.get('N')} != presentation rank {pres.rank}")
     gens = data.get("generators", {})
     if not isinstance(gens, dict):
@@ -525,6 +505,6 @@ def rep_from_json(pres: Presentation, data: dict) -> Representation:
     if missing:
         raise ValueError(f"missing generator matrices: {missing}")
     mats = [matrix_from_json(gens[g]) for g in pres.generators]
-    tolerance = _json_number(data, "tolerance", float, default_tolerance(pres.rank))
+    tolerance = json_number(data.get("tolerance", default_tolerance(pres.rank)), "'tolerance'")
     check_tolerance(tolerance)
     return Representation(pres, mats, tolerance)

@@ -14,6 +14,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -21,10 +22,8 @@ from .presentation import ConjugacyClassSpec
 
 UNITARITY_TOL = 1e-10
 SKEW_TOL = 1e-12
+ANGLE_TOL = 1e-8  # radians: how close to -1 principal_log lets an eigenvalue come
 
-_BASIS_CACHE: dict[int, np.ndarray] = {}
-_TERMS_CACHE: dict[int, tuple] = {}
-_CLASS_COEFFICIENTS: dict[ConjugacyClassSpec, np.ndarray] = {}
 # numpy scalars, not 0-d arrays: the same values, but scalar arithmetic skips
 # the ufunc dispatch that an operation on a 0-d array goes through
 _ONE = np.complex128(1)
@@ -42,35 +41,36 @@ def check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
 
 
+@cache
 def skew_basis(n: int) -> np.ndarray:
-    """B-orthonormal real basis of the skew-Hermitian n x n matrices, shape (n^2, n, n).
+    """B-orthonormal real basis of the skew-Hermitian n x n matrices, shape
+    (n^2, n, n), read-only.
 
     Diagonal directions i*e_kk come first, then for each pair j < k the
     real and imaginary off-diagonal directions.
     """
-    if n not in _BASIS_CACHE:
-        mats = []
-        for k in range(n):
+    mats = []
+    for k in range(n):
+        m = np.zeros((n, n), dtype=complex)
+        m[k, k] = 1j
+        mats.append(m)
+    s = 1.0 / np.sqrt(2.0)
+    for j in range(n):
+        for k in range(j + 1, n):
             m = np.zeros((n, n), dtype=complex)
-            m[k, k] = 1j
+            m[j, k] = s
+            m[k, j] = -s
             mats.append(m)
-        s = 1.0 / np.sqrt(2.0)
-        for j in range(n):
-            for k in range(j + 1, n):
-                m = np.zeros((n, n), dtype=complex)
-                m[j, k] = s
-                m[k, j] = -s
-                mats.append(m)
-                m = np.zeros((n, n), dtype=complex)
-                m[j, k] = 1j * s
-                m[k, j] = 1j * s
-                mats.append(m)
-        basis = np.array(mats)
-        basis.setflags(write=False)
-        _BASIS_CACHE[n] = basis
-    return _BASIS_CACHE[n]
+            m = np.zeros((n, n), dtype=complex)
+            m[j, k] = 1j * s
+            m[k, j] = 1j * s
+            mats.append(m)
+    basis = np.array(mats)
+    basis.setflags(write=False)
+    return basis
 
 
+@cache
 def _basis_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero entries of the :func:`skew_basis` matrices as (rows, cols,
     vals), slot-major over 2 n^2: slot 0 of every basis matrix, then slot 1.
@@ -78,21 +78,19 @@ def _basis_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one, and its slot 1 repeats that position with the value 0.  Every
     value is purely real or purely imaginary, so one of the two real
     products in each part of a complex product with it is an exact zero,
-    and the product rounds alike fused or unfused."""
-    if n not in _TERMS_CACHE:
-        flat = skew_basis(n).reshape(n * n, n * n)
-        slots = np.zeros((2, n * n), dtype=np.intp)
-        vals = np.zeros((2, n * n), dtype=complex)
-        for a, m in enumerate(flat):
-            nonzero = np.flatnonzero(m)
-            slots[:, a] = nonzero[0], nonzero[-1]
-            vals[:len(nonzero), a] = m[nonzero]
-        rows, cols = np.divmod(slots.ravel(), n)
-        terms = (rows, cols, vals.ravel())
-        for t in terms:
-            t.setflags(write=False)
-        _TERMS_CACHE[n] = terms
-    return _TERMS_CACHE[n]
+    and the product rounds alike fused or unfused.  Read-only."""
+    flat = skew_basis(n).reshape(n * n, n * n)
+    slots = np.zeros((2, n * n), dtype=np.intp)
+    vals = np.zeros((2, n * n), dtype=complex)
+    for a, m in enumerate(flat):
+        nonzero = np.flatnonzero(m)
+        slots[:, a] = nonzero[0], nonzero[-1]
+        vals[:len(nonzero), a] = m[nonzero]
+    rows, cols = np.divmod(slots.ravel(), n)
+    terms = (rows, cols, vals.ravel())
+    for t in terms:
+        t.setflags(write=False)
+    return terms
 
 
 def vec_skew(x: np.ndarray) -> np.ndarray:
@@ -124,9 +122,9 @@ def project_skew(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - m.conj().swapaxes(-1, -2))
 
 
-def is_unitary(g: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
+def is_unitary(g: np.ndarray) -> bool:
     n = g.shape[0]
-    return bool(np.linalg.norm(g.conj().T @ g - np.eye(n)) <= tol)
+    return bool(np.linalg.norm(g.conj().T @ g - np.eye(n)) <= UNITARITY_TOL)
 
 
 def is_skew_hermitian(x: np.ndarray, tol: float = SKEW_TOL) -> bool:
@@ -140,17 +138,17 @@ def exponential(x: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def principal_log(g: np.ndarray, angle_tol: float = 1e-8) -> np.ndarray:
+def principal_log(g: np.ndarray) -> np.ndarray:
     """Skew-Hermitian logarithm of a unitary g with eigenvalue angles in (-pi, pi).
 
     Raises :class:`BranchCutError` when an eigenvalue of ``g`` lies within
-    ``angle_tol`` (radians) of -1.  Rotated so that -1 sits mid-way across the
+    ``ANGLE_TOL`` (radians) of -1.  Rotated so that -1 sits mid-way across the
     widest gap of the eigen-angles, g has the Hermitian Cayley transform
     i(I - r)(I + r)^(-1); ``eigh`` of it gives orthonormal eigenvectors
     (repeated eigenvalues included) and the angles through 2 arctan(lambda).
     """
     theta = np.sort(np.angle(np.linalg.eigvals(g)))
-    if np.any(np.pi - np.abs(theta) < angle_tol):
+    if np.any(np.pi - np.abs(theta) < ANGLE_TOL):
         raise BranchCutError("eigenvalue at or near -1; principal log undefined")
     gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
     mid = theta[np.argmax(gaps)] + 0.5 * gaps.max()  # the Cayley pole r = -1 goes here
@@ -281,15 +279,14 @@ def charpoly_coefficients(g: np.ndarray) -> np.ndarray:
 
 def class_coefficients(specs, rank: int) -> np.ndarray:
     """Characteristic polynomial coefficients of the diagonal models of the
-    class specs, shape (len(specs), rank): the targets of the class gaps.
-    Each spec's row is computed once per process."""
-    rows = []
-    for spec in specs:
-        target = _CLASS_COEFFICIENTS.get(spec)
-        if target is None:
-            target = _CLASS_COEFFICIENTS[spec] = charpoly_coefficients(diagonal_model(spec))
-        rows.append(target)
-    return np.array(rows, dtype=complex).reshape(-1, rank)
+    class specs, shape (len(specs), rank): the targets of the class gaps."""
+    return np.array([_class_target(spec) for spec in specs], dtype=complex).reshape(-1, rank)
+
+
+@cache
+def _class_target(spec: ConjugacyClassSpec) -> np.ndarray:
+    """One spec's row of :func:`class_coefficients`, once per process."""
+    return charpoly_coefficients(diagonal_model(spec))
 
 
 def class_residual(g: np.ndarray, spec: ConjugacyClassSpec) -> float:
@@ -349,9 +346,26 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def matrix_from_json(data) -> np.ndarray:
+def json_number(value, what: str, kind: type = float):
+    """A value read from JSON as a number of the kind: int takes integers,
+    float integers and floats.  A boolean is no number, and an integer past
+    the float range is no float; either raises ValueError naming ``what``."""
     try:
-        m = np.array([[entry["re"] + 1j * entry["im"] for entry in row] for row in data])
+        if isinstance(value, (int, kind)) and not isinstance(value, bool):
+            return kind(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
+                     f"got {value!r}")
+
+
+def matrix_from_json(data) -> np.ndarray:
+    """The matrix of rows of {"re", "im"} entries, each part a
+    :func:`json_number`; malformed data raises ValueError."""
+    try:
+        m = np.array([[json_number(entry["re"], "matrix entry 're'")
+                       + 1j * json_number(entry["im"], "matrix entry 'im'")
+                       for entry in row] for row in data])
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from None
     if not np.all(np.isfinite(m)):

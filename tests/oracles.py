@@ -58,8 +58,9 @@ import scipy.linalg
 from repvar.cohomology import (DefectState, Dims, _conjugate, cocycle_form, obstruction_classes,
                                order_defect)
 from repvar.presentation import parse_presentation
-from repvar.repspace import (Representation, _rank_cut, _residual_vector, commutant_dimension,
-                             evaluate_word, find_representation, word_transport_terms)
+from repvar.repspace import (Representation, _rank_cut, _residual_blocks, _residual_vector,
+                             commutant_dimension, evaluate_word, find_representation,
+                             word_transport_terms)
 from repvar.truncring import IncrementalExp
 from repvar.unitary import (BranchCutError, ad_matrix, exponential, project_skew, skew_basis,
                             unvec_skew, vec_skew)
@@ -77,7 +78,7 @@ def fd_constraint_rank(rep, eps=1e-6, threshold=1e-5):
     """Rank of the finite-difference Jacobian of the constraint map."""
     n = rep.rank
     q = n * n
-    base = _residual_vector(rep)
+    base = _residual_vector(_residual_blocks(rep))
     basis = skew_basis(n)
     cols = []
     for i in range(len(rep.matrices)):
@@ -85,7 +86,7 @@ def fd_constraint_rank(rep, eps=1e-6, threshold=1e-5):
             mats = list(rep.matrices)
             mats[i] = exponential(eps * basis[a]) @ mats[i]
             pert = Representation(rep.presentation, mats, rep.tolerance)
-            cols.append((_residual_vector(pert) - base) / eps)
+            cols.append((_residual_vector(_residual_blocks(pert)) - base) / eps)
     if not cols:
         return 0
     s = np.linalg.svd(np.column_stack(cols), compute_uv=False)

@@ -55,6 +55,16 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
     huge_rep["generators"]["a"][0][0]["re"] = 1e300
     scaled_rep = rep_to_json(genus2_irr)
     scaled_rep["generators"]["b"][1][1]["re"] = 3.0
+    # a JSON integer past the float range, and JSON booleans, as entry parts
+    huge_int_entry_rep = rep_to_json(genus2_irr)
+    huge_int_entry_rep["generators"]["a"][0][0]["re"] = 10 ** 400
+    huge_int_entry_cochain = cochain(basis_irr.vectors[0], genus2_irr.presentation)
+    huge_int_entry_cochain["generator_part"]["a"][0][1]["im"] = 10 ** 400
+    bool_entries_rep = rep_to_json(corpus.torus_puncture_representation())
+    for m in bool_entries_rep["generators"].values():
+        for row in m:
+            for entry in row:
+                entry.update(re=True, im=False)  # read as 1 + 0i, it would be valid
 
     # 1e-8 away from genus2_reducible, still unitary: the d0 rank cut is ambiguous
     e = exponential(1e-8 * np.array([[0, 1], [-1, 0]], dtype=complex))
@@ -84,6 +94,9 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
         "nan_rep": dump("nan_rep.json", nan_rep),
         "huge_rep": dump("huge_rep.json", huge_rep),
         "scaled_rep": dump("scaled_rep.json", scaled_rep),
+        "huge_int_entry_rep": dump("huge_int_entry_rep.json", huge_int_entry_rep),
+        "huge_int_entry_cochain": dump("huge_int_entry_cochain.json", huge_int_entry_cochain),
+        "bool_entries_rep": dump("bool_entries_rep.json", bool_entries_rep),
         "ill_conditioned": dump("ill_conditioned.json", rep_to_json(ill)),
         "genus2_red": dump("genus2_red.json", rep_to_json(genus2_red)),
         "sphere4": dump("sphere4.json", rep_to_json(sphere4_rep)),
@@ -103,6 +116,10 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
         "list_cochain": dump("list_cochain.json", {"generator_part": ["a", "b", "c", "d"]}),
         "string_cochain": dump("string_cochain.json", {"generator_part": "abcd"}),
         "nan_angle_grp": str(nan_angle),
+        **{f"{key}_grp": write(f"{key}.grp", text.encode()) for key, text in (
+            ("rank_zero", "group g\nrank 0\ngenerators a\n"),
+            ("rank_negative", "group g\nrank -2\ngenerators a\n"),
+            ("empty_peripheral", "group g\nrank 2\ngenerators a\nperipheral P = a a' : 1/3, -1/3\n"))},
         "non_utf8_grp": write("non_utf8.grp", b"\xff\xfe bad"),
         "non_utf8_rep": write("non_utf8_rep.json", b"\xff\xfe{}"),
         "long_int_rank_rep": write("long_int_rank_rep.json", long_rank.encode()),
@@ -110,7 +127,7 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
         **{f"cocycle_{scale:g}": dump(
             f"cocycle_{scale:g}.json",
             cochain([scale * m for m in cohomology.h1_basis(sphere4_cc).vectors[0]],
-                    sphere4_rep.presentation)) for scale in (1e150, 1e200)},
+                    sphere4_rep.presentation)) for scale in (1, 1e150, 1e200)},
         **{f"{key}_rep": dump(f"{key}_rep.json", {**rep_to_json(genus2_irr), field: value})
            for key, field, value in (
                ("nan_tolerance", "tolerance", float("nan")),
@@ -196,6 +213,33 @@ def test_library_and_verbs_run_without_scipy(cli_files):
     result = json.loads(out.stdout)
     assert result["log_error"] <= 1e-13
     assert result["codes"] == [0] * len(verbs)
+
+
+# A fresh interpreter with scipy importable: no verb, run through cli.run,
+# may load it.
+SCIPY_LOADED = """
+import contextlib, io, json, sys
+from repvar import cli
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run(argv))
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def test_verbs_leave_scipy_unloaded(cli_files):
+    point = [SPHERE4, cli_files["sphere4"]]
+    verbs = [["validate", SPHERE4], ["find", SPHERE4, "--seed", "1"], ["check", *point],
+             ["tangent", *point], ["pairing", *point],
+             ["obstruct", *point, cli_files["cocycle_1"]],
+             ["lift", *point, cli_files["cocycle_1"], "--order", "4"],
+             ["probe", *point, "--samples", "5", "--order", "3", "--seed", "2"]]
+    out = subprocess.run([sys.executable, "-c", SCIPY_LOADED, json.dumps(verbs)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"codes": [0] * len(verbs), "scipy": False}
 
 
 # A fresh interpreter that imports repvar, runs one command line (if any)
@@ -321,6 +365,16 @@ BAD_INPUTS = {
         "string_tolerance", "bool_tolerance", "huge_int_tolerance", "fractional_rank",
         "string_rank")},
     "rep_bool_rank": ("check", TORUS, "bool_rank_rep"),
+    # each part of a matrix entry is a JSON number, by the rule for tolerance
+    "rep_huge_int_entry_check": ("check", GENUS2, "huge_int_entry_rep"),
+    "rep_huge_int_entry_tangent": ("tangent", GENUS2, "huge_int_entry_rep"),
+    "cochain_huge_int_entry_obstruct": ("obstruct", GENUS2, "genus2_irr", "huge_int_entry_cochain"),
+    "cochain_huge_int_entry_lift": ("lift", GENUS2, "genus2_irr", "huge_int_entry_cochain"),
+    "rep_bool_entries_check": ("check", TORUS, "bool_entries_rep"),
+    # presentations the constructor rejects after they parse
+    "grp_rank_zero": ("validate", "rank_zero_grp"),
+    "grp_rank_negative": ("validate", "rank_negative_grp"),
+    "grp_empty_peripheral": ("validate", "empty_peripheral_grp"),
     # files the readers cannot decode: not UTF-8, an integer literal past the
     # digit limit, arrays nested past the recursion limit
     "grp_not_utf8": ("validate", "non_utf8_grp"),

@@ -412,8 +412,13 @@ def test_benchmark_tracer_covers_lift_and_probe(sphere4_cc, monkeypatch):
 
 def test_removed_keywords_raise_type_error(sphere4_rep, sphere4_cc):
     # the rank threshold is set once, where the complex is assembled, and the
-    # cocycle precondition is the constant cohomology.COCYCLE_TOL
+    # cocycle precondition is the constant cohomology.COCYCLE_TOL; keywords
+    # that no caller set are constants: find's iteration count is refine's
+    # default, and the branch-cut margin, the unitarity bound and the
+    # diagonal representations' tolerance are fixed
+    from repvar import corpus
     from repvar.repspace import refine
+    from repvar.unitary import is_unitary, principal_log
     basis = h1_basis(sphere4_cc)
     u = basis.vectors[0]
     jrep = lift(sphere4_cc, u, 2).corrections
@@ -426,7 +431,12 @@ def test_removed_keywords_raise_type_error(sphere4_rep, sphere4_cc):
              lambda: cohomology.h_dims(sphere4_cc, 1e-8),
              lambda: obstruction(sphere4_cc, u, pre_tolerance=1e-6),
              lambda: cohomology.common_obstruction(sphere4_cc, [u], pre_tolerance=1e-6),
-             lambda: LiftOptions(pre_tolerance=1e-6)]
+             lambda: LiftOptions(pre_tolerance=1e-6),
+             lambda: find_representation(sphere4_rep.presentation, max_iterations=80),
+             lambda: principal_log(sphere4_rep.matrices[0], angle_tol=1e-8),
+             lambda: corpus.diagonal_representation(sphere4_rep.presentation, [[0.1, 0.2]] * 4,
+                                                    tolerance=1e-12),
+             lambda: is_unitary(sphere4_rep.matrices[0], tol=1e-10)]
     for call in calls:
         with pytest.raises(TypeError):
             call()

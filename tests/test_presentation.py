@@ -9,6 +9,7 @@ from repvar import corpus
 from repvar.presentation import (
     ConjugacyClassSpec,
     ParseError,
+    Peripheral,
     Presentation,
     concat_words,
     invert_word,
@@ -80,6 +81,11 @@ def test_parse_comments_and_blank_lines():
         ("group g\nrank 1\ngenerators a\nperipheral P = a : nan\n", "bad angle"),
         ("group g\nrank 1\ngenerators a\nperipheral P = a : -inf\n", "bad angle"),
         ("group g\nrank 1\ngenerators a\nperipheral P = a : 1e400\n", "bad angle"),
+        # the constructor's errors, raised as parse errors
+        ("group g\nrank 0\ngenerators a\n", "rank must be >= 1, got 0"),
+        ("group g\nrank -2\ngenerators a\n", "rank must be >= 1, got -2"),
+        ("group g\nrank 2\ngenerators a\nperipheral P = a a' : 1/3, -1/3\n",
+         "peripheral P: empty word"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -175,6 +181,32 @@ def test_round_trip_with_together_and_decimals():
 def test_presentation_rejects_bad_groups():
     with pytest.raises(ValueError):
         Presentation("g", 1, ["a"], peripherals=[], groups=[(0,)])
+
+
+_P = Peripheral("P", ((0, 1),), ConjugacyClassSpec([0]))
+_Q = Peripheral("Q", ((0, -1),), ConjugacyClassSpec([0]))
+
+
+@pytest.mark.parametrize("args,kwargs,message", [
+    ((0, ["a"]), {}, "rank must be >= 1, got 0"),
+    ((1, ["a", "a"]), {}, "generator names must be unique"),
+    ((1, ["a"]), {"peripherals": [_P, _P]}, "peripheral names must be unique"),
+    ((2, ["a"]), {"peripherals": [_P]}, "peripheral P: 1 angles given, rank is 2"),
+    ((1, ["a"]), {"peripherals": [Peripheral("P", ((0, 1), (0, -1)), ConjugacyClassSpec([0]))]},
+     "peripheral P: empty word"),
+    ((1, ["a"]), {"peripherals": [_P], "groups": [(0,), ()]},
+     "simultaneity groups must be nonempty"),
+    ((1, ["a"]), {"peripherals": [_P, _Q], "groups": [(0,), (0, 1)]},
+     "peripheral index 0 in two simultaneity groups"),
+    ((1, ["a"]), {"peripherals": [_P, _Q], "groups": [(1,)]},
+     "simultaneity groups must cover all peripherals"),
+    ((1, ["a"]), {"relators": [((1, 1),)]}, "generator index 1 out of range"),
+    ((1, ["a"]), {"relators": [((0, 2),)]}, "letter sign must be +-1, got 2"),
+])
+def test_presentation_constructor_errors(args, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        Presentation("g", *args, **kwargs)
+    assert str(err.value) == message
 
 
 _NAMES = ("a", "b", "x1", "g_2")

@@ -412,3 +412,13 @@ def test_matrix_json_round_trip():
     assert np.array_equal(matrix_from_json(matrix_to_json(g)), g)
     with pytest.raises(ValueError):
         matrix_from_json([[{"re": 1.0}]])
+
+
+def test_matrix_entry_parts_are_json_numbers():
+    # an integer within the float range is a number; a boolean and an
+    # integer past the float range are not
+    assert np.array_equal(matrix_from_json([[{"re": 1, "im": -2}]]), [[1 - 2j]])
+    for part in (True, 10 ** 400):
+        for entry in ({"re": part, "im": 0.0}, {"re": 0.0, "im": part}):
+            with pytest.raises(ValueError, match="must be a number"):
+                matrix_from_json([[entry]])
