@@ -232,10 +232,7 @@ def _cmd_pairing(args, pres, cc) -> tuple[int, dict]:
     from . import cohomology
     basis = cohomology.h1_basis(cc)
     tensor = cohomology.pairing_tensor(cc, basis, tolerance=args.tol)
-    entries = [
-        {"i": i, "j": j, "coordinates": [float(c) for c in e.coordinates], "norm": e.norm}
-        for (i, j), e in sorted(tensor.entries.items())
-    ]
+    entries = [{"i": i, "j": j, **e.to_json()} for (i, j), e in sorted(tensor.entries.items())]
     return 0, {"basis_size": len(basis), "entries": entries, "max_norm": tensor.max_norm(),
                "verdict": tensor.verdict, "smooth_by_cup_product_criterion": tensor.verdict}
 
@@ -273,7 +270,7 @@ def _tol(default):
     return "--tol", {"type": _tolerance, "default": default}
 
 
-_SEED = "--seed", {"type": int, "default": 0}
+_SEED = "--seed", {"type": _int_from(0), "default": 0}
 _ATTEMPTS = "--attempts", {"type": _int_from(1), "default": 50}
 _SAMPLES = "--samples", {"type": _int_from(1), "default": 50}
 _ORDER_1, _ORDER_2 = (("--order", {"type": _int_from(low), "default": 4}) for low in (1, 2))
@@ -384,7 +381,10 @@ def run(argv) -> int:
     except (*_raised("numpy.linalg", "LinAlgError"), FloatingPointError) as exc:
         print(f"repvar: numerical error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # numpy's failed allocations included
+    except (MemoryError, ValueError) as exc:  # numpy's failed or unsizable allocations
+        unsizable = ("Maximum allowed dimension exceeded", "array is too big")  # numpy's words
+        if isinstance(exc, ValueError) and not str(exc).startswith(unsizable):
+            raise
         print(f"repvar: out of memory: {exc}", file=sys.stderr)
         return 2
     _emit({"verb": args.verb, "config": config, **body}, args.format)

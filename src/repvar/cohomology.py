@@ -292,13 +292,12 @@ class ConeComplex:
         self.chain = _word_chain(rep)
         self.periph_values = self.chain.values[self.n_rel:]
         # conjugate transposes of every word's base value, relators first
-        self.word_values_h = np.array(self.chain.values,
-                                      dtype=complex).reshape(-1, n, n).conj().swapaxes(1, 2)
+        self.word_values_h = self.chain.values.conj().swapaxes(1, 2)
         # bases of the stacked generator and conjugator jets of order_defect
         self.jet_bases = np.array(list(rep.matrices) + [np.eye(n)] * len(self.groups),
                                   dtype=complex).reshape(-1, n, n)
         ad_gen = ad_matrix(np.array(rep.matrices, dtype=complex).reshape(-1, n, n))
-        ad_per = ad_matrix(np.array(self.periph_values, dtype=complex).reshape(-1, n, n))
+        ad_per = ad_matrix(self.periph_values)
         self.d0_gen = (np.eye(q) - ad_gen).reshape(-1, q)
 
         # d1 on generator parts: the transport rows of every word, relators first
@@ -641,9 +640,6 @@ def h1_basis(cc: ConeComplex) -> CohomologyBasis:
     dims = h_dims(cc)
     z = cc._svd_d1_par.nullspace      # (n_gen q, z1_par)
     cb = cc._svd_d0_gen.u_r           # image of the generator part of d0
-    if z.shape[1] == 0:
-        mat = np.zeros((cc.n_gen * cc.q, 0))
-        return CohomologyBasis(vectors=(), matrix=mat, dims=dims)
     w = z - cb @ (cb.T @ z)
     u, s, _ = np.linalg.svd(w, full_matrices=False)
     count = int(np.sum(s > 0.5))  # singular values here cluster at 1 and 0

@@ -68,9 +68,9 @@ def diagonal_representation(pres: Presentation, angle_rows) -> Representation:
     return Representation(pres, mats, 1e-12)
 
 
-def torus_puncture_representation(alpha: float = 0.3, beta: float = 0.45) -> Representation:
-    """Any pair of angles works: the boundary commutator is automatically trivial."""
-    return diagonal_representation(load("torus_puncture"), [[alpha], [beta]])
+def torus_puncture_representation() -> Representation:
+    """Angles 0.3 and 0.45; any pair works: the boundary commutator is automatically trivial."""
+    return diagonal_representation(load("torus_puncture"), [[0.3], [0.45]])
 
 
 def genus2_reducible() -> Representation:

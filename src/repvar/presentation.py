@@ -144,14 +144,13 @@ class Presentation:
         relators: Sequence[Iterable[Letter]] = (),
         peripherals: Sequence[Peripheral] = (),
         groups: Sequence[Sequence[int]] | None = None,
-        warnings: Sequence[str] = (),
     ):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         generators = tuple(generators)
         if len(set(generators)) != len(generators):
             raise ValueError("generator names must be unique")
-        warn = list(warnings)
+        warn = []
         norm_relators = []
         for idx, rel in enumerate(relators):
             w = normalize_word(rel)
@@ -241,6 +240,7 @@ def parse_presentation(text: str) -> Presentation:
     relators: list[list[Letter]] = []
     peripherals: list[Peripheral] = []
     together: list[tuple[int, ...]] = []
+    grouped: set[int] = set()  # the peripherals of the 'together' lines so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -316,6 +316,10 @@ def parse_presentation(text: str) -> Presentation:
                 members.append(matches[0])
             if len(set(members)) != len(members):
                 raise ParseError("repeated peripheral in 'together' line", lineno)
+            again = next((peripherals[i].name for i in members if i in grouped), None)
+            if again is not None:
+                raise ParseError(f"peripheral {again!r} in two 'together' lines", lineno)
+            grouped.update(members)
             together.append(tuple(members))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, raw.find(head) + 1)
@@ -327,17 +331,8 @@ def parse_presentation(text: str) -> Presentation:
     if generators is None:
         raise ParseError("missing 'generators' line")
 
-    groups = None
-    if together:
-        grouped = {i for g in together for i in g}
-        for g in together:
-            for i in g:
-                if sum(i in h for h in together) > 1:
-                    raise ParseError(
-                        f"peripheral {peripherals[i].name!r} in two 'together' lines"
-                    )
-        singles = [(i,) for i in range(len(peripherals)) if i not in grouped]
-        groups = together + singles
+    singles = [(i,) for i in range(len(peripherals)) if i not in grouped]
+    groups = together + singles if together else None
 
     try:
         return Presentation(name, rank, generators, relators, peripherals, groups)

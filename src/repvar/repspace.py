@@ -30,6 +30,7 @@ from .unitary import (
     json_number,
     matrix_from_json,
     matrix_to_json,
+    shown,
     unvec_skew,
 )
 
@@ -200,18 +201,26 @@ def _word_chain(rep: Representation, layout: _WordChain | None = None) -> _WordC
     return chain
 
 
+def _block_sums(chain: _WordChain, terms: np.ndarray, n_gen: int) -> np.ndarray:
+    """The chain's Fox ``terms`` (terms, ...), signed and summed into their word
+    and generator blocks (words, n_gen, ...), one fancy-index add per round: a
+    round meets each block at most once, so every block sums its terms one at
+    a time in term order, as one add per term would (``np.add.at`` makes the
+    same adds but costs about 20 ns per element, 3x to 10x a loop at N >= 5)."""
+    out = np.zeros((len(chain.values), n_gen, *terms.shape[1:]), dtype=terms.dtype)
+    signed = chain.sign.reshape(-1, *[1] * (terms.ndim - 1)) * terms
+    for r in chain.rounds:
+        out[chain.word[r], chain.gen[r]] += signed[r]
+    return out
+
+
 def transport_matrix(rep: Representation, chain: _WordChain) -> np.ndarray:
     """Real matrices (words, N^2, n_gen * N^2) of the transports of the
-    chain's words in B-coordinates: one :func:`~repvar.unitary.ad_matrix`
-    call on all prefixes, each word's terms added into its generator blocks
-    in word order, one add per round of the chain."""
-    q = rep.rank ** 2
-    n_gen = len(rep.presentation.generators)
-    out = np.zeros((len(chain.values), q, n_gen, q))
-    signed = chain.sign[:, None, None] * ad_matrix(chain.prefixes)
-    for terms in chain.rounds:
-        out[chain.word[terms], :, chain.gen[terms]] += signed[terms]
-    return out.reshape(len(chain.values), q, n_gen * q)
+    chain's words in B-coordinates: the :func:`_block_sums` of one
+    :func:`~repvar.unitary.ad_matrix` call on all prefixes."""
+    n_gen, q = len(rep.presentation.generators), rep.rank ** 2
+    sums = _block_sums(chain, ad_matrix(chain.prefixes), n_gen)  # (words, n_gen, q, q)
+    return sums.transpose(0, 2, 1, 3).reshape(len(sums), q, n_gen * q)
 
 
 def _residual_blocks(rep: Representation, values: np.ndarray | None = None,
@@ -258,28 +267,15 @@ def _residual_vector(blocks: Sequence[np.ndarray]) -> np.ndarray:
 
 def _word_directions(rep: Representation, chain: _WordChain) -> np.ndarray:
     """dW/d(coordinates) for every constraint word value W of the chain:
-    array (words, n_gen * N^2, N, N).
-
-    The Fox terms sign * Ad(prefix)(B_a) W of all words are formed at once:
-    one :func:`~repvar.unitary.ad_basis` call over all prefixes and one
-    einsum that multiplies each term by its word's value.  The terms are
-    then added into their word and generator blocks in term order, one
-    fancy-index add per round of the chain: a round meets each block at
-    most once, so every block sums its terms one at a time in term order,
-    as one add per term would (``np.add.at`` makes the same adds but costs
-    about 20 ns per element, 3x to 10x a loop at N >= 5).  Each term is
-    bitwise the one a per-term pair of einsums gives (numpy 2.4), and so
-    are the sums and every ``refine`` iterate."""
-    n = rep.rank
-    q = n * n
-    n_gen = len(rep.presentation.generators)
-    words = len(chain.values)
-    out = np.zeros((words, n_gen, q, n, n), dtype=complex)
+    array (words, n_gen * N^2, N, N), the :func:`_block_sums` of the Fox
+    terms Ad(prefix)(B_a) W of all words, formed at once by one
+    :func:`~repvar.unitary.ad_basis` call over all prefixes and one einsum
+    that multiplies each term by its word's value.  Each term is bitwise the
+    one a per-term pair of einsums gives (numpy 2.4), and so are the sums
+    and every ``refine`` iterate."""
+    n, n_gen = rep.rank, len(rep.presentation.generators)
     moved = np.einsum("taij,tjk->taik", ad_basis(chain.prefixes), chain.values[chain.word])
-    signed = chain.sign[:, None, None, None] * moved
-    for terms in chain.rounds:
-        out[chain.word[terms], chain.gen[terms]] += signed[terms]
-    return out.reshape(words, n_gen * q, n, n)
+    return _block_sums(chain, moved, n_gen).reshape(len(chain.values), n_gen * n * n, n, n)
 
 
 def _residual_jacobian(rep: Representation, chain: _WordChain) -> np.ndarray:
@@ -493,11 +489,10 @@ def rep_from_json(pres: Presentation, data: dict) -> Representation:
     if not isinstance(data, dict):
         raise ValueError(f"representation JSON must be an object, not {type(data).__name__}")
     if data.get("presentation") != pres.name:
-        raise ValueError(
-            f"representation is for {data.get('presentation')!r}, presentation is {pres.name!r}"
-        )
+        raise ValueError(f"representation is for {shown(data.get('presentation'))}, "
+                         f"presentation is {pres.name!r}")
     if json_number(data.get("N"), "'N'", int) != pres.rank:
-        raise ValueError(f"representation rank {data.get('N')} != presentation rank {pres.rank}")
+        raise ValueError(f"representation rank {shown(data['N'])} != presentation rank {pres.rank}")
     gens = data.get("generators", {})
     if not isinstance(gens, dict):
         raise ValueError("'generators' must be an object of generator matrices")

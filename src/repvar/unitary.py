@@ -346,6 +346,17 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in np.asarray(m, dtype=complex)]
 
 
+def shown(value) -> str:
+    """A rejected value as an error message shows it, so that the message stays
+    one short line: its repr up to 40 characters, past that an integer's digit
+    count or the repr's first 40 characters."""
+    text = repr(value)
+    if len(text) > 40:  # a boolean's repr is short: an int here is an integer
+        text = (f"<{len(text.lstrip('-'))}-digit integer>" if isinstance(value, int)
+                else text[:40] + "...")
+    return text
+
+
 def json_number(value, what: str, kind: type = float):
     """A value read from JSON as a number of the kind: int takes integers,
     float integers and floats.  A boolean is no number, and an integer past
@@ -356,7 +367,7 @@ def json_number(value, what: str, kind: type = float):
     except OverflowError:
         pass
     raise ValueError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
-                     f"got {value!r}")
+                     f"got {shown(value)}")
 
 
 def matrix_from_json(data) -> np.ndarray:

@@ -124,6 +124,12 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
         "non_utf8_rep": write("non_utf8_rep.json", b"\xff\xfe{}"),
         "long_int_rank_rep": write("long_int_rank_rep.json", long_rank.encode()),
         "deep_json_rep": write("deep_json_rep.json", b"[" * 100000),
+        # an N of 4,000 digits, inside the digit limit, and so read
+        "huge_rank_rep": dump("huge_rank_rep.json", {**rep_to_json(genus2_irr), "N": 10 ** 3999}),
+        "long_name_rep": dump("long_name_rep.json",
+                              {**rep_to_json(genus2_irr), "presentation": "g" * 5000}),
+        **{f"rank_{rank}_grp": write(f"rank_{rank}.grp", f"group g\nrank {rank}\ngenerators a\n"
+                                     .encode()) for rank in (10 ** 20, 3 * 10 ** 9)},
         **{f"cocycle_{scale:g}": dump(
             f"cocycle_{scale:g}.json",
             cochain([scale * m for m in cohomology.h1_basis(sphere4_cc).vectors[0]],
@@ -382,6 +388,9 @@ BAD_INPUTS = {
     "rep_long_int_rank": ("check", GENUS2, "long_int_rank_rep"),
     "rep_deep_json": ("check", GENUS2, "deep_json_rep"),
     "find_out_unwritable": ("find", SPHERE4, "--seed", "1", "--out", "unwritable_out"),
+    # numpy's seed sequence takes no negative integer
+    "seed_negative_find": ("find", SPHERE4, "--seed", "-1"),
+    "seed_negative_probe": ("probe", GENUS2, "genus2_red", "--samples", "2", "--seed", "-1"),
 }
 
 
@@ -450,6 +459,49 @@ def test_out_of_memory_exit_2(cli_files, monkeypatch, capsys):
     assert out == ""
     assert err == ("repvar: out of memory: Unable to allocate 74.5 GiB for an array with "
                    "shape (100000, 100000) and data type complex128\n")
+
+
+BIG = str(10 ** 19)  # past numpy's largest dimension, 2**63 - 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("probe", GENUS2, "genus2_red", "--samples", BIG),
+    ("probe", GENUS2, "genus2_red", "--samples", str(5 * 10 ** 18)),
+    ("probe", GENUS2, "genus2_red", "--samples", "2", "--order", BIG),
+    ("lift", GENUS2, "genus2_irr", "cocycle_irr", "--order", BIG),
+    ("find", f"rank_{10 ** 20}_grp"),
+    ("find", f"rank_{3 * 10 ** 9}_grp"),
+])
+def test_unsizable_array_exit_2(argv, cli_files, capsys):
+    # numpy rejects these sizes before it allocates anything: a dimension past
+    # its index range, or a byte count past the address space
+    code = cli.run([cli_files.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("repvar: out of memory: ")
+
+
+def test_other_value_errors_are_not_memory_errors(monkeypatch):
+    def fail(*args):
+        raise ValueError("an unexpected program error")
+    monkeypatch.setitem(cli._VERBS, "find", cli._VERBS["find"]._replace(command=fail))
+    with pytest.raises(ValueError, match="unexpected"):
+        cli.run(["find", GENUS2])
+
+
+@pytest.mark.parametrize("argv", [("check", GENUS2, "huge_int_entry_rep"),
+                                  ("obstruct", GENUS2, "genus2_irr", "huge_int_entry_cochain"),
+                                  ("check", GENUS2, "huge_rank_rep"),
+                                  ("check", GENUS2, "long_name_rep")])
+def test_rejected_value_echo_is_short(argv, cli_files, capsys):
+    # a 401-digit matrix entry and a 4,000-digit N are shown by their digit
+    # count, a presentation name of 5,000 characters by its first 40
+    assert cli.run([cli_files.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 200
+    assert "-digit integer>" in err or "..." in err
 
 
 @pytest.mark.parametrize("verb", ["tangent", "pairing"])

@@ -414,9 +414,11 @@ def test_removed_keywords_raise_type_error(sphere4_rep, sphere4_cc):
     # the rank threshold is set once, where the complex is assembled, and the
     # cocycle precondition is the constant cohomology.COCYCLE_TOL; keywords
     # that no caller set are constants: find's iteration count is refine's
-    # default, and the branch-cut margin, the unitarity bound and the
-    # diagonal representations' tolerance are fixed
+    # default, and the branch-cut margin, the unitarity bound, the diagonal
+    # representations' tolerance, a presentation's starting warnings and the
+    # punctured torus's angles are fixed
     from repvar import corpus
+    from repvar.presentation import Presentation
     from repvar.repspace import refine
     from repvar.unitary import is_unitary, principal_log
     basis = h1_basis(sphere4_cc)
@@ -436,7 +438,9 @@ def test_removed_keywords_raise_type_error(sphere4_rep, sphere4_cc):
              lambda: principal_log(sphere4_rep.matrices[0], angle_tol=1e-8),
              lambda: corpus.diagonal_representation(sphere4_rep.presentation, [[0.1, 0.2]] * 4,
                                                     tolerance=1e-12),
-             lambda: is_unitary(sphere4_rep.matrices[0], tol=1e-10)]
+             lambda: is_unitary(sphere4_rep.matrices[0], tol=1e-10),
+             lambda: Presentation("g", 1, ["a"], warnings=()),
+             lambda: corpus.torus_puncture_representation(alpha=0.3)]
     for call in calls:
         with pytest.raises(TypeError):
             call()

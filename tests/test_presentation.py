@@ -117,8 +117,9 @@ def test_together_overlap_rejected():
         "peripheral P = a : 0\nperipheral Q = b : 0\n"
         "together P Q\ntogether Q\n"
     )
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_presentation(text)
+    assert err.value.line == 7
 
 
 def test_normalize_word_examples():

@@ -28,6 +28,7 @@ from repvar.unitary import (
     matrix_to_json,
     principal_log,
     random_skew,
+    shown,
     skew_basis,
     unvec_skew,
     vec_skew,
@@ -94,7 +95,7 @@ def test_principal_log_matches_schur_oracle(n, kind, seed):
         angles = rng.uniform(-np.pi, np.pi, n)
         if kind == "repeated":  # twice at N = 2, 3; three times at N = 5
             angles[1:max(2, n // 2 + 1)] = angles[0]
-        else:  # on the cut, or clear of angle_tol = 1e-8 on either side
+        else:  # on the cut, or clear of unitary.ANGLE_TOL (1e-8) on either side
             angles[0] = np.pi - rng.choice([0.0, 0.5, 2.0, 100.0]) * 1e-8
         u = haar_from_rng(rng, n)
         g = (u * np.exp(1j * angles)) @ u.conj().T
@@ -422,3 +423,14 @@ def test_matrix_entry_parts_are_json_numbers():
         for entry in ({"re": part, "im": 0.0}, {"re": 0.0, "im": part}):
             with pytest.raises(ValueError, match="must be a number"):
                 matrix_from_json([[entry]])
+
+
+def test_rejected_values_are_shown_short():
+    # a repr of at most 40 characters as it is; past that an integer's digit
+    # count, and any other value's first 40 characters
+    for value in (True, 2.7, "2", None, 10 ** 39, -10 ** 38):
+        assert shown(value) == repr(value)
+    assert shown(10 ** 400) == "<401-digit integer>"
+    assert shown(-10 ** 40) == "<41-digit integer>"
+    assert shown("x" * 100) == repr("x" * 100)[:40] + "..."
+    assert shown([0.5] * 1000) == repr([0.5] * 1000)[:40] + "..."
