@@ -89,8 +89,9 @@ def _read_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON ({exc.msg})") from None
-    except ValueError as exc:  # an integer literal past Python's digit limit
-        raise InputError(f"{path}: unreadable JSON ({exc})") from None
+    except ValueError:  # an integer past the digit limit; Python's message runs to 140 bytes
+        raise InputError(f"{path}: unreadable JSON (an integer literal past Python's "
+                         "digit limit)") from None
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply") from None
 

@@ -39,7 +39,7 @@ from .cohomology import (
     rowwise,
 )
 from .repspace import Representation
-from .truncring import MatrixJet, log_series, unitary_generator_jet, word_jet
+from .truncring import IncrementalExp, MatrixJet, log_series, unitary_generator_jet, word_jet
 from .unitary import check_tolerance, project_skew, unvec_skew, vec_skew
 
 
@@ -49,22 +49,33 @@ class LiftOptions:
     budget: int = 3              # kept for perfbench's audit op; read by nothing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JetRepresentation:
+    """A base representation and its series X_1..X_k per generator, then zeta_1..zeta_k per
+    group: one read-only copy (n_gen + groups, k, N, N), the layout that
+    :func:`~repvar.cohomology.order_defect` reads; any other shape raises ValueError."""
+
     base: Representation
-    order: int
-    generator_jets: tuple[tuple[np.ndarray, ...], ...]   # per generator: X_1..X_k
-    conjugator_jets: tuple[tuple[np.ndarray, ...], ...]  # per group: zeta_1..zeta_k
+    series: np.ndarray
 
-    def matrix_jets(self) -> list[MatrixJet]:
-        return [
-            unitary_generator_jet(m, jets, self.order)
-            for m, jets in zip(self.base.matrices, self.generator_jets)
-        ]
+    def __post_init__(self):
+        series = np.array(self.series, dtype=complex)
+        pres, k = self.base.presentation, series.shape[1] if series.ndim > 1 else 0
+        count, n = len(pres.generators) + len(pres.groups), self.base.rank
+        if k < 1 or series.shape != (count, k, n, n):
+            raise ValueError(f"series of shape {series.shape}, not ({count}, order >= 1, {n}, {n})")
+        series.setflags(write=False)
+        object.__setattr__(self, "series", series)
 
-    def conjugator_exp(self, group: int) -> MatrixJet:
-        return unitary_generator_jet(np.eye(self.base.rank), self.conjugator_jets[group],
-                                     self.order)
+    @property
+    def order(self) -> int:
+        return self.series.shape[1]
+
+    def exp_jets(self) -> list[MatrixJet]:
+        """exp(sum_m t^m S_m) @ base per series, over its matrix or the identity."""
+        groups = len(self.base.presentation.groups)
+        bases = np.array([*self.base.matrices] + [np.eye(self.base.rank)] * groups, dtype=complex)
+        return list(map(MatrixJet, IncrementalExp(bases, self.order).jets(self.series)))
 
 
 @dataclass(frozen=True)
@@ -73,7 +84,7 @@ class LiftReport:
     residuals: tuple[float, ...]
     obstruction: ObstructionClass | None
     budget_exceeded: bool
-    corrections: JetRepresentation | None = field(compare=False, default=None)
+    corrections: JetRepresentation = field(compare=False)
 
     @property
     def succeeded(self) -> bool:
@@ -135,14 +146,7 @@ class ConeProbeReport:
 
 def jet_word(jrep: JetRepresentation, word) -> MatrixJet:
     """Evaluate a word in the generator jets of a jet representation."""
-    return word_jet(jrep.matrix_jets(), word, jrep.order, jrep.base.rank)
-
-
-def _freeze(base, jets: np.ndarray, n_gen: int) -> JetRepresentation:
-    """The jet representation of stacked series (generators, then conjugators)."""
-    series = tuple(map(tuple, jets.copy()))  # one copy, one view per coefficient
-    return JetRepresentation(base=base, order=jets.shape[1], generator_jets=series[:n_gen],
-                             conjugator_jets=series[n_gen:])
+    return word_jet(jrep.exp_jets(), word, jrep.order, jrep.base.rank)
 
 
 @dataclass
@@ -293,17 +297,15 @@ def lift(cc: ConeComplex, u, order: int, options: LiftOptions | None = None) -> 
     umats = cc.cocycle_parts(u)
     lifts = _lift_stack(cc, np.asarray(umats, dtype=complex)[None], order, opts.tolerance)
     got = int(lifts.achieved[0])
-    obs = None
-    if got < order:
-        # an order-2 failure is classed by Q itself; a later one by its own defect
-        obs = (obstruction(cc, umats) if got == 1
-               else obstruction_classes(cc, lifts.defects[0][:, None])[0])
+    # an order-2 failure is classed by Q itself; a later one by its own defect
+    obs = (None if got == order else obstruction(cc, umats) if got == 1
+           else obstruction_classes(cc, lifts.defects[0][:, None])[0])
     return LiftReport(
         achieved_order=got,
         residuals=tuple(lifts.residuals[0, :got + (got < order)].tolist()),
         obstruction=obs,
         budget_exceeded=1 < got < order,
-        corrections=_freeze(cc.rep, lifts.jets[0, :, :got], cc.n_gen),
+        corrections=JetRepresentation(cc.rep, lifts.jets[0, :, :got]),
     )
 
 
@@ -366,14 +368,9 @@ def jet_residual_profile(cc: ConeComplex, jrep: JetRepresentation) -> list[float
     at its base: the norms of the relator and conjugated-peripheral defects
     at each order 1..k, from one :class:`~repvar.cohomology.DefectState`
     shared by the orders."""
-    n, k = cc.rep.rank, jrep.order
-    # every series zero-padded to the order, as a stack of one sample
-    series = np.zeros((1, len(cc.jet_bases), k, n, n), dtype=complex)
-    for s, jets in enumerate(jrep.generator_jets + jrep.conjugator_jets):
-        if len(jets):
-            series[0, s, :min(len(jets), k)] = jets[:k]
-    state = DefectState(cc, 1, k)
-    return [float(np.linalg.norm(order_defect(cc, state, series, m))) for m in range(1, k + 1)]
+    state = DefectState(cc, 1, jrep.order)
+    return [float(np.linalg.norm(order_defect(cc, state, jrep.series[None], m)))
+            for m in range(1, jrep.order + 1)]
 
 
 def gauge_transform(jrep: JetRepresentation, gauge_jets: Sequence[np.ndarray]) -> JetRepresentation:
@@ -382,20 +379,13 @@ def gauge_transform(jrep: JetRepresentation, gauge_jets: Sequence[np.ndarray]) -
     The conjugator jets absorb the gauge factor, so the conjugated peripheral
     values, and hence the per-order residual profile, are unchanged.
     """
-    base = jrep.base
-    n = base.rank
-    k = jrep.order
-    g = unitary_generator_jet(np.eye(n), gauge_jets, k)
+    base, k = jrep.base, jrep.order
+    g = unitary_generator_jet(np.eye(base.rank), gauge_jets, k)
     ginv = g.dagger()
-    new_gen = []
-    for mat, old in zip(base.matrices, jrep.matrix_jets()):
-        moved = g @ old @ ginv
-        s = log_series(moved @ MatrixJet.constant(mat.conj().T, k))
-        new_gen.append(tuple(project_skew(s.coeff(m)) for m in range(1, k + 1)))
-    new_conj = []
-    for gi in range(len(jrep.conjugator_jets)):
-        moved = g @ jrep.conjugator_exp(gi)
-        s = log_series(moved)
-        new_conj.append(tuple(project_skew(s.coeff(m)) for m in range(1, k + 1)))
-    return JetRepresentation(base=base, order=k, generator_jets=tuple(new_gen),
-                             conjugator_jets=tuple(new_conj))
+    series = np.empty_like(jrep.series)
+    for s, old in enumerate(jrep.exp_jets()):
+        moved = g @ old
+        if s < len(base.matrices):  # a generator's jet, over its matrix
+            moved = moved @ ginv @ MatrixJet.constant(base.matrices[s].conj().T, k)
+        series[s] = project_skew(log_series(moved).coeffs[1:])
+    return JetRepresentation(base, series)

@@ -25,6 +25,7 @@ it serializes as a bare ``relator`` line.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -49,6 +50,17 @@ class ParseError(ValueError):
                 where += f", column {column}"
             where += ": "
         super().__init__(where + message)
+
+
+def shown(value) -> str:
+    """A rejected value as an error message shows it, so that the message stays
+    one short line: its repr up to 40 characters, past that an integer's digit
+    count or the repr's first 40 characters."""
+    text = repr(value)
+    if len(text) > 40:  # a boolean's repr is short: an int here is an integer
+        text = (f"<{len(text.lstrip('-'))}-digit integer>" if isinstance(value, int)
+                else text[:40] + "...")
+    return text
 
 
 def normalize_word(word: Iterable[Letter]) -> Word:
@@ -166,10 +178,10 @@ class Presentation:
         for p in peripherals:
             if p.klass.rank != rank:
                 raise ValueError(
-                    f"peripheral {p.name}: {p.klass.rank} angles given, rank is {rank}"
+                    f"peripheral {shown(p.name)}: {p.klass.rank} angles given, rank is {rank}"
                 )
             if not p.word:
-                raise ValueError(f"peripheral {p.name}: empty word")
+                raise ValueError(f"peripheral {shown(p.name)}: empty word")
         n_per = len(peripherals)
         if groups is None:
             groups = tuple((i,) for i in range(n_per))
@@ -214,19 +226,24 @@ def _parse_angle(token: str, lineno: int) -> Angle:
             return Fraction(int(token))
         angle = float(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad angle {token!r}", lineno) from None
+        raise ParseError(f"bad angle {shown(token)}", lineno) from None
     if not math.isfinite(angle):  # nan, inf, or a decimal past the float range
-        raise ParseError(f"bad angle {token!r}", lineno)
+        raise ParseError(f"bad angle {shown(token)}", lineno)
     return angle
 
 
-def _parse_letters(tokens: Sequence[str], gen_index: dict[str, int], lineno: int, raw: str):
+def _tokens(text: str, start: int = 0) -> list[tuple[str, int]]:
+    """The whitespace-separated tokens of a line's text from index start on,
+    each with its 1-based column in the line."""
+    return [(m.group(), start + m.start() + 1) for m in re.finditer(r"\S+", text)]
+
+
+def _parse_letters(words: Sequence[tuple[str, int]], gen_index: dict[str, int], lineno: int):
     letters = []
-    for tok in tokens:
+    for tok, col in words:
         name, sign = (tok[:-1], -1) if tok.endswith("'") else (tok, 1)
         if name not in gen_index:
-            col = raw.find(tok) + 1
-            raise ParseError(f"unknown generator {name!r}", lineno, col)
+            raise ParseError(f"unknown generator {shown(name)}", lineno, col)
         letters.append((gen_index[name], sign))
     return letters
 
@@ -243,10 +260,11 @@ def parse_presentation(text: str) -> Presentation:
     grouped: set[int] = set()  # the peripherals of the 'together' lines so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        code = raw.split("#", 1)[0]
+        words = _tokens(code)
+        if not words:
             continue
-        tokens = line.split()
+        tokens = [tok for tok, _ in words]
         head = tokens[0]
         if head == "group":
             if name is not None:
@@ -269,18 +287,18 @@ def parse_presentation(text: str) -> Presentation:
             generators = tokens[1:]
             for g in generators:
                 if g in _KEYWORDS or g.endswith("'"):
-                    raise ParseError(f"bad generator name {g!r}", lineno)
+                    raise ParseError(f"bad generator name {shown(g)}", lineno)
                 if g in gen_index:
-                    raise ParseError(f"duplicate generator name {g!r}", lineno)
+                    raise ParseError(f"duplicate generator name {shown(g)}", lineno)
                 gen_index[g] = len(gen_index)
         elif head == "relator":
             if generators is None:
                 raise ParseError("'relator' before 'generators'", lineno)
-            relators.append(_parse_letters(tokens[1:], gen_index, lineno, raw))
+            relators.append(_parse_letters(words[1:], gen_index, lineno))
         elif head == "peripheral":
             if generators is None or rank is None:
                 raise ParseError("'peripheral' before 'generators'/'rank'", lineno)
-            body = line[len("peripheral"):].strip()
+            body = code.strip()[len("peripheral"):].strip()
             if "=" not in body:
                 raise ParseError("peripheral line needs '='", lineno)
             pname, rhs = body.split("=", 1)
@@ -288,17 +306,18 @@ def parse_presentation(text: str) -> Presentation:
             if not pname or len(pname.split()) != 1:
                 raise ParseError("peripheral needs exactly one name", lineno)
             if any(p.name == pname for p in peripherals):
-                raise ParseError(f"duplicate peripheral name {pname!r}", lineno)
+                raise ParseError(f"duplicate peripheral name {shown(pname)}", lineno)
             if ":" not in rhs:
                 raise ParseError("peripheral line needs ':' before the angles", lineno)
             word_part, angle_part = rhs.split(":", 1)
-            letters = _parse_letters(word_part.split(), gen_index, lineno, raw)
+            # the word starts after the line's first '=', the one in body
+            letters = _parse_letters(_tokens(word_part, code.index("=") + 1), gen_index, lineno)
             if not letters:
                 raise ParseError("peripheral word must be nonempty", lineno)
             angles = [_parse_angle(tok, lineno) for tok in angle_part.split(",")]
             if len(angles) != rank:
                 raise ParseError(
-                    f"peripheral {pname!r}: {len(angles)} angles given, rank is {rank}",
+                    f"peripheral {shown(pname)}: {len(angles)} angles given, rank is {rank}",
                     lineno,
                 )
             peripherals.append(
@@ -308,21 +327,20 @@ def parse_presentation(text: str) -> Presentation:
             if len(tokens) < 2:
                 raise ParseError("'together' needs at least one peripheral name", lineno)
             members = []
-            for tok in tokens[1:]:
+            for tok, col in words[1:]:
                 matches = [i for i, p in enumerate(peripherals) if p.name == tok]
                 if not matches:
-                    col = raw.find(tok) + 1
-                    raise ParseError(f"peripheral {tok!r} not declared", lineno, col)
+                    raise ParseError(f"peripheral {shown(tok)} not declared", lineno, col)
                 members.append(matches[0])
             if len(set(members)) != len(members):
                 raise ParseError("repeated peripheral in 'together' line", lineno)
             again = next((peripherals[i].name for i in members if i in grouped), None)
             if again is not None:
-                raise ParseError(f"peripheral {again!r} in two 'together' lines", lineno)
+                raise ParseError(f"peripheral {shown(again)} in two 'together' lines", lineno)
             grouped.update(members)
             together.append(tuple(members))
         else:
-            raise ParseError(f"unknown directive {head!r}", lineno, raw.find(head) + 1)
+            raise ParseError(f"unknown directive {shown(head)}", lineno, words[0][1])
 
     if name is None:
         raise ParseError("missing 'group' line")

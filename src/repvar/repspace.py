@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .presentation import Presentation, Word
+from .presentation import Presentation, Word, shown
 from .unitary import (
     ad_basis,
     ad_matrix,
@@ -30,7 +30,6 @@ from .unitary import (
     json_number,
     matrix_from_json,
     matrix_to_json,
-    shown,
     unvec_skew,
 )
 
@@ -490,7 +489,7 @@ def rep_from_json(pres: Presentation, data: dict) -> Representation:
         raise ValueError(f"representation JSON must be an object, not {type(data).__name__}")
     if data.get("presentation") != pres.name:
         raise ValueError(f"representation is for {shown(data.get('presentation'))}, "
-                         f"presentation is {pres.name!r}")
+                         f"presentation is {shown(pres.name)}")
     if json_number(data.get("N"), "'N'", int) != pres.rank:
         raise ValueError(f"representation rank {shown(data['N'])} != presentation rank {pres.rank}")
     gens = data.get("generators", {})

@@ -18,7 +18,7 @@ from functools import cache
 
 import numpy as np
 
-from .presentation import ConjugacyClassSpec
+from .presentation import ConjugacyClassSpec, shown
 
 UNITARITY_TOL = 1e-10
 SKEW_TOL = 1e-12
@@ -344,17 +344,6 @@ def random_skew(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndar
 def matrix_to_json(m: np.ndarray) -> list:
     """Matrix as rows of {"re": float, "im": float} entries."""
     return [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def shown(value) -> str:
-    """A rejected value as an error message shows it, so that the message stays
-    one short line: its repr up to 40 characters, past that an integer's digit
-    count or the repr's first 40 characters."""
-    text = repr(value)
-    if len(text) > 40:  # a boolean's repr is short: an int here is an integer
-        text = (f"<{len(text.lstrip('-'))}-digit integer>" if isinstance(value, int)
-                else text[:40] + "...")
-    return text
 
 
 def json_number(value, what: str, kind: type = float):

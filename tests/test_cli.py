@@ -120,6 +120,14 @@ def cli_files(tmp_path_factory, genus2_irr, genus2_red, sphere4_rep,
             ("rank_zero", "group g\nrank 0\ngenerators a\n"),
             ("rank_negative", "group g\nrank -2\ngenerators a\n"),
             ("empty_peripheral", "group g\nrank 2\ngenerators a\nperipheral P = a a' : 1/3, -1/3\n"))},
+        # tokens of 3,000 characters that a parse error names, and a group name
+        # of 5,000 that a representation file is checked against
+        **{f"long_{key}_grp": write(f"long_{key}.grp", text.encode()) for key, text in (
+            ("angle", f"group g\nrank 1\ngenerators a\nperipheral P = a : {'9' * 2999}.9\n"),
+            ("generator", f"group g\nrank 1\ngenerators a\nrelator a {'x' * 3000}\n"),
+            ("directive", f"group g\nrank 1\ngenerators a\n{'y' * 3000}\n"),
+            ("peripheral", f"group g\nrank 1\ngenerators a\nperipheral {'P' * 3000} = a a' : 0\n"),
+            ("group", f"group {'g' * 5000}\nrank 2\ngenerators a b c d\n"))},
         "non_utf8_grp": write("non_utf8.grp", b"\xff\xfe bad"),
         "non_utf8_rep": write("non_utf8_rep.json", b"\xff\xfe{}"),
         "long_int_rank_rep": write("long_int_rank_rep.json", long_rank.encode()),
@@ -494,14 +502,29 @@ def test_other_value_errors_are_not_memory_errors(monkeypatch):
 @pytest.mark.parametrize("argv", [("check", GENUS2, "huge_int_entry_rep"),
                                   ("obstruct", GENUS2, "genus2_irr", "huge_int_entry_cochain"),
                                   ("check", GENUS2, "huge_rank_rep"),
-                                  ("check", GENUS2, "long_name_rep")])
+                                  ("check", GENUS2, "long_name_rep"),
+                                  ("validate", "long_angle_grp"),
+                                  ("validate", "long_generator_grp"),
+                                  ("validate", "long_directive_grp"),
+                                  ("validate", "long_peripheral_grp"),
+                                  ("check", "long_group_grp", "genus2_irr")])
 def test_rejected_value_echo_is_short(argv, cli_files, capsys):
     # a 401-digit matrix entry and a 4,000-digit N are shown by their digit
-    # count, a presentation name of 5,000 characters by its first 40
+    # count, a presentation name of 5,000 characters, and every token of
+    # 3,000 that a parse error names, by its first 40
     assert cli.run([cli_files.get(a, a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and len(err.encode()) < 200
     assert "-digit integer>" in err or "..." in err
+
+
+def test_integer_past_digit_limit_error_is_short(cli_files, capsys):
+    # Python's own message for it, with its advice to programmers, would make
+    # the line over 200 bytes
+    assert cli.run(["check", GENUS2, cli_files["long_int_rank_rep"]]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 200
+    assert "unreadable JSON (an integer literal past Python's digit limit)" in err
 
 
 @pytest.mark.parametrize("verb", ["tangent", "pairing"])

@@ -28,16 +28,8 @@ from conftest import random_cocycle
 from oracles import cone_direction, genus2_direct_sum, oracle_defect_profile
 
 
-def _jet_rep(rep, gen_jets, conj_jets, order):
-    return JetRepresentation(
-        base=rep, order=order,
-        generator_jets=tuple(tuple(j) for j in gen_jets),
-        conjugator_jets=tuple(tuple(j) for j in conj_jets),
-    )
-
-
 def test_jet_word_zero_jets_is_constant(genus2_irr):
-    jrep = _jet_rep(genus2_irr, [[] for _ in range(4)], [], 3)
+    jrep = JetRepresentation(genus2_irr, np.zeros((4, 3, 2, 2)))
     w = genus2_irr.presentation.relators[0]
     out = jet_word(jrep, w)
     assert np.allclose(out.coeff(0), evaluate_word(genus2_irr, w))
@@ -51,7 +43,10 @@ def test_jet_word_order1_matches_transport(corpus_points):
     for name, rep in corpus_points.items():
         n_gen = len(rep.presentation.generators)
         u = [random_skew(rng, rep.rank, 0.8) for _ in range(n_gen)]
-        jrep = _jet_rep(rep, [[x] for x in u], [[] for _ in rep.presentation.groups], 1)
+        series = np.zeros((n_gen + len(rep.presentation.groups), 1, rep.rank, rep.rank),
+                          dtype=complex)
+        series[:n_gen, 0] = u
+        jrep = JetRepresentation(rep, series)
         words = list(rep.presentation.relators) + [p.word for p in rep.presentation.peripherals]
         for w in words:
             expected = cocycle_transport(rep, u, w) @ evaluate_word(rep, w)
@@ -62,8 +57,8 @@ def test_jet_word_order1_matches_transport(corpus_points):
 def test_jet_unitarity_over_ring(genus2_irr):
     rng = np.random.default_rng(71)
     jetsets = [[random_skew(rng, 2, 0.5) for _ in range(4)] for _ in range(4)]
-    jrep = _jet_rep(genus2_irr, jetsets, [], 4)
-    for mj in jrep.matrix_jets():
+    jrep = JetRepresentation(genus2_irr, jetsets)
+    for mj in jrep.exp_jets():
         prod = mj.dagger() @ mj
         expected = np.zeros_like(prod.coeffs)
         expected[0] = np.eye(2)
@@ -191,19 +186,28 @@ def test_lift_profile_matches_reported_residuals(genus2_irr_cc):
         assert profile[m - 1] == pytest.approx(report.residuals[m - 1], abs=1e-10)
 
 
-def test_jet_residual_profile_pads_short_series(sphere4_cc):
-    # series shorter than the order, some of them empty, count as zero-padded
-    cc, order = sphere4_cc, 4
-    rng = np.random.default_rng(78)
-    n = cc.rep.rank
-    gen = [[random_skew(rng, n, 0.3) for _ in range(k)] for k in (2, 0, 4, 1)]
-    conj = [[random_skew(rng, n, 0.3) for _ in range(k)] for k in (0, 3, 4, 1)]
-    zero = np.zeros((n, n), dtype=complex)
-    gen_full, conj_full = ([s + [zero] * (order - len(s)) for s in x] for x in (gen, conj))
-    short = jet_residual_profile(cc, _jet_rep(cc.rep, gen, conj, order))
-    padded = jet_residual_profile(cc, _jet_rep(cc.rep, gen_full, conj_full, order))
-    assert short == padded
-    assert min(padded) > 1e-3
+def test_jet_representation_takes_one_series_array(sphere4_cc):
+    # one (n_gen + groups, order, N, N) array per jet representation: short
+    # (ragged) series and every other shape are rejected, and the array is
+    # a read-only copy
+    rep = sphere4_cc.rep
+    zero = np.zeros((2, 2))
+    bad = [[[zero] * 4, [zero] * 2] + [[zero] * 4] * 6,  # ragged: one series is short
+           np.zeros((7, 3, 2, 2)), np.zeros((8, 3, 3, 3)), np.zeros((8, 3, 2, 3)),
+           np.zeros((8, 0, 2, 2)), np.zeros((8, 2, 2)), np.zeros((1, 8, 3, 2, 2)), 0.0]
+    for series in bad:
+        with pytest.raises(ValueError):
+            JetRepresentation(rep, series)
+    series = np.ones((8, 3, 2, 2))
+    jrep = JetRepresentation(rep, series)
+    series[0, 0] = 5.0
+    assert jrep.order == 3 and jrep.series.dtype == complex and (jrep.series == 1).all()
+    with pytest.raises(ValueError):
+        jrep.series[0, 0, 0, 0] = 2.0
+    report = lift(sphere4_cc, h1_basis(sphere4_cc).vectors[0], 4)
+    assert not report.corrections.series.flags.writeable
+    with pytest.raises(ValueError):
+        report.corrections.series[0, 0] = zero
 
 
 @pytest.mark.parametrize("point, order", [("sphere4_cc", 30), ("genus2_irr_cc", 12)],
@@ -219,16 +223,15 @@ def test_lift_order30_profile_matches_oracle_ring(point, order, request):
     assert report.achieved_order == order
     jrep = report.corrections
     profile = jet_residual_profile(cc, jrep)
-    oracle = oracle_defect_profile(cc, jrep.generator_jets, jrep.conjugator_jets, order)
+    oracle = oracle_defect_profile(cc, jrep.series[:cc.n_gen], jrep.series[cc.n_gen:], order)
     assert max(oracle) <= 1e-11
     assert np.allclose(profile, oracle, rtol=0, atol=1e-12)
     # off the solution every order has a defect of size about 1e-3
     rng = np.random.default_rng(77)
     n = cc.rep.rank
-    gen = [[x + random_skew(rng, n, 1e-3) for x in jets] for jets in jrep.generator_jets]
-    conj = [[x + random_skew(rng, n, 1e-3) for x in jets] for jets in jrep.conjugator_jets]
-    moved = jet_residual_profile(cc, _jet_rep(jrep.base, gen, conj, order))
-    oracle = oracle_defect_profile(cc, gen, conj, order)
+    series = [[x + random_skew(rng, n, 1e-3) for x in jets] for jets in jrep.series]
+    moved = jet_residual_profile(cc, JetRepresentation(jrep.base, series))
+    oracle = oracle_defect_profile(cc, series[:cc.n_gen], series[cc.n_gen:], order)
     assert min(oracle) >= 1e-5
     assert np.allclose(moved, oracle, rtol=1e-10, atol=0)
 
@@ -416,7 +419,8 @@ def test_removed_keywords_raise_type_error(sphere4_rep, sphere4_cc):
     # that no caller set are constants: find's iteration count is refine's
     # default, and the branch-cut margin, the unitarity bound, the diagonal
     # representations' tolerance, a presentation's starting warnings and the
-    # punctured torus's angles are fixed
+    # punctured torus's angles are fixed; a jet representation is one series
+    # array, its order read off the array's shape
     from repvar import corpus
     from repvar.presentation import Presentation
     from repvar.repspace import refine
@@ -440,7 +444,11 @@ def test_removed_keywords_raise_type_error(sphere4_rep, sphere4_cc):
                                                     tolerance=1e-12),
              lambda: is_unitary(sphere4_rep.matrices[0], tol=1e-10),
              lambda: Presentation("g", 1, ["a"], warnings=()),
-             lambda: corpus.torus_puncture_representation(alpha=0.3)]
+             lambda: corpus.torus_puncture_representation(alpha=0.3),
+             lambda: JetRepresentation(base=sphere4_rep, order=2, generator_jets=(),
+                                       conjugator_jets=()),
+             lambda: JetRepresentation(sphere4_rep, np.zeros((8, 2, 2, 2)), order=2),
+             lambda: JetRepresentation(sphere4_rep, generator_jets=(), conjugator_jets=())]
     for call in calls:
         with pytest.raises(TypeError):
             call()
@@ -604,8 +612,7 @@ def test_stacked_lift_matches_single_lifts(point, order, chunk, seed, request):
         residuals = np.zeros(order)
         residuals[:len(single.residuals)] = single.residuals
         assert np.max(np.abs(lifts.residuals[i] - residuals)) <= 1e-14
-        corrections = single.corrections
-        want = np.array(corrections.generator_jets + corrections.conjugator_jets)
+        want = single.corrections.series
         assert np.max(np.abs(lifts.jets[i, :, :got] - want)) <= 1e-12 * np.max(np.abs(want))
         assert not lifts.jets[i, :, got:].any()
 
@@ -820,8 +827,7 @@ def test_probes_on_one_cold_complex_from_threads(genus2_red):
 
 def _lift_bytes(report):
     """A lift report's JSON, its floats in repr, and the bytes of its corrections."""
-    c = report.corrections
-    return repr(report.to_json()), np.array(c.generator_jets + c.conjugator_jets).tobytes()
+    return repr(report.to_json()), report.corrections.series.tobytes()
 
 
 def test_lifts_on_a_warm_complex_are_bitwise_fresh_ones(sphere4_rep, sphere4_cc, genus2_red_cc):

@@ -85,7 +85,7 @@ def test_parse_comments_and_blank_lines():
         ("group g\nrank 0\ngenerators a\n", "rank must be >= 1, got 0"),
         ("group g\nrank -2\ngenerators a\n", "rank must be >= 1, got -2"),
         ("group g\nrank 2\ngenerators a\nperipheral P = a a' : 1/3, -1/3\n",
-         "peripheral P: empty word"),
+         "peripheral 'P': empty word"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -98,6 +98,48 @@ def test_parse_error_carries_line():
     with pytest.raises(ParseError) as err:
         parse_presentation("group g\nrank 1\ngenerators a\nrelator a x\n")
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize("text, column", [
+    ("group g\nrank 1\ngenerators a\nperipheral Pb = a : 0\ntogether Pb the\n", 13),
+    ("group g\nrank 1\ngenerators ab b\nrelator ab a\n", 12),
+    ("group g\nrank 1\ngenerators a\nperipheral Pxq = a xq : 0\n", 20),
+    ("group g\nrank 1\ngenerators a\n  frobnicate\n", 3),
+], ids=["together", "relator", "peripheral", "directive"])
+def test_parse_error_column_is_the_token(text, column):
+    # the column of the token the error names, not of the first substring
+    # of the line that matches it
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert err.value.column == column
+    assert f"column {column}: " in str(err.value)
+
+
+LONG = "x" * 3000
+
+
+@pytest.mark.parametrize("text", [
+    f"group g\nrank 1\ngenerators a\nperipheral P = a : {'9' * 2999}.9\n",
+    f"group g\nrank 1\ngenerators a\nperipheral P = a : 1/{'0' * 2999}\n",
+    f"group g\nrank 1\ngenerators a\nrelator a {LONG}'\n",
+    f"group g\nrank 1\ngenerators a\n{LONG}\n",
+    f"group g\nrank 1\ngenerators a {LONG}'\n",
+    f"group g\nrank 1\ngenerators a {LONG} {LONG}\n",
+    f"group g\nrank 1\ngenerators a\nperipheral {LONG} = a : 0\nperipheral {LONG} = a : 0\n",
+    f"group g\nrank 1\ngenerators a\nperipheral {LONG} = a : 0, 0\n",
+    f"group g\nrank 2\ngenerators a\nperipheral {LONG} = a a' : 0, 0\n",
+    f"group g\nrank 1\ngenerators a\nperipheral P = a : 0\ntogether P {LONG}\n",
+    f"group g\nrank 1\ngenerators a\nperipheral {LONG} = a : 0\ntogether {LONG}\n"
+    f"together {LONG}\n",
+], ids=["decimal_angle", "fraction_angle", "unknown_generator", "unknown_directive",
+        "bad_generator_name", "duplicate_generator", "duplicate_peripheral", "angle_count",
+        "empty_peripheral_word", "not_declared", "two_together_lines"])
+def test_parse_error_shows_long_tokens_short(text):
+    # every token a parse error names is shown as unitary values are: a
+    # 3,000-character one by its first 40 characters
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert len(str(err.value)) < 200 and "..." in str(err.value)
 
 
 def test_together_groups():
@@ -192,9 +234,9 @@ _Q = Peripheral("Q", ((0, -1),), ConjugacyClassSpec([0]))
     ((0, ["a"]), {}, "rank must be >= 1, got 0"),
     ((1, ["a", "a"]), {}, "generator names must be unique"),
     ((1, ["a"]), {"peripherals": [_P, _P]}, "peripheral names must be unique"),
-    ((2, ["a"]), {"peripherals": [_P]}, "peripheral P: 1 angles given, rank is 2"),
+    ((2, ["a"]), {"peripherals": [_P]}, "peripheral 'P': 1 angles given, rank is 2"),
     ((1, ["a"]), {"peripherals": [Peripheral("P", ((0, 1), (0, -1)), ConjugacyClassSpec([0]))]},
-     "peripheral P: empty word"),
+     "peripheral 'P': empty word"),
     ((1, ["a"]), {"peripherals": [_P], "groups": [(0,), ()]},
      "simultaneity groups must be nonempty"),
     ((1, ["a"]), {"peripherals": [_P, _Q], "groups": [(0,), (0, 1)]},
