@@ -57,13 +57,12 @@ explicit ill-conditioning diagnostic.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .presentation import Word
+from .presentation import Record, Word
 from .repspace import (IllConditionedError, Representation, _rank_cut, _word_chain,
                        transport_matrix, word_transport_terms)
 # exp_series, unitary_generator_jet and word_jet are bound here for
@@ -90,56 +89,59 @@ class NotACocycleError(ValueError):
         super().__init__(f"parabolic cocycle residual {residual:.3e} > {tolerance:.3e}")
 
 
-@dataclass(frozen=True)
-class Cochain1:
+class Cochain1(NamedTuple):
     generator_part: tuple[np.ndarray, ...]
     conjugator_part: tuple[np.ndarray, ...]
 
 
-@dataclass(frozen=True)
-class Cochain2:
+class Cochain2(NamedTuple):
     relator_part: tuple[np.ndarray, ...]
     peripheral_part: tuple[np.ndarray, ...]
 
 
-@dataclass(frozen=True)
-class Dims:
-    h0: int
-    c0: int
-    z1_par: int
-    b1: int
-    h1_par: int
-    h1_cone: int
-    o2: int
-    gaps: dict = field(compare=False, default_factory=dict)
+class Dims(Record):
+    """The dimensions, and the rank gap of each rank decision, which
+    equality ignores."""
+
+    _fields = ("h0", "c0", "z1_par", "b1", "h1_par", "h1_cone", "o2", "gaps")
+    _compare = _fields[:-1]
+
+    def __init__(self, h0: int, c0: int, z1_par: int, b1: int, h1_par: int, h1_cone: int,
+                 o2: int, gaps: dict | None = None):
+        self._set(h0=h0, c0=c0, z1_par=z1_par, b1=b1, h1_par=h1_par, h1_cone=h1_cone, o2=o2,
+                  gaps={} if gaps is None else gaps)
 
     def to_json(self) -> dict:
-        keys = ("h0", "c0", "z1_par", "b1", "h1_par", "h1_cone", "o2")
-        return {**{k: getattr(self, k) for k in keys},
+        return {**{k: getattr(self, k) for k in self._compare},
                 "rank_gaps": {k: self.gaps[k] for k in sorted(self.gaps)}}
 
 
-@dataclass(frozen=True)
-class CohomologyBasis:
+class CohomologyBasis(Record):
     """B-orthonormal parabolic cocycles spanning a complement of the coboundaries."""
 
     vectors: tuple[tuple[np.ndarray, ...], ...]
     matrix: np.ndarray  # (n_gen * N^2, h1_par), columns orthonormal
     dims: Dims
+    _fields = ("vectors", "matrix", "dims")
+
+    def __init__(self, vectors: tuple[tuple[np.ndarray, ...], ...], matrix: np.ndarray,
+                 dims: Dims):
+        self._set(vectors=vectors, matrix=matrix, dims=dims)
 
     def __len__(self) -> int:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
-class ObstructionClass:
+class ObstructionClass(Record):
     """The O^2 class of a raw defect; its peripheral projection ``defect``
-    and that as a Cochain2, ``representative``, are built when first read."""
+    and that as a Cochain2, ``representative``, are built when first read.
+    Equality and repr leave out ``cone`` and ``raw``."""
 
-    coordinates: np.ndarray
-    norm: float
-    cone: ConeComplex = field(repr=False, compare=False)
-    raw: np.ndarray = field(repr=False, compare=False)
+    _fields = ("coordinates", "norm")
+
+    def __init__(self, coordinates: np.ndarray, norm: float, cone: ConeComplex,
+                 raw: np.ndarray):
+        self._set(coordinates=coordinates, norm=norm, cone=cone, raw=raw)
 
     @cached_property
     def defect(self) -> np.ndarray:
@@ -188,8 +190,7 @@ class _PairingEntries(Mapping):
         return repr(dict(self))
 
 
-@dataclass(frozen=True)
-class PairingTensor:
+class PairingTensor(NamedTuple):
     entries: _PairingEntries  # (i, j) with i <= j -> ObstructionClass
     verdict: bool
     tolerance: float

@@ -20,8 +20,7 @@ evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,34 +37,34 @@ from .cohomology import (
     row_norms,
     rowwise,
 )
+from .presentation import Record
 from .repspace import Representation
 from .truncring import IncrementalExp, MatrixJet, log_series, unitary_generator_jet, word_jet
 from .unitary import check_tolerance, project_skew, unvec_skew, vec_skew
 
 
-@dataclass(frozen=True)
-class LiftOptions:
+class LiftOptions(NamedTuple):
     tolerance: float = 1e-7      # relative to |u|^2, the scale of the defects
     budget: int = 3              # kept for perfbench's audit op; read by nothing
 
 
-@dataclass(frozen=True, eq=False)
-class JetRepresentation:
+class JetRepresentation(Record):
     """A base representation and its series X_1..X_k per generator, then zeta_1..zeta_k per
     group: one read-only copy (n_gen + groups, k, N, N), the layout that
-    :func:`~repvar.cohomology.order_defect` reads; any other shape raises ValueError."""
+    :func:`~repvar.cohomology.order_defect` reads; any other shape raises ValueError.
+    Equal only to itself."""
 
-    base: Representation
-    series: np.ndarray
+    _fields = ("base", "series")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        series = np.array(self.series, dtype=complex)
-        pres, k = self.base.presentation, series.shape[1] if series.ndim > 1 else 0
-        count, n = len(pres.generators) + len(pres.groups), self.base.rank
+    def __init__(self, base: Representation, series: np.ndarray):
+        series = np.array(series, dtype=complex)
+        pres, k = base.presentation, series.shape[1] if series.ndim > 1 else 0
+        count, n = len(pres.generators) + len(pres.groups), base.rank
         if k < 1 or series.shape != (count, k, n, n):
             raise ValueError(f"series of shape {series.shape}, not ({count}, order >= 1, {n}, {n})")
         series.setflags(write=False)
-        object.__setattr__(self, "series", series)
+        self._set(base=base, series=series)
 
     @property
     def order(self) -> int:
@@ -78,13 +77,17 @@ class JetRepresentation:
         return list(map(MatrixJet, IncrementalExp(bases, self.order).jets(self.series)))
 
 
-@dataclass(frozen=True)
-class LiftReport:
-    achieved_order: int
-    residuals: tuple[float, ...]
-    obstruction: ObstructionClass | None
-    budget_exceeded: bool
-    corrections: JetRepresentation = field(compare=False)
+class LiftReport(Record):
+    """What a lift reached; equality ignores ``corrections``."""
+
+    _fields = ("achieved_order", "residuals", "obstruction", "budget_exceeded", "corrections")
+    _compare = _fields[:-1]
+
+    def __init__(self, achieved_order: int, residuals: tuple[float, ...],
+                 obstruction: ObstructionClass | None, budget_exceeded: bool,
+                 corrections: JetRepresentation):
+        self._set(achieved_order=achieved_order, residuals=residuals, obstruction=obstruction,
+                  budget_exceeded=budget_exceeded, corrections=corrections)
 
     @property
     def succeeded(self) -> bool:
@@ -100,8 +103,7 @@ class LiftReport:
         }
 
 
-@dataclass(frozen=True)
-class ConeProbeReport:
+class ConeProbeReport(NamedTuple):
     samples: int
     order: int
     tolerance: float
@@ -149,8 +151,7 @@ def jet_word(jrep: JetRepresentation, word) -> MatrixJet:
     return word_jet(jrep.exp_jets(), word, jrep.order, jrep.base.rank)
 
 
-@dataclass
-class _Lifts:
+class _Lifts(NamedTuple):
     """Outcomes of the lifts of a stack of b cocycles to one order: the order
     each reached, its residuals at orders 1..order (zero past a failing
     order), the defect it failed on, and its jets X_1..X_order per generator,

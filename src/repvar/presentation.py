@@ -26,15 +26,51 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Angle = Union[Fraction, float]
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
 
 _KEYWORDS = {"group", "rank", "generators", "relator", "peripheral", "together"}
+
+
+class Record:
+    """Base of the record classes with their own ``__init__``, which sets each
+    attribute once through :meth:`_set`; after that the attributes are
+    read-only.  A plain base, so that defining a record generates no code at
+    import.  Equality and hash compare the attributes named in ``_compare``
+    (default: ``_fields``) between records of one class; repr shows ``_fields``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _compare: tuple[str, ...] | None = None
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compare or self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        text = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({text})"
 
 
 class ParseError(ValueError):
@@ -95,8 +131,7 @@ def _normalize_angle(a: Angle) -> Angle:
     return float(a) % 1.0
 
 
-@dataclass(frozen=True, init=False)
-class ConjugacyClassSpec:
+class ConjugacyClassSpec(Record):
     """Multiset of eigenvalue angles (in turns) naming a U(N) conjugacy class.
 
     The class is the set of unitaries with eigenvalues exp(2*pi*i*angle).
@@ -105,13 +140,14 @@ class ConjugacyClassSpec:
     """
 
     angles: tuple[Angle, ...]
+    _fields = ("angles",)
 
     def __init__(self, angles: Iterable[Angle]):
         normalized = [_normalize_angle(a) for a in angles]
         if not normalized:
             raise ValueError("a conjugacy class spec needs at least one angle")
         normalized.sort(key=lambda a: (float(a), str(a)))
-        object.__setattr__(self, "angles", tuple(normalized))
+        self._set(angles=tuple(normalized))
 
     @property
     def rank(self) -> int:
@@ -124,15 +160,13 @@ class ConjugacyClassSpec:
         return "{" + ", ".join(format_angle(a) for a in self.angles) + "}"
 
 
-@dataclass(frozen=True)
-class Peripheral:
+class Peripheral(NamedTuple):
     name: str
     word: Word
     klass: ConjugacyClassSpec
 
 
-@dataclass(frozen=True, init=False)
-class Presentation:
+class Presentation(Record):
     """A finitely presented group with peripheral class constraints.
 
     Immutable after construction.  ``groups`` partitions the peripheral
@@ -147,6 +181,7 @@ class Presentation:
     peripherals: tuple[Peripheral, ...]
     groups: tuple[tuple[int, ...], ...]
     warnings: tuple[str, ...]
+    _fields = ("name", "rank", "generators", "relators", "peripherals", "groups", "warnings")
 
     def __init__(
         self,
@@ -203,13 +238,9 @@ class Presentation:
             for gen, _ in w:
                 if not 0 <= gen < len(generators):
                     raise ValueError(f"generator index {gen} out of range")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", tuple(norm_relators))
-        object.__setattr__(self, "peripherals", peripherals)
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "warnings", tuple(warn))
+        self._set(name=name, rank=int(rank), generators=generators,
+                  relators=tuple(norm_relators), peripherals=peripherals, groups=groups,
+                  warnings=tuple(warn))
 
     def word_to_string(self, word: Iterable[Letter]) -> str:
         return " ".join(

@@ -12,12 +12,11 @@ parametrization is the twisted (Fox calculus) transport implemented by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .presentation import Presentation, Word, shown
+from .presentation import Presentation, Record, Word, shown
 from .unitary import (
     ad_basis,
     ad_matrix,
@@ -65,11 +64,11 @@ def default_tolerance(rank: int) -> float:
     return 1e-8 * rank
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     presentation: Presentation
     matrices: tuple[np.ndarray, ...]
     tolerance: float
+    _fields = ("presentation", "matrices", "tolerance")
 
     def __init__(self, presentation: Presentation, matrices: Sequence[np.ndarray],
                  tolerance: float | None = None):
@@ -85,11 +84,8 @@ class Representation:
                 raise ValueError(f"matrix shape {a.shape}, expected {(n, n)}")
             a.setflags(write=False)
             mats.append(a)
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "matrices", tuple(mats))
-        object.__setattr__(
-            self, "tolerance", default_tolerance(n) if tolerance is None else float(tolerance)
-        )
+        self._set(presentation=presentation, matrices=tuple(mats),
+                  tolerance=default_tolerance(n) if tolerance is None else float(tolerance))
 
     @classmethod
     def _of_stack(cls, presentation: Presentation, stack: np.ndarray,
@@ -99,9 +95,7 @@ class Representation:
         is frozen in place, not copied or checked."""
         stack.setflags(write=False)
         rep = object.__new__(cls)
-        object.__setattr__(rep, "presentation", presentation)
-        object.__setattr__(rep, "matrices", tuple(stack))
-        object.__setattr__(rep, "tolerance", tolerance)
+        rep._set(presentation=presentation, matrices=tuple(stack), tolerance=tolerance)
         return rep
 
     @property
@@ -109,8 +103,7 @@ class Representation:
         return self.presentation.rank
 
 
-@dataclass(frozen=True)
-class Residuals:
+class Residuals(NamedTuple):
     relator_residuals: tuple[float, ...]
     peripheral_residuals: tuple[float, ...]
 

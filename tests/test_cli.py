@@ -275,15 +275,25 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 NUMERIC = {"numpy", "repvar.unitary", "repvar.repspace"}
 COHOMOLOGY = {"repvar.cohomology", "repvar.truncring"}
 JETS = {"repvar.jets"}
+# The record classes generate no code at import, so no verb loads
+# dataclasses; and without numpy nothing loads inspect (dataclasses would).
+NO_CODEGEN = {"dataclasses"}
+NO_INSPECT = NO_CODEGEN | {"inspect"}
 IMPORT_SURFACE = {  # argv, exit code, modules loaded, modules left out
-    "import": (None, None, set(), NUMERIC | COHOMOLOGY | JETS),
-    "help": (["--help"], 0, set(), NUMERIC | COHOMOLOGY | JETS),
-    "validate": (["validate", SPHERE4], 0, {"repvar.presentation"}, NUMERIC),
-    "validate_bad": (["validate", "bad_grp"], 1, {"repvar.presentation"}, NUMERIC),
-    "find": (["find", SPHERE4, "--seed", "1"], 0, NUMERIC, COHOMOLOGY | JETS),
-    "check": (["check", GENUS2, "genus2_irr"], 0, NUMERIC, COHOMOLOGY | JETS),
-    "tangent": (["tangent", GENUS2, "genus2_irr"], 0, NUMERIC | COHOMOLOGY, JETS),
-    "pairing": (["pairing", GENUS2, "genus2_irr"], 0, NUMERIC | COHOMOLOGY, JETS),
+    "import": (None, None, set(), NUMERIC | COHOMOLOGY | JETS | NO_INSPECT),
+    "help": (["--help"], 0, set(), NUMERIC | COHOMOLOGY | JETS | NO_INSPECT),
+    "validate": (["validate", SPHERE4], 0, {"repvar.presentation"}, NUMERIC | NO_INSPECT),
+    "validate_bad": (["validate", "bad_grp"], 1, {"repvar.presentation"}, NUMERIC | NO_INSPECT),
+    "find": (["find", SPHERE4, "--seed", "1"], 0, NUMERIC, COHOMOLOGY | JETS | NO_CODEGEN),
+    "check": (["check", GENUS2, "genus2_irr"], 0, NUMERIC, COHOMOLOGY | JETS | NO_CODEGEN),
+    "tangent": (["tangent", GENUS2, "genus2_irr"], 0, NUMERIC | COHOMOLOGY, JETS | NO_CODEGEN),
+    "pairing": (["pairing", GENUS2, "genus2_irr"], 0, NUMERIC | COHOMOLOGY, JETS | NO_CODEGEN),
+    "obstruct": (["obstruct", GENUS2, "genus2_irr", "cocycle_irr"], 0, NUMERIC | COHOMOLOGY,
+                 JETS | NO_CODEGEN),
+    "lift": (["lift", GENUS2, "genus2_irr", "cocycle_irr", "--order", "3"], 0,
+             NUMERIC | COHOMOLOGY | JETS, NO_CODEGEN),
+    "probe": (["probe", SPHERE4, "sphere4", "--samples", "3", "--order", "3", "--seed", "1"], 0,
+              NUMERIC | COHOMOLOGY | JETS, NO_CODEGEN),
 }
 
 

@@ -1,6 +1,5 @@
 import sys
 import threading
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -723,7 +722,7 @@ def test_probe_draws_row_i_of_one_generator_as_sample_i(degenerate_u3_cc):
         assert probe_cone(cc, basis, samples=12, order=5, seed=seed) == wants[-1]
         assert probe_cone(cc, basis, samples=5, order=5, seed=seed) == \
             _row_probe(cc, basis, rows[:5], 5, seed)
-    assert len({replace(want, seed=0) for want in wants}) > 1
+    assert len({want._replace(seed=0) for want in wants}) > 1
 
 
 def _reordered(basis, order):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repvar import corpus
+from repvar import cohomology, corpus, jets, repspace, unitary
 from repvar.presentation import (
     ConjugacyClassSpec,
     ParseError,
@@ -297,3 +297,72 @@ def presentation_texts(draw):
 def test_parse_serialize_round_trip(text):
     first = parse_presentation(text)
     assert parse_presentation(serialize_presentation(first)) == first
+
+
+# -- the record contract: README's "all values are immutable after
+# construction", and the equality and hash callers key on
+
+
+def test_exported_records_are_read_only(sphere4_cc):
+    cc = sphere4_cc
+    rep, basis = cc.rep, cohomology.h1_basis(cc)
+    obstruction = cohomology.obstruction(cc, basis.vectors[0])
+    report = jets.lift(cc, basis.vectors[0], 3)
+    records = [rep.presentation.peripherals[0].klass, rep.presentation,
+               rep.presentation.peripherals[0], rep, repspace.constraint_residual(rep),
+               cohomology.coboundary(rep, unitary.random_skew(np.random.default_rng(0), rep.rank)),
+               obstruction.representative, basis.dims, basis, obstruction,
+               cohomology.pairing_tensor(cc, basis), jets.LiftOptions(), report.corrections,
+               report, jets.probe_cone(cc, basis, samples=2, order=3)]
+    assert {type(r).__name__ for r in records} == {
+        "ConjugacyClassSpec", "Presentation", "Peripheral", "Representation", "Residuals",
+        "Cochain1", "Cochain2", "Dims", "CohomologyBasis", "ObstructionClass",
+        "PairingTensor", "LiftOptions", "JetRepresentation", "LiftReport", "ConeProbeReport"}
+    for record in records:
+        names = {*record._fields, *getattr(record, "__dict__", ())}
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.added = None
+
+
+def test_obstruction_class_builds_defect_on_first_read(sphere4_cc):
+    cc = sphere4_cc
+    cls = cohomology.obstruction(cc, cohomology.h1_basis(cc).vectors[0])
+    assert not {"defect", "representative"} & set(vars(cls))
+    representative = cls.representative
+    assert {"defect", "representative"} <= set(vars(cls))
+    assert cls.representative is representative and isinstance(representative,
+                                                              cohomology.Cochain2)
+    assert cls.defect.tobytes() == cc.project_peripheral(cls.raw).tobytes()
+
+
+def test_record_equality_and_hash():
+    # equivalent angle multisets name one class, and one entry of the
+    # class-target cache
+    a = ConjugacyClassSpec([Fraction(1, 3), Fraction(-1, 3), 0.25])
+    b = ConjugacyClassSpec([1.25, Fraction(2, 3), Fraction(4, 3)])
+    assert a == b and hash(a) == hash(b)
+    assert unitary._class_target(a) is unitary._class_target(b)
+    assert a != ConjugacyClassSpec([Fraction(1, 3), Fraction(-1, 3), 0.5])
+    # Dims equality ignores the rank gaps; each record has its own gaps
+    dims = cohomology.Dims(1, 0, 4, 3, 1, 2, 1, gaps={"d1_par": 0.5})
+    bare = cohomology.Dims(1, 0, 4, 3, 1, 2, 1)
+    assert dims == bare and hash(dims) == hash(bare)
+    assert dims != cohomology.Dims(0, 0, 4, 3, 1, 2, 1)
+    assert bare.gaps == {} and bare.gaps is not cohomology.Dims(1, 0, 4, 3, 1, 2, 1).gaps
+
+
+def test_report_equality_hash_and_repr(sphere4_cc):
+    cc = sphere4_cc
+    basis = cohomology.h1_basis(cc)
+    first, again = (jets.lift(cc, basis.vectors[0], 3) for _ in range(2))
+    # a lift report compares without its corrections, which are equal only
+    # to themselves
+    assert first == again and first.corrections != again.corrections
+    assert first.corrections == first.corrections
+    probes = [jets.probe_cone(cc, basis, samples=3, order=3, seed=5) for _ in range(2)]
+    assert len(set(probes)) == 1 and repr(probes[0]) == repr(probes[1])
